@@ -58,7 +58,7 @@ def to_spherical(v) -> SphericalCoord:
     r = math.sqrt(x * x + y * y + z * z)
     if r == 0.0:
         return SphericalCoord(0.0, 0.0, 0.0)
-    theta = math.acos(min(1.0, max(-1.0, z / r)))
+    theta = math.atan2(math.hypot(x, y), z)  # acos(z / r) loses the poles
     phi = math.atan2(y, x) % (2.0 * math.pi)
     return SphericalCoord(r, theta, phi)
 
@@ -78,9 +78,7 @@ def cartesian_to_spherical_arrays(points: np.ndarray):
     """Vectorized conversion: (P, 3) -> (r, theta, phi) arrays."""
     points = np.asarray(points, dtype=float)
     r = np.linalg.norm(points, axis=-1)
-    with np.errstate(invalid="ignore"):
-        ct = np.divide(points[..., 2], r, out=np.zeros_like(r), where=r > 0)
-    theta = np.arccos(np.clip(ct, -1.0, 1.0))
+    theta = np.arctan2(np.hypot(points[..., 0], points[..., 1]), points[..., 2])
     phi = np.arctan2(points[..., 1], points[..., 0]) % (2.0 * np.pi)
     return r, theta, phi
 

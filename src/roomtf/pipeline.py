@@ -269,16 +269,8 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
             f"{exp.mic_center_radius} + local radius {exp.mic_local_radius} > "
             f"R_r = {cfg.regions.receiver_radius}"
         )
-    for pt in exp.speakers_room:
-        if not exp.room.contains(pt):
-            raise ConfigurationError(
-                f"loudspeaker at {tuple(np.round(pt, 6))} lies outside the room"
-            )
-    for pt in exp.mics.omni_positions().reshape(-1, 3):
-        if not exp.room.contains(pt):
-            raise ConfigurationError(
-                f"microphone sensor at {tuple(np.round(pt, 6))} lies outside the room"
-            )
+    exp.room.check_inside(exp.speakers_room, "loudspeaker")
+    exp.room.check_inside(exp.mics.omni_positions().reshape(-1, 3), "microphone sensor")
     return exp
 
 
@@ -328,10 +320,7 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
             exp.speakers_room, W, exp.mics, ctx
         )
     a_eff = int(mt.mask_orders[fi])
-    local_orders = np.array(
-        [i.order for i in specfun.harmonic_indices(mt.mic_order)]
-    )
-    gamma[:, local_orders > a_eff] = 0.0
+    gamma[:, specfun.harmonic_orders(mt.mic_order) > a_eff] = 0.0
     Tp = translation.build_T_prime(exp.mics, n_r, ctx, row_order=a_eff)
     alpha, _residual = translation.solve_alpha_all(
         Tp, gamma, cutoff=cfg.solver.svd_cutoff

@@ -215,8 +215,7 @@ def encode_pressures(mics: MicArray, pressures: np.ndarray, ctx: WaveContext,
     enc = local_encoding_matrix(spec, mics.local_offsets, ctx)
     gamma = np.einsum("cq,Qq...->Qc...", enc, pressures)
     gamma = gamma[:, : specfun.mode_count(spec.order)]
-    orders = np.array([i.order for i in specfun.harmonic_indices(spec.order)])
-    gamma[:, orders > mask_order] = 0.0
+    gamma[:, specfun.harmonic_orders(spec.order) > mask_order] = 0.0
     return np.moveaxis(gamma, 1, -1)  # (Q, ..., (A+1)^2), sensor-mode last
 
 
@@ -243,16 +242,8 @@ def simulate_raw_measurements(
     Q, Qp, _ = omnis.shape
     L = speakers.shape[0]
     flat_omnis = omnis.reshape(-1, 3)
-    for pt in flat_omnis:
-        if not room.contains(pt):
-            raise ConfigurationError(
-                f"microphone sensor at {tuple(np.round(pt, 6))} lies outside the room"
-            )
-    for pt in speakers:
-        if not room.contains(pt):
-            raise ConfigurationError(
-                f"loudspeaker at {tuple(np.round(pt, 6))} lies outside the room"
-            )
+    room.check_inside(flat_omnis, "microphone sensor")
+    room.check_inside(speakers, "loudspeaker")
     dist = np.linalg.norm(flat_omnis[:, None, :] - speakers[None, :, :], axis=-1)
     if np.any(dist < 1e-9):
         raise ConfigurationError("a loudspeaker coincides with a microphone sensor")

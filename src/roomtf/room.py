@@ -53,6 +53,17 @@ class RoomModel:
         q = self.to_corner_frame(p)
         return bool(np.all(q > 0) and np.all(q < np.asarray(self.dimensions)))
 
+    def check_inside(self, points, what: str) -> None:
+        """Raise ConfigurationError naming the first row of ``points`` (n, 3) not inside."""
+        points = np.asarray(points, dtype=float)
+        q = self.to_corner_frame(points)
+        outside = ~np.all((q > 0) & (q < np.asarray(self.dimensions)), axis=1)
+        if outside.any():
+            pt = points[np.argmax(outside)]
+            raise ConfigurationError(
+                f"{what} at {tuple(np.round(pt, 6))} lies outside the room"
+            )
+
 
 @dataclass(frozen=True)
 class ImageSource:

@@ -125,7 +125,7 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
             raise ConfigurationError("a source probe lies outside the source region")
     by = specfun.bessel_j_matrix(ns, k * ry) * np.conj(specfun.harmonic_matrix(ns, ty, py))
     bx = specfun.bessel_j_matrix(nr, k * rx) * specfun.harmonic_matrix(nr, tx, px)
-    reverberant = 1j * k * np.einsum("ng,nv,vg->g", by, cset.alpha[fi], bx)
+    reverberant = 1j * k * np.sum((cset.alpha[fi].T @ by) * bx, axis=0)
     offset = np.asarray(cset.regions.offset) if cset.regions else np.zeros(3)
     d = np.linalg.norm(X - (Y_s + offset), axis=1)
     if np.any(d == 0):

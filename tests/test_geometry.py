@@ -38,6 +38,21 @@ class TestConversions:
         back = to_cartesian(to_spherical((x, y, z)))
         assert np.allclose(back, [x, y, z], atol=1e-12)
 
+    @pytest.mark.parametrize("point", [(0.0, 1e-8, 1.0), (0.0, -1e-8, -1.0)])
+    def test_near_pole_round_trip(self, point):
+        s = to_spherical(point)
+        assert np.allclose(to_cartesian(s), point, rtol=0, atol=1e-15)
+        r, t, p = geometry.cartesian_to_spherical_arrays(np.array([point]))
+        back = geometry.spherical_to_cartesian_arrays(r, t, p)[0]
+        assert np.allclose(back, point, rtol=0, atol=1e-15)
+        assert (t[0], p[0]) == (s.theta, s.phi)
+
+    def test_near_pole_polar_angle(self):
+        assert to_spherical((0.0, 1e-8, 1.0)).theta == pytest.approx(1e-8, rel=1e-12)
+        assert math.pi - to_spherical((0.0, -1e-8, -1.0)).theta == pytest.approx(
+            1e-8, rel=1e-7
+        )
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-2, 2, (40, 3))

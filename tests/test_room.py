@@ -64,6 +64,23 @@ class TestRoomModel:
         assert room.contains((2.9, 2.4, 1.2))
         assert not room.contains((3.1, 0.0, 0.0))
 
+    def test_vectorized_containment_matches_pointwise(self):
+        room = reference_room()
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-3.5, 3.5, (200, 3))
+        first_out = next(p for p in pts if not room.contains(p))
+        with pytest.raises(ConfigurationError, match="probe at .* outside the room") as info:
+            room.check_inside(pts, "probe")
+        assert str(tuple(np.round(first_out, 6))) in str(info.value)
+        inside = np.array([p for p in pts if room.contains(p)])
+        room.check_inside(inside, "probe")
+
+    def test_vectorized_containment_is_strict(self):
+        room = reference_room()
+        room.check_inside(np.array([[2.9, 2.4, 1.2], [-2.9, -2.4, -1.2]]), "speaker")
+        with pytest.raises(ConfigurationError, match="speaker"):
+            room.check_inside(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]), "speaker")
+
 
 class TestEnumerateImages:
     def test_order_zero_is_source_only(self):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from roomtf import specfun
 from roomtf.errors import ConfigurationError
@@ -123,6 +124,39 @@ class TestReconstruction:
         for i in range(5):
             scalar = reconstruct_rtf(cset, to_spherical(X[i]), to_spherical(Y[i]), 900.0)
             assert batch[i] == pytest.approx(scalar, rel=1e-12)
+
+
+def einsum_oracle(cset, X, Y_s, frequency):
+    """The bilinear form as a 3-operand einsum over scipy basis tables."""
+    fi = cset.frequency_index(frequency)
+    k = cset.context(frequency).k
+
+    def basis(N, P):
+        nm = [(n, m) for n in range(N + 1) for m in range(-n, n + 1)]
+        n, m = (np.array(nm).T)[:, :, None]
+        r = np.linalg.norm(P, axis=1)
+        theta = np.arctan2(np.hypot(P[:, 0], P[:, 1]), P[:, 2])
+        phi = np.arctan2(P[:, 1], P[:, 0])
+        return sp.spherical_jn(n, k * r) * sp.sph_harm_y(n, m, theta, phi)
+
+    by = np.conj(basis(int(cset.source_orders[fi]), Y_s))
+    bx = basis(int(cset.receiver_orders[fi]), X)
+    d = np.linalg.norm(X - (Y_s + np.asarray(cset.regions.offset)), axis=1)
+    direct = np.exp(1j * k * d) / (4.0 * np.pi * d)
+    return direct + 1j * k * np.einsum("ng,nv,vg->g", by, cset.alpha[fi], bx)
+
+
+class TestBilinearFormOracle:
+    @pytest.mark.parametrize("pairs", [1, 300])
+    def test_matches_einsum(self, pairs):
+        rng = np.random.default_rng(pairs)
+        alpha = rng.standard_normal((121, 81)) + 1j * rng.standard_normal((121, 81))
+        cset = make_set([alpha], 10, 8)
+        X = rng.uniform(-0.23, 0.23, (pairs, 3))
+        Y = rng.uniform(-0.23, 0.23, (pairs, 3))
+        expected = einsum_oracle(cset, X, Y, 900.0)
+        got = reconstruct_rtf_many(cset, X, Y, 900.0)
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 class TestRelativeError:

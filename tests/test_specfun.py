@@ -2,11 +2,15 @@
 import math
 from fractions import Fraction
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special as sp
 
 from roomtf import specfun
+from roomtf.geometry import cartesian_to_spherical_arrays
 from roomtf.specfun import HarmonicIndex, wigner_3j
 
 
@@ -158,6 +162,78 @@ class TestSphericalHarmonic:
         Y = specfun.harmonic_matrix(N, T.ravel(), P.ravel())
         gram = (Y * W.ravel()) @ np.conj(Y.T)
         assert np.max(np.abs(gram - np.eye((N + 1) ** 2))) < 1e-8
+
+
+def flat_orders_degrees(N):
+    """(n, m) of each flat row, built apart from specfun."""
+    nm = [(n, m) for n in range(N + 1) for m in range(-n, n + 1)]
+    n, m = np.array(nm).T
+    return n[:, None], m[:, None]
+
+
+def oracle_points():
+    """Random directions plus the poles, the equator and azimuths near 0 and 2 pi."""
+    rng = np.random.default_rng(11)
+    theta = [0.0, 1e-8, math.pi / 2, math.pi - 1e-8, math.pi]
+    phi = [0.0, 1e-9, 2 * math.pi - 1e-9, 2 * math.pi]
+    T, P = np.meshgrid(theta, phi, indexing="ij")
+    return (
+        np.concatenate([T.ravel(), rng.uniform(0.0, math.pi, 60)]),
+        np.concatenate([P.ravel(), rng.uniform(0.0, 2 * math.pi, 60)]),
+    )
+
+
+class TestBasisTables:
+    """Every basis table against per-(n, m) scipy calls, value by value."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, 10, 25])
+    def test_harmonic_matrix_matches_scipy(self, N):
+        theta, phi = oracle_points()
+        n, m = flat_orders_degrees(N)
+        expected = sp.sph_harm_y(n, m, theta[None, :], phi[None, :])
+        got = specfun.harmonic_matrix(N, theta, phi)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) < 1e-13
+
+    def test_harmonic_matrix_scalar_arguments(self):
+        got = specfun.harmonic_matrix(3, 0.7, 2.0)
+        n, m = flat_orders_degrees(3)
+        assert got.shape == (16, 1)
+        assert np.max(np.abs(got - sp.sph_harm_y(n, m, 0.7, 2.0))) < 1e-14
+
+    def test_near_pole_point(self):
+        # the point (0, 1e-8, 1) through the coordinate conversion
+        _, theta, phi = cartesian_to_spherical_arrays(np.array([[0.0, 1e-8, 1.0]]))
+        n, m = flat_orders_degrees(25)
+        got = specfun.harmonic_matrix(25, theta, phi)
+        assert np.max(np.abs(got - sp.sph_harm_y(n, m, 1e-8, math.pi / 2))) < 1e-13
+
+    def test_tables_build_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for N in (0, 1, 2, 31):
+                specfun.harmonic_matrix(N, [0.0, 1.0, math.pi], [0.0, 2.0, 6.0])
+
+    @pytest.mark.parametrize("N", [0, 1, 5, 12])
+    def test_bessel_j_matrix_rows(self, N):
+        x = np.array([0.0, 1e-6, 0.3, 2.0, 7.5, 25.0])
+        n, _ = flat_orders_degrees(N)
+        expected = sp.spherical_jn(n, x[None, :])
+        assert np.array_equal(specfun.bessel_j_matrix(N, x), expected)
+
+    @pytest.mark.parametrize("N", [0, 1, 5, 12])
+    def test_hankel_h1_matrix_rows(self, N):
+        x = np.array([1e-3, 0.3, 2.0, 7.5, 25.0])
+        n, _ = flat_orders_degrees(N)
+        expected = sp.spherical_jn(n, x[None, :]) + 1j * sp.spherical_yn(n, x[None, :])
+        assert np.array_equal(specfun.hankel_h1_matrix(N, x), expected)
+
+    def test_harmonic_orders(self):
+        orders = specfun.harmonic_orders(4)
+        assert orders.tolist() == [i.order for i in specfun.harmonic_indices(4)]
+        assert specfun.harmonic_orders(4) is orders
+        with pytest.raises(ValueError):
+            orders[0] = 1
 
 
 class TestWigner3j:
