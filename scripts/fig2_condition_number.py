@@ -2,7 +2,10 @@
 """Condition-number sweep of the loudspeaker translation matrix (shell vs sphere).
 
 Writes out/fig2/cond.csv and prints the sphere's peak-to-shell ratios at the
-two Bessel-zero peaks inside the sweep band.
+two Bessel-zero peaks inside the sweep band.  A peak whose kappa_sphere is
+above ROUNDING_KAPPA is flagged: there the bin lands on a zero of j0(kR), the
+sphere matrix is singular to rounding, and the ratio measures how closely the
+grid hits the zero rather than the array.
 """
 import os
 import sys
@@ -14,6 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from roomtf import pipeline  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROUNDING_KAPPA = 1e10
 
 
 def main():
@@ -26,10 +30,13 @@ def main():
     for target in (420.0, 850.0):
         window = np.abs(freqs - target) < 60.0
         i = np.flatnonzero(window)[np.argmax(kappa_sphere[window])]
+        flag = ""
+        if kappa_sphere[i] > ROUNDING_KAPPA:
+            flag = " (rounding-bound: the bin sits on a j0(kR) zero)"
         print(
             f"sphere peak near {target:.0f} Hz: f = {freqs[i]:.1f} Hz, "
             f"kappa_sphere = {kappa_sphere[i]:.3g}, kappa_shell = {kappa_shell[i]:.3g}, "
-            f"ratio = {kappa_sphere[i] / kappa_shell[i]:.1f}x"
+            f"ratio = {kappa_sphere[i] / kappa_shell[i]:.1f}x{flag}"
         )
 
 

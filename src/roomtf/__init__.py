@@ -15,8 +15,8 @@ from .modal import (
     truncation_order,
 )
 from .recording import HoMicSpec, MeasurementTensor, MicArray, mic_radius
-from .room import ImageSource, RoomModel, enumerate_images, rtf_oracle
-from .rtf import RtfCoefficientSet, reconstruct_rtf, relative_error
+from .room import ImageSource, RoomModel, enumerate_images
+from .rtf import RtfCoefficientSet, relative_error
 from .specfun import HarmonicIndex, wigner_3j
 
 __all__ = [
@@ -40,9 +40,7 @@ __all__ = [
     "ImageSource",
     "RoomModel",
     "enumerate_images",
-    "rtf_oracle",
     "RtfCoefficientSet",
-    "reconstruct_rtf",
     "relative_error",
     "HarmonicIndex",
     "wigner_3j",

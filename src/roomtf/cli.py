@@ -13,8 +13,7 @@ import numpy as np
 
 from . import fileio, pipeline, rtf
 from .errors import BesselZeroError, ConfigurationError, NumericalError
-from .geometry import to_spherical
-from .room import rtf_oracle
+from .room import rtf_oracle_many
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -66,13 +65,14 @@ def cmd_reconstruct(args) -> int:
     f = args.frequency
     receiver = _parse_point(args.receiver)
     source = _parse_point(args.source)
-    value = rtf.reconstruct_rtf(cset, to_spherical(receiver), to_spherical(source), f)
+    value = rtf.reconstruct_rtf_many(cset, receiver[None, :], source[None, :], f)[0]
     print(f"reconstructed H = {value.real:.17g} {value.imag:+.17g}j")
     if args.with_oracle:
         cfg = _load_config(args)
         exp = pipeline.validate_config(cfg)
+        exp.room.check_inside(receiver[None, :], "receiver")
         y_room = source + np.asarray(cfg.regions.offset)
-        truth = rtf_oracle(exp.room, receiver, y_room, exp.context(f))
+        truth = rtf_oracle_many(exp.room, receiver[None, :], y_room, exp.context(f))[0]
         print(f"oracle        H = {truth.real:.17g} {truth.imag:+.17g}j")
         print(f"deviation |dH|/|H| = {abs(truth - value) / abs(truth):.6g}")
     return 0
@@ -80,13 +80,16 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    exp = pipeline.validate_config(cfg)
     mpath = _default_out(cfg, "measurements.rtfm")
     cpath = _default_out(cfg, "coefficients.rtfc")
     if os.path.exists(cpath):
         cset = fileio.load_coefficient_set(cpath)
+        pipeline.check_artifact(exp, cset, cpath)
     else:
         if os.path.exists(mpath):
             mt = fileio.load_measurement_tensor(mpath)
+            pipeline.check_artifact(exp, mt, mpath)
         else:
             mt = pipeline.run_measure(cfg, threads=args.threads)
             fileio.save_measurement_tensor(mpath, mt)

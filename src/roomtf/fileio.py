@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -43,15 +44,39 @@ def _write_block(fh, magic: bytes, header: dict, payload: np.ndarray) -> None:
 
 
 def _read_block(fh, magic: bytes):
+    """(header, raw payload bytes); a short, corrupt or unknown header raises."""
     got = fh.read(len(magic))
     if got != magic:
         raise ConfigurationError(
             f"bad file magic: expected {magic!r}, got {got!r}"
         )
-    (hlen,) = struct.unpack("<Q", fh.read(8))
-    header = json.loads(fh.read(hlen).decode("utf-8"))
-    payload = np.frombuffer(fh.read(), dtype=np.complex128)
-    return header, payload
+    size = fh.read(8)
+    if len(size) != 8:
+        raise ConfigurationError("truncated file: the header length is missing")
+    (hlen,) = struct.unpack("<Q", size)
+    raw = fh.read(hlen)
+    if len(raw) != hlen:
+        raise ConfigurationError(
+            f"truncated file: header holds {len(raw)} of its {hlen} bytes"
+        )
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ConfigurationError(f"corrupt file header: {exc}") from None
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if version != 1:
+        raise ConfigurationError(f"unsupported format_version {version!r}; expected 1")
+    return header, fh.read()
+
+
+def _payload(raw: bytes, count: int) -> np.ndarray:
+    """The complex128 payload, checked against the element count the header implies."""
+    if len(raw) != 16 * count:
+        raise ConfigurationError(
+            f"truncated or corrupt file: payload holds {len(raw)} bytes, "
+            f"the header implies {count} complex values ({16 * count} bytes)"
+        )
+    return np.frombuffer(raw, dtype=np.complex128)
 
 
 def save_measurement_tensor(path, mt: MeasurementTensor) -> None:
@@ -70,7 +95,7 @@ def save_measurement_tensor(path, mt: MeasurementTensor) -> None:
 
 def load_measurement_tensor(path) -> MeasurementTensor:
     with open(path, "rb") as fh:
-        header, payload = _read_block(fh, MEASUREMENT_MAGIC)
+        header, raw = _read_block(fh, MEASUREMENT_MAGIC)
     shape = (
         len(header["frequencies"]),
         header["num_units"],
@@ -79,7 +104,7 @@ def load_measurement_tensor(path) -> MeasurementTensor:
     )
     return MeasurementTensor(
         frequencies=np.array(header["frequencies"]),
-        gamma_tilde=payload.reshape(shape),
+        gamma_tilde=_payload(raw, math.prod(shape)).reshape(shape),
         mic_order=header["mic_order"],
         mask_orders=np.array(header["mask_orders"]),
         digests=header.get("digests", {}),
@@ -109,10 +134,12 @@ def save_coefficient_set(path, cset: RtfCoefficientSet) -> None:
 
 def load_coefficient_set(path) -> RtfCoefficientSet:
     with open(path, "rb") as fh:
-        header, payload = _read_block(fh, COEFFICIENT_MAGIC)
+        header, raw = _read_block(fh, COEFFICIENT_MAGIC)
+    orders = list(zip(header["source_orders"], header["receiver_orders"]))
+    payload = _payload(raw, sum((ns + 1) ** 2 * (nr + 1) ** 2 for ns, nr in orders))
     blocks = []
     pos = 0
-    for ns, nr in zip(header["source_orders"], header["receiver_orders"]):
+    for ns, nr in orders:
         size = (ns + 1) ** 2 * (nr + 1) ** 2
         blocks.append(payload[pos:pos + size].reshape((ns + 1) ** 2, (nr + 1) ** 2))
         pos += size

@@ -95,15 +95,10 @@ def spherical_to_cartesian_arrays(r, theta, phi) -> np.ndarray:
     )
 
 
-def equal_area_directions(count: int) -> list[tuple[float, float]]:
-    """Deterministic Fibonacci-spiral direction set; ~equal area per point."""
+def equal_area_directions(count: int):
+    """Deterministic Fibonacci-spiral directions (theta, phi); ~equal area per point."""
     if count < 1:
         raise ConfigurationError(f"direction count must be >= 1, got {count}")
-    theta, phi = _direction_arrays(count)
-    return list(zip(theta.tolist(), phi.tolist()))
-
-
-def _direction_arrays(count: int):
     i = np.arange(count)
     z = 1.0 - (2.0 * i + 1.0) / count
     theta = np.arccos(z)
@@ -128,7 +123,7 @@ def shell_array(count: int, outer: float, inner: float, seed: int) -> list[Spher
         )
     if inner < 0:
         raise ConfigurationError(f"inner radius must be >= 0, got {inner}")
-    theta, phi = _direction_arrays(count)
+    theta, phi = equal_area_directions(count)
     radii = _radius_stream(seed).uniform(inner, outer, count)
     return [SphericalCoord(r, t, p) for r, t, p in zip(radii, theta, phi)]
 
@@ -137,7 +132,7 @@ def sphere_array(count: int, radius: float) -> list[SphericalCoord]:
     """Equal-area directions at a single fixed radius."""
     if radius <= 0:
         raise ConfigurationError(f"sphere radius must be > 0, got {radius}")
-    theta, phi = _direction_arrays(count)
+    theta, phi = equal_area_directions(count)
     return [SphericalCoord(radius, t, p) for t, p in zip(theta, phi)]
 
 

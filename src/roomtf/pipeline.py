@@ -20,13 +20,13 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
 
 from . import fileio, recording, rtf, specfun, synthesis, translation
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DigestMismatchError
 from .geometry import (
     RegionPair,
     positions_to_cartesian,
@@ -105,9 +105,35 @@ def _frequency_grid(block) -> tuple[float, ...]:
     return _tuple(block)
 
 
+def _check_keys(raw) -> None:
+    """Reject unknown sections and keys, so a typo cannot fall back to a default."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError("a config file must hold a mapping of sections")
+    defaults = ExperimentConfig()
+    allowed = {
+        f.name: {g.name for g in fields(getattr(defaults, f.name))}
+        for f in fields(defaults) if f.name != "output_dir"
+    }
+    allowed["output"] = {"directory"}
+    for name, block in raw.items():
+        if name not in allowed:
+            raise ConfigurationError(
+                f"unknown config section {name!r}; expected one of {sorted(allowed)}"
+            )
+        if not isinstance(block, dict):
+            raise ConfigurationError(f"config section {name!r} must be a mapping")
+        unknown = sorted(set(block) - allowed[name])
+        if unknown:
+            raise ConfigurationError(
+                f"unknown key {unknown[0]!r} in config section {name!r}; "
+                f"expected one of {sorted(allowed[name])}"
+            )
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
+    _check_keys(raw)
     cfg = ExperimentConfig()
     if "room" in raw:
         b = raw["room"]
@@ -211,6 +237,12 @@ class Experiment:
             positions_to_cartesian(list(self.mics.local_offsets)),
             [cfg.signal.sound_speed],
         )
+        # every digest an artifact of this config may carry; each holds a subset
+        self.digests = {
+            "geometry": self.geometry_digest,
+            "direct_removal": cfg.solver.direct_removal,
+            "solver": asdict(cfg.solver),
+        }
 
     def context(self, frequency: float) -> WaveContext:
         return WaveContext(frequency, self.cfg.signal.sound_speed)
@@ -298,10 +330,7 @@ def run_measure(cfg: ExperimentConfig, frequencies=None, threads: int = 1) -> Me
         gamma_tilde=np.concatenate([p.gamma_tilde for p in parts], axis=0),
         mic_order=cfg.arrays.mic_order,
         mask_orders=np.concatenate([p.mask_orders for p in parts]),
-        digests={
-            "geometry": exp.geometry_digest,
-            "direct_removal": cfg.solver.direct_removal,
-        },
+        digests={key: exp.digests[key] for key in ("geometry", "direct_removal")},
     )
     return mt
 
@@ -319,26 +348,32 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
         gamma = gamma - recording.direct_component_all(
             exp.speakers_room, W, exp.mics, ctx
         )
-    a_eff = int(mt.mask_orders[fi])
-    gamma[:, specfun.harmonic_orders(mt.mic_order) > a_eff] = 0.0
-    Tp = translation.build_T_prime(exp.mics, n_r, ctx, row_order=a_eff)
+    keep = specfun.harmonic_orders(exp.mics.spec.order) <= int(mt.mask_orders[fi])
+    Tp = translation.build_T_prime(exp.mics, n_r, ctx, keep)
     alpha, _residual = translation.solve_alpha_all(
-        Tp, gamma, cutoff=cfg.solver.svd_cutoff
+        Tp, gamma, keep, cutoff=cfg.solver.svd_cutoff
     )
     return alpha.T.copy(), n_s, n_r
+
+
+def check_artifact(exp: Experiment, artifact, path) -> None:
+    """Reject a reused .rtfm/.rtfc made under another geometry, solver or grid."""
+    try:
+        fileio.check_digests(exp.digests, artifact.digests)
+        grid = np.asarray(exp.cfg.signal.frequencies, dtype=float)
+        if artifact.frequencies.shape != grid.shape or not np.allclose(
+            artifact.frequencies, grid, rtol=0, atol=1e-9
+        ):
+            raise DigestMismatchError("its frequency grid differs from signal.frequencies")
+    except DigestMismatchError as exc:
+        raise DigestMismatchError(f"stale artifact {path}: {exc}; remove it to recompute") from None
 
 
 def run_extract(cfg: ExperimentConfig, mt: MeasurementTensor,
                 threads: int = 1) -> RtfCoefficientSet:
     """Extract the alpha tensor for every frequency in the measurement tensor."""
     exp = validate_config(cfg)
-    fileio.check_digests(
-        {
-            "geometry": exp.geometry_digest,
-            "direct_removal": cfg.solver.direct_removal,
-        },
-        mt.digests,
-    )
+    fileio.check_digests(exp.digests, mt.digests)
 
     def one(f):
         return extract_frequency(exp, mt, f)
@@ -354,7 +389,7 @@ def run_extract(cfg: ExperimentConfig, mt: MeasurementTensor,
         receiver_orders=np.array([r[2] for r in results]),
         regions=cfg.regions,
         sound_speed=cfg.signal.sound_speed,
-        digests={"geometry": exp.geometry_digest},
+        digests={key: exp.digests[key] for key in ("geometry", "solver")},
     )
 
 

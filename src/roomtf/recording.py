@@ -156,22 +156,6 @@ class MeasurementTensor:
         return int(hits[0])
 
 
-@dataclass(frozen=True)
-class ModeRecordings:
-    """Local coefficients per mic unit for one composed mode: shape (Q, (A+1)^2)."""
-
-    gamma: np.ndarray
-    mic_order: int
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=complex)
-        object.__setattr__(self, "gamma", g)
-        if g.ndim != 2 or g.shape[1] != specfun.mode_count(self.mic_order):
-            raise ConfigurationError(
-                f"recordings shape {g.shape} inconsistent with order {self.mic_order}"
-            )
-
-
 def default_mask_order(spec: HoMicSpec, ctx: WaveContext) -> int:
     """Highest local order retained at this frequency.
 
@@ -226,7 +210,6 @@ def simulate_raw_measurements(
     frequencies,
     sound_speed: float = 343.0,
     subtract_direct_pressure: bool = False,
-    mask_orders=None,
 ) -> MeasurementTensor:
     """Record the room response from every loudspeaker at every mic unit.
 
@@ -250,7 +233,7 @@ def simulate_raw_measurements(
 
     blocks = []
     out_masks = []
-    for fi, f in enumerate(frequencies):
+    for f in frequencies:
         ctx = WaveContext(f, sound_speed)
         pressures = np.stack(
             [rtf_oracle_many(room, flat_omnis, speakers[l], ctx) for l in range(L)],
@@ -260,9 +243,7 @@ def simulate_raw_measurements(
             pressures = pressures - (
                 np.exp(1j * ctx.k * dist) / (4.0 * math.pi * dist)
             ).reshape(Q, Qp, L)
-        mask = None if mask_orders is None else int(mask_orders[fi])
-        if mask is None:
-            mask = default_mask_order(mics.spec, ctx)
+        mask = default_mask_order(mics.spec, ctx)
         blocks.append(encode_pressures(mics, pressures, ctx, mask))
         out_masks.append(mask)
     return MeasurementTensor(
@@ -271,19 +252,6 @@ def simulate_raw_measurements(
         mic_order=mics.spec.order,
         mask_orders=np.array(out_masks),
     )
-
-
-def compose_mode_response(mt: MeasurementTensor, f_index: int,
-                          weights: np.ndarray) -> ModeRecordings:
-    """Unit-mode recordings by linearity: gamma = sum_l w_l gamma-tilde_l."""
-    weights = np.asarray(weights, dtype=complex)
-    if weights.shape != (mt.num_speakers,):
-        raise ConfigurationError(
-            f"weight vector length {weights.shape} does not match "
-            f"L = {mt.num_speakers}"
-        )
-    gamma = np.einsum("Qlc,l->Qc", mt.gamma_tilde[f_index], weights)
-    return ModeRecordings(gamma, mt.mic_order)
 
 
 def compose_all_modes(mt: MeasurementTensor, f_index: int,
@@ -317,24 +285,8 @@ def direct_coefficients_per_speaker(speakers: np.ndarray, mics: MicArray,
     return (1j * ctx.k * h * np.conj(Y)).transpose(1, 0, 2)
 
 
-def direct_component(speakers: np.ndarray, weights: np.ndarray, mics: MicArray,
-                     ctx: WaveContext) -> ModeRecordings:
-    """Direct-field recordings for one composed mode (coefficient domain)."""
-    per_speaker = direct_coefficients_per_speaker(speakers, mics, ctx)
-    gamma = np.einsum("Qcl,l->Qc", per_speaker, np.asarray(weights, dtype=complex))
-    return ModeRecordings(gamma, mics.spec.order)
-
-
 def direct_component_all(speakers: np.ndarray, weight_matrix: np.ndarray,
                          mics: MicArray, ctx: WaveContext) -> np.ndarray:
     """Direct-field recordings for every composed mode: (Q, C, M)."""
     per_speaker = direct_coefficients_per_speaker(speakers, mics, ctx)
     return np.einsum("Qcl,lm->Qcm", per_speaker, np.asarray(weight_matrix, dtype=complex))
-
-
-def remove_direct(total: ModeRecordings, direct: ModeRecordings) -> ModeRecordings:
-    if total.gamma.shape != direct.gamma.shape:
-        raise ConfigurationError(
-            f"shape mismatch: {total.gamma.shape} vs {direct.gamma.shape}"
-        )
-    return ModeRecordings(total.gamma - direct.gamma, total.mic_order)

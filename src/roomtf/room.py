@@ -122,30 +122,16 @@ def enumerate_images(room: RoomModel, y, max_order: int | None = None) -> list[I
     return images
 
 
-def _image_arrays(room: RoomModel, y, max_order: int | None):
-    images = enumerate_images(room, y, max_order)
-    pos = np.array([im.position for im in images])
-    amp = np.array([im.amplitude for im in images])
-    return pos, amp
-
-
-def rtf_oracle(room: RoomModel, x, y, ctx: WaveContext) -> complex:
-    """Exact room transfer function between interior points x and y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not room.contains(x):
-        raise ValueError(f"receiver position {tuple(x)} lies outside the room")
-    if np.array_equal(x, y):
-        raise ValueError("rtf_oracle is singular for coincident points")
-    return complex(rtf_oracle_many(room, x[None, :], y, ctx)[0])
-
-
 def rtf_oracle_many(room: RoomModel, X, y, ctx: WaveContext) -> np.ndarray:
     """Vectorized oracle: responses at each row of X to a source at y."""
     X = np.asarray(X, dtype=float)
-    pos, amp = _image_arrays(room, y, None)
+    images = enumerate_images(room, y)
+    pos = np.array([im.position for im in images])
+    amp = np.array([im.amplitude for im in images])
     d = np.linalg.norm(X[:, None, :] - pos[None, :, :], axis=-1)
-    if np.any(d == 0):
+    # the corner-frame round trip moves an image by rounding, so a receiver
+    # on the source can sit a few ulps away from its order-0 image
+    if np.any(d < 1e-9):
         raise ValueError("receiver coincides with the source or one of its images")
     k = ctx.k
     return np.sum(amp[None, :] * np.exp(1j * k * d) / (4.0 * math.pi * d), axis=1)

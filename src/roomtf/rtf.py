@@ -7,13 +7,8 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigurationError
-from .geometry import (
-    RegionPair,
-    SphericalCoord,
-    cartesian_to_spherical_arrays,
-    to_cartesian,
-)
-from .modal import WaveContext, direct_field
+from .geometry import RegionPair, cartesian_to_spherical_arrays
+from .modal import WaveContext
 
 
 @dataclass(frozen=True)
@@ -61,54 +56,14 @@ class RtfCoefficientSet:
         return WaveContext(frequency, self.sound_speed)
 
 
-def _check_regions(cset: RtfCoefficientSet, x: SphericalCoord, y_s: SphericalCoord):
-    if cset.regions is None:
-        return
-    if x.radius > cset.regions.receiver_radius + 1e-12:
-        raise ConfigurationError(
-            f"receiver radius {x.radius} exceeds the region radius "
-            f"{cset.regions.receiver_radius}; the parameterization is invalid there"
-        )
-    if y_s.radius > cset.regions.source_radius + 1e-12:
-        raise ConfigurationError(
-            f"source radius {y_s.radius} exceeds the region radius "
-            f"{cset.regions.source_radius}; the parameterization is invalid there"
-        )
-
-
-def reconstruct_reverberant(cset: RtfCoefficientSet, x: SphericalCoord,
-                            y_s: SphericalCoord, frequency: float) -> complex:
-    """Reverberant RTF component between receiver x (about O) and source y_s (about O_s)."""
-    _check_regions(cset, x, y_s)
-    fi = cset.frequency_index(frequency)
-    ctx = cset.context(frequency)
-    k = ctx.k
-    ns = int(cset.source_orders[fi])
-    nr = int(cset.receiver_orders[fi])
-    by = (
-        specfun.bessel_j_matrix(ns, [k * y_s.radius])
-        * np.conj(specfun.harmonic_matrix(ns, [y_s.theta], [y_s.phi]))
-    )[:, 0]
-    bx = (
-        specfun.bessel_j_matrix(nr, [k * x.radius])
-        * specfun.harmonic_matrix(nr, [x.theta], [x.phi])
-    )[:, 0]
-    return complex(1j * k * (by @ cset.alpha[fi] @ bx))
-
-
-def reconstruct_rtf(cset: RtfCoefficientSet, x: SphericalCoord, y_s: SphericalCoord,
-                    frequency: float) -> complex:
-    """Total RTF: direct field plus the parameterized reverberant component."""
-    offset = np.asarray(cset.regions.offset) if cset.regions else np.zeros(3)
-    xg = to_cartesian(x)
-    yg = to_cartesian(y_s) + offset
-    ctx = cset.context(frequency)
-    return direct_field(xg, yg, ctx) + reconstruct_reverberant(cset, x, y_s, frequency)
-
-
 def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray,
                          frequency: float) -> np.ndarray:
-    """Paired reconstruction: X[i] (about O) with Y_s[i] (about O_s), Cartesian."""
+    """Total RTF for each pair X[i] (about O), Y_s[i] (about O_s), both (P, 3) Cartesian.
+
+    The direct field in closed form plus the reverberant bilinear form
+    1j k sum j_n(k y) conj(Y_nm(y)) alpha[(n,m), (v,mu)] j_v(k x) Y_vmu(x).
+    This is the one reconstruction entry point; one pair is a (1, 3) call.
+    """
     fi = cset.frequency_index(frequency)
     ctx = cset.context(frequency)
     k = ctx.k
@@ -119,10 +74,13 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
     rx, tx, px = cartesian_to_spherical_arrays(X)
     ry, ty, py = cartesian_to_spherical_arrays(Y_s)
     if cset.regions is not None:
-        if np.any(rx > cset.regions.receiver_radius + 1e-12):
-            raise ConfigurationError("a receiver probe lies outside the receiver region")
-        if np.any(ry > cset.regions.source_radius + 1e-12):
-            raise ConfigurationError("a source probe lies outside the source region")
+        for what, r, limit in (("receiver", rx, cset.regions.receiver_radius),
+                               ("source", ry, cset.regions.source_radius)):
+            if np.any(r > limit + 1e-12):
+                raise ConfigurationError(
+                    f"{what} radius {r.max()} exceeds the region radius {limit}; "
+                    "the parameterization is invalid there"
+                )
     by = specfun.bessel_j_matrix(ns, k * ry) * np.conj(specfun.harmonic_matrix(ns, ty, py))
     bx = specfun.bessel_j_matrix(nr, k * rx) * specfun.harmonic_matrix(nr, tx, px)
     reverberant = 1j * k * np.sum((cset.alpha[fi].T @ by) * bx, axis=0)

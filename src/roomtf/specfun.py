@@ -78,26 +78,6 @@ def spherical_bessel_j(n: int, x) -> float:
     return _sp.spherical_jn(n, x)
 
 
-def spherical_bessel_y(n: int, x) -> float:
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    return _sp.spherical_yn(n, x)
-
-
-def spherical_hankel_h1(n: int, x) -> complex:
-    """h_n(x) = j_n(x) + i y_n(x), first kind.  Singular at x = 0."""
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    if np.any(np.asarray(x) <= 0):
-        raise ValueError("spherical_hankel_h1 requires x > 0")
-    return _sp.spherical_jn(n, x) + 1j * _sp.spherical_yn(n, x)
-
-
-def spherical_harmonic(idx: HarmonicIndex, theta, phi) -> complex:
-    """Orthonormal complex Y_nm(theta, phi), Condon-Shortley phase."""
-    return _sp.sph_harm_y(idx.order, idx.degree, theta, phi)
-
-
 # Vectorized basis tables used by the matrix builders downstream.  Rows run over
 # the flat (n, m) index, columns over the supplied points.
 

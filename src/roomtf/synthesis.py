@@ -1,5 +1,13 @@
-"""Loudspeaker-array mode matching: translation matrix T, weights, conditioning."""
+"""Loudspeaker-array mode matching: translation matrix T, weights, conditioning.
+
+T is a plain ((N+1)^2, L) array with entry (n,m; l) = i k j_n(k y_l)
+conj(Y_nm(y_l-hat)).  Rows run over the flat (n, m) index up to N, columns
+over loudspeakers; N is read back from the row count.  A weight vector w with
+T w = beta drives the array to emit the outgoing field described by beta.
+"""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -7,106 +15,51 @@ from . import specfun
 from .errors import ConfigurationError
 from .geometry import SphericalCoord
 from .modal import WaveContext
-from .specfun import HarmonicIndex
 
 SVD_CUTOFF = 1e-10
 
 
-class TranslationMatrixT:
-    """T with entry (n,m; l) = i k j_n(k y_l) conj(Y_nm(y_l-hat)).
-
-    Rows run over the flat (n, m) index up to ``max_order``; columns over
-    loudspeakers.  A weight vector w with T w = beta drives the array to emit
-    the outgoing field described by beta.
-    """
-
-    def __init__(self, entries: np.ndarray, max_order: int, ctx: WaveContext,
-                 speakers: list[SphericalCoord]):
-        expected = (specfun.mode_count(max_order), len(speakers))
-        if entries.shape != expected:
-            raise ValueError(f"T shape {entries.shape} != expected {expected}")
-        self.entries = entries
-        self.max_order = max_order
-        self.ctx = ctx
-        self.speakers = list(speakers)
-        self._pinv = None
-
-    @property
-    def num_speakers(self) -> int:
-        return self.entries.shape[1]
-
-    def pseudoinverse(self, cutoff: float = SVD_CUTOFF) -> np.ndarray:
-        if self._pinv is None:
-            self._pinv = np.linalg.pinv(self.entries, rcond=cutoff)
-        return self._pinv
-
-
-def build_T(speakers: list[SphericalCoord], max_order: int, ctx: WaveContext) -> TranslationMatrixT:
+def build_T(speakers: list[SphericalCoord], max_order: int, ctx: WaveContext) -> np.ndarray:
     if not speakers:
         raise ConfigurationError("at least one loudspeaker is required")
     k = ctx.k
     r = np.array([s.radius for s in speakers])
     theta = np.array([s.theta for s in speakers])
     phi = np.array([s.phi for s in speakers])
-    entries = (
+    return (
         1j * k
         * specfun.bessel_j_matrix(max_order, k * r)
         * np.conj(specfun.harmonic_matrix(max_order, theta, phi))
     )
-    return TranslationMatrixT(entries, max_order, ctx, speakers)
 
 
-def _check_aliasing(T: TranslationMatrixT, allow_underdetermined: bool) -> None:
-    modes = specfun.mode_count(T.max_order)
-    if T.num_speakers < modes and not allow_underdetermined:
-        raise ConfigurationError(
-            f"aliasing bound violated: L = {T.num_speakers} loudspeakers cannot "
-            f"synthesize (N+1)^2 = {modes} modes (N = {T.max_order}); increase L "
-            "or pass allow_underdetermined=True"
-        )
+def solve_all_weights(T: np.ndarray, num_modes: int | None = None):
+    """Minimum-norm weights for the first ``num_modes`` unit targets; (L, M) + residuals.
 
-
-def solve_weights(
-    T: TranslationMatrixT,
-    target: HarmonicIndex,
-    allow_underdetermined: bool = False,
-):
-    """Minimum-norm weights for a unit target mode; returns (weights, residual)."""
-    if target.order > T.max_order:
-        raise ConfigurationError(
-            f"target order {target.order} exceeds matrix order {T.max_order}"
-        )
-    _check_aliasing(T, allow_underdetermined)
-    beta = np.zeros(specfun.mode_count(T.max_order), dtype=complex)
-    beta[target.flat] = 1.0
-    w = T.pseudoinverse() @ beta
-    residual = float(np.linalg.norm(T.entries @ w - beta))
-    return w, residual
-
-
-def solve_all_weights(T: TranslationMatrixT, num_modes: int | None = None,
-                      allow_underdetermined: bool = False):
-    """Weight matrix for the first ``num_modes`` unit targets; (L, M) + residuals.
-
-    Column (n, m) of the result is the weight vector for that unit mode.
-    Equivalent to stacking single solves; computed in one pseudoinverse pass.
+    Column (n, m) of the result is the weight vector for that unit mode,
+    computed for all modes in one pseudoinverse pass.
     """
-    _check_aliasing(T, allow_underdetermined)
-    modes = specfun.mode_count(T.max_order)
+    modes, speakers = T.shape
+    max_order = math.isqrt(modes) - 1
+    if speakers < modes:
+        raise ConfigurationError(
+            f"aliasing bound violated: L = {speakers} loudspeakers cannot "
+            f"synthesize (N+1)^2 = {modes} modes (N = {max_order}); increase L"
+        )
     if num_modes is None:
         num_modes = modes
     if num_modes > modes:
         raise ConfigurationError(
-            f"cannot request {num_modes} modes from an order-{T.max_order} matrix"
+            f"cannot request {num_modes} modes from an order-{max_order} matrix"
         )
-    W = T.pseudoinverse()[:, :num_modes]
-    residuals = np.linalg.norm(T.entries @ W - np.eye(modes)[:, :num_modes], axis=0)
+    W = np.linalg.pinv(T, rcond=SVD_CUTOFF)[:, :num_modes]
+    residuals = np.linalg.norm(T @ W - np.eye(modes)[:, :num_modes], axis=0)
     return W, residuals
 
 
-def condition_number(T: TranslationMatrixT) -> float:
+def condition_number(T: np.ndarray) -> float:
     """kappa_2 = sigma_max / sigma_min; exact rank deficiency reports inf."""
-    s = np.linalg.svd(T.entries, compute_uv=False)
+    s = np.linalg.svd(T, compute_uv=False)
     if s[-1] == 0.0:
         return float("inf")
     return float(s[0] / s[-1])

@@ -1,10 +1,12 @@
 """Artifact persistence: binary round trips, digests, CSV fidelity."""
 import csv
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from roomtf import fileio
+from roomtf import cli, fileio
 from roomtf.errors import ConfigurationError, DigestMismatchError
 from roomtf.geometry import RegionPair
 from roomtf.recording import MeasurementTensor
@@ -77,6 +79,65 @@ class TestCoefficientRoundTrip:
         back = fileio.load_coefficient_set(path)
         assert back.alpha[0].shape == (9, 16)
         assert back.alpha[1].shape == (16, 25)
+
+
+def write_truncated(path, cset, cut):
+    fileio.save_coefficient_set(path, cset)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - cut])
+
+
+def coefficient_header_bytes(header: dict) -> bytes:
+    raw = json.dumps(header).encode("utf-8")
+    return fileio.COEFFICIENT_MAGIC + struct.pack("<Q", len(raw)) + raw
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("cut", [16, 24])
+    def test_truncated_coefficient_payload(self, tmp_path, cut):
+        path = tmp_path / "c.rtfc"
+        write_truncated(path, sample_cset(), cut)
+        with pytest.raises(ConfigurationError, match="truncated or corrupt"):
+            fileio.load_coefficient_set(path)
+
+    @pytest.mark.parametrize("cut", [16, 24])
+    def test_truncated_measurement_payload(self, tmp_path, cut):
+        path = tmp_path / "m.rtfm"
+        fileio.save_measurement_tensor(path, sample_tensor())
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) - cut])
+        with pytest.raises(ConfigurationError, match="truncated or corrupt"):
+            fileio.load_measurement_tensor(path)
+
+    def test_bad_format_version(self, tmp_path):
+        path = tmp_path / "c.rtfc"
+        path.write_bytes(coefficient_header_bytes({"format_version": 2}))
+        with pytest.raises(ConfigurationError, match="format_version 2"):
+            fileio.load_coefficient_set(path)
+
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "c.rtfc"
+        full = coefficient_header_bytes({"format_version": 1})
+        path.write_bytes(full[:-3])
+        with pytest.raises(ConfigurationError, match="truncated file: header"):
+            fileio.load_coefficient_set(path)
+        path.write_bytes(fileio.COEFFICIENT_MAGIC + b"\x05\x00")
+        with pytest.raises(ConfigurationError, match="header length"):
+            fileio.load_coefficient_set(path)
+
+    def test_corrupt_header_json(self, tmp_path):
+        path = tmp_path / "c.rtfc"
+        path.write_bytes(fileio.COEFFICIENT_MAGIC + struct.pack("<Q", 4) + b"{not")
+        with pytest.raises(ConfigurationError, match="corrupt file header"):
+            fileio.load_coefficient_set(path)
+
+    def test_cli_reports_truncation_with_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.rtfc"
+        write_truncated(path, sample_cset(), 24)
+        argv = ["reconstruct", "--coeffs", str(path), "-f", "500",
+                "--receiver", "0.1,0,0", "--source", "0,0.1,0"]
+        assert cli.main(argv) == 2
+        assert "truncated or corrupt" in capsys.readouterr().err
 
 
 class TestDigests:

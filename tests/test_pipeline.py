@@ -1,14 +1,16 @@
 """Experiment orchestration: config parsing, validation, determinism, CLI."""
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roomtf import cli, fileio, pipeline
+from roomtf import cli, fileio, pipeline, rtf
 from roomtf.errors import BesselZeroError, ConfigurationError
 from roomtf.geometry import RegionPair
+from roomtf.room import rtf_oracle_many
 from roomtf.pipeline import (
     ArraysConfig,
     Experiment,
@@ -66,6 +68,15 @@ class TestLoadConfig:
             "  frequencies: {start: 200, stop: 400, step: 100}\n"
         )))
         assert cfg.signal.frequencies == (200.0, 300.0, 400.0)
+
+    @pytest.mark.parametrize("text, name", [
+        ("room: {reflection: [0, 0, 0, 0, 0, 0]}\n", "'reflection'"),
+        ("signl: {frequencies: [400]}\n", "'signl'"),
+        ("output: {dir: out}\n", "'dir'"),
+    ], ids=["key", "section", "output-key"])
+    def test_unknown_key_rejected(self, tmp_path, text, name):
+        with pytest.raises(ConfigurationError, match=f"unknown .*{name}"):
+            load_config(write_yaml(tmp_path, text))
 
     def test_bad_removal_mode_rejected(self, tmp_path):
         path = write_yaml(tmp_path, (
@@ -221,6 +232,104 @@ class TestCli:
                          "speakers_room.csv", "speakers_source_local.csv"]
         assert np.loadtxt(out / "mic_sensors.csv", delimiter=",",
                           skiprows=1).shape == (3 * 16, 4)
+
+
+def printed_value(out: str, label: str) -> complex:
+    """The complex number printed after ``label = `` by ``reconstruct``."""
+    line = next(l for l in out.splitlines() if l.startswith(label))
+    return complex(line.split("=", 1)[1].replace(" ", ""))
+
+
+@pytest.fixture(scope="module")
+def fast_artifacts(tmp_path_factory):
+    """A measured and extracted fast config: (config path, .rtfc path)."""
+    tmp = tmp_path_factory.mktemp("fast")
+    path = write_yaml(tmp, FAST_YAML)
+    mfile, cfile = str(tmp / "m.rtfm"), str(tmp / "c.rtfc")
+    assert cli.main(["measure", "--config", path, "--out", mfile]) == 0
+    assert cli.main(["extract", "--config", path, "--measurements", mfile,
+                     "--out", cfile]) == 0
+    return path, cfile
+
+
+class TestCliRouting:
+    def test_reconstruct_with_oracle_matches_batched_calls(self, fast_artifacts, capsys):
+        path, cfile = fast_artifacts
+        receiver, source = np.array([0.1, 0.0, 0.05]), np.array([0.05, 0.1, 0.0])
+        assert cli.main(["reconstruct", "--coeffs", cfile, "-f", "400", "--config", path,
+                         "--receiver", "0.1,0.0,0.05", "--source", "0.05,0.1,0.0",
+                         "--with-oracle"]) == 0
+        out = capsys.readouterr().out
+        cfg = load_config(path)
+        exp = validate_config(cfg)
+        estimate = rtf.reconstruct_rtf_many(
+            fileio.load_coefficient_set(cfile), receiver[None, :], source[None, :], 400.0
+        )[0]
+        truth = rtf_oracle_many(exp.room, receiver[None, :],
+                                source + np.asarray(cfg.regions.offset), exp.context(400.0))[0]
+        assert printed_value(out, "reconstructed H") == pytest.approx(estimate, rel=1e-12)
+        assert printed_value(out, "oracle") == pytest.approx(truth, rel=1e-12)
+
+    def test_out_of_region_point_exits_2(self, fast_artifacts, capsys):
+        _, cfile = fast_artifacts
+        assert cli.main(["reconstruct", "--coeffs", cfile, "-f", "400",
+                         "--receiver", "0.5,0.0,0.0", "--source", "0.0,0.1,0.0"]) == 2
+        err = capsys.readouterr().err
+        assert "receiver radius 0.5" in err and "region radius 0.4" in err
+
+    def test_oracle_receiver_outside_room_exits_2(self, tmp_path, capsys):
+        cset = rtf.RtfCoefficientSet(
+            frequencies=np.array([400.0]), alpha=(np.zeros((1, 1)),),
+            source_orders=np.array([0]), receiver_orders=np.array([0]),
+            regions=RegionPair(5.0, 0.4, 0.3, (1.0, 1.0, 0.5)),
+        )
+        cfile = str(tmp_path / "c.rtfc")
+        fileio.save_coefficient_set(cfile, cset)
+        assert cli.main(["reconstruct", "--coeffs", cfile, "-f", "400",
+                         "--config", write_yaml(tmp_path, FAST_YAML), "--with-oracle",
+                         "--receiver", "4.0,0.0,0.0", "--source", "0.0,0.1,0.0"]) == 2
+        assert re.search(r"receiver at .*4\.0.* lies outside the room", capsys.readouterr().err)
+
+    def test_cond_on_three_bins(self, tmp_path):
+        path = write_yaml(tmp_path, (
+            "arrays: {speakers: 40, mic_units: 3, omnis_per_mic: 16, mic_fit_order: 3}\n"
+            "signal: {f_max: 500, frequencies: [300, 400, 500]}\n"
+        ))
+        out = tmp_path / "cond.csv"
+        assert cli.main(["cond", "--config", path, "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table.shape == (3, 3)
+        assert np.all(table[:, 1:] >= 1.0)
+
+
+class TestSweepReuse:
+    @pytest.mark.parametrize("reused, change, code", [
+        ("coefficients.rtfc", "seed", 2),
+        ("measurements.rtfm", "seed", 2),
+        ("coefficients.rtfc", "grid", 2),
+        ("measurements.rtfm", "grid", 2),
+        ("coefficients.rtfc", "solver", 2),
+        ("measurements.rtfm", "solver", 0),  # the measurement does not use the margin
+    ])
+    def test_stale_artifact_exits_2(self, tmp_path, capsys, reused, change, code):
+        base = FAST_YAML + f"output: {{directory: {tmp_path}/out}}\n"
+        path = write_yaml(tmp_path, base)
+        assert cli.main(["sweep", "--config", path]) == 0
+        assert cli.main(["sweep", "--config", path]) == 0  # a matching reuse is fine
+        if reused == "measurements.rtfm":
+            (tmp_path / "out" / "coefficients.rtfc").unlink()
+        changed = {
+            "seed": base,
+            "grid": base.replace("frequencies: [400]", "frequencies: [300]"),
+            "solver": base + "solver: {order_margin: 1}\n",
+        }[change]
+        argv = ["sweep", "--config", write_yaml(tmp_path, changed, "changed.yaml")]
+        if change == "seed":
+            argv += ["--seed", "777"]
+        capsys.readouterr()
+        assert cli.main(argv) == code
+        if code:
+            assert f"stale artifact {tmp_path}/out/{reused}" in capsys.readouterr().err
 
 
 class TestExtractionAccuracy:

@@ -11,15 +11,12 @@ from roomtf.modal import CoefficientVector, WaveContext, interior_basis
 from roomtf.recording import (
     HoMicSpec,
     MicArray,
-    ModeRecordings,
     compose_all_modes,
-    compose_mode_response,
-    direct_component,
+    direct_component_all,
     direct_coefficients_per_speaker,
     encode_pressures,
     make_mic_array,
     mic_radius,
-    remove_direct,
     simulate_raw_measurements,
 )
 from roomtf.room import RoomModel
@@ -177,37 +174,39 @@ class TestComposition:
 
     def test_zero_weights(self):
         mt = self._tensor()
-        out = compose_mode_response(mt, 0, np.zeros(5))
-        assert np.all(out.gamma == 0)
+        out = compose_all_modes(mt, 0, np.zeros((5, 2)))
+        assert out.shape == (3, 16, 2)
+        assert np.all(out == 0)
 
     def test_unit_weight_selects_slice(self):
         mt = self._tensor()
-        w = np.zeros(5)
-        w[2] = 1.0
-        out = compose_mode_response(mt, 0, w)
-        assert np.allclose(out.gamma, mt.gamma_tilde[0, :, 2, :])
+        out = compose_all_modes(mt, 0, np.eye(5))
+        for l in range(5):
+            assert np.allclose(out[:, :, l], mt.gamma_tilde[0, :, l, :])
 
     def test_linearity(self):
         mt = self._tensor()
         rng = np.random.default_rng(1)
-        w1 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        w2 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        summed = compose_mode_response(mt, 0, w1 + w2)
-        parts = compose_mode_response(mt, 0, w1).gamma + compose_mode_response(mt, 0, w2).gamma
-        assert np.allclose(summed.gamma, parts, atol=1e-12)
+        W1 = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        W2 = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        summed = compose_all_modes(mt, 0, W1 + W2)
+        parts = compose_all_modes(mt, 0, W1) + compose_all_modes(mt, 0, W2)
+        assert np.allclose(summed, parts, atol=1e-12)
 
     def test_batch_matches_single(self):
+        # each composed mode is sum_l w_l gamma-tilde_l, summed here speaker by speaker
         mt = self._tensor()
         rng = np.random.default_rng(2)
         W = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
         batch = compose_all_modes(mt, 0, W)
         for m in range(4):
-            assert np.allclose(batch[:, :, m], compose_mode_response(mt, 0, W[:, m]).gamma)
+            single = sum(W[l, m] * mt.gamma_tilde[0, :, l, :] for l in range(5))
+            assert np.allclose(batch[:, :, m], single, atol=1e-12)
 
     def test_dimension_mismatch(self):
         mt = self._tensor()
         with pytest.raises(ConfigurationError):
-            compose_mode_response(mt, 0, np.zeros(7))
+            compose_all_modes(mt, 0, np.zeros((7, 1)))
 
 
 class TestDirectComponent:
@@ -216,41 +215,38 @@ class TestDirectComponent:
         mics = MicArray(np.zeros((1, 3)), spec,
                         tuple(make_mic_array(1, 0.2, spec).local_offsets))
         speakers = np.array([[0.0, 0.0, 1.5]])  # on the +z axis of the unit
-        out = direct_component(speakers, np.array([1.0]), mics, WaveContext(700.0))
+        out = direct_component_all(speakers, np.ones((1, 1)), mics, WaveContext(700.0))
         for i, idx in enumerate(specfun.harmonic_indices(3)):
             if idx.degree != 0:
-                assert abs(out.gamma[0, i]) < 1e-14
+                assert abs(out[0, i, 0]) < 1e-14
 
     def test_weight_scaling(self):
         spec = reference_mic_spec()
         mics = make_mic_array(2, 0.25, spec)
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4]])
         ctx = WaveContext(600.0)
-        base = direct_component(speakers, np.array([1.0, 0.5]), mics, ctx)
-        scaled = direct_component(speakers, 3.0 * np.array([1.0, 0.5]), mics, ctx)
-        assert np.allclose(scaled.gamma, 3.0 * base.gamma, atol=1e-12)
+        w = np.array([[1.0], [0.5]])
+        base = direct_component_all(speakers, w, mics, ctx)
+        scaled = direct_component_all(speakers, 3.0 * w, mics, ctx)
+        assert np.allclose(scaled, 3.0 * base, atol=1e-12)
 
     def test_coincident_speaker_and_center_rejected(self):
         spec = reference_mic_spec()
         mics = MicArray(np.array([[0.5, 0.5, 0.1]]), spec,
                         tuple(make_mic_array(1, 0.2, spec).local_offsets))
         with pytest.raises(ValueError):
-            direct_component(np.array([[0.5, 0.5, 0.1]]), np.array([1.0]), mics,
-                             WaveContext(600.0))
+            direct_component_all(np.array([[0.5, 0.5, 0.1]]), np.ones((1, 1)), mics,
+                                 WaveContext(600.0))
 
 
 class TestRemoveDirect:
     def test_total_equals_direct_gives_zero(self):
-        g = np.ones((2, 16), complex)
-        out = remove_direct(ModeRecordings(g, 3), ModeRecordings(g.copy(), 3))
-        assert np.all(out.gamma == 0)
-
-    def test_zero_direct_is_identity(self):
-        g = np.arange(32, dtype=float).reshape(2, 16) + 0j
-        out = remove_direct(ModeRecordings(g, 3), ModeRecordings(np.zeros((2, 16)), 3))
-        assert np.array_equal(out.gamma, g)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            remove_direct(ModeRecordings(np.zeros((2, 16)), 3),
-                          ModeRecordings(np.zeros((3, 16)), 3))
+        # in a free field the raw pressures are the direct field alone, so
+        # the measurement-domain removal leaves nothing to encode
+        room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 2)
+        mics = make_mic_array(3, 0.26, reference_mic_spec())
+        speakers = np.array([[1.0, 1.0, 0.5], [0.9, 1.3, 0.2]])
+        total = simulate_raw_measurements(room, speakers, mics, [900.0])
+        removed = simulate_raw_measurements(room, speakers, mics, [900.0],
+                                            subtract_direct_pressure=True)
+        assert np.max(np.abs(removed.gamma_tilde)) < 1e-12 * np.max(np.abs(total.gamma_tilde))

@@ -1,14 +1,16 @@
 """Regression anchor: the committed reference outputs regenerate.
 
-The fig5 error sweep is recomputed in full.  The fig2 condition-number sweep
-is recomputed on a subsample of its 0.5 Hz grid: every 40th bin plus the bins
-at and next to the two Bessel-zero peaks.  Nothing here writes to ``out/``.
+The fig5 error sweep and the fig3 field map are recomputed in full.  The fig2
+condition-number sweep is recomputed on a subsample of its 0.5 Hz grid: every
+40th bin plus the bins at and next to the two Bessel-zero peaks.  Nothing
+here writes to ``out/``.
 """
 from pathlib import Path
 
 import numpy as np
 
-from roomtf import pipeline
+from roomtf import pipeline, rtf
+from roomtf.room import rtf_oracle_many
 
 ROOT = Path(__file__).resolve().parents[1]
 RTOL = 1e-9
@@ -44,3 +46,24 @@ def test_fig2_condition_numbers_regenerate():
     assert np.all(got[rounding] > KAPPA_ROUNDING)
     np.testing.assert_allclose(got[~rounding], ref[~rounding], rtol=RTOL, atol=0)
 
+
+
+def test_fig3_field_map_regenerates():
+    # scripts/fig3_field_map.py defaults: 900 Hz, this source point
+    ref = read_csv("fig3/field_map.csv")
+    cfg = pipeline.load_config(ROOT / "configs" / "fig3_nonoverlap.yaml")
+    exp = pipeline.validate_config(cfg)
+    cset = pipeline.run_extract(cfg, pipeline.run_measure(cfg, [900.0]))
+    receivers = np.column_stack([ref[:, :2], np.zeros(len(ref))])
+    source = np.array([0.05, 0.05, 0.0707])
+    estimate = rtf.reconstruct_rtf_many(
+        cset, receivers, np.broadcast_to(source, receivers.shape), 900.0
+    )
+    truth = rtf_oracle_many(
+        exp.room, receivers, source + np.asarray(cfg.regions.offset), exp.context(900.0)
+    )
+    assert len(ref) == 1257
+    for got, re_im in ((estimate, ref[:, 2:4]), (truth, ref[:, 4:6])):
+        want = re_im[:, 0] + 1j * re_im[:, 1]
+        assert np.max(np.abs(got - want) / np.abs(want)) <= RTOL
+    np.testing.assert_allclose(np.abs(estimate - truth), ref[:, 6], rtol=RTOL, atol=0)

@@ -6,7 +6,7 @@ import pytest
 
 from roomtf.errors import ConfigurationError
 from roomtf.modal import WaveContext, direct_field
-from roomtf.room import ImageSource, RoomModel, enumerate_images, rtf_oracle
+from roomtf.room import ImageSource, RoomModel, enumerate_images, rtf_oracle_many
 
 REFERENCE_DIMS = (6.0, 5.0, 2.5)
 PAPER_REFL = (0.9, 0.9, 0.9, 0.9, 0.7, 0.7)
@@ -14,6 +14,11 @@ PAPER_REFL = (0.9, 0.9, 0.9, 0.9, 0.7, 0.7)
 
 def reference_room(max_order=2):
     return RoomModel(REFERENCE_DIMS, PAPER_REFL, max_order)
+
+
+def oracle_at(room, x, y, ctx):
+    """The oracle response at one receiver x to a source at y."""
+    return rtf_oracle_many(room, np.atleast_2d(x), y, ctx)[0]
 
 
 def mirror_oracle(room, y, max_order):
@@ -133,7 +138,7 @@ class TestOracle:
         room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 2)
         ctx = WaveContext(700.0)
         x, y = np.array([0.1, 0.2, 0.3]), np.array([1.0, 1.0, 0.5])
-        assert rtf_oracle(room, x, y, ctx) == pytest.approx(
+        assert oracle_at(room, x, y, ctx) == pytest.approx(
             direct_field(x, y, ctx), abs=1e-15
         )
 
@@ -141,7 +146,7 @@ class TestOracle:
         room = reference_room(max_order=0)
         ctx = WaveContext(700.0)
         x, y = np.array([0.1, 0.2, 0.3]), np.array([1.0, 1.0, 0.5])
-        assert rtf_oracle(room, x, y, ctx) == pytest.approx(
+        assert oracle_at(room, x, y, ctx) == pytest.approx(
             direct_field(x, y, ctx), abs=1e-15
         )
 
@@ -154,8 +159,8 @@ class TestOracle:
             y = rng.uniform(-1.0, 1.0, 3)
             if np.linalg.norm(x - y) < 1e-2:
                 continue
-            assert rtf_oracle(room, x, y, ctx) == pytest.approx(
-                rtf_oracle(room, y, x, ctx), rel=1e-12
+            assert oracle_at(room, x, y, ctx) == pytest.approx(
+                oracle_at(room, y, x, ctx), rel=1e-12
             )
 
     def test_first_order_reverberant_scales_with_reflection(self):
@@ -163,8 +168,8 @@ class TestOracle:
         x, y = np.array([0.2, -0.3, 0.1]), np.array([1.0, 1.0, 0.5])
         base = np.array(PAPER_REFL)
         s = 0.5
-        r1 = rtf_oracle(RoomModel(REFERENCE_DIMS, tuple(base), 1), x, y, ctx)
-        r2 = rtf_oracle(RoomModel(REFERENCE_DIMS, tuple(s * base), 1), x, y, ctx)
+        r1 = oracle_at(RoomModel(REFERENCE_DIMS, tuple(base), 1), x, y, ctx)
+        r2 = oracle_at(RoomModel(REFERENCE_DIMS, tuple(s * base), 1), x, y, ctx)
         d = direct_field(x, y, ctx)
         assert (r2 - d) == pytest.approx(s * (r1 - d), rel=1e-12)
 
@@ -175,11 +180,11 @@ class TestOracle:
         images = enumerate_images(room, y, 2)
         d_min = min(np.linalg.norm(x - np.asarray(im.position)) for im in images)
         bound = sum(im.amplitude for im in images) / (4 * np.pi * d_min)
-        assert abs(rtf_oracle(room, x, y, ctx)) <= bound
+        assert abs(oracle_at(room, x, y, ctx)) <= bound
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
-            rtf_oracle(reference_room(), (0.1, 0.1, 0.1), (0.1, 0.1, 0.1), WaveContext(500.0))
+            oracle_at(reference_room(), (0.1, 0.1, 0.1), (0.1, 0.1, 0.1), WaveContext(500.0))
 
     def test_image_source_fields(self):
         im = ImageSource((1.0, 2.0, 3.0), 0.81, 2)

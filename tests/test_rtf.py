@@ -7,13 +7,11 @@ from scipy import special as sp
 
 from roomtf import specfun
 from roomtf.errors import ConfigurationError
-from roomtf.geometry import RegionPair, SphericalCoord
+from roomtf.geometry import RegionPair, SphericalCoord, to_cartesian
 from roomtf.modal import WaveContext, direct_field
 from roomtf.rtf import (
     RtfCoefficientSet,
     probe_pairs,
-    reconstruct_reverberant,
-    reconstruct_rtf,
     reconstruct_rtf_many,
     relative_error,
 )
@@ -31,6 +29,18 @@ def make_set(alpha_blocks, ns, nr, freqs=(900.0,), regions=REGIONS):
     )
 
 
+def one_pair(x: SphericalCoord, y: SphericalCoord):
+    """A receiver and a source point as (1, 3) Cartesian arrays."""
+    return to_cartesian(x)[None, :], to_cartesian(y)[None, :]
+
+
+def reverberant_at(cset, x, y, frequency=900.0):
+    """Reconstruction at one pair minus the direct field in closed form."""
+    X, Y = one_pair(x, y)
+    direct = direct_field(X[0], Y[0] + np.asarray(REGIONS.offset), WaveContext(frequency))
+    return reconstruct_rtf_many(cset, X, Y, frequency)[0] - direct
+
+
 class TestCoefficientSet:
     def test_block_shape_validated(self):
         with pytest.raises(ConfigurationError):
@@ -39,9 +49,7 @@ class TestCoefficientSet:
     def test_off_grid_frequency_rejected(self):
         cset = make_set([np.zeros((1, 1))], 0, 0)
         with pytest.raises(ConfigurationError, match="not on the coefficient grid"):
-            reconstruct_reverberant(
-                cset, SphericalCoord(0.1, 0, 0), SphericalCoord(0.1, 0, 0), 901.0
-            )
+            reconstruct_rtf_many(cset, [[0.1, 0, 0]], [[0, 0.1, 0]], 901.0)
 
     def test_per_frequency_counts(self):
         # a 900 Hz block carries (9+1)^2 x (9+1)^2 coefficients when solved at
@@ -53,8 +61,8 @@ class TestCoefficientSet:
 class TestReconstruction:
     def test_zero_tensor_gives_zero_reverberant(self):
         cset = make_set([np.zeros((16, 16))], 3, 3)
-        got = reconstruct_reverberant(
-            cset, SphericalCoord(0.2, 1.0, 0.5), SphericalCoord(0.1, 2.0, 1.0), 900.0
+        got = reverberant_at(
+            cset, SphericalCoord(0.2, 1.0, 0.5), SphericalCoord(0.1, 2.0, 1.0)
         )
         assert got == 0.0
 
@@ -71,24 +79,17 @@ class TestReconstruction:
             * specfun.spherical_bessel_j(0, ctx.k * x.radius)
             / (4 * math.pi)
         )
-        got = reconstruct_reverberant(cset, x, y, 900.0)
-        assert got == pytest.approx(expected, abs=1e-14)
+        assert reverberant_at(cset, x, y) == pytest.approx(expected, abs=1e-14)
 
     def test_total_minus_reverberant_is_direct(self):
         rng = np.random.default_rng(6)
         alpha = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         cset = make_set([alpha], 3, 3)
-        x = SphericalCoord(0.2, 1.0, 0.4)
-        y = SphericalCoord(0.2, 2.0, 5.0)
-        total = reconstruct_rtf(cset, x, y, 900.0)
-        reverberant = reconstruct_reverberant(cset, x, y, 900.0)
-        from roomtf.geometry import to_cartesian
-
-        direct = direct_field(
-            to_cartesian(x), to_cartesian(y) + np.array(REGIONS.offset),
-            WaveContext(900.0),
-        )
-        assert total - reverberant == pytest.approx(direct, abs=1e-15)
+        X, Y = one_pair(SphericalCoord(0.2, 1.0, 0.4), SphericalCoord(0.2, 2.0, 5.0))
+        total = reconstruct_rtf_many(cset, X, Y, 900.0)[0]
+        reverberant = einsum_reverberant(cset, X, Y, 900.0)[0]
+        direct = direct_field(X[0], Y[0] + np.array(REGIONS.offset), WaveContext(900.0))
+        assert total - reverberant == pytest.approx(direct, abs=1e-14)
 
     def test_linearity_in_alpha(self):
         rng = np.random.default_rng(7)
@@ -96,38 +97,34 @@ class TestReconstruction:
         a2 = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         x = SphericalCoord(0.3, 0.9, 0.2)
         y = SphericalCoord(0.25, 1.4, 3.0)
-        r1 = reconstruct_reverberant(make_set([a1], 3, 3), x, y, 900.0)
-        r2 = reconstruct_reverberant(make_set([a2], 3, 3), x, y, 900.0)
-        r12 = reconstruct_reverberant(make_set([a1 + 2 * a2], 3, 3), x, y, 900.0)
+        r1 = reverberant_at(make_set([a1], 3, 3), x, y)
+        r2 = reverberant_at(make_set([a2], 3, 3), x, y)
+        r12 = reverberant_at(make_set([a1 + 2 * a2], 3, 3), x, y)
         assert r12 == pytest.approx(r1 + 2 * r2, abs=1e-12)
 
     def test_out_of_region_rejected(self):
         cset = make_set([np.zeros((16, 16))], 3, 3)
-        with pytest.raises(ConfigurationError, match="receiver"):
-            reconstruct_reverberant(
-                cset, SphericalCoord(0.5, 0, 0), SphericalCoord(0.1, 0, 0), 900.0
-            )
-        with pytest.raises(ConfigurationError, match="source"):
-            reconstruct_reverberant(
-                cset, SphericalCoord(0.1, 0, 0), SphericalCoord(0.6, 0, 0), 900.0
-            )
+        with pytest.raises(ConfigurationError, match=r"receiver radius 0\.5 .* radius 0\.4"):
+            reconstruct_rtf_many(cset, [[0.5, 0, 0]], [[0.1, 0, 0]], 900.0)
+        with pytest.raises(ConfigurationError, match=r"source radius 0\.6 .* radius 0\.4"):
+            reconstruct_rtf_many(cset, [[0.1, 0, 0]], [[0, 0, 0.6]], 900.0)
 
     def test_vectorized_matches_scalar(self):
+        # a batch equals the single-pair (1, 3) calls the CLI makes
         rng = np.random.default_rng(13)
         alpha = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         cset = make_set([alpha], 3, 3)
         X = rng.uniform(-0.2, 0.2, (5, 3))
         Y = rng.uniform(-0.2, 0.2, (5, 3))
-        from roomtf.geometry import to_spherical
-
         batch = reconstruct_rtf_many(cset, X, Y, 900.0)
         for i in range(5):
-            scalar = reconstruct_rtf(cset, to_spherical(X[i]), to_spherical(Y[i]), 900.0)
-            assert batch[i] == pytest.approx(scalar, rel=1e-12)
+            single = reconstruct_rtf_many(cset, X[i:i + 1], Y[i:i + 1], 900.0)
+            assert single.shape == (1,)
+            assert batch[i] == pytest.approx(single[0], rel=1e-12)
 
 
-def einsum_oracle(cset, X, Y_s, frequency):
-    """The bilinear form as a 3-operand einsum over scipy basis tables."""
+def einsum_reverberant(cset, X, Y_s, frequency):
+    """The reverberant bilinear form as a 3-operand einsum over scipy basis tables."""
     fi = cset.frequency_index(frequency)
     k = cset.context(frequency).k
 
@@ -141,9 +138,15 @@ def einsum_oracle(cset, X, Y_s, frequency):
 
     by = np.conj(basis(int(cset.source_orders[fi]), Y_s))
     bx = basis(int(cset.receiver_orders[fi]), X)
+    return 1j * k * np.einsum("ng,nv,vg->g", by, cset.alpha[fi], bx)
+
+
+def einsum_oracle(cset, X, Y_s, frequency):
+    """Direct field plus ``einsum_reverberant``."""
+    k = cset.context(frequency).k
     d = np.linalg.norm(X - (Y_s + np.asarray(cset.regions.offset)), axis=1)
     direct = np.exp(1j * k * d) / (4.0 * np.pi * d)
-    return direct + 1j * k * np.einsum("ng,nv,vg->g", by, cset.alpha[fi], bx)
+    return direct + einsum_reverberant(cset, X, Y_s, frequency)
 
 
 class TestBilinearFormOracle:

@@ -8,7 +8,7 @@ from roomtf import synthesis
 from roomtf.errors import ConfigurationError
 from roomtf.geometry import SphericalCoord, shell_array
 from roomtf.modal import WaveContext
-from roomtf.specfun import HarmonicIndex, harmonic_indices, mode_count
+from roomtf.specfun import HarmonicIndex, mode_count
 
 
 def shell_at(f, count=121, order=10, seed=12345):
@@ -20,14 +20,14 @@ class TestBuildT:
     def test_single_speaker_at_origin(self):
         ctx = WaveContext(500.0)
         T = synthesis.build_T([SphericalCoord(0.0, 0.0, 0.0)], 3, ctx)
-        assert T.entries.shape == (16, 1)
+        assert T.shape == (16, 1)
         expected = 1j * ctx.k / math.sqrt(4 * math.pi)
-        assert T.entries[0, 0] == pytest.approx(expected, abs=1e-14)
-        assert np.all(T.entries[1:, 0] == 0)
+        assert T[0, 0] == pytest.approx(expected, abs=1e-14)
+        assert np.all(T[1:, 0] == 0)
 
     def test_reference_shape(self):
         T = shell_at(1000.0)
-        assert T.entries.shape == (121, 121)
+        assert T.shape == (121, 121)
 
     def test_conjugate_row_relation(self):
         # row(n, -m) = (-1)^(m+1) conj(row(n, m)): the harmonic conjugation
@@ -35,52 +35,57 @@ class TestBuildT:
         T = shell_at(700.0, order=4)
         for n in range(5):
             for m in range(1, n + 1):
-                plus = T.entries[HarmonicIndex(n, m).flat]
-                minus = T.entries[HarmonicIndex(n, -m).flat]
+                plus = T[HarmonicIndex(n, m).flat]
+                minus = T[HarmonicIndex(n, -m).flat]
                 assert np.allclose(minus, (-1) ** (m + 1) * np.conj(plus), atol=1e-12)
+
+
+def min_norm_weights(T, num_modes):
+    """Minimum-norm least-squares weights for each unit target, from lstsq."""
+    targets = np.eye(T.shape[0])[:, :num_modes]
+    return np.linalg.lstsq(T, targets, rcond=synthesis.SVD_CUTOFF)[0]
 
 
 class TestSolveWeights:
     def test_residual_small_when_well_conditioned(self):
         T = shell_at(500.0, order=5)
-        _, residual = synthesis.solve_weights(T, HarmonicIndex(0, 0))
-        assert residual < 1e-8
+        _, residuals = synthesis.solve_all_weights(T, num_modes=1)
+        assert residuals[0] < 1e-8
 
     def test_target_order_above_matrix_rejected(self):
         T = shell_at(500.0, order=3)
         with pytest.raises(ConfigurationError):
-            synthesis.solve_weights(T, HarmonicIndex(4, 0))
+            synthesis.solve_all_weights(T, num_modes=mode_count(4))
 
     def test_aliasing_bound_enforced(self):
         T = shell_at(500.0, count=50, order=10)
         with pytest.raises(ConfigurationError, match="aliasing"):
-            synthesis.solve_weights(T, HarmonicIndex(2, 1))
-        w, _ = synthesis.solve_weights(T, HarmonicIndex(2, 1), allow_underdetermined=True)
-        assert w.shape == (50,)
+            synthesis.solve_all_weights(T)
 
     def test_minimum_norm_property(self):
         T = shell_at(600.0, order=5)
-        w, residual = synthesis.solve_weights(T, HarmonicIndex(2, -1))
-        assert residual < 1e-8
+        W, residuals = synthesis.solve_all_weights(T)
+        col = HarmonicIndex(2, -1).flat
+        w = W[:, col]
+        assert residuals[col] < 1e-8
         # perturb within the null space: solutions stay consistent but longer
         rng = np.random.default_rng(2)
-        P = np.eye(T.num_speakers) - T.pseudoinverse() @ T.entries
+        L = T.shape[1]
+        P = np.eye(L) - np.linalg.pinv(T) @ T
         for _ in range(5):
-            z = rng.standard_normal(T.num_speakers) + 1j * rng.standard_normal(
-                T.num_speakers
-            )
+            z = rng.standard_normal(L) + 1j * rng.standard_normal(L)
             w_prime = w + P @ z
-            assert np.linalg.norm(T.entries @ w_prime - T.entries @ w) < 1e-8
+            assert np.linalg.norm(T @ w_prime - T @ w) < 1e-8
             assert np.linalg.norm(w_prime) >= np.linalg.norm(w) - 1e-12
 
     def test_batch_matches_single_solves(self):
         T = shell_at(800.0, order=6)
         W, residuals = synthesis.solve_all_weights(T)
         assert W.shape == (121, 49)
-        for i, idx in enumerate(harmonic_indices(6)):
-            w, r = synthesis.solve_weights(T, idx)
-            assert np.allclose(W[:, i], w, atol=1e-12)
-            assert r == pytest.approx(residuals[i], abs=1e-12)
+        expected = min_norm_weights(T, 49)
+        assert np.max(np.abs(W - expected)) < 1e-12 * np.max(np.abs(expected))
+        exact = np.linalg.norm(T @ expected - np.eye(49), axis=0)
+        assert np.allclose(residuals, exact, atol=1e-12)
 
     def test_partial_batch(self):
         T = shell_at(800.0, order=6)
@@ -91,26 +96,20 @@ class TestSolveWeights:
 
 
 class TestConditionNumber:
-    def _matrix(self, entries, order, count):
-        ctx = WaveContext(500.0)
-        speakers = [SphericalCoord(0.35, 0.1 + 0.01 * i, 0.2 * i) for i in range(count)]
-        return synthesis.TranslationMatrixT(entries, order, ctx, speakers)
-
     def test_identity_like(self):
-        T = self._matrix(np.eye(1, dtype=complex), 0, 1)
+        T = np.eye(1, dtype=complex)
         assert synthesis.condition_number(T) == pytest.approx(1.0)
 
     def test_scale_invariance(self):
         base = shell_at(700.0, order=5)
-        scaled = self._matrix(3.7 * base.entries, 5, 121)
+        scaled = 3.7 * base
         assert synthesis.condition_number(scaled) == pytest.approx(
             synthesis.condition_number(base), rel=1e-10
         )
 
     def test_rank_deficient_reports_infinity(self):
-        entries = np.zeros((4, 4), dtype=complex)
-        entries[0, :] = 1.0  # speakers all at the origin excite only (0, 0)
-        T = self._matrix(entries, 1, 4)
+        T = np.zeros((4, 4), dtype=complex)
+        T[0, :] = 1.0  # speakers all at the origin excite only (0, 0)
         assert synthesis.condition_number(T) == float("inf")
 
     def test_sphere_worse_than_shell_near_bessel_zero(self):
