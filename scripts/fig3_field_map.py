@@ -39,31 +39,28 @@ def main():
     y_s = np.array([float(v) for v in args.source.split(",")])
     R = cfg.regions.receiver_radius
     axis = np.linspace(-R, R, args.grid_size)
-    ctx = exp.context(args.frequency)
-    offset = np.asarray(cfg.regions.offset)
-    y_room = y_s + offset
+    # row by row in y, keeping the grid points inside the region
+    xs, ys = (g.ravel() for g in np.meshgrid(axis, axis))
+    inside = xs * xs + ys * ys <= R * R
+    receivers = np.column_stack([xs[inside], ys[inside], np.zeros(np.count_nonzero(inside))])
+    est = rtf.reconstruct_rtf_many(
+        cset, receivers, np.broadcast_to(y_s, receivers.shape), args.frequency
+    )
+    truth = rtf_oracle_many(
+        exp.room, receivers, y_s + np.asarray(cfg.regions.offset), exp.context(args.frequency)
+    )
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "field_map.csv")
-    inside = 0
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "re_est", "im_est", "re_oracle", "im_oracle", "abs_dev"])
-        for yv in axis:
-            for xv in axis:
-                if xv * xv + yv * yv > R * R:
-                    continue
-                inside += 1
-                receiver = np.array([xv, yv, 0.0])
-                est = rtf.reconstruct_rtf_many(
-                    cset, receiver[None, :], y_s[None, :], args.frequency
-                )[0]
-                truth = rtf_oracle_many(exp.room, receiver[None, :], y_room, ctx)[0]
-                writer.writerow(
-                    [f"{xv:.17g}", f"{yv:.17g}", f"{est.real:.17g}", f"{est.imag:.17g}",
-                     f"{truth.real:.17g}", f"{truth.imag:.17g}", f"{abs(est - truth):.17g}"]
-                )
-    print(f"wrote {out} ({inside} grid points inside the region)")
+        for (xv, yv, _), e, t in zip(receivers, est, truth):
+            writer.writerow(
+                [f"{xv:.17g}", f"{yv:.17g}", f"{e.real:.17g}", f"{e.imag:.17g}",
+                 f"{t.real:.17g}", f"{t.imag:.17g}", f"{abs(e - t):.17g}"]
+            )
+    print(f"wrote {out} ({len(receivers)} grid points inside the region)")
 
 
 if __name__ == "__main__":

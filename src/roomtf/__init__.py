@@ -15,7 +15,7 @@ from .modal import (
     truncation_order,
 )
 from .recording import HoMicSpec, MeasurementTensor, MicArray, mic_radius
-from .room import ImageSource, RoomModel, enumerate_images
+from .room import ImageLattice, RoomModel, image_lattice
 from .rtf import RtfCoefficientSet, relative_error
 from .specfun import HarmonicIndex, wigner_3j
 
@@ -37,9 +37,9 @@ __all__ = [
     "MeasurementTensor",
     "MicArray",
     "mic_radius",
-    "ImageSource",
+    "ImageLattice",
     "RoomModel",
-    "enumerate_images",
+    "image_lattice",
     "RtfCoefficientSet",
     "relative_error",
     "HarmonicIndex",

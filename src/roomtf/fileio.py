@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import ConfigurationError, DigestMismatchError
 from .geometry import RegionPair
 from .recording import MeasurementTensor
 from .rtf import RtfCoefficientSet
-from .specfun import HarmonicIndex, harmonic_indices
+from .specfun import harmonic_indices
 
 MEASUREMENT_MAGIC = b"RTFMEAS1\n"
 COEFFICIENT_MAGIC = b"RTFCOEF1\n"
@@ -41,6 +42,14 @@ def _write_block(fh, magic: bytes, header: dict, payload: np.ndarray) -> None:
     fh.write(struct.pack("<Q", len(raw)))
     fh.write(raw)
     fh.write(np.ascontiguousarray(payload, dtype=np.complex128).tobytes())
+
+
+def _fields(block: dict, names, where: str) -> list:
+    """The values of ``names`` in ``block``; a missing one is named in the error."""
+    for name in names:
+        if name not in block:
+            raise ConfigurationError(f"corrupt file: the {where} lacks the field {name!r}")
+    return [block[name] for name in names]
 
 
 def _read_block(fh, magic: bytes):
@@ -96,17 +105,15 @@ def save_measurement_tensor(path, mt: MeasurementTensor) -> None:
 def load_measurement_tensor(path) -> MeasurementTensor:
     with open(path, "rb") as fh:
         header, raw = _read_block(fh, MEASUREMENT_MAGIC)
-    shape = (
-        len(header["frequencies"]),
-        header["num_units"],
-        header["num_speakers"],
-        (header["mic_order"] + 1) ** 2,
-    )
+    freqs, units, speakers, mic_order, masks = _fields(header, (
+        "frequencies", "num_units", "num_speakers", "mic_order", "mask_orders"
+    ), "header")
+    shape = (len(freqs), units, speakers, (mic_order + 1) ** 2)
     return MeasurementTensor(
-        frequencies=np.array(header["frequencies"]),
+        frequencies=np.array(freqs),
         gamma_tilde=_payload(raw, math.prod(shape)).reshape(shape),
-        mic_order=header["mic_order"],
-        mask_orders=np.array(header["mask_orders"]),
+        mic_order=mic_order,
+        mask_orders=np.array(masks),
         digests=header.get("digests", {}),
     )
 
@@ -121,12 +128,7 @@ def save_coefficient_set(path, cset: RtfCoefficientSet) -> None:
         "digests": cset.digests,
     }
     if cset.regions is not None:
-        header["regions"] = {
-            "receiver_radius": cset.regions.receiver_radius,
-            "source_radius": cset.regions.source_radius,
-            "source_inner_radius": cset.regions.source_inner_radius,
-            "offset": list(cset.regions.offset),
-        }
+        header["regions"] = asdict(cset.regions)
     payload = np.concatenate([a.ravel() for a in cset.alpha])
     with open(path, "wb") as fh:
         _write_block(fh, COEFFICIENT_MAGIC, header, payload)
@@ -135,7 +137,10 @@ def save_coefficient_set(path, cset: RtfCoefficientSet) -> None:
 def load_coefficient_set(path) -> RtfCoefficientSet:
     with open(path, "rb") as fh:
         header, raw = _read_block(fh, COEFFICIENT_MAGIC)
-    orders = list(zip(header["source_orders"], header["receiver_orders"]))
+    freqs, source_orders, receiver_orders, sound_speed = _fields(header, (
+        "frequencies", "source_orders", "receiver_orders", "sound_speed"
+    ), "header")
+    orders = list(zip(source_orders, receiver_orders))
     payload = _payload(raw, sum((ns + 1) ** 2 * (nr + 1) ** 2 for ns, nr in orders))
     blocks = []
     pos = 0
@@ -145,20 +150,17 @@ def load_coefficient_set(path) -> RtfCoefficientSet:
         pos += size
     regions = None
     if "regions" in header:
-        rb = header["regions"]
-        regions = RegionPair(
-            receiver_radius=rb["receiver_radius"],
-            source_radius=rb["source_radius"],
-            source_inner_radius=rb["source_inner_radius"],
-            offset=tuple(rb["offset"]),
-        )
+        *radii, offset = _fields(header["regions"], (
+            "receiver_radius", "source_radius", "source_inner_radius", "offset"
+        ), "regions header")
+        regions = RegionPair(*radii, tuple(offset))
     return RtfCoefficientSet(
-        frequencies=np.array(header["frequencies"]),
+        frequencies=np.array(freqs),
         alpha=tuple(blocks),
-        source_orders=np.array(header["source_orders"]),
-        receiver_orders=np.array(header["receiver_orders"]),
+        source_orders=np.array(source_orders),
+        receiver_orders=np.array(receiver_orders),
         regions=regions,
-        sound_speed=header["sound_speed"],
+        sound_speed=sound_speed,
         digests=header.get("digests", {}),
     )
 

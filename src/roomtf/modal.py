@@ -10,6 +10,8 @@ from . import specfun
 from .geometry import SphericalCoord, cartesian_to_spherical_arrays
 
 DEFAULT_SOUND_SPEED = 343.0
+# closer than this (m), a source and a receiver count as one point
+COINCIDENT_DISTANCE = 1e-9
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import math
 import os
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -35,7 +37,7 @@ from .geometry import (
     export_positions_csv,
 )
 from .modal import WaveContext, truncation_order
-from .recording import HoMicSpec, MeasurementTensor, MicArray, make_mic_array, mic_radius
+from .recording import HoMicSpec, MeasurementTensor, make_mic_array, mic_radius
 from .room import RoomModel, rtf_oracle_many
 from .rtf import RtfCoefficientSet, probe_pairs, relative_error
 
@@ -43,7 +45,9 @@ from .rtf import RtfCoefficientSet, probe_pairs, relative_error
 @dataclass(frozen=True)
 class RoomConfig:
     dimensions: tuple[float, float, float] = (6.0, 5.0, 2.5)
-    reflections: tuple[float, ...] = (0.9, 0.9, 0.9, 0.9, 0.7, 0.7)
+    reflections: tuple[float, float, float, float, float, float] = (
+        0.9, 0.9, 0.9, 0.9, 0.7, 0.7
+    )
     max_image_order: int = 2
 
 
@@ -91,102 +95,80 @@ class ExperimentConfig:
     output_dir: str = "out"
 
 
-def _tuple(seq, n=None, kind=float):
-    out = tuple(kind(v) for v in seq)
-    if n is not None and len(out) != n:
-        raise ConfigurationError(f"expected {n} values, got {len(out)}: {seq}")
-    return out
+@dataclass(frozen=True)
+class _OutputSection:
+    """The YAML section ``output``; its one key sets ExperimentConfig.output_dir."""
+
+    directory: str
 
 
-def _frequency_grid(block) -> tuple[float, ...]:
-    if isinstance(block, dict):
-        start, stop, step = block["start"], block["stop"], block["step"]
-        return tuple(np.arange(start, stop + step * 1e-9, step).tolist())
-    return _tuple(block)
+def _check_mapping(block, allowed, where: str, noun: str = "key") -> None:
+    """Reject a non-mapping or an unknown key, so a typo cannot fall back to a default."""
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{where} must be a mapping")
+    unknown = sorted(set(block) - set(allowed), key=str)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {noun} {unknown[0]!r} in {where}; expected one of {sorted(allowed)}"
+        )
 
 
-def _check_keys(raw) -> None:
-    """Reject unknown sections and keys, so a typo cannot fall back to a default."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError("a config file must hold a mapping of sections")
-    defaults = ExperimentConfig()
-    allowed = {
-        f.name: {g.name for g in fields(getattr(defaults, f.name))}
-        for f in fields(defaults) if f.name != "output_dir"
-    }
-    allowed["output"] = {"directory"}
-    for name, block in raw.items():
-        if name not in allowed:
+def _coerce(value, hint, where: str):
+    """A YAML value as the annotated type of its field: scalar, optional or tuple."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if value is None else _coerce(value, args[0], where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{where} must be a list, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
             raise ConfigurationError(
-                f"unknown config section {name!r}; expected one of {sorted(allowed)}"
+                f"{where}: expected {len(args)} values, got {len(value)}: {value}"
             )
-        if not isinstance(block, dict):
-            raise ConfigurationError(f"config section {name!r} must be a mapping")
-        unknown = sorted(set(block) - allowed[name])
-        if unknown:
-            raise ConfigurationError(
-                f"unknown key {unknown[0]!r} in config section {name!r}; "
-                f"expected one of {sorted(allowed[name])}"
-            )
+        return tuple(_coerce(v, args[0], where) for v in value)
+    try:
+        return hint(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{where} must be of type {hint.__name__}, got {value!r}") from None
+
+
+def _frequency_range(block, where: str) -> list[float]:
+    """The grid start, start + step, ... up to stop of a {start, stop, step} mapping."""
+    _check_mapping(block, ("start", "stop", "step"), where)
+    for key in ("start", "stop", "step"):
+        if key not in block:
+            raise ConfigurationError(f"{where} range lacks {key!r}")
+    start, stop, step = (_coerce(block[key], float, f"{where}.{key}")
+                         for key in ("start", "stop", "step"))
+    if step <= 0:
+        raise ConfigurationError(f"{where}.step must be > 0, got {step}")
+    return np.arange(start, stop + step * 1e-9, step).tolist()
+
+
+def _section(default, block, where: str):
+    """``default`` with each key of ``block`` coerced by the type of its field."""
+    hints = typing.get_type_hints(type(default))
+    _check_mapping(block, hints, f"config section {where!r}")
+    changes = {}
+    for key, value in block.items():
+        if key == "frequencies" and isinstance(value, dict):
+            value = _frequency_range(value, f"{where}.{key}")
+        changes[key] = _coerce(value, hints[key], f"{where}.{key}")
+    return replace(default, **changes)
 
 
 def load_config(path) -> ExperimentConfig:
+    """An ExperimentConfig from YAML: one mapping per dataclass section, plus ``output``."""
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
-    _check_keys(raw)
     cfg = ExperimentConfig()
-    if "room" in raw:
-        b = raw["room"]
-        cfg = replace(cfg, room=RoomConfig(
-            dimensions=_tuple(b.get("dimensions", cfg.room.dimensions), 3),
-            reflections=_tuple(b.get("reflections", cfg.room.reflections), 6),
-            max_image_order=int(b.get("max_image_order", cfg.room.max_image_order)),
-        ))
-    if "regions" in raw:
-        b = raw["regions"]
-        cfg = replace(cfg, regions=RegionPair(
-            receiver_radius=float(b.get("receiver_radius", cfg.regions.receiver_radius)),
-            source_radius=float(b.get("source_radius", cfg.regions.source_radius)),
-            source_inner_radius=float(
-                b.get("source_inner_radius", cfg.regions.source_inner_radius)
-            ),
-            offset=_tuple(b.get("offset", cfg.regions.offset), 3),
-        ))
-    if "arrays" in raw:
-        b = raw["arrays"]
-        fit = b.get("mic_fit_order", cfg.arrays.mic_fit_order)
-        radius = b.get("mic_center_radius", cfg.arrays.mic_center_radius)
-        cfg = replace(cfg, arrays=ArraysConfig(
-            speakers=int(b.get("speakers", cfg.arrays.speakers)),
-            mic_units=int(b.get("mic_units", cfg.arrays.mic_units)),
-            mic_order=int(b.get("mic_order", cfg.arrays.mic_order)),
-            omnis_per_mic=int(b.get("omnis_per_mic", cfg.arrays.omnis_per_mic)),
-            mic_fit_order=None if fit is None else int(fit),
-            mic_center_radius=None if radius is None else float(radius),
-            seed=int(b.get("seed", cfg.arrays.seed)),
-        ))
-    if "signal" in raw:
-        b = raw["signal"]
-        cfg = replace(cfg, signal=SignalConfig(
-            sound_speed=float(b.get("sound_speed", cfg.signal.sound_speed)),
-            f_max=float(b.get("f_max", cfg.signal.f_max)),
-            frequencies=_frequency_grid(b.get("frequencies", cfg.signal.frequencies)),
-        ))
-    if "solver" in raw:
-        b = raw["solver"]
-        cfg = replace(cfg, solver=SolverConfig(
-            order_margin=int(b.get("order_margin", cfg.solver.order_margin)),
-            direct_removal=str(b.get("direct_removal", cfg.solver.direct_removal)),
-            svd_cutoff=float(b.get("svd_cutoff", cfg.solver.svd_cutoff)),
-        ))
-    if "probes" in raw:
-        b = raw["probes"]
-        cfg = replace(cfg, probes=ProbesConfig(
-            preset=str(b.get("preset", cfg.probes.preset)),
-            radii=_tuple(b.get("radii", cfg.probes.radii)),
-        ))
-    if "output" in raw:
-        cfg = replace(cfg, output_dir=str(raw["output"].get("directory", cfg.output_dir)))
+    sections = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "output_dir"}
+    sections["output"] = _OutputSection(cfg.output_dir)
+    _check_mapping(raw, sections, "the config file", noun="section")
+    changes = {name: _section(sections[name], block, name) for name, block in raw.items()}
+    if "output" in changes:
+        changes["output_dir"] = changes.pop("output").directory
+    cfg = replace(cfg, **changes)
     validate_config(cfg)
     return cfg
 
@@ -342,7 +324,9 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
     ctx = exp.context(frequency)
     n_s, n_r = exp.effective_orders(frequency)
     T = synthesis.build_T(exp.speakers_local, exp.null_order, ctx)
-    W, _ = synthesis.solve_all_weights(T, num_modes=(n_s + 1) ** 2)
+    W, _ = synthesis.solve_all_weights(
+        T, num_modes=(n_s + 1) ** 2, cutoff=cfg.solver.svd_cutoff
+    )
     gamma = recording.compose_all_modes(mt, fi, W)
     if cfg.solver.direct_removal == "coefficient":
         gamma = gamma - recording.direct_component_all(
@@ -433,16 +417,13 @@ def sweep_errors(cfg: ExperimentConfig, cset: RtfCoefficientSet,
     out = {}
     for R in radii:
         receivers, sources = probe_pairs(cfg.probes.preset, R)
-        errors = []
-        for f in cset.frequencies:
-            ctx = exp.context(f)
-            truth = np.array([
-                rtf_oracle_many(exp.room, receivers[g:g + 1], sources[g] + offset, ctx)[0]
-                for g in range(len(receivers))
-            ])
-            estimate = rtf.reconstruct_rtf_many(cset, receivers, sources, f)
-            errors.append(relative_error(truth, estimate))
-        out[float(R)] = np.array(errors)
+        out[float(R)] = np.array([
+            relative_error(
+                rtf_oracle_many(exp.room, receivers, sources + offset, exp.context(f)),
+                rtf.reconstruct_rtf_many(cset, receivers, sources, f),
+            )
+            for f in cset.frequencies
+        ])
     return out
 
 

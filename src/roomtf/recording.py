@@ -29,7 +29,7 @@ from .geometry import (
     positions_to_cartesian,
     sphere_array,
 )
-from .modal import WaveContext, truncation_order
+from .modal import COINCIDENT_DISTANCE, WaveContext, truncation_order
 from .room import RoomModel, rtf_oracle_many
 
 BESSEL_ZERO_THRESHOLD = 1e-8
@@ -226,18 +226,16 @@ def simulate_raw_measurements(
     L = speakers.shape[0]
     flat_omnis = omnis.reshape(-1, 3)
     room.check_inside(flat_omnis, "microphone sensor")
-    room.check_inside(speakers, "loudspeaker")
     dist = np.linalg.norm(flat_omnis[:, None, :] - speakers[None, :, :], axis=-1)
-    if np.any(dist < 1e-9):
+    if np.any(dist < COINCIDENT_DISTANCE):
         raise ConfigurationError("a loudspeaker coincides with a microphone sensor")
 
     blocks = []
     out_masks = []
     for f in frequencies:
         ctx = WaveContext(f, sound_speed)
-        pressures = np.stack(
-            [rtf_oracle_many(room, flat_omnis, speakers[l], ctx) for l in range(L)],
-            axis=-1,
+        pressures = rtf_oracle_many(
+            room, flat_omnis[:, None], speakers[None], ctx
         ).reshape(Q, Qp, L)
         if subtract_direct_pressure:
             pressures = pressures - (

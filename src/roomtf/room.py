@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .modal import WaveContext
+from .modal import COINCIDENT_DISTANCE, WaveContext
 
 
 @dataclass(frozen=True)
@@ -65,73 +66,74 @@ class RoomModel:
             )
 
 
-@dataclass(frozen=True)
-class ImageSource:
-    position: tuple[float, float, float]
-    amplitude: float
-    order: int
+class ImageLattice(NamedTuple):
+    """The images of a room for any source, one row per image, by order.
+
+    The image of a source at y (analysis frame) sits at
+    ``sign * (y + shift) + offset - shift``; y + shift is y in the corner frame.
+    """
+
+    sign: np.ndarray       # (M, 3) +-1 per axis
+    offset: np.ndarray     # (M, 3) lattice offset 2 n L
+    amplitude: np.ndarray  # (M,) product of the reflection coefficients met
+    order: np.ndarray      # (M,) number of reflections
+    shift: np.ndarray      # (3,) analysis frame -> corner frame
+
+    def positions(self, y) -> np.ndarray:
+        """Image positions (M, ..., 3) of the sources y (..., 3)."""
+        yc = np.asarray(y, dtype=float) + self.shift
+        rows = (slice(None),) + (None,) * (yc.ndim - 1)
+        return self.sign[rows] * yc + self.offset[rows] - self.shift
 
 
-def enumerate_images(room: RoomModel, y, max_order: int | None = None) -> list[ImageSource]:
-    """True source plus all images up to ``max_order`` reflections.
+def image_lattice(room: RoomModel) -> ImageLattice:
+    """True source plus all images up to ``room.max_image_order`` reflections.
 
     Standard shoebox lattice: along each axis the image coordinate is
     (1 - 2q) y + 2 n L with q in {0, 1}; the per-axis reflection counts are
     |n - q| off the minus wall and |n| off the plus wall.  Each distinct
-    reflection history appears exactly once.  Ordering is deterministic:
-    by order, then lexicographic position.
+    reflection history appears exactly once; the true source comes first.
     """
-    if max_order is None:
-        max_order = room.max_image_order
-    y = np.asarray(y, dtype=float)
-    if not room.contains(y):
-        raise ValueError(f"source position {tuple(y)} lies outside the room")
-    yc = room.to_corner_frame(y)
-    dims = np.asarray(room.dimensions)
-    refl = room.wall_reflection
-    shift = 0.5 * dims + np.asarray(room.origin_offset)
-
+    max_order = room.max_image_order
     nmax = max_order // 2 + 1
-    images = []
-    for qx in (0, 1):
-        for nx in range(-nmax, nmax + 1):
-            ox = abs(nx - qx) + abs(nx)
-            if ox > max_order:
-                continue
-            px = (1 - 2 * qx) * yc[0] + 2 * nx * dims[0]
-            ax = refl[0] ** abs(nx - qx) * refl[1] ** abs(nx)
-            for qy in (0, 1):
-                for ny in range(-nmax, nmax + 1):
-                    oy = abs(ny - qy) + abs(ny)
-                    if ox + oy > max_order:
-                        continue
-                    py = (1 - 2 * qy) * yc[1] + 2 * ny * dims[1]
-                    ay = refl[2] ** abs(ny - qy) * refl[3] ** abs(ny)
-                    for qz in (0, 1):
-                        for nz in range(-nmax, nmax + 1):
-                            oz = abs(nz - qz) + abs(nz)
-                            if ox + oy + oz > max_order:
-                                continue
-                            pz = (1 - 2 * qz) * yc[2] + 2 * nz * dims[2]
-                            az = refl[4] ** abs(nz - qz) * refl[5] ** abs(nz)
-                            pos = (px - shift[0], py - shift[1], pz - shift[2])
-                            images.append(
-                                ImageSource(pos, ax * ay * az, ox + oy + oz)
-                            )
-    images.sort(key=lambda im: (im.order, im.position))
-    return images
+    q, n = (g.ravel() for g in np.meshgrid((0, 1), np.arange(-nmax, nmax + 1), indexing="ij"))
+    minus, plus = np.abs(n - q), np.abs(n)
+    axis = np.flatnonzero(minus + plus <= max_order)
+    # one per-axis choice for each of x, y, z, kept up to max_order in all
+    pick = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
+    order = (minus + plus)[pick].sum(axis=1)
+    rows = np.argsort(order, kind="stable")[: np.count_nonzero(order <= max_order)]
+    pick = pick[rows]
+    beta = np.asarray(room.wall_reflection, dtype=float).reshape(3, 2)
+    return ImageLattice(
+        sign=(1 - 2 * q[pick]).astype(float),
+        offset=2 * n[pick] * np.asarray(room.dimensions, dtype=float),
+        amplitude=np.prod(beta[:, 0] ** minus[pick] * beta[:, 1] ** plus[pick], axis=1),
+        order=order[rows],
+        shift=room.to_corner_frame(np.zeros(3)),
+    )
 
 
-def rtf_oracle_many(room: RoomModel, X, y, ctx: WaveContext) -> np.ndarray:
-    """Vectorized oracle: responses at each row of X to a source at y."""
+def rtf_oracle_many(room: RoomModel, X, Y, ctx: WaveContext) -> np.ndarray:
+    """Responses at receivers X (..., 3) to unit sources at Y (..., 3), broadcast.
+
+    An (n, 3) X against one (3,) source gives n responses; X[:, None] against
+    Y[None] gives every receiver-source pair.  The sum runs image by image,
+    so no temporary holds more than one image's worth of pairs.
+    """
     X = np.asarray(X, dtype=float)
-    images = enumerate_images(room, y)
-    pos = np.array([im.position for im in images])
-    amp = np.array([im.amplitude for im in images])
-    d = np.linalg.norm(X[:, None, :] - pos[None, :, :], axis=-1)
-    # the corner-frame round trip moves an image by rounding, so a receiver
-    # on the source can sit a few ulps away from its order-0 image
-    if np.any(d < 1e-9):
-        raise ValueError("receiver coincides with the source or one of its images")
+    Y = np.asarray(Y, dtype=float)
+    room.check_inside(Y.reshape(-1, 3), "source")
+    lattice = image_lattice(room)
     k = ctx.k
-    return np.sum(amp[None, :] * np.exp(1j * k * d) / (4.0 * math.pi * d), axis=1)
+    total = np.zeros(np.broadcast_shapes(X.shape, Y.shape)[:-1], dtype=complex)
+    for image, amp in zip(lattice.positions(Y), lattice.amplitude):
+        d = np.linalg.norm(X - image, axis=-1)
+        # the corner-frame round trip moves an image by rounding, so a receiver
+        # on the source can sit a few ulps away from its order-0 image
+        if np.any(d < COINCIDENT_DISTANCE):
+            raise ConfigurationError(
+                "receiver coincides with the source or one of its images"
+            )
+        total += amp * np.exp(1j * k * d) / (4.0 * math.pi * d)
+    return total

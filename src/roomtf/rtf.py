@@ -8,7 +8,7 @@ import numpy as np
 from . import specfun
 from .errors import ConfigurationError
 from .geometry import RegionPair, cartesian_to_spherical_arrays
-from .modal import WaveContext
+from .modal import COINCIDENT_DISTANCE, WaveContext
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,12 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
     reverberant = 1j * k * np.sum((cset.alpha[fi].T @ by) * bx, axis=0)
     offset = np.asarray(cset.regions.offset) if cset.regions else np.zeros(3)
     d = np.linalg.norm(X - (Y_s + offset), axis=1)
-    if np.any(d == 0):
-        raise ValueError("coincident source/receiver probe pair")
+    if np.any(d < COINCIDENT_DISTANCE):
+        i = int(np.argmin(d))
+        raise ConfigurationError(
+            f"pair {i}: receiver {X[i].tolist()} and source {Y_s[i].tolist()} "
+            "name the same room point"
+        )
     direct = np.exp(1j * k * d) / (4.0 * np.pi * d)
     return direct + reverberant
 

@@ -33,7 +33,8 @@ def build_T(speakers: list[SphericalCoord], max_order: int, ctx: WaveContext) ->
     )
 
 
-def solve_all_weights(T: np.ndarray, num_modes: int | None = None):
+def solve_all_weights(T: np.ndarray, num_modes: int | None = None,
+                      cutoff: float = SVD_CUTOFF):
     """Minimum-norm weights for the first ``num_modes`` unit targets; (L, M) + residuals.
 
     Column (n, m) of the result is the weight vector for that unit mode,
@@ -52,7 +53,7 @@ def solve_all_weights(T: np.ndarray, num_modes: int | None = None):
         raise ConfigurationError(
             f"cannot request {num_modes} modes from an order-{max_order} matrix"
         )
-    W = np.linalg.pinv(T, rcond=SVD_CUTOFF)[:, :num_modes]
+    W = np.linalg.pinv(T, rcond=cutoff)[:, :num_modes]
     residuals = np.linalg.norm(T @ W - np.eye(modes)[:, :num_modes], axis=0)
     return W, residuals
 

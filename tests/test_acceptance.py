@@ -54,11 +54,7 @@ def random_pairs(count, radius=0.4, seed=7):
 def end_to_end_error(cfg, cset, frequency, receivers, sources):
     exp = pipeline.validate_config(cfg)
     ctx = exp.context(frequency)
-    offset = np.asarray(cfg.regions.offset)
-    truth = np.array([
-        rtf_oracle_many(exp.room, receivers[g:g + 1], sources[g] + offset, ctx)[0]
-        for g in range(len(receivers))
-    ])
+    truth = rtf_oracle_many(exp.room, receivers, sources + np.asarray(cfg.regions.offset), ctx)
     estimate = reconstruct_rtf_many(cset, receivers, sources, frequency)
     return relative_error(truth, estimate), truth, estimate
 

@@ -131,6 +131,29 @@ class TestMalformedArtifacts:
         with pytest.raises(ConfigurationError, match="corrupt file header"):
             fileio.load_coefficient_set(path)
 
+    def test_incomplete_coefficient_header(self, tmp_path, capsys):
+        path = tmp_path / "c.rtfc"
+        path.write_bytes(coefficient_header_bytes({"format_version": 1}))
+        with pytest.raises(ConfigurationError, match="lacks the field 'frequencies'"):
+            fileio.load_coefficient_set(path)
+        argv = ["reconstruct", "--coeffs", str(path), "-f", "500",
+                "--receiver", "0.1,0,0", "--source", "0,0.1,0"]
+        assert cli.main(argv) == 2
+        assert "lacks the field" in capsys.readouterr().err
+
+    def test_incomplete_measurement_header(self, tmp_path):
+        path = tmp_path / "m.rtfm"
+        fileio.save_measurement_tensor(path, sample_tensor())
+        data = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", data[9:17])
+        header = json.loads(data[17:17 + hlen])
+        del header["mask_orders"]
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(fileio.MEASUREMENT_MAGIC + struct.pack("<Q", len(raw)) + raw
+                         + data[17 + hlen:])
+        with pytest.raises(ConfigurationError, match="lacks the field 'mask_orders'"):
+            fileio.load_measurement_tensor(path)
+
     def test_cli_reports_truncation_with_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.rtfc"
         write_truncated(path, sample_cset(), 24)

@@ -1,13 +1,15 @@
 """Experiment orchestration: config parsing, validation, determinism, CLI."""
+import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from roomtf import cli, fileio, pipeline, rtf
+from roomtf import cli, fileio, pipeline, rtf, synthesis, translation
 from roomtf.errors import BesselZeroError, ConfigurationError
 from roomtf.geometry import RegionPair
 from roomtf.room import rtf_oracle_many
@@ -77,6 +79,42 @@ class TestLoadConfig:
     def test_unknown_key_rejected(self, tmp_path, text, name):
         with pytest.raises(ConfigurationError, match=f"unknown .*{name}"):
             load_config(write_yaml(tmp_path, text))
+
+    def test_every_field_loads_by_its_type(self, tmp_path):
+        cfg = replace(
+            fast_config(order_margin=1, direct_removal="measurement", svd_cutoff=1e-8),
+            room=pipeline.RoomConfig((6.5, 5.5, 3.0), (0.8,) * 6, 1),
+            regions=RegionPair(0.35, 0.4, 0.25, (1.0, 0.9, 0.6)),
+            probes=pipeline.ProbesConfig(radii=(0.2,)),
+            output_dir=str(tmp_path / "out"),
+        )
+        raw = json.loads(json.dumps(asdict(cfg)))  # tuples -> lists
+        raw["output"] = {"directory": raw.pop("output_dir")}
+        path = tmp_path / "all.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("text, message", [
+        ("arrays: {speakers: many}\n", "arrays.speakers must be of type int, got 'many'"),
+        ("room: {dimensions: [6, 5]}\n", "room.dimensions: expected 3 values, got 2"),
+        ("probes: {radii: 0.4}\n", "probes.radii must be a list"),
+        ("room: [6, 5, 2.5]\n", "config section 'room' must be a mapping"),
+        ("signal: {frequencies: {start: 200, stop: 400, step: 0}}\n",
+         "signal.frequencies.step must be > 0"),
+    ], ids=["int", "length", "list", "mapping", "step"])
+    def test_bad_value_named(self, tmp_path, text, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            load_config(write_yaml(tmp_path, text))
+
+    @pytest.mark.parametrize("grid, key", [
+        ("{start: 200}", "stop"),
+        ("{start: 200, stop: 400}", "step"),
+        ("{stop: 400, step: 100}", "start"),
+    ])
+    def test_incomplete_range_grid_exits_2(self, tmp_path, capsys, grid, key):
+        path = write_yaml(tmp_path, f"signal: {{frequencies: {grid}}}\n")
+        assert cli.main(["cond", "--config", path, "--out", str(tmp_path / "c.csv")]) == 2
+        assert f"signal.frequencies range lacks {key!r}" in capsys.readouterr().err
 
     def test_bad_removal_mode_rejected(self, tmp_path):
         path = write_yaml(tmp_path, (
@@ -290,6 +328,34 @@ class TestCliRouting:
                          "--receiver", "4.0,0.0,0.0", "--source", "0.0,0.1,0.0"]) == 2
         assert re.search(r"receiver at .*4\.0.* lies outside the room", capsys.readouterr().err)
 
+    def test_coincident_pair_exits_2(self, tmp_path, capsys):
+        # receiver (0.1, 0.1, 0.1) and source (-0.2, -0.2, -0.2) about O + (0.3, 0.3, 0.3)
+        cset = rtf.RtfCoefficientSet(
+            frequencies=np.array([900.0]), alpha=(np.zeros((1, 1)),),
+            source_orders=np.array([0]), receiver_orders=np.array([0]),
+            regions=RegionPair(0.4, 0.4, 0.3, (0.3, 0.3, 0.3)),
+        )
+        cfile = str(tmp_path / "c.rtfc")
+        fileio.save_coefficient_set(cfile, cset)
+        assert cli.main(["reconstruct", "--coeffs", cfile, "-f", "900",
+                         "--receiver", "0.1,0.1,0.1", "--source=-0.2,-0.2,-0.2"]) == 2
+        captured = capsys.readouterr()
+        assert "same room point" in captured.err and "reconstructed" not in captured.out
+
+    def test_oracle_source_outside_room_exits_2(self, tmp_path, capsys):
+        # a source region that reaches through the ceiling at z = 1.25
+        cset = rtf.RtfCoefficientSet(
+            frequencies=np.array([400.0]), alpha=(np.zeros((1, 1)),),
+            source_orders=np.array([0]), receiver_orders=np.array([0]),
+            regions=RegionPair(0.4, 5.0, 0.3, (1.0, 1.0, 0.5)),
+        )
+        cfile = str(tmp_path / "c.rtfc")
+        fileio.save_coefficient_set(cfile, cset)
+        assert cli.main(["reconstruct", "--coeffs", cfile, "-f", "400",
+                         "--config", write_yaml(tmp_path, FAST_YAML), "--with-oracle",
+                         "--receiver", "0.1,0.0,0.0", "--source", "0.0,0.0,1.0"]) == 2
+        assert re.search(r"source at .*1\.5.* lies outside the room", capsys.readouterr().err)
+
     def test_cond_on_three_bins(self, tmp_path):
         path = write_yaml(tmp_path, (
             "arrays: {speakers: 40, mic_units: 3, omnis_per_mic: 16, mic_fit_order: 3}\n"
@@ -330,6 +396,19 @@ class TestSweepReuse:
         assert cli.main(argv) == code
         if code:
             assert f"stale artifact {tmp_path}/out/{reused}" in capsys.readouterr().err
+
+
+class TestSolverSettings:
+    def test_svd_cutoff_reaches_both_solves(self, monkeypatch):
+        seen = {}
+        for module, name in ((synthesis, "solve_all_weights"), (translation, "solve_alpha_all")):
+            def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+                seen[_name] = kwargs.get("cutoff")
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        cfg = fast_config(svd_cutoff=1e-6)
+        pipeline.run_extract(cfg, run_measure(cfg))
+        assert seen == {"solve_all_weights": 1e-6, "solve_alpha_all": 1e-6}
 
 
 class TestExtractionAccuracy:

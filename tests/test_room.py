@@ -1,12 +1,11 @@
 """Image-source oracle tests, including a brute-force mirror oracle."""
-import itertools
 
 import numpy as np
 import pytest
 
 from roomtf.errors import ConfigurationError
 from roomtf.modal import WaveContext, direct_field
-from roomtf.room import ImageSource, RoomModel, enumerate_images, rtf_oracle_many
+from roomtf.room import RoomModel, image_lattice, rtf_oracle_many
 
 REFERENCE_DIMS = (6.0, 5.0, 2.5)
 PAPER_REFL = (0.9, 0.9, 0.9, 0.9, 0.7, 0.7)
@@ -21,13 +20,14 @@ def oracle_at(room, x, y, ctx):
     return rtf_oracle_many(room, np.atleast_2d(x), y, ctx)[0]
 
 
-def mirror_oracle(room, y, max_order):
+def mirror_images(room, y, max_order):
     """Independent oracle: breadth-first mirroring across the six wall planes.
 
     Walls in the analysis frame sit at +-L/2 along each axis (origin at the
     room center, no offset).  A position reached at a lower reflection depth
     is never revisited, so degenerate paths (e.g. the same wall twice in a
-    row) don't produce duplicate images.
+    row) don't produce duplicate images.  Returns the images as a dict
+    {position rounded to 1e-9: (amplitude, order, exact position)}.
     """
     dims = np.asarray(room.dimensions)
     walls = []
@@ -35,7 +35,7 @@ def mirror_oracle(room, y, max_order):
         walls.append((axis, -dims[axis] / 2, room.wall_reflection[2 * axis]))
         walls.append((axis, +dims[axis] / 2, room.wall_reflection[2 * axis + 1]))
     start = tuple(np.round(np.asarray(y, float), 9))
-    found = {start: (1.0, 0)}
+    found = {start: (1.0, 0, np.asarray(y, float))}
     frontier = [(np.asarray(y, float), 1.0, 0)]
     for _ in range(max_order):
         new_frontier = []
@@ -45,10 +45,16 @@ def mirror_oracle(room, y, max_order):
                 mirrored[axis] = 2 * plane - mirrored[axis]
                 key = tuple(np.round(mirrored, 9))
                 if key not in found:
-                    found[key] = (amp * beta, order + 1)
+                    found[key] = (amp * beta, order + 1, mirrored)
                     new_frontier.append((mirrored, amp * beta, order + 1))
         frontier = new_frontier
-    return {(pos, amp, order) for pos, (amp, order) in found.items()}
+    return found
+
+
+def mirror_oracle(room, y, max_order):
+    """The mirrored images as a set of (rounded position, amplitude, order)."""
+    images = mirror_images(room, y, max_order)
+    return {(key, amp, order) for key, (amp, order, _) in images.items()}
 
 
 class TestRoomModel:
@@ -87,29 +93,35 @@ class TestRoomModel:
             room.check_inside(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]), "speaker")
 
 
+def lattice_images(room, y):
+    """(position, amplitude, order) of each image of a source at y."""
+    lattice = image_lattice(room)
+    return list(zip(lattice.positions(y), lattice.amplitude, lattice.order))
+
+
 class TestEnumerateImages:
+    """The image lattice, applied to one source at a time."""
+
     def test_order_zero_is_source_only(self):
-        images = enumerate_images(reference_room(), (0.5, -0.3, 0.2), 0)
+        images = lattice_images(reference_room(0), (0.5, -0.3, 0.2))
         assert len(images) == 1
-        assert images[0].amplitude == 1.0
-        assert images[0].order == 0
-        assert images[0].position == pytest.approx((0.5, -0.3, 0.2))
+        position, amplitude, order = images[0]
+        assert amplitude == 1.0 and order == 0
+        assert position == pytest.approx((0.5, -0.3, 0.2))
 
     def test_counts_up_to_order_two(self):
         y = (0.4, 0.7, -0.1)
-        assert len(enumerate_images(reference_room(), y, 1)) == 7
-        assert len(enumerate_images(reference_room(), y, 2)) == 25
+        assert len(lattice_images(reference_room(1), y)) == 7
+        assert len(lattice_images(reference_room(2), y)) == 25
 
     def test_first_order_x_minus_image(self):
         # mirroring across the x- wall at x = -3: x -> -6 - x, amplitude 0.9
         y = (0.4, 0.7, -0.1)
-        images = enumerate_images(reference_room(), y, 1)
         match = [
-            im for im in images
-            if im.order == 1 and im.position == pytest.approx((-6.4, 0.7, -0.1))
+            amplitude for position, amplitude, order in lattice_images(reference_room(1), y)
+            if order == 1 and position == pytest.approx((-6.4, 0.7, -0.1))
         ]
-        assert len(match) == 1
-        assert match[0].amplitude == pytest.approx(0.9)
+        assert match == [pytest.approx(0.9)]
 
     @pytest.mark.parametrize("max_order", [1, 2, 3, 4])
     def test_matches_brute_force_mirror_oracle(self, max_order):
@@ -117,20 +129,28 @@ class TestEnumerateImages:
         y = (0.8, -1.1, 0.3)
         expected = mirror_oracle(room, y, max_order)
         got = {
-            (tuple(np.round(im.position, 9)), round(im.amplitude, 12), im.order)
-            for im in enumerate_images(room, y, max_order)
+            (tuple(np.round(position, 9)), round(amplitude, 12), order)
+            for position, amplitude, order in lattice_images(room, y)
         }
         expected = {(p, round(a, 12), o) for p, a, o in expected}
         assert got == expected
 
     def test_deterministic_ordering(self):
-        images = enumerate_images(reference_room(), (0.4, 0.7, -0.1), 2)
-        keys = [(im.order, im.position) for im in images]
-        assert keys == sorted(keys)
+        # the true source first, then by order; the same rows on every call
+        first = image_lattice(reference_room())
+        second = image_lattice(reference_room())
+        assert first.order[0] == 0 and np.all(np.diff(first.order) >= 0)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
     def test_source_outside_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_images(reference_room(), (4.0, 0.0, 0.0), 2)
+        with pytest.raises(ConfigurationError, match="source at .* outside the room"):
+            oracle_at(reference_room(), (0.1, 0.2, 0.3), (4.0, 0.0, 0.0), WaveContext(500.0))
+
+    def test_one_outside_source_of_many_rejected(self):
+        sources = np.array([[0.5, 0.0, 0.0], [0.0, 2.6, 0.0], [0.0, 0.0, 0.2]])
+        with pytest.raises(ConfigurationError, match=r"source at .*2\.6.* outside"):
+            rtf_oracle_many(reference_room(), np.zeros(3), sources, WaveContext(500.0))
 
 
 class TestOracle:
@@ -177,15 +197,33 @@ class TestOracle:
         room = reference_room()
         ctx = WaveContext(900.0)
         x, y = np.array([0.1, 0.0, 0.0]), np.array([1.0, 1.0, 0.5])
-        images = enumerate_images(room, y, 2)
-        d_min = min(np.linalg.norm(x - np.asarray(im.position)) for im in images)
-        bound = sum(im.amplitude for im in images) / (4 * np.pi * d_min)
+        lattice = image_lattice(room)
+        d_min = np.linalg.norm(x - lattice.positions(y), axis=-1).min()
+        bound = lattice.amplitude.sum() / (4 * np.pi * d_min)
         assert abs(oracle_at(room, x, y, ctx)) <= bound
 
     def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="coincides"):
             oracle_at(reference_room(), (0.1, 0.1, 0.1), (0.1, 0.1, 0.1), WaveContext(500.0))
 
-    def test_image_source_fields(self):
-        im = ImageSource((1.0, 2.0, 3.0), 0.81, 2)
-        assert im.amplitude == 0.81 and im.order == 2
+    def test_receiver_on_an_image_rejected(self):
+        # (-6.4, 0.7, -0.1) is the x- image of (0.4, 0.7, -0.1); one pair of many
+        X = np.array([[0.0, 0.0, 0.0], [-6.4, 0.7, -0.1]])
+        with pytest.raises(ConfigurationError, match="coincides"):
+            rtf_oracle_many(reference_room(), X, np.array([0.4, 0.7, -0.1]), WaveContext(500.0))
+
+    def test_broadcast_matches_direct_image_sum(self):
+        # 4 receivers x 3 sources against a sum over the mirror oracle's images
+        room = reference_room()
+        ctx = WaveContext(800.0)
+        rng = np.random.default_rng(23)
+        X = rng.uniform(-1.0, 1.0, (4, 3))
+        Y = rng.uniform(-1.0, 1.0, (3, 3))
+        got = rtf_oracle_many(room, X[:, None], Y[None], ctx)
+        assert got.shape == (4, 3)
+        want = np.array([[
+            sum(amp * np.exp(1j * ctx.k * np.linalg.norm(x - pos))
+                / (4 * np.pi * np.linalg.norm(x - pos))
+                for amp, _, pos in mirror_images(room, y, room.max_image_order).values())
+            for y in Y] for x in X])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -109,6 +109,15 @@ class TestReconstruction:
         with pytest.raises(ConfigurationError, match=r"source radius 0\.6 .* radius 0\.4"):
             reconstruct_rtf_many(cset, [[0.1, 0, 0]], [[0, 0, 0.6]], 900.0)
 
+    def test_coincident_pair_rejected(self):
+        # -0.2 + 0.3 != 0.1 in floating point, yet both name one room point
+        overlap = RegionPair(0.4, 0.4, 0.3, (0.3, 0.3, 0.3))
+        cset = make_set([np.zeros((16, 16))], 3, 3, regions=overlap)
+        X = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.1]])
+        Y = np.array([[0.1, 0.0, 0.0], [-0.2, -0.2, -0.2]])
+        with pytest.raises(ConfigurationError, match="pair 1: .* same room point"):
+            reconstruct_rtf_many(cset, X, Y, 900.0)
+
     def test_vectorized_matches_scalar(self):
         # a batch equals the single-pair (1, 3) calls the CLI makes
         rng = np.random.default_rng(13)

@@ -95,6 +95,18 @@ class TestSolveWeights:
         assert np.array_equal(W, full[:, :16])
 
 
+    def test_cutoff_reaches_the_solve(self):
+        # a cutoff above sigma_min / sigma_max drops the weakest singular value
+        T = shell_at(300.0, order=5)
+        s = np.linalg.svd(T, compute_uv=False)
+        cutoff = 10 * s[-1] / s[0]
+        W, _ = synthesis.solve_all_weights(T, cutoff=cutoff)
+        want = np.linalg.lstsq(T, np.eye(T.shape[0]), rcond=cutoff)[0]
+        np.testing.assert_allclose(W, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        W_default, _ = synthesis.solve_all_weights(T)
+        assert np.abs(W - W_default).max() > 0.1 * np.abs(W_default).max()
+
+
 class TestConditionNumber:
     def test_identity_like(self):
         T = np.eye(1, dtype=complex)
