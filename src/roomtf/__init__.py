@@ -4,7 +4,6 @@ from .errors import (
     BesselZeroError,
     ConfigurationError,
     DigestMismatchError,
-    NumericalError,
 )
 from .geometry import RegionPair, SphericalCoord, to_cartesian, to_spherical
 from .modal import (
@@ -23,7 +22,6 @@ __all__ = [
     "BesselZeroError",
     "ConfigurationError",
     "DigestMismatchError",
-    "NumericalError",
     "RegionPair",
     "SphericalCoord",
     "to_cartesian",

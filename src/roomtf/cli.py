@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import fileio, pipeline, rtf
-from .errors import BesselZeroError, ConfigurationError, NumericalError
+from .errors import BesselZeroError, ConfigurationError
 from .room import rtf_oracle_many
 
 
@@ -41,7 +41,7 @@ def _default_out(cfg, name):
 
 def cmd_measure(args) -> int:
     cfg = _load_config(args)
-    mt = pipeline.run_measure(cfg, threads=args.threads)
+    mt = pipeline.run_measure(cfg)
     out = args.out or _default_out(cfg, "measurements.rtfm")
     fileio.save_measurement_tensor(out, mt)
     print(f"wrote {out}: {mt.num_units} units x {mt.num_speakers} speakers x "
@@ -53,7 +53,7 @@ def cmd_extract(args) -> int:
     cfg = _load_config(args)
     mpath = args.measurements or _default_out(cfg, "measurements.rtfm")
     mt = fileio.load_measurement_tensor(mpath)
-    cset = pipeline.run_extract(cfg, mt, threads=args.threads)
+    cset = pipeline.run_extract(cfg, mt)
     out = args.out or _default_out(cfg, "coefficients.rtfc")
     fileio.save_coefficient_set(out, cset)
     print(f"wrote {out}: {len(cset.frequencies)} frequency blocks")
@@ -70,6 +70,8 @@ def cmd_reconstruct(args) -> int:
     if args.with_oracle:
         cfg = _load_config(args)
         exp = pipeline.validate_config(cfg)
+        # the oracle takes its geometry from the config, the estimate from the file
+        fileio.check_digests(exp.digests, cset.digests)
         exp.room.check_inside(receiver[None, :], "receiver")
         y_room = source + np.asarray(cfg.regions.offset)
         truth = rtf_oracle_many(exp.room, receiver[None, :], y_room, exp.context(f))[0]
@@ -91,9 +93,9 @@ def cmd_sweep(args) -> int:
             mt = fileio.load_measurement_tensor(mpath)
             pipeline.check_artifact(exp, mt, mpath)
         else:
-            mt = pipeline.run_measure(cfg, threads=args.threads)
+            mt = pipeline.run_measure(cfg)
             fileio.save_measurement_tensor(mpath, mt)
-        cset = pipeline.run_extract(cfg, mt, threads=args.threads)
+        cset = pipeline.run_extract(cfg, mt)
         fileio.save_coefficient_set(cpath, cset)
     errors = pipeline.sweep_errors(cfg, cset)
     out = args.out or _default_out(cfg, "sweep.csv")
@@ -130,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config (YAML)")
         p.add_argument("--out", help="output path")
         p.add_argument("--seed", type=int, help="override the config's array seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for frequency bins")
         if probe:
             p.add_argument("--probe-preset", help="probe layout preset (paper-fig5)")
 
@@ -177,8 +177,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BesselZeroError, NumericalError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (BesselZeroError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

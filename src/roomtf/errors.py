@@ -11,7 +11,3 @@ class DigestMismatchError(ConfigurationError):
 
 class BesselZeroError(ArithmeticError):
     """An unmasked local mode sits on (or too close to) a Bessel zero."""
-
-
-class NumericalError(ArithmeticError):
-    """A solver failed in a way that invalidates downstream results."""

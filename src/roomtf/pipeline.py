@@ -21,7 +21,6 @@ import math
 import os
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -288,33 +287,17 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
     return exp
 
 
-def run_measure(cfg: ExperimentConfig, frequencies=None, threads: int = 1) -> MeasurementTensor:
+def run_measure(cfg: ExperimentConfig, frequencies=None) -> MeasurementTensor:
     """Simulate the raw measurement tensor over the config's frequency grid."""
     exp = validate_config(cfg)
     if frequencies is None:
         frequencies = cfg.signal.frequencies
-    frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    subtract = cfg.solver.direct_removal == "measurement"
-
-    def one(f):
-        return recording.simulate_raw_measurements(
-            exp.room, exp.speakers_room, exp.mics, [f],
-            sound_speed=cfg.signal.sound_speed,
-            subtract_direct_pressure=subtract,
-        )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, frequencies))
-    else:
-        parts = [one(f) for f in frequencies]
-    mt = MeasurementTensor(
-        frequencies=frequencies,
-        gamma_tilde=np.concatenate([p.gamma_tilde for p in parts], axis=0),
-        mic_order=cfg.arrays.mic_order,
-        mask_orders=np.concatenate([p.mask_orders for p in parts]),
-        digests={key: exp.digests[key] for key in ("geometry", "direct_removal")},
+    mt = recording.simulate_raw_measurements(
+        exp.room, exp.speakers_room, exp.mics, frequencies,
+        sound_speed=cfg.signal.sound_speed,
+        subtract_direct_pressure=cfg.solver.direct_removal == "measurement",
     )
-    return mt
+    return replace(mt, digests={key: exp.digests[key] for key in ("geometry", "direct_removal")})
 
 
 def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
@@ -353,19 +336,11 @@ def check_artifact(exp: Experiment, artifact, path) -> None:
         raise DigestMismatchError(f"stale artifact {path}: {exc}; remove it to recompute") from None
 
 
-def run_extract(cfg: ExperimentConfig, mt: MeasurementTensor,
-                threads: int = 1) -> RtfCoefficientSet:
+def run_extract(cfg: ExperimentConfig, mt: MeasurementTensor) -> RtfCoefficientSet:
     """Extract the alpha tensor for every frequency in the measurement tensor."""
     exp = validate_config(cfg)
     fileio.check_digests(exp.digests, mt.digests)
-
-    def one(f):
-        return extract_frequency(exp, mt, f)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, mt.frequencies))
-    else:
-        results = [one(f) for f in mt.frequencies]
+    results = [extract_frequency(exp, mt, f) for f in mt.frequencies]
     return RtfCoefficientSet(
         frequencies=mt.frequencies,
         alpha=tuple(r[0] for r in results),

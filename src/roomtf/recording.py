@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import spherical_jn
 
 from . import specfun
 from .errors import BesselZeroError, ConfigurationError
@@ -29,8 +30,8 @@ from .geometry import (
     positions_to_cartesian,
     sphere_array,
 )
-from .modal import COINCIDENT_DISTANCE, WaveContext, truncation_order
-from .room import RoomModel, rtf_oracle_many
+from .modal import WaveContext, truncation_order
+from .room import RoomModel, rtf_oracle_grid
 
 BESSEL_ZERO_THRESHOLD = 1e-8
 
@@ -167,17 +168,25 @@ def default_mask_order(spec: HoMicSpec, ctx: WaveContext) -> int:
 
 def _check_bessel_zeros(spec: HoMicSpec, ctx: WaveContext, mask_order: int) -> None:
     kr = ctx.k * spec.local_radius
-    for a in range(mask_order + 1):
-        if abs(specfun.spherical_bessel_j(a, kr)) < BESSEL_ZERO_THRESHOLD:
-            raise BesselZeroError(
-                f"local mode a = {a} sits on a Bessel zero at f = "
-                f"{ctx.frequency} Hz (|j_a(kr)| < {BESSEL_ZERO_THRESHOLD}); "
-                "mask it or move the frequency"
-            )
+    zeros = np.flatnonzero(np.abs(spherical_jn(np.arange(mask_order + 1), kr))
+                           < BESSEL_ZERO_THRESHOLD)
+    if zeros.size:
+        raise BesselZeroError(
+            f"local mode a = {zeros[0]} sits on a Bessel zero at f = "
+            f"{ctx.frequency} Hz (|j_a(kr)| < {BESSEL_ZERO_THRESHOLD}); "
+            "mask it or move the frequency"
+        )
 
 
-def local_encoding_matrix(spec: HoMicSpec, offsets, ctx: WaveContext) -> np.ndarray:
-    """Pseudoinverse fit matrix mapping Q' pressures -> local coefficients."""
+def local_encoding_matrix(spec: HoMicSpec, offsets, ctx: WaveContext,
+                          mask_order: int) -> np.ndarray:
+    """((A+1)^2, Q') map from omni pressures to local coefficients.
+
+    The pseudoinverse of the order-``fit_order`` fit, truncated to order A.
+    Rows above ``mask_order`` are zero, so their coefficients come out exactly
+    zero; a kept order on a Bessel zero raises BesselZeroError.
+    """
+    _check_bessel_zeros(spec, ctx, mask_order)
     fit_order = spec.effective_fit_order
     r = np.array([o.radius for o in offsets])
     theta = np.array([o.theta for o in offsets])
@@ -186,21 +195,18 @@ def local_encoding_matrix(spec: HoMicSpec, offsets, ctx: WaveContext) -> np.ndar
         specfun.bessel_j_matrix(fit_order, ctx.k * r)
         * specfun.harmonic_matrix(fit_order, theta, phi)
     ).T  # (Q', (fit_order+1)^2)
-    return np.linalg.pinv(model)
+    enc = np.linalg.pinv(model)[: specfun.mode_count(spec.order)]
+    enc[specfun.harmonic_orders(spec.order) > mask_order] = 0.0
+    return enc
 
 
 def encode_pressures(mics: MicArray, pressures: np.ndarray, ctx: WaveContext,
                      mask_order: int | None = None) -> np.ndarray:
-    """Encode omni pressures (Q, Q', ...) into local coefficients (Q, (A+1)^2, ...)."""
-    spec = mics.spec
+    """Encode omni pressures (Q, Q', ...) into local coefficients (Q, ..., (A+1)^2)."""
     if mask_order is None:
-        mask_order = default_mask_order(spec, ctx)
-    _check_bessel_zeros(spec, ctx, mask_order)
-    enc = local_encoding_matrix(spec, mics.local_offsets, ctx)
-    gamma = np.einsum("cq,Qq...->Qc...", enc, pressures)
-    gamma = gamma[:, : specfun.mode_count(spec.order)]
-    gamma[:, specfun.harmonic_orders(spec.order) > mask_order] = 0.0
-    return np.moveaxis(gamma, 1, -1)  # (Q, ..., (A+1)^2), sensor-mode last
+        mask_order = default_mask_order(mics.spec, ctx)
+    enc = local_encoding_matrix(mics.spec, mics.local_offsets, ctx, mask_order)
+    return np.tensordot(pressures, enc, axes=([1], [1]))  # sensor-mode last
 
 
 def simulate_raw_measurements(
@@ -214,41 +220,40 @@ def simulate_raw_measurements(
     """Record the room response from every loudspeaker at every mic unit.
 
     ``speakers`` is an (L, 3) Cartesian array in room (analysis-frame)
-    coordinates.  With ``subtract_direct_pressure`` the exact free-space direct
-    field is removed from the raw omni pressures before encoding, so the tensor
-    holds reverberant-only coefficients; this is the robust path when
-    loudspeakers come close to a microphone's local surface.
+    coordinates.  The whole frequency grid is simulated in one pass, one mic
+    unit at a time: ``rtf_oracle_grid`` gives the unit's (F, Q', L) omni
+    pressures, which per-bin encoders built once turn into its slice of
+    gamma-tilde.  With ``subtract_direct_pressure`` the free-space direct
+    field (the true-source term of the image sum) is left out of the raw
+    omni pressures, so the tensor holds reverberant-only coefficients; this
+    is the robust path when loudspeakers come close to a microphone's local
+    surface.
     """
     speakers = np.asarray(speakers, dtype=float)
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    ctxs = [WaveContext(f, sound_speed) for f in frequencies]
     omnis = mics.omni_positions()
-    Q, Qp, _ = omnis.shape
-    L = speakers.shape[0]
-    flat_omnis = omnis.reshape(-1, 3)
-    room.check_inside(flat_omnis, "microphone sensor")
-    dist = np.linalg.norm(flat_omnis[:, None, :] - speakers[None, :, :], axis=-1)
-    if np.any(dist < COINCIDENT_DISTANCE):
-        raise ConfigurationError("a loudspeaker coincides with a microphone sensor")
-
-    blocks = []
-    out_masks = []
-    for f in frequencies:
-        ctx = WaveContext(f, sound_speed)
-        pressures = rtf_oracle_many(
-            room, flat_omnis[:, None], speakers[None], ctx
-        ).reshape(Q, Qp, L)
-        if subtract_direct_pressure:
-            pressures = pressures - (
-                np.exp(1j * ctx.k * dist) / (4.0 * math.pi * dist)
-            ).reshape(Q, Qp, L)
-        mask = default_mask_order(mics.spec, ctx)
-        blocks.append(encode_pressures(mics, pressures, ctx, mask))
-        out_masks.append(mask)
+    Q, L = omnis.shape[0], speakers.shape[0]
+    room.check_inside(omnis.reshape(-1, 3), "microphone sensor")
+    masks = np.array([default_mask_order(mics.spec, ctx) for ctx in ctxs], dtype=int)
+    encoders = np.stack([  # (F, (A+1)^2, Q'), Bessel zeros checked before any oracle work
+        local_encoding_matrix(mics.spec, mics.local_offsets, ctx, mask)
+        for ctx, mask in zip(ctxs, masks)
+    ])
+    ks = np.array([ctx.k for ctx in ctxs])
+    gamma_tilde = np.empty((frequencies.size, Q, L, encoders.shape[1]), dtype=complex)
+    for q in range(Q):
+        # (F, Q', L); the oracle rejects a loudspeaker on a sensor of the unit
+        pressures = rtf_oracle_grid(
+            room, omnis[q][:, None], speakers[None], ks,
+            skip_direct=subtract_direct_pressure,
+        )
+        gamma_tilde[:, q] = np.matmul(encoders, pressures).transpose(0, 2, 1)
     return MeasurementTensor(
         frequencies=frequencies,
-        gamma_tilde=np.stack(blocks, axis=0),
+        gamma_tilde=gamma_tilde,
         mic_order=mics.spec.order,
-        mask_orders=np.array(out_masks),
+        mask_orders=masks,
     )
 
 
@@ -260,7 +265,7 @@ def compose_all_modes(mt: MeasurementTensor, f_index: int,
         raise ConfigurationError(
             f"weight matrix rows {W.shape[0]} do not match L = {mt.num_speakers}"
         )
-    return np.einsum("Qlc,lm->Qcm", mt.gamma_tilde[f_index], W)
+    return np.matmul(mt.gamma_tilde[f_index].transpose(0, 2, 1), W)
 
 
 def direct_coefficients_per_speaker(speakers: np.ndarray, mics: MicArray,
@@ -287,4 +292,4 @@ def direct_component_all(speakers: np.ndarray, weight_matrix: np.ndarray,
                          mics: MicArray, ctx: WaveContext) -> np.ndarray:
     """Direct-field recordings for every composed mode: (Q, C, M)."""
     per_speaker = direct_coefficients_per_speaker(speakers, mics, ctx)
-    return np.einsum("Qcl,lm->Qcm", per_speaker, np.asarray(weight_matrix, dtype=complex))
+    return np.matmul(per_speaker, np.asarray(weight_matrix, dtype=complex))

@@ -62,7 +62,7 @@ class RoomModel:
         if outside.any():
             pt = points[np.argmax(outside)]
             raise ConfigurationError(
-                f"{what} at {tuple(np.round(pt, 6))} lies outside the room"
+                f"{what} at {tuple(np.round(pt, 6).tolist())} lies outside the room"
             )
 
 
@@ -136,4 +136,64 @@ def rtf_oracle_many(room: RoomModel, X, Y, ctx: WaveContext) -> np.ndarray:
                 "receiver coincides with the source or one of its images"
             )
         total += amp * np.exp(1j * k * d) / (4.0 * math.pi * d)
+    return total
+
+
+# bins between exact exp() anchors of the phase recurrence in rtf_oracle_grid
+REANCHOR_INTERVAL = 16
+
+
+def _uniform_step(ks) -> float | None:
+    """The spacing of a uniform wavenumber grid, or None if it has no one spacing.
+
+    Uniform means every k_j sits within a few ulps of k_0 + j dk, so that the
+    recurrence's phase error dk-mismatch x distance stays near rounding.
+    """
+    ks = np.asarray(ks, dtype=float)
+    if ks.size < 2:
+        return None
+    dk = (ks[-1] - ks[0]) / (ks.size - 1)
+    drift = np.abs(ks - (ks[0] + dk * np.arange(ks.size)))
+    return float(dk) if drift.max() <= 8 * np.finfo(float).eps * np.abs(ks).max() else None
+
+
+def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.ndarray:
+    """``rtf_oracle_many`` over a wavenumber grid ks (F,): responses (F, ...).
+
+    The distance d, the weight amp / 4 pi d and, on a uniform grid, the step
+    e^{i dk d} are computed once per image; the phase then runs
+    e^{i k_{j+1} d} = e^{i k_j d} e^{i dk d} across the grid, re-anchored with
+    one exact exp() every REANCHOR_INTERVAL bins.  A grid that is not uniform
+    takes one exact exp() per bin.  ``skip_direct`` leaves out the true-source
+    row, which is the reverberant part alone; the coincidence check still
+    covers it.  No temporary holds more than one image's worth of pairs.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    ks = np.atleast_1d(np.asarray(ks, dtype=float))
+    room.check_inside(Y.reshape(-1, 3), "source")
+    lattice = image_lattice(room)
+    dk = _uniform_step(ks)
+    anchor_every = 1 if dk is None else REANCHOR_INTERVAL
+    total = np.zeros((ks.size,) + np.broadcast_shapes(X.shape, Y.shape)[:-1], dtype=complex)
+    for image, amp, order in zip(lattice.positions(Y), lattice.amplitude, lattice.order):
+        d = (X[..., 0] - image[..., 0]) ** 2
+        d += (X[..., 1] - image[..., 1]) ** 2
+        d += (X[..., 2] - image[..., 2]) ** 2
+        d = np.sqrt(d)
+        if np.any(d < COINCIDENT_DISTANCE):
+            raise ConfigurationError(
+                "receiver coincides with the source or one of its images"
+            )
+        if skip_direct and order == 0:
+            continue
+        weight = amp / (4.0 * math.pi * d)
+        if dk is not None:
+            step = np.exp(1j * dk * d)
+        for j, k in enumerate(ks):
+            if j % anchor_every == 0:
+                phase = weight * np.exp(1j * k * d)
+            else:
+                phase *= step
+            total[j] += phase
     return total

@@ -184,15 +184,6 @@ class TestMeasureDeterminism:
         assert np.array_equal(a.gamma_tilde, b.gamma_tilde)
         assert a.digests == b.digests
 
-    def test_threads_match_serial(self):
-        cfg = replace(
-            fast_config(),
-            signal=SignalConfig(f_max=500.0, frequencies=(300.0, 400.0)),
-        )
-        serial = run_measure(cfg, threads=1)
-        parallel = run_measure(cfg, threads=2)
-        assert np.array_equal(serial.gamma_tilde, parallel.gamma_tilde)
-
     def test_bessel_zero_frequency_raises(self):
         # k r_mic = pi puts j_0 at a zero of the local encoder
         from roomtf.recording import mic_radius
@@ -307,6 +298,22 @@ class TestCliRouting:
                                 source + np.asarray(cfg.regions.offset), exp.context(400.0))[0]
         assert printed_value(out, "reconstructed H") == pytest.approx(estimate, rel=1e-12)
         assert printed_value(out, "oracle") == pytest.approx(truth, rel=1e-12)
+
+    def test_oracle_rejects_coefficients_of_another_geometry(self, tmp_path, capsys):
+        path = write_yaml(tmp_path, FAST_YAML)
+        mfile, cfile = str(tmp_path / "m.rtfm"), str(tmp_path / "c.rtfc")
+        for argv in (["measure", "--out", mfile],
+                     ["extract", "--measurements", mfile, "--out", cfile]):
+            assert cli.main(argv + ["--config", path, "--seed", "777"]) == 0
+        query = ["reconstruct", "--coeffs", cfile, "-f", "400", "--config", path,
+                 "--receiver", "0.1,0.0,0.05", "--source", "0.05,0.1,0.0", "--with-oracle"]
+        capsys.readouterr()
+        assert cli.main(query) == 2
+        captured = capsys.readouterr()
+        assert "digest mismatch for 'geometry'" in captured.err
+        assert "oracle" not in captured.out and "deviation" not in captured.out
+        assert cli.main(query + ["--seed", "777"]) == 0  # the file's own geometry
+        assert "oracle" in capsys.readouterr().out
 
     def test_out_of_region_point_exits_2(self, fast_artifacts, capsys):
         _, cfile = fast_artifacts

@@ -19,7 +19,7 @@ from roomtf.recording import (
     mic_radius,
     simulate_raw_measurements,
 )
-from roomtf.room import RoomModel
+from roomtf.room import RoomModel, rtf_oracle_many
 
 REFERENCE_DIMS = (6.0, 5.0, 2.5)
 
@@ -119,6 +119,15 @@ class TestLocalEncoding:
                              mask_order=0)
 
 
+    def test_higher_order_bessel_zero_named(self):
+        spec = reference_mic_spec()
+        mics = make_mic_array(1, 0.2, spec)
+        f = 4.493409457909064 * 343.0 / (2 * math.pi * spec.local_radius)  # first zero of j_1
+        with pytest.raises(BesselZeroError, match="a = 1 sits on a Bessel zero"):
+            encode_pressures(mics, np.ones((1, spec.omni_count)), WaveContext(f),
+                             mask_order=2)
+
+
 class TestSimulatedMeasurements:
     def test_free_field_matches_analytic_incident_coeffs(self):
         room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 2)
@@ -164,6 +173,68 @@ class TestSimulatedMeasurements:
             mt.frequency_index(555.0)
 
 
+def per_bin_measurements(room, speakers, mics, frequencies, subtract_direct):
+    """The grid simulator's oracle: per bin, rtf_oracle_many pressures minus the
+    explicit direct field if asked, encoded by encode_pressures: (F, Q, L, C)."""
+    omnis = mics.omni_positions()
+    d = np.linalg.norm(omnis[:, :, None, :] - speakers, axis=-1)
+    blocks = []
+    for f in frequencies:
+        ctx = WaveContext(f)
+        p = rtf_oracle_many(room, omnis[:, :, None, :], speakers, ctx)
+        if subtract_direct:
+            p = p - np.exp(1j * ctx.k * d) / (4 * np.pi * d)
+        blocks.append(encode_pressures(mics, p, ctx))
+    return np.stack(blocks)
+
+
+class TestGridSimulation:
+    """simulate_raw_measurements over a whole grid against the per-bin path."""
+
+    SPEAKERS = np.array([[1.0, 1.0, 0.5], [0.9, 1.3, 0.2], [-0.7, 0.4, 0.6]])
+
+    def geometry(self):
+        room = RoomModel(REFERENCE_DIMS, (0.9, 0.9, 0.9, 0.9, 0.7, 0.7), 2)
+        return room, make_mic_array(2, 0.26, reference_mic_spec(omnis=16, fit=3))
+
+    def check(self, frequencies, subtract_direct):
+        room, mics = self.geometry()
+        mt = simulate_raw_measurements(room, self.SPEAKERS, mics, frequencies,
+                                       subtract_direct_pressure=subtract_direct)
+        want = per_bin_measurements(room, self.SPEAKERS, mics, frequencies, subtract_direct)
+        assert mt.gamma_tilde.shape == want.shape == (len(frequencies), 2, 3, 16)
+        for got_f, want_f in zip(mt.gamma_tilde, want):
+            assert np.max(np.abs(got_f - want_f)) <= 1e-12 * np.max(np.abs(want_f))
+
+    @pytest.mark.parametrize("subtract_direct", [False, True])
+    def test_uniform_grid_matches_per_bin(self, subtract_direct):
+        self.check(200.0 + 40.0 * np.arange(24), subtract_direct)  # crosses a re-anchor
+
+    def test_non_uniform_grid_matches_per_bin(self):
+        self.check(np.array([250.0, 410.0, 415.0, 800.0, 1210.0]), False)
+
+    def test_single_bin_matches_per_bin(self):
+        self.check(np.array([900.0]), True)
+
+    @pytest.mark.parametrize("subtract_direct", [False, True])
+    def test_speaker_on_sensor_rejected(self, subtract_direct):
+        room, mics = self.geometry()
+        speakers = np.vstack([self.SPEAKERS, mics.omni_positions()[1, 5]])
+        with pytest.raises(ConfigurationError, match="coincides"):
+            simulate_raw_measurements(room, speakers, mics, [300.0, 400.0],
+                                      subtract_direct_pressure=subtract_direct)
+
+    def test_bessel_zero_raised_before_oracle_work(self, monkeypatch):
+        room, mics = self.geometry()
+        calls = []
+        monkeypatch.setattr(recording, "rtf_oracle_grid",
+                            lambda *args, **kwargs: calls.append(args))
+        f_zero = 343.0 / (2 * mics.spec.local_radius)  # k r = pi, a zero of j_0
+        with pytest.raises(BesselZeroError, match="a = 0"):
+            simulate_raw_measurements(room, self.SPEAKERS, mics, [400.0, f_zero])
+        assert calls == []
+
+
 class TestComposition:
     def _tensor(self):
         rng = np.random.default_rng(12)
@@ -203,6 +274,13 @@ class TestComposition:
             single = sum(W[l, m] * mt.gamma_tilde[0, :, l, :] for l in range(5))
             assert np.allclose(batch[:, :, m], single, atol=1e-12)
 
+    def test_matches_einsum_oracle(self):
+        mt = self._tensor()
+        rng = np.random.default_rng(3)
+        W = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        want = np.einsum("Qlc,lm->Qcm", mt.gamma_tilde[0], W)
+        np.testing.assert_allclose(compose_all_modes(mt, 0, W), want, rtol=1e-12, atol=0)
+
     def test_dimension_mismatch(self):
         mt = self._tensor()
         with pytest.raises(ConfigurationError):
@@ -229,6 +307,16 @@ class TestDirectComponent:
         base = direct_component_all(speakers, w, mics, ctx)
         scaled = direct_component_all(speakers, 3.0 * w, mics, ctx)
         assert np.allclose(scaled, 3.0 * base, atol=1e-12)
+
+    def test_matches_einsum_oracle(self):
+        mics = make_mic_array(3, 0.25, reference_mic_spec())
+        speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4], [-0.9, 0.3, 0.7]])
+        ctx = WaveContext(650.0)
+        rng = np.random.default_rng(4)
+        W = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        want = np.einsum("Qcl,lm->Qcm", direct_coefficients_per_speaker(speakers, mics, ctx), W)
+        np.testing.assert_allclose(direct_component_all(speakers, W, mics, ctx), want,
+                                   rtol=1e-12, atol=0)
 
     def test_coincident_speaker_and_center_rejected(self):
         spec = reference_mic_spec()

@@ -5,7 +5,13 @@ import pytest
 
 from roomtf.errors import ConfigurationError
 from roomtf.modal import WaveContext, direct_field
-from roomtf.room import RoomModel, image_lattice, rtf_oracle_many
+from roomtf.room import (
+    REANCHOR_INTERVAL,
+    RoomModel,
+    image_lattice,
+    rtf_oracle_grid,
+    rtf_oracle_many,
+)
 
 REFERENCE_DIMS = (6.0, 5.0, 2.5)
 PAPER_REFL = (0.9, 0.9, 0.9, 0.9, 0.7, 0.7)
@@ -82,7 +88,7 @@ class TestRoomModel:
         first_out = next(p for p in pts if not room.contains(p))
         with pytest.raises(ConfigurationError, match="probe at .* outside the room") as info:
             room.check_inside(pts, "probe")
-        assert str(tuple(np.round(first_out, 6))) in str(info.value)
+        assert str(tuple(np.round(first_out, 6).tolist())) in str(info.value)
         inside = np.array([p for p in pts if room.contains(p)])
         room.check_inside(inside, "probe")
 
@@ -227,3 +233,71 @@ class TestOracle:
                 for amp, _, pos in mirror_images(room, y, room.max_image_order).values())
             for y in Y] for x in X])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def wavenumbers(frequencies):
+    return np.array([WaveContext(f).k for f in frequencies])
+
+
+def per_bin(room, X, Y, frequencies):
+    """The grid path's oracle: one rtf_oracle_many call per bin, stacked (F, ...)."""
+    return np.stack([rtf_oracle_many(room, X, Y, WaveContext(f)) for f in frequencies])
+
+
+def assert_bins_close(got, want, rtol):
+    """Per bin, the largest deviation relative to the bin's largest response."""
+    assert got.shape == want.shape
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
+
+
+class TestOracleGrid:
+    """rtf_oracle_grid (phase recurrence over bins) against per-bin rtf_oracle_many."""
+
+    def pairs(self, seed=31):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1.0, 1.0, (6, 1, 3)), rng.uniform(-1.0, 1.0, (1, 5, 3))
+
+    def test_uniform_grid_across_reanchors(self):
+        room = reference_room()
+        X, Y = self.pairs()
+        freqs = 150.0 + 37.5 * np.arange(2 * REANCHOR_INTERVAL + 9)  # 41 bins, 3 anchors
+        got = rtf_oracle_grid(room, X, Y, wavenumbers(freqs))
+        assert got.shape == (freqs.size, 6, 5)
+        assert_bins_close(got, per_bin(room, X, Y, freqs), 1e-12)
+
+    def test_non_uniform_grid(self):
+        room = reference_room()
+        X, Y = self.pairs(32)
+        freqs = np.array([210.0, 330.0, 345.0, 900.0, 1333.3, 1700.0])
+        assert_bins_close(rtf_oracle_grid(room, X, Y, wavenumbers(freqs)),
+                          per_bin(room, X, Y, freqs), 1e-12)
+
+    def test_single_bin(self):
+        room = reference_room()
+        X, Y = self.pairs(33)
+        assert_bins_close(rtf_oracle_grid(room, X, Y, wavenumbers([640.0])),
+                          per_bin(room, X, Y, [640.0]), 1e-12)
+
+    def test_skip_direct_is_the_reverberant_part(self):
+        room = reference_room()
+        X, Y = self.pairs(34)
+        freqs = 300.0 + 50.0 * np.arange(20)
+        d = np.linalg.norm(X - Y, axis=-1)
+        direct = np.exp(1j * wavenumbers(freqs)[:, None, None] * d) / (4 * np.pi * d)
+        want = per_bin(room, X, Y, freqs) - direct
+        got = rtf_oracle_grid(room, X, Y, wavenumbers(freqs), skip_direct=True)
+        assert_bins_close(got, want, 1e-12)
+
+    def test_source_outside_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"source at .*2\.6.* outside"):
+            rtf_oracle_grid(reference_room(), np.zeros(3), np.array([0.0, 2.6, 0.0]),
+                            wavenumbers([300.0, 400.0]))
+
+    @pytest.mark.parametrize("skip_direct", [False, True])
+    def test_receiver_on_source_or_image_rejected(self, skip_direct):
+        y = np.array([0.4, 0.7, -0.1])
+        for x in (y, np.array([-6.4, 0.7, -0.1])):  # the source, then its x- image
+            with pytest.raises(ConfigurationError, match="coincides"):
+                rtf_oracle_grid(reference_room(), np.array([[0.0, 0.0, 0.0], x]), y,
+                                wavenumbers([300.0, 400.0]), skip_direct=skip_direct)
