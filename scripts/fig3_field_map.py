@@ -16,7 +16,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from roomtf import pipeline, rtf  # noqa: E402
-from roomtf.room import rtf_oracle_many  # noqa: E402
+from roomtf.room import rtf_oracle_grid  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_CONFIG = os.path.join(HERE, "..", "configs", "fig3_nonoverlap.yaml")
@@ -46,9 +46,10 @@ def main():
     est = rtf.reconstruct_rtf_many(
         cset, receivers, np.broadcast_to(y_s, receivers.shape), args.frequency
     )
-    truth = rtf_oracle_many(
-        exp.room, receivers, y_s + np.asarray(cfg.regions.offset), exp.context(args.frequency)
-    )
+    truth = rtf_oracle_grid(
+        exp.room, receivers, y_s + np.asarray(cfg.regions.offset),
+        [exp.context(args.frequency).k],
+    )[0]
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "field_map.csv")

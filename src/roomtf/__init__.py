@@ -6,17 +6,11 @@ from .errors import (
     DigestMismatchError,
 )
 from .geometry import RegionPair, SphericalCoord, to_cartesian, to_spherical
-from .modal import (
-    CoefficientVector,
-    WaveContext,
-    active_order,
-    direct_field,
-    truncation_order,
-)
+from .modal import WaveContext, truncation_order
 from .recording import HoMicSpec, MeasurementTensor, MicArray, mic_radius
 from .room import ImageLattice, RoomModel, image_lattice
 from .rtf import RtfCoefficientSet, relative_error
-from .specfun import HarmonicIndex, wigner_3j
+from .specfun import wigner_3j
 
 __all__ = [
     "BesselZeroError",
@@ -26,10 +20,7 @@ __all__ = [
     "SphericalCoord",
     "to_cartesian",
     "to_spherical",
-    "CoefficientVector",
     "WaveContext",
-    "active_order",
-    "direct_field",
     "truncation_order",
     "HoMicSpec",
     "MeasurementTensor",
@@ -40,7 +31,6 @@ __all__ = [
     "image_lattice",
     "RtfCoefficientSet",
     "relative_error",
-    "HarmonicIndex",
     "wigner_3j",
 ]
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import fileio, pipeline, rtf
 from .errors import BesselZeroError, ConfigurationError
-from .room import rtf_oracle_many
+from .room import rtf_oracle_grid
+from .rtf import RtfCoefficientSet
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -71,10 +72,10 @@ def cmd_reconstruct(args) -> int:
         cfg = _load_config(args)
         exp = pipeline.validate_config(cfg)
         # the oracle takes its geometry from the config, the estimate from the file
-        fileio.check_digests(exp.digests, cset.digests)
+        fileio.check_digests(exp.digests[RtfCoefficientSet], cset.digests)
         exp.room.check_inside(receiver[None, :], "receiver")
         y_room = source + np.asarray(cfg.regions.offset)
-        truth = rtf_oracle_many(exp.room, receiver[None, :], y_room, exp.context(f))[0]
+        truth = rtf_oracle_grid(exp.room, receiver, y_room, [exp.context(f).k])[0]
         print(f"oracle        H = {truth.real:.17g} {truth.imag:+.17g}j")
         print(f"deviation |dH|/|H| = {abs(truth - value) / abs(truth):.6g}")
     return 0

@@ -20,7 +20,7 @@ from .errors import ConfigurationError, DigestMismatchError
 from .geometry import RegionPair
 from .recording import MeasurementTensor
 from .rtf import RtfCoefficientSet
-from .specfun import harmonic_indices
+from .specfun import harmonic_orders
 
 MEASUREMENT_MAGIC = b"RTFMEAS1\n"
 COEFFICIENT_MAGIC = b"RTFCOEF1\n"
@@ -126,9 +126,8 @@ def save_coefficient_set(path, cset: RtfCoefficientSet) -> None:
         "source_orders": cset.source_orders.tolist(),
         "receiver_orders": cset.receiver_orders.tolist(),
         "digests": cset.digests,
+        "regions": asdict(cset.regions),
     }
-    if cset.regions is not None:
-        header["regions"] = asdict(cset.regions)
     payload = np.concatenate([a.ravel() for a in cset.alpha])
     with open(path, "wb") as fh:
         _write_block(fh, COEFFICIENT_MAGIC, header, payload)
@@ -137,8 +136,8 @@ def save_coefficient_set(path, cset: RtfCoefficientSet) -> None:
 def load_coefficient_set(path) -> RtfCoefficientSet:
     with open(path, "rb") as fh:
         header, raw = _read_block(fh, COEFFICIENT_MAGIC)
-    freqs, source_orders, receiver_orders, sound_speed = _fields(header, (
-        "frequencies", "source_orders", "receiver_orders", "sound_speed"
+    freqs, source_orders, receiver_orders, sound_speed, regions = _fields(header, (
+        "frequencies", "source_orders", "receiver_orders", "sound_speed", "regions"
     ), "header")
     orders = list(zip(source_orders, receiver_orders))
     payload = _payload(raw, sum((ns + 1) ** 2 * (nr + 1) ** 2 for ns, nr in orders))
@@ -148,46 +147,53 @@ def load_coefficient_set(path) -> RtfCoefficientSet:
         size = (ns + 1) ** 2 * (nr + 1) ** 2
         blocks.append(payload[pos:pos + size].reshape((ns + 1) ** 2, (nr + 1) ** 2))
         pos += size
-    regions = None
-    if "regions" in header:
-        *radii, offset = _fields(header["regions"], (
-            "receiver_radius", "source_radius", "source_inner_radius", "offset"
-        ), "regions header")
-        regions = RegionPair(*radii, tuple(offset))
+    *radii, offset = _fields(regions, (
+        "receiver_radius", "source_radius", "source_inner_radius", "offset"
+    ), "regions header")
     return RtfCoefficientSet(
         frequencies=np.array(freqs),
         alpha=tuple(blocks),
         source_orders=np.array(source_orders),
         receiver_orders=np.array(receiver_orders),
-        regions=regions,
+        regions=RegionPair(*radii, tuple(offset)),
         sound_speed=sound_speed,
         digests=header.get("digests", {}),
     )
 
 
 def check_digests(expected: dict, actual: dict) -> None:
+    """Raise DigestMismatchError unless ``actual`` carries every digest of ``expected``."""
     for key, value in expected.items():
-        if key in actual and actual[key] != value:
+        if key not in actual:
+            raise DigestMismatchError(
+                f"artifact lacks the {key!r} digest, so its geometry or config "
+                "cannot be checked"
+            )
+        if actual[key] != value:
             raise DigestMismatchError(
                 f"artifact digest mismatch for {key!r}: the file was produced "
                 "with a different geometry or config"
             )
 
 
+def _order_degree(max_order: int) -> list[tuple[int, int]]:
+    """(n, m) of each flat row n^2 + n + m up to ``max_order``."""
+    return [(n, row - n * n - n) for row, n in enumerate(harmonic_orders(max_order).tolist())]
+
+
 def export_measurement_csv(path, mt: MeasurementTensor) -> None:
     """Inspection CSV: one row per tensor entry, 17 significant digits."""
-    idx = harmonic_indices(mt.mic_order)
+    idx = _order_degree(mt.mic_order)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frequency_hz", "mic_unit", "speaker", "a", "b", "re", "im"])
         for fi, f in enumerate(mt.frequencies):
             for q in range(mt.num_units):
                 for l in range(mt.num_speakers):
-                    for ci, ab in enumerate(idx):
+                    for ci, (a, b) in enumerate(idx):
                         z = mt.gamma_tilde[fi, q, l, ci]
                         writer.writerow(
-                            [f"{f:.17g}", q, l, ab.order, ab.degree,
-                             f"{z.real:.17g}", f"{z.imag:.17g}"]
+                            [f"{f:.17g}", q, l, a, b, f"{z.real:.17g}", f"{z.imag:.17g}"]
                         )
 
 
@@ -197,13 +203,12 @@ def export_coefficients_csv(path, cset: RtfCoefficientSet) -> None:
         writer = csv.writer(fh)
         writer.writerow(["frequency_hz", "n", "m", "v", "mu", "re", "im"])
         for fi, f in enumerate(cset.frequencies):
-            src_idx = harmonic_indices(int(cset.source_orders[fi]))
-            rcv_idx = harmonic_indices(int(cset.receiver_orders[fi]))
+            src_idx = _order_degree(int(cset.source_orders[fi]))
+            rcv_idx = _order_degree(int(cset.receiver_orders[fi]))
             block = cset.alpha[fi]
-            for si, nm in enumerate(src_idx):
-                for ri, vm in enumerate(rcv_idx):
+            for si, (n, m) in enumerate(src_idx):
+                for ri, (v, mu) in enumerate(rcv_idx):
                     z = block[si, ri]
                     writer.writerow(
-                        [f"{f:.17g}", nm.order, nm.degree, vm.order, vm.degree,
-                         f"{z.real:.17g}", f"{z.imag:.17g}"]
+                        [f"{f:.17g}", n, m, v, mu, f"{z.real:.17g}", f"{z.imag:.17g}"]
                     )

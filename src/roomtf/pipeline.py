@@ -37,8 +37,16 @@ from .geometry import (
 )
 from .modal import WaveContext, truncation_order
 from .recording import HoMicSpec, MeasurementTensor, make_mic_array, mic_radius
-from .room import RoomModel, rtf_oracle_many
+from .room import RoomModel, rtf_oracle_grid
 from .rtf import RtfCoefficientSet, probe_pairs, relative_error
+
+
+# The digests each artifact kind records: run_measure and run_extract write
+# them, and an artifact that lacks one of its kind's digests is rejected.
+ARTIFACT_DIGESTS = {
+    MeasurementTensor: ("geometry", "direct_removal"),
+    RtfCoefficientSet: ("geometry", "solver"),
+}
 
 
 @dataclass(frozen=True)
@@ -218,12 +226,14 @@ class Experiment:
             positions_to_cartesian(list(self.mics.local_offsets)),
             [cfg.signal.sound_speed],
         )
-        # every digest an artifact of this config may carry; each holds a subset
-        self.digests = {
+        values = {
             "geometry": self.geometry_digest,
             "direct_removal": cfg.solver.direct_removal,
             "solver": asdict(cfg.solver),
         }
+        # per artifact kind, the digests it carries under this config
+        self.digests = {kind: {key: values[key] for key in keys}
+                        for kind, keys in ARTIFACT_DIGESTS.items()}
 
     def context(self, frequency: float) -> WaveContext:
         return WaveContext(frequency, self.cfg.signal.sound_speed)
@@ -297,7 +307,7 @@ def run_measure(cfg: ExperimentConfig, frequencies=None) -> MeasurementTensor:
         sound_speed=cfg.signal.sound_speed,
         subtract_direct_pressure=cfg.solver.direct_removal == "measurement",
     )
-    return replace(mt, digests={key: exp.digests[key] for key in ("geometry", "direct_removal")})
+    return replace(mt, digests=exp.digests[MeasurementTensor])
 
 
 def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
@@ -326,7 +336,7 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
 def check_artifact(exp: Experiment, artifact, path) -> None:
     """Reject a reused .rtfm/.rtfc made under another geometry, solver or grid."""
     try:
-        fileio.check_digests(exp.digests, artifact.digests)
+        fileio.check_digests(exp.digests[type(artifact)], artifact.digests)
         grid = np.asarray(exp.cfg.signal.frequencies, dtype=float)
         if artifact.frequencies.shape != grid.shape or not np.allclose(
             artifact.frequencies, grid, rtol=0, atol=1e-9
@@ -339,7 +349,7 @@ def check_artifact(exp: Experiment, artifact, path) -> None:
 def run_extract(cfg: ExperimentConfig, mt: MeasurementTensor) -> RtfCoefficientSet:
     """Extract the alpha tensor for every frequency in the measurement tensor."""
     exp = validate_config(cfg)
-    fileio.check_digests(exp.digests, mt.digests)
+    fileio.check_digests(exp.digests[MeasurementTensor], mt.digests)
     results = [extract_frequency(exp, mt, f) for f in mt.frequencies]
     return RtfCoefficientSet(
         frequencies=mt.frequencies,
@@ -348,7 +358,7 @@ def run_extract(cfg: ExperimentConfig, mt: MeasurementTensor) -> RtfCoefficientS
         receiver_orders=np.array([r[2] for r in results]),
         regions=cfg.regions,
         sound_speed=cfg.signal.sound_speed,
-        digests={key: exp.digests[key] for key in ("geometry", "solver")},
+        digests=exp.digests[RtfCoefficientSet],
     )
 
 
@@ -389,15 +399,14 @@ def sweep_errors(cfg: ExperimentConfig, cset: RtfCoefficientSet,
     if radii is None:
         radii = cfg.probes.radii
     offset = np.asarray(cfg.regions.offset)
+    ks = [exp.context(f).k for f in cset.frequencies]
     out = {}
     for R in radii:
         receivers, sources = probe_pairs(cfg.probes.preset, R)
+        truth = rtf_oracle_grid(exp.room, receivers, sources + offset, ks)
         out[float(R)] = np.array([
-            relative_error(
-                rtf_oracle_many(exp.room, receivers, sources + offset, exp.context(f)),
-                rtf.reconstruct_rtf_many(cset, receivers, sources, f),
-            )
-            for f in cset.frequencies
+            relative_error(t, rtf.reconstruct_rtf_many(cset, receivers, sources, f))
+            for t, f in zip(truth, cset.frequencies)
         ])
     return out
 

@@ -200,15 +200,6 @@ def local_encoding_matrix(spec: HoMicSpec, offsets, ctx: WaveContext,
     return enc
 
 
-def encode_pressures(mics: MicArray, pressures: np.ndarray, ctx: WaveContext,
-                     mask_order: int | None = None) -> np.ndarray:
-    """Encode omni pressures (Q, Q', ...) into local coefficients (Q, ..., (A+1)^2)."""
-    if mask_order is None:
-        mask_order = default_mask_order(mics.spec, ctx)
-    enc = local_encoding_matrix(mics.spec, mics.local_offsets, ctx, mask_order)
-    return np.tensordot(pressures, enc, axes=([1], [1]))  # sensor-mode last
-
-
 def simulate_raw_measurements(
     room: RoomModel,
     speakers: np.ndarray,

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .modal import COINCIDENT_DISTANCE, WaveContext
+from .modal import COINCIDENT_DISTANCE
 
 
 @dataclass(frozen=True)
@@ -114,31 +114,6 @@ def image_lattice(room: RoomModel) -> ImageLattice:
     )
 
 
-def rtf_oracle_many(room: RoomModel, X, Y, ctx: WaveContext) -> np.ndarray:
-    """Responses at receivers X (..., 3) to unit sources at Y (..., 3), broadcast.
-
-    An (n, 3) X against one (3,) source gives n responses; X[:, None] against
-    Y[None] gives every receiver-source pair.  The sum runs image by image,
-    so no temporary holds more than one image's worth of pairs.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    room.check_inside(Y.reshape(-1, 3), "source")
-    lattice = image_lattice(room)
-    k = ctx.k
-    total = np.zeros(np.broadcast_shapes(X.shape, Y.shape)[:-1], dtype=complex)
-    for image, amp in zip(lattice.positions(Y), lattice.amplitude):
-        d = np.linalg.norm(X - image, axis=-1)
-        # the corner-frame round trip moves an image by rounding, so a receiver
-        # on the source can sit a few ulps away from its order-0 image
-        if np.any(d < COINCIDENT_DISTANCE):
-            raise ConfigurationError(
-                "receiver coincides with the source or one of its images"
-            )
-        total += amp * np.exp(1j * k * d) / (4.0 * math.pi * d)
-    return total
-
-
 # bins between exact exp() anchors of the phase recurrence in rtf_oracle_grid
 REANCHOR_INTERVAL = 16
 
@@ -158,8 +133,11 @@ def _uniform_step(ks) -> float | None:
 
 
 def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.ndarray:
-    """``rtf_oracle_many`` over a wavenumber grid ks (F,): responses (F, ...).
+    """Responses (F, ...) at receivers X (..., 3) to unit sources at Y (..., 3).
 
+    X and Y broadcast: an (n, 3) X against one (3,) source gives n responses
+    per bin; X[:, None] against Y[None] gives every receiver-source pair.
+    Row j is the image sum at wavenumber ks[j]; one bin is a one-element ks.
     The distance d, the weight amp / 4 pi d and, on a uniform grid, the step
     e^{i dk d} are computed once per image; the phase then runs
     e^{i k_{j+1} d} = e^{i k_j d} e^{i dk d} across the grid, re-anchored with
@@ -181,6 +159,8 @@ def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.
         d += (X[..., 1] - image[..., 1]) ** 2
         d += (X[..., 2] - image[..., 2]) ** 2
         d = np.sqrt(d)
+        # the corner-frame round trip moves an image by rounding, so a receiver
+        # on the source can sit a few ulps away from its order-0 image
         if np.any(d < COINCIDENT_DISTANCE):
             raise ConfigurationError(
                 "receiver coincides with the source or one of its images"

@@ -22,9 +22,9 @@ class RtfCoefficientSet:
 
     frequencies: np.ndarray
     alpha: tuple[np.ndarray, ...] = field(repr=False)
-    source_orders: np.ndarray = field(default=None)
-    receiver_orders: np.ndarray = field(default=None)
-    regions: RegionPair = None
+    source_orders: np.ndarray
+    receiver_orders: np.ndarray
+    regions: RegionPair
     sound_speed: float = 343.0
     digests: dict = field(default_factory=dict)
 
@@ -73,19 +73,17 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
     Y_s = np.asarray(Y_s, dtype=float)
     rx, tx, px = cartesian_to_spherical_arrays(X)
     ry, ty, py = cartesian_to_spherical_arrays(Y_s)
-    if cset.regions is not None:
-        for what, r, limit in (("receiver", rx, cset.regions.receiver_radius),
-                               ("source", ry, cset.regions.source_radius)):
-            if np.any(r > limit + 1e-12):
-                raise ConfigurationError(
-                    f"{what} radius {r.max()} exceeds the region radius {limit}; "
-                    "the parameterization is invalid there"
-                )
+    for what, r, limit in (("receiver", rx, cset.regions.receiver_radius),
+                           ("source", ry, cset.regions.source_radius)):
+        if np.any(r > limit + 1e-12):
+            raise ConfigurationError(
+                f"{what} radius {r.max()} exceeds the region radius {limit}; "
+                "the parameterization is invalid there"
+            )
     by = specfun.bessel_j_matrix(ns, k * ry) * np.conj(specfun.harmonic_matrix(ns, ty, py))
     bx = specfun.bessel_j_matrix(nr, k * rx) * specfun.harmonic_matrix(nr, tx, px)
     reverberant = 1j * k * np.sum((cset.alpha[fi].T @ by) * bx, axis=0)
-    offset = np.asarray(cset.regions.offset) if cset.regions else np.zeros(3)
-    d = np.linalg.norm(X - (Y_s + offset), axis=1)
+    d = np.linalg.norm(X - (Y_s + np.asarray(cset.regions.offset)), axis=1)
     if np.any(d < COINCIDENT_DISTANCE):
         i = int(np.argmin(d))
         raise ConfigurationError(

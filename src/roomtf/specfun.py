@@ -34,48 +34,8 @@ import numpy as np
 from scipy import special as _sp
 
 
-@dataclass(frozen=True)
-class HarmonicIndex:
-    """Order/degree pair (n, m) with |m| <= n."""
-
-    order: int
-    degree: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-        if abs(self.degree) > self.order:
-            raise ValueError(
-                f"|degree| must be <= order, got (n={self.order}, m={self.degree})"
-            )
-
-    @property
-    def flat(self) -> int:
-        """Zero-based flat index n^2 + n + m (the 1-based convention adds 1)."""
-        return self.order * self.order + self.order + self.degree
-
-    @classmethod
-    def from_flat(cls, flat: int) -> "HarmonicIndex":
-        n = math.isqrt(flat)
-        return cls(n, flat - n * n - n)
-
-
-def harmonic_indices(max_order: int) -> list[HarmonicIndex]:
-    """All (n, m) with n <= max_order in flat-index order; length (N+1)^2."""
-    return [
-        HarmonicIndex(n, m) for n in range(max_order + 1) for m in range(-n, n + 1)
-    ]
-
-
 def mode_count(max_order: int) -> int:
     return (max_order + 1) ** 2
-
-
-def spherical_bessel_j(n: int, x) -> float:
-    """j_n(x); j_0(0) = 1 and j_n(0) = 0 for n > 0."""
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    return _sp.spherical_jn(n, x)
 
 
 # Vectorized basis tables used by the matrix builders downstream.  Rows run over
@@ -83,7 +43,10 @@ def spherical_bessel_j(n: int, x) -> float:
 
 @lru_cache(maxsize=64)
 def harmonic_orders(max_order: int) -> np.ndarray:
-    """Order n of each flat row n^2 + n + m: shape ((N+1)^2,), cached, read-only."""
+    """Order n of each flat row n^2 + n + m: shape ((N+1)^2,), cached, read-only.
+
+    The degree of row i is m = i - n^2 - n.
+    """
     n = np.repeat(np.arange(max_order + 1), 2 * np.arange(max_order + 1) + 1)
     n.flags.writeable = False
     return n

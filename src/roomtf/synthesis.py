@@ -16,8 +16,6 @@ from .errors import ConfigurationError
 from .geometry import SphericalCoord
 from .modal import WaveContext
 
-SVD_CUTOFF = 1e-10
-
 
 def build_T(speakers: list[SphericalCoord], max_order: int, ctx: WaveContext) -> np.ndarray:
     if not speakers:
@@ -33,12 +31,12 @@ def build_T(speakers: list[SphericalCoord], max_order: int, ctx: WaveContext) ->
     )
 
 
-def solve_all_weights(T: np.ndarray, num_modes: int | None = None,
-                      cutoff: float = SVD_CUTOFF):
+def solve_all_weights(T: np.ndarray, num_modes: int | None = None, *, cutoff: float):
     """Minimum-norm weights for the first ``num_modes`` unit targets; (L, M) + residuals.
 
     Column (n, m) of the result is the weight vector for that unit mode,
-    computed for all modes in one pseudoinverse pass.
+    computed for all modes in one pseudoinverse pass.  Singular values of T
+    below ``cutoff`` times the largest are dropped.
     """
     modes, speakers = T.shape
     max_order = math.isqrt(modes) - 1

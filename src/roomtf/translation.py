@@ -17,11 +17,9 @@ import numpy as np
 from . import specfun
 from .errors import ConfigurationError
 from .geometry import SphericalCoord, cartesian_to_spherical_arrays
-from .modal import CoefficientVector, WaveContext
+from .modal import WaveContext
 from .recording import MicArray
 from .specfun import wigner_3j
-
-SVD_CUTOFF = 1e-10
 
 
 @lru_cache(maxsize=32)
@@ -35,12 +33,11 @@ def _term_table(local_order: int, col_order: int):
     """
     entries, basis, coeffs = [], [], []
     n_cols = specfun.mode_count(col_order)
-    local_idx = specfun.harmonic_indices(local_order)
-    col_idx = specfun.harmonic_indices(col_order)
-    for ri, ab in enumerate(local_idx):
-        a, b = ab.order, ab.degree
-        for ci, vm in enumerate(col_idx):
-            v, mu = vm.order, vm.degree
+    col_orders = specfun.harmonic_orders(col_order).tolist()
+    for ri, a in enumerate(specfun.harmonic_orders(local_order).tolist()):
+        b = ri - a * a - a
+        for ci, v in enumerate(col_orders):
+            mu = ci - v * v - v
             for l in range(abs(v - a), v + a + 1):
                 if (v + a + l) % 2 or abs(b - mu) > l:
                     continue
@@ -102,11 +99,12 @@ def build_T_prime(mics: MicArray, col_order: int, ctx: WaveContext,
 
 
 def solve_alpha_all(Tp: np.ndarray, gamma_all: np.ndarray, keep: np.ndarray,
-                    cutoff: float = SVD_CUTOFF):
+                    cutoff: float):
     """Joint least-squares solve over all composed modes; (alpha, residual).
 
     ``gamma_all`` holds the recordings (Q, (A+1)^2, ...) and ``keep`` the
     local-mode mask T' was built with; alpha has shape ((V+1)^2, ...).
+    Singular values of T' below ``cutoff`` times the largest are dropped.
     """
     g = np.asarray(gamma_all, dtype=complex)
     rows = g.shape[0] * int(np.count_nonzero(keep))
@@ -119,10 +117,3 @@ def solve_alpha_all(Tp: np.ndarray, gamma_all: np.ndarray, keep: np.ndarray,
     alpha = np.linalg.pinv(Tp, rcond=cutoff) @ rhs
     residual = float(np.linalg.norm(Tp @ alpha - rhs))
     return alpha, residual
-
-
-def translate_interior(coeffs: CoefficientVector, displacement: SphericalCoord,
-                       local_order: int, ctx: WaveContext) -> CoefficientVector:
-    """Local coefficients about O + displacement of a field known about O."""
-    block = s_hat_block(local_order, coeffs.max_order, displacement, ctx)
-    return CoefficientVector(local_order, block @ coeffs.entries)

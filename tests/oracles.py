@@ -1,0 +1,93 @@
+"""Reference physics for the tests, kept apart from the library.
+
+Each function is the plain per-point or per-bin formula, so a batched path in
+``roomtf`` can be checked against it:
+
+* ``rtf_oracle_many`` is the image-source sum at one frequency, one exact
+  ``exp`` per image; ``room.rtf_oracle_grid`` is checked against it bin by bin.
+* The field evaluators work on plain coefficient arrays in flat (n, m)
+  order, of length (N+1)^2; N is read back from the length.
+"""
+import math
+
+import numpy as np
+
+from roomtf import specfun
+from roomtf.errors import ConfigurationError
+from roomtf.geometry import SphericalCoord, cartesian_to_spherical_arrays
+from roomtf.modal import COINCIDENT_DISTANCE, WaveContext
+from roomtf.room import RoomModel, image_lattice
+
+
+def rtf_oracle_many(room: RoomModel, X, Y, ctx: WaveContext) -> np.ndarray:
+    """Responses at receivers X (..., 3) to unit sources at Y (..., 3), broadcast.
+
+    An (n, 3) X against one (3,) source gives n responses; X[:, None] against
+    Y[None] gives every receiver-source pair.  The sum runs image by image.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    room.check_inside(Y.reshape(-1, 3), "source")
+    lattice = image_lattice(room)
+    total = np.zeros(np.broadcast_shapes(X.shape, Y.shape)[:-1], dtype=complex)
+    for image, amp in zip(lattice.positions(Y), lattice.amplitude):
+        d = np.linalg.norm(X - image, axis=-1)
+        if np.any(d < COINCIDENT_DISTANCE):
+            raise ConfigurationError(
+                "receiver coincides with the source or one of its images"
+            )
+        total += amp * np.exp(1j * ctx.k * d) / (4.0 * math.pi * d)
+    return total
+
+
+def direct_field(x, y, ctx: WaveContext) -> complex:
+    """Free-space Green's function e^{ikd}/(4 pi d) between points x and y."""
+    d = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+    if d == 0.0:
+        raise ValueError("direct_field is singular for coincident points")
+    return complex(np.exp(1j * ctx.k * d) / (4.0 * math.pi * d))
+
+
+def max_order_of(coeffs: np.ndarray) -> int:
+    """N of a flat coefficient array of length (N+1)^2."""
+    n = math.isqrt(coeffs.size) - 1
+    if coeffs.shape != ((n + 1) ** 2,):
+        raise ValueError(f"coefficients must have shape ((N+1)^2,), got {coeffs.shape}")
+    return n
+
+
+def point_source_outgoing_coeffs(y_s: SphericalCoord, ctx: WaveContext,
+                                 max_order: int) -> np.ndarray:
+    """Outgoing coefficients i k j_n(k y) conj(Y_nm(y-hat)) of a unit source at y_s."""
+    k = ctx.k
+    j = specfun.bessel_j_matrix(max_order, [k * y_s.radius])[:, 0]
+    y = specfun.harmonic_matrix(max_order, [y_s.theta], [y_s.phi])[:, 0]
+    return 1j * k * j * np.conj(y)
+
+
+def eval_interior_field(coeffs, x: SphericalCoord, ctx: WaveContext) -> complex:
+    """Sum of alpha_vm j_v(kx) Y_vm(x-hat); valid inside the source-free region."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    N = max_order_of(coeffs)
+    j = specfun.bessel_j_matrix(N, [ctx.k * x.radius])[:, 0]
+    y = specfun.harmonic_matrix(N, [x.theta], [x.phi])[:, 0]
+    return complex(np.sum(coeffs * j * y))
+
+
+def eval_exterior_field(coeffs, z: SphericalCoord, ctx: WaveContext) -> complex:
+    """Sum of beta_nm h_n(kz) Y_nm(z-hat); valid outside the source distribution."""
+    if z.radius <= 0:
+        raise ValueError("exterior field is singular at zero radius")
+    coeffs = np.asarray(coeffs, dtype=complex)
+    N = max_order_of(coeffs)
+    h = specfun.hankel_h1_matrix(N, [ctx.k * z.radius])[:, 0]
+    y = specfun.harmonic_matrix(N, [z.theta], [z.phi])[:, 0]
+    return complex(np.sum(coeffs * h * y))
+
+
+def interior_basis(max_order: int, points, ctx: WaveContext) -> np.ndarray:
+    """Matrix of j_n(kr) Y_nm at each Cartesian point: shape ((N+1)^2, P)."""
+    r, theta, phi = cartesian_to_spherical_arrays(points)
+    return specfun.bessel_j_matrix(max_order, ctx.k * r) * specfun.harmonic_matrix(
+        max_order, theta, phi
+    )

@@ -154,6 +154,23 @@ class TestMalformedArtifacts:
         with pytest.raises(ConfigurationError, match="lacks the field 'mask_orders'"):
             fileio.load_measurement_tensor(path)
 
+    def test_coefficient_header_without_regions(self, tmp_path, capsys):
+        path = tmp_path / "c.rtfc"
+        fileio.save_coefficient_set(path, sample_cset())
+        data = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", data[9:17])
+        header = json.loads(data[17:17 + hlen])
+        del header["regions"]
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(fileio.COEFFICIENT_MAGIC + struct.pack("<Q", len(raw)) + raw
+                         + data[17 + hlen:])
+        with pytest.raises(ConfigurationError, match="lacks the field 'regions'"):
+            fileio.load_coefficient_set(path)
+        argv = ["reconstruct", "--coeffs", str(path), "-f", "500",
+                "--receiver", "0.1,0,0", "--source", "0,0.1,0"]
+        assert cli.main(argv) == 2
+        assert "the header lacks the field 'regions'" in capsys.readouterr().err
+
     def test_cli_reports_truncation_with_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.rtfc"
         write_truncated(path, sample_cset(), 24)
@@ -168,9 +185,12 @@ class TestDigests:
         with pytest.raises(DigestMismatchError):
             fileio.check_digests({"geometry": "aaa"}, {"geometry": "bbb"})
 
-    def test_match_and_missing_pass(self):
+    def test_match_passes_and_missing_raises(self):
         fileio.check_digests({"geometry": "aaa"}, {"geometry": "aaa"})
-        fileio.check_digests({"geometry": "aaa"}, {})
+        with pytest.raises(DigestMismatchError, match="lacks the 'geometry' digest"):
+            fileio.check_digests({"geometry": "aaa"}, {})
+        with pytest.raises(DigestMismatchError, match="lacks the 'solver' digest"):
+            fileio.check_digests({"geometry": "aaa", "solver": {}}, {"geometry": "aaa"})
 
     def test_content_digest_sensitivity(self):
         a = np.arange(12.0).reshape(3, 4)

@@ -10,9 +10,8 @@ import pytest
 import yaml
 
 from roomtf import cli, fileio, pipeline, rtf, synthesis, translation
-from roomtf.errors import BesselZeroError, ConfigurationError
+from roomtf.errors import BesselZeroError, ConfigurationError, DigestMismatchError
 from roomtf.geometry import RegionPair
-from roomtf.room import rtf_oracle_many
 from roomtf.pipeline import (
     ArraysConfig,
     Experiment,
@@ -23,6 +22,10 @@ from roomtf.pipeline import (
     run_measure,
     validate_config,
 )
+from roomtf.recording import MeasurementTensor
+from roomtf.rtf import RtfCoefficientSet
+
+from oracles import rtf_oracle_many
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -263,6 +266,11 @@ class TestCli:
                           skiprows=1).shape == (3 * 16, 4)
 
 
+def config_digests(path, kind) -> dict:
+    """The digests that an artifact of ``kind`` made under the config at ``path`` carries."""
+    return validate_config(load_config(path)).digests[kind]
+
+
 def printed_value(out: str, label: str) -> complex:
     """The complex number printed after ``label = `` by ``reconstruct``."""
     line = next(l for l in out.splitlines() if l.startswith(label))
@@ -315,6 +323,21 @@ class TestCliRouting:
         assert cli.main(query + ["--seed", "777"]) == 0  # the file's own geometry
         assert "oracle" in capsys.readouterr().out
 
+    def test_oracle_rejects_coefficients_without_digests(self, fast_artifacts, tmp_path,
+                                                         capsys):
+        path, cfile = fast_artifacts
+        bare = str(tmp_path / "bare.rtfc")
+        fileio.save_coefficient_set(
+            bare, replace(fileio.load_coefficient_set(cfile), digests={})
+        )
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--coeffs", bare, "-f", "400", "--config", path,
+                         "--receiver", "0.1,0.0,0.05", "--source", "0.05,0.1,0.0",
+                         "--with-oracle"]) == 2
+        captured = capsys.readouterr()
+        assert "lacks the 'geometry' digest" in captured.err
+        assert "oracle" not in captured.out and "deviation" not in captured.out
+
     def test_out_of_region_point_exits_2(self, fast_artifacts, capsys):
         _, cfile = fast_artifacts
         assert cli.main(["reconstruct", "--coeffs", cfile, "-f", "400",
@@ -323,15 +346,17 @@ class TestCliRouting:
         assert "receiver radius 0.5" in err and "region radius 0.4" in err
 
     def test_oracle_receiver_outside_room_exits_2(self, tmp_path, capsys):
+        path = write_yaml(tmp_path, FAST_YAML)
         cset = rtf.RtfCoefficientSet(
             frequencies=np.array([400.0]), alpha=(np.zeros((1, 1)),),
             source_orders=np.array([0]), receiver_orders=np.array([0]),
             regions=RegionPair(5.0, 0.4, 0.3, (1.0, 1.0, 0.5)),
+            digests=config_digests(path, RtfCoefficientSet),
         )
         cfile = str(tmp_path / "c.rtfc")
         fileio.save_coefficient_set(cfile, cset)
         assert cli.main(["reconstruct", "--coeffs", cfile, "-f", "400",
-                         "--config", write_yaml(tmp_path, FAST_YAML), "--with-oracle",
+                         "--config", path, "--with-oracle",
                          "--receiver", "4.0,0.0,0.0", "--source", "0.0,0.1,0.0"]) == 2
         assert re.search(r"receiver at .*4\.0.* lies outside the room", capsys.readouterr().err)
 
@@ -351,15 +376,17 @@ class TestCliRouting:
 
     def test_oracle_source_outside_room_exits_2(self, tmp_path, capsys):
         # a source region that reaches through the ceiling at z = 1.25
+        path = write_yaml(tmp_path, FAST_YAML)
         cset = rtf.RtfCoefficientSet(
             frequencies=np.array([400.0]), alpha=(np.zeros((1, 1)),),
             source_orders=np.array([0]), receiver_orders=np.array([0]),
             regions=RegionPair(0.4, 5.0, 0.3, (1.0, 1.0, 0.5)),
+            digests=config_digests(path, RtfCoefficientSet),
         )
         cfile = str(tmp_path / "c.rtfc")
         fileio.save_coefficient_set(cfile, cset)
         assert cli.main(["reconstruct", "--coeffs", cfile, "-f", "400",
-                         "--config", write_yaml(tmp_path, FAST_YAML), "--with-oracle",
+                         "--config", path, "--with-oracle",
                          "--receiver", "0.1,0.0,0.0", "--source", "0.0,0.0,1.0"]) == 2
         assert re.search(r"source at .*1\.5.* lies outside the room", capsys.readouterr().err)
 
@@ -403,6 +430,35 @@ class TestSweepReuse:
         assert cli.main(argv) == code
         if code:
             assert f"stale artifact {tmp_path}/out/{reused}" in capsys.readouterr().err
+
+    def test_measurements_without_digests_exit_2(self, tmp_path, capsys):
+        path = write_yaml(tmp_path, FAST_YAML + f"output: {{directory: {tmp_path}/out}}\n")
+        (tmp_path / "out").mkdir()
+        mt = run_measure(load_config(path))
+        fileio.save_measurement_tensor(tmp_path / "out" / "measurements.rtfm",
+                                       replace(mt, digests={}))
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"stale artifact {tmp_path}/out/measurements.rtfm" in err
+        assert "lacks the 'geometry' digest" in err
+        assert not (tmp_path / "out" / "coefficients.rtfc").exists()
+
+
+class TestArtifactDigests:
+    def test_writers_record_the_digests_of_their_kind(self):
+        cfg = fast_config()
+        exp = validate_config(cfg)
+        mt = run_measure(cfg)
+        cset = pipeline.run_extract(cfg, mt)
+        for artifact in (mt, cset):
+            kind = type(artifact)
+            assert set(artifact.digests) == set(pipeline.ARTIFACT_DIGESTS[kind])
+            assert artifact.digests == exp.digests[kind]
+        assert exp.digests[MeasurementTensor]["geometry"] == \
+            exp.digests[RtfCoefficientSet]["geometry"]
+        with pytest.raises(DigestMismatchError, match="lacks the 'geometry' digest"):
+            pipeline.run_extract(cfg, replace(mt, digests={}))
 
 
 class TestSolverSettings:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from roomtf import pipeline, rtf
-from roomtf.room import rtf_oracle_many
+from roomtf.room import rtf_oracle_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 RTOL = 1e-9
@@ -59,9 +59,9 @@ def test_fig3_field_map_regenerates():
     estimate = rtf.reconstruct_rtf_many(
         cset, receivers, np.broadcast_to(source, receivers.shape), 900.0
     )
-    truth = rtf_oracle_many(
-        exp.room, receivers, source + np.asarray(cfg.regions.offset), exp.context(900.0)
-    )
+    truth = rtf_oracle_grid(
+        exp.room, receivers, source + np.asarray(cfg.regions.offset), [exp.context(900.0).k]
+    )[0]
     assert len(ref) == 1257
     for got, re_im in ((estimate, ref[:, 2:4]), (truth, ref[:, 4:6])):
         want = re_im[:, 0] + 1j * re_im[:, 1]

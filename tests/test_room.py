@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from roomtf.errors import ConfigurationError
-from roomtf.modal import WaveContext, direct_field
-from roomtf.room import (
-    REANCHOR_INTERVAL,
-    RoomModel,
-    image_lattice,
-    rtf_oracle_grid,
-    rtf_oracle_many,
-)
+from roomtf.modal import WaveContext
+from roomtf.room import REANCHOR_INTERVAL, RoomModel, image_lattice, rtf_oracle_grid
+
+from oracles import direct_field, rtf_oracle_many
 
 REFERENCE_DIMS = (6.0, 5.0, 2.5)
 PAPER_REFL = (0.9, 0.9, 0.9, 0.9, 0.7, 0.7)
@@ -21,9 +17,14 @@ def reference_room(max_order=2):
     return RoomModel(REFERENCE_DIMS, PAPER_REFL, max_order)
 
 
+def one_bin(room, X, Y, ctx):
+    """``rtf_oracle_grid`` at one frequency: the responses (...) of its one row."""
+    return rtf_oracle_grid(room, X, Y, [ctx.k])[0]
+
+
 def oracle_at(room, x, y, ctx):
     """The oracle response at one receiver x to a source at y."""
-    return rtf_oracle_many(room, np.atleast_2d(x), y, ctx)[0]
+    return one_bin(room, np.atleast_2d(x), y, ctx)[0]
 
 
 def mirror_images(room, y, max_order):
@@ -156,10 +157,12 @@ class TestEnumerateImages:
     def test_one_outside_source_of_many_rejected(self):
         sources = np.array([[0.5, 0.0, 0.0], [0.0, 2.6, 0.0], [0.0, 0.0, 0.2]])
         with pytest.raises(ConfigurationError, match=r"source at .*2\.6.* outside"):
-            rtf_oracle_many(reference_room(), np.zeros(3), sources, WaveContext(500.0))
+            one_bin(reference_room(), np.zeros(3), sources, WaveContext(500.0))
 
 
 class TestOracle:
+    """rtf_oracle_grid at one bin, which takes one exact exp() per image."""
+
     def test_free_field_equals_direct(self):
         room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 2)
         ctx = WaveContext(700.0)
@@ -216,7 +219,7 @@ class TestOracle:
         # (-6.4, 0.7, -0.1) is the x- image of (0.4, 0.7, -0.1); one pair of many
         X = np.array([[0.0, 0.0, 0.0], [-6.4, 0.7, -0.1]])
         with pytest.raises(ConfigurationError, match="coincides"):
-            rtf_oracle_many(reference_room(), X, np.array([0.4, 0.7, -0.1]), WaveContext(500.0))
+            one_bin(reference_room(), X, np.array([0.4, 0.7, -0.1]), WaveContext(500.0))
 
     def test_broadcast_matches_direct_image_sum(self):
         # 4 receivers x 3 sources against a sum over the mirror oracle's images
@@ -225,7 +228,7 @@ class TestOracle:
         rng = np.random.default_rng(23)
         X = rng.uniform(-1.0, 1.0, (4, 3))
         Y = rng.uniform(-1.0, 1.0, (3, 3))
-        got = rtf_oracle_many(room, X[:, None], Y[None], ctx)
+        got = one_bin(room, X[:, None], Y[None], ctx)
         assert got.shape == (4, 3)
         want = np.array([[
             sum(amp * np.exp(1j * ctx.k * np.linalg.norm(x - pos))

@@ -11,7 +11,7 @@ from scipy import special as sp
 
 from roomtf import specfun
 from roomtf.geometry import cartesian_to_spherical_arrays
-from roomtf.specfun import HarmonicIndex, wigner_3j
+from roomtf.specfun import wigner_3j
 
 
 def racah_exact(j1, j2, j3, m1, m2, m3) -> float:
@@ -43,61 +43,65 @@ def racah_exact(j1, j2, j3, m1, m2, m3) -> float:
     return (-1) ** (j1 - j2 - m3) * float(S) * math.sqrt(float(P))
 
 
+def bessel(n, x):
+    """j_n(x) at one point, read from the order-n row of the Bessel table."""
+    return specfun.bessel_j_matrix(n, [x])[n * n + n, 0]
+
+
 class TestHarmonicIndex:
+    """The flat row n^2 + n + m of (n, m): n from ``harmonic_orders``, m the rest."""
+
     def test_flat_bijection_examples(self):
-        assert HarmonicIndex(0, 0).flat == 0
-        assert HarmonicIndex(1, -1).flat == 1
-        assert HarmonicIndex(1, 1).flat == 3
-        assert HarmonicIndex(3, 0).flat == 12
+        orders = specfun.harmonic_orders(3)
+        for (n, m), row in (((0, 0), 0), ((1, -1), 1), ((1, 1), 3), ((3, 0), 12)):
+            assert orders[row] == n
+            assert row - n * n - n == m
 
     @given(st.integers(0, 12), st.integers(-12, 12))
     def test_flat_round_trip(self, n, m):
-        if abs(m) > n:
-            with pytest.raises(ValueError):
-                HarmonicIndex(n, m)
+        row = n * n + n + m
+        orders = specfun.harmonic_orders(13)
+        if abs(m) > n:  # not a mode: its would-be row belongs to another order
+            assert row < 0 or orders[row] != n
             return
-        idx = HarmonicIndex(n, m)
-        assert HarmonicIndex.from_flat(idx.flat) == idx
+        assert orders[row] == n
+        assert row - orders[row] ** 2 - orders[row] == m
 
     def test_index_order_matches_enumeration(self):
-        idx = specfun.harmonic_indices(3)
-        assert len(idx) == 16
-        assert [i.flat for i in idx] == list(range(16))
+        orders = specfun.harmonic_orders(3)
+        assert orders.size == specfun.mode_count(3) == 16
+        nm = [(n, row - n * n - n) for row, n in enumerate(orders.tolist())]
+        assert nm == [(n, m) for n in range(4) for m in range(-n, n + 1)]
 
 
 class TestBessel:
+    """The order-n rows of ``bessel_j_matrix`` against closed forms and identities."""
+
     def test_j0_at_pi_is_zero(self):
-        assert abs(specfun.spherical_bessel_j(0, math.pi)) < 1e-12
+        assert abs(bessel(0, math.pi)) < 1e-12
 
     def test_j0_at_zero(self):
-        assert specfun.spherical_bessel_j(0, 0.0) == 1.0
+        assert bessel(0, 0.0) == 1.0
 
     def test_jn_at_zero_vanishes(self):
         for n in range(1, 8):
-            assert specfun.spherical_bessel_j(n, 0.0) == 0.0
+            assert bessel(n, 0.0) == 0.0
 
     def test_j1_series_value(self):
         # closed form j1(x) = sin x / x^2 - cos x / x
         x = 0.1
         expected = math.sin(x) / x**2 - math.cos(x) / x
-        assert specfun.spherical_bessel_j(1, x) == pytest.approx(expected, abs=1e-14)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            specfun.spherical_bessel_j(-1, 1.0)
+        assert bessel(1, x) == pytest.approx(expected, abs=1e-14)
 
     @given(st.integers(1, 20), st.floats(0.1, 50.0))
     def test_recurrence(self, n, x):
-        lhs = specfun.spherical_bessel_j(n - 1, x) + specfun.spherical_bessel_j(n + 1, x)
-        rhs = (2 * n + 1) / x * specfun.spherical_bessel_j(n, x)
+        lhs = bessel(n - 1, x) + bessel(n + 1, x)
+        rhs = (2 * n + 1) / x * bessel(n, x)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
     @given(st.integers(1, 15), st.floats(0.5, 50.0))
     def test_wronskian(self, n, x):
-        lhs = (
-            specfun.spherical_bessel_j(n, x) * sp.spherical_yn(n - 1, x)
-            - specfun.spherical_bessel_j(n - 1, x) * sp.spherical_yn(n, x)
-        )
+        lhs = bessel(n, x) * sp.spherical_yn(n - 1, x) - bessel(n - 1, x) * sp.spherical_yn(n, x)
         assert lhs == pytest.approx(1.0 / x**2, rel=1e-9)
 
 
@@ -240,7 +244,7 @@ class TestBasisTables:
 
     def test_harmonic_orders(self):
         orders = specfun.harmonic_orders(4)
-        assert orders.tolist() == [i.order for i in specfun.harmonic_indices(4)]
+        assert orders.tolist() == [n for n in range(5) for _ in range(2 * n + 1)]
         assert specfun.harmonic_orders(4) is orders
         with pytest.raises(ValueError):
             orders[0] = 1
