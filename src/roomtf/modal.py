@@ -4,9 +4,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import ConfigurationError
+
 DEFAULT_SOUND_SPEED = 343.0
 # closer than this (m), a source and a receiver count as one point
 COINCIDENT_DISTANCE = 1e-9
+# closer than this (Hz), a frequency is a bin of a stored grid
+GRID_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,3 +37,11 @@ def truncation_order(k: float, radius: float) -> int:
     if k <= 0 or radius <= 0:
         raise ValueError(f"k and radius must be > 0, got k={k}, R={radius}")
     return math.ceil(k * math.e * radius / 2.0)
+
+
+def grid_index(grid: np.ndarray, frequency: float, grid_name: str) -> int:
+    """Index of the first bin of ``grid`` within GRID_TOLERANCE of ``frequency``."""
+    hits = np.flatnonzero(np.abs(grid - frequency) <= GRID_TOLERANCE)
+    if hits.size == 0:
+        raise ConfigurationError(f"frequency {frequency} Hz is not on {grid_name}")
+    return int(hits[0])

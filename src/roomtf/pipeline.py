@@ -35,7 +35,7 @@ from .geometry import (
     sphere_array,
     export_positions_csv,
 )
-from .modal import WaveContext, truncation_order
+from .modal import GRID_TOLERANCE, WaveContext, truncation_order
 from .recording import HoMicSpec, MeasurementTensor, make_mic_array, mic_radius
 from .room import RoomModel, rtf_oracle_grid
 from .rtf import RtfCoefficientSet, probe_pairs, relative_error
@@ -294,6 +294,19 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
         )
     exp.room.check_inside(exp.speakers_room, "loudspeaker")
     exp.room.check_inside(exp.mics.omni_positions().reshape(-1, 3), "microphone sensor")
+    if cfg.solver.direct_removal == "coefficient":
+        # the direct field's expansion about a unit center converges only at
+        # sensors closer to the center than the loudspeaker is
+        d = np.linalg.norm(exp.mics.unit_centers[:, None] - exp.speakers_room[None], axis=-1)
+        inside = d <= exp.mic_local_radius
+        if inside.any():
+            q, l = np.unravel_index(np.argmin(d), d.shape)
+            raise ConfigurationError(
+                f"loudspeaker {l} is {d[q, l]:.3f} m from mic unit {q}, inside its "
+                f"local radius {exp.mic_local_radius:.3f} m ({int(inside.sum())} "
+                "loudspeaker/unit pairs in all); the coefficient-domain direct "
+                "removal diverges there, so set solver.direct_removal: measurement"
+            )
     return exp
 
 
@@ -339,7 +352,7 @@ def check_artifact(exp: Experiment, artifact, path) -> None:
         fileio.check_digests(exp.digests[type(artifact)], artifact.digests)
         grid = np.asarray(exp.cfg.signal.frequencies, dtype=float)
         if artifact.frequencies.shape != grid.shape or not np.allclose(
-            artifact.frequencies, grid, rtol=0, atol=1e-9
+            artifact.frequencies, grid, rtol=0, atol=GRID_TOLERANCE
         ):
             raise DigestMismatchError("its frequency grid differs from signal.frequencies")
     except DigestMismatchError as exc:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from . import specfun
 from .errors import BesselZeroError, ConfigurationError
@@ -30,7 +29,7 @@ from .geometry import (
     positions_to_cartesian,
     sphere_array,
 )
-from .modal import WaveContext, truncation_order
+from .modal import WaveContext, grid_index, truncation_order
 from .room import RoomModel, rtf_oracle_grid
 
 BESSEL_ZERO_THRESHOLD = 1e-8
@@ -149,12 +148,7 @@ class MeasurementTensor:
         return self.gamma_tilde.shape[2]
 
     def frequency_index(self, frequency: float) -> int:
-        hits = np.nonzero(np.isclose(self.frequencies, frequency, rtol=0, atol=1e-9))[0]
-        if hits.size == 0:
-            raise ConfigurationError(
-                f"frequency {frequency} Hz is not on the measurement grid"
-            )
-        return int(hits[0])
+        return grid_index(self.frequencies, frequency, "the measurement grid")
 
 
 def default_mask_order(spec: HoMicSpec, ctx: WaveContext) -> int:
@@ -167,9 +161,8 @@ def default_mask_order(spec: HoMicSpec, ctx: WaveContext) -> int:
 
 
 def _check_bessel_zeros(spec: HoMicSpec, ctx: WaveContext, mask_order: int) -> None:
-    kr = ctx.k * spec.local_radius
-    zeros = np.flatnonzero(np.abs(spherical_jn(np.arange(mask_order + 1), kr))
-                           < BESSEL_ZERO_THRESHOLD)
+    j = specfun.bessel_j_matrix(mask_order, [ctx.k * spec.local_radius])
+    zeros = np.flatnonzero(np.abs(j[np.arange(mask_order + 1) ** 2, 0]) < BESSEL_ZERO_THRESHOLD)
     if zeros.size:
         raise BesselZeroError(
             f"local mode a = {zeros[0]} sits on a Bessel zero at f = "

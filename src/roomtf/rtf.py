@@ -8,7 +8,7 @@ import numpy as np
 from . import specfun
 from .errors import ConfigurationError
 from .geometry import RegionPair, cartesian_to_spherical_arrays
-from .modal import COINCIDENT_DISTANCE, WaveContext
+from .modal import COINCIDENT_DISTANCE, WaveContext, grid_index
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,8 @@ class RtfCoefficientSet:
                 )
 
     def frequency_index(self, frequency: float) -> int:
-        hits = np.nonzero(np.isclose(self.frequencies, frequency, rtol=0, atol=1e-9))[0]
-        if hits.size == 0:
-            raise ConfigurationError(
-                f"frequency {frequency} Hz is not on the coefficient grid "
-                "(no interpolation is performed)"
-            )
-        return int(hits[0])
+        return grid_index(self.frequencies, frequency,
+                          "the coefficient grid (no interpolation is performed)")
 
     def context(self, frequency: float) -> WaveContext:
         return WaveContext(frequency, self.sound_speed)
@@ -63,26 +58,23 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
     The direct field in closed form plus the reverberant bilinear form
     1j k sum j_n(k y) conj(Y_nm(y)) alpha[(n,m), (v,mu)] j_v(k x) Y_vmu(x).
     This is the one reconstruction entry point; one pair is a (1, 3) call.
+    Receivers and sources share one Bessel and one harmonic table, built to
+    the larger of the two orders after every check has passed.
     """
     fi = cset.frequency_index(frequency)
-    ctx = cset.context(frequency)
-    k = ctx.k
+    k = cset.context(frequency).k
     ns = int(cset.source_orders[fi])
     nr = int(cset.receiver_orders[fi])
-    X = np.asarray(X, dtype=float)
-    Y_s = np.asarray(Y_s, dtype=float)
-    rx, tx, px = cartesian_to_spherical_arrays(X)
-    ry, ty, py = cartesian_to_spherical_arrays(Y_s)
-    for what, r, limit in (("receiver", rx, cset.regions.receiver_radius),
-                           ("source", ry, cset.regions.source_radius)):
-        if np.any(r > limit + 1e-12):
+    X, Y_s = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y_s, dtype=float))
+    P = X.shape[0]
+    r, theta, phi = cartesian_to_spherical_arrays(np.concatenate([X, Y_s]))
+    for what, radii, limit in (("receiver", r[:P], cset.regions.receiver_radius),
+                               ("source", r[P:], cset.regions.source_radius)):
+        if np.any(radii > limit + 1e-12):
             raise ConfigurationError(
-                f"{what} radius {r.max()} exceeds the region radius {limit}; "
+                f"{what} radius {radii.max()} exceeds the region radius {limit}; "
                 "the parameterization is invalid there"
             )
-    by = specfun.bessel_j_matrix(ns, k * ry) * np.conj(specfun.harmonic_matrix(ns, ty, py))
-    bx = specfun.bessel_j_matrix(nr, k * rx) * specfun.harmonic_matrix(nr, tx, px)
-    reverberant = 1j * k * np.sum((cset.alpha[fi].T @ by) * bx, axis=0)
     d = np.linalg.norm(X - (Y_s + np.asarray(cset.regions.offset)), axis=1)
     if np.any(d < COINCIDENT_DISTANCE):
         i = int(np.argmin(d))
@@ -90,6 +82,13 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
             f"pair {i}: receiver {X[i].tolist()} and source {Y_s[i].tolist()} "
             "name the same room point"
         )
+    N = max(ns, nr)
+    basis = specfun.harmonic_matrix(N, theta, phi)
+    basis *= specfun.bessel_j_matrix(N, k * r)
+    np.conj(basis[:, P:], out=basis[:, P:])  # the source rows: j_n is real
+    terms = cset.alpha[fi].T @ basis[:specfun.mode_count(ns), P:]
+    terms *= basis[:specfun.mode_count(nr), :P]
+    reverberant = 1j * k * terms.sum(axis=0)
     direct = np.exp(1j * k * d) / (4.0 * np.pi * d)
     return direct + reverberant
 

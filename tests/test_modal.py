@@ -9,7 +9,8 @@ from scipy import special as sp
 
 from roomtf import specfun
 from roomtf.geometry import SphericalCoord, to_spherical
-from roomtf.modal import WaveContext, truncation_order
+from roomtf.errors import ConfigurationError
+from roomtf.modal import GRID_TOLERANCE, WaveContext, grid_index, truncation_order
 
 from oracles import (
     direct_field,
@@ -33,6 +34,19 @@ class TestWaveContext:
             WaveContext(0.0)
         with pytest.raises(ValueError):
             WaveContext(100.0, -1.0)
+
+
+class TestGridIndex:
+    GRID = np.array([200.0, 225.0, 250.0])
+
+    def test_bins_within_tolerance_are_found(self):
+        assert grid_index(self.GRID, 225.0, "the grid") == 1
+        assert grid_index(self.GRID, 250.0 - 0.5 * GRID_TOLERANCE, "the grid") == 2
+
+    @pytest.mark.parametrize("f", [225.0 + 2 * GRID_TOLERANCE, 212.5, 0.0, 1e4])
+    def test_off_grid_frequencies_rejected(self, f):
+        with pytest.raises(ConfigurationError, match=f"frequency {f} Hz is not on the grid"):
+            grid_index(self.GRID, f, "the grid")
 
 
 class TestTruncationOrder:

@@ -255,6 +255,20 @@ class TestCli:
         assert cli.main(["extract", "--config", path, "--measurements", mfile,
                          "--out", str(tmp_path / "c.rtfc")]) == 2
 
+    def test_coefficient_removal_with_speaker_inside_a_mic_exits_2(self, tmp_path, capsys):
+        # fig6 puts loudspeakers inside the units' local spheres, where the
+        # direct field's expansion diverges; only measurement removal works
+        raw = yaml.safe_load((CONFIG_DIR / "fig6_overlap.yaml").read_text())
+        raw["solver"]["direct_removal"] = "coefficient"
+        raw["output"]["directory"] = str(tmp_path / "out")
+        path = write_yaml(tmp_path, yaml.safe_dump(raw))
+        assert cli.main(["measure", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"loudspeaker \d+ is 0\.023 m from mic unit \d+, inside its "
+                         r"local radius 0\.120 m \(8 loudspeaker/unit pairs", err)
+        assert "direct_removal: measurement" in err
+        assert not (tmp_path / "out").exists()
+
     def test_geometry_export(self, tmp_path):
         path = write_yaml(tmp_path, FAST_YAML)
         out = tmp_path / "geo"

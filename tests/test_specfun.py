@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,7 +85,7 @@ class TestBessel:
         assert bessel(0, 0.0) == 1.0
 
     def test_jn_at_zero_vanishes(self):
-        for n in range(1, 8):
+        for n in range(1, 41):
             assert bessel(n, 0.0) == 0.0
 
     def test_j1_series_value(self):
@@ -197,8 +198,61 @@ def oracle_points():
     )
 
 
+# The first zeros of j_0 ... j_3, as doubles.
+BESSEL_ZEROS = (math.pi, 4.493409457909064, 5.763459196894550, 6.987932000500519)
+# Every regime of the Bessel kernel: x = 0, underflowing and tiny arguments,
+# both sides of the series switch, the zeros above, and the recurrence out to
+# x = 300, where its start index sits well above N.
+BESSEL_GRID = np.array(
+    [0.0, 1e-300, 1e-12, 1e-6, 0.3,
+     np.nextafter(specfun.SERIES_LIMIT, 0.0), specfun.SERIES_LIMIT,
+     np.nextafter(specfun.SERIES_LIMIT, 2.0), 2.0, 7.5, *BESSEL_ZEROS, 25.0, 60.0, 300.0]
+)
+BESSEL_ORDERS = [0, 1, 5, 12, 25, 40]
+
+
+def order_rows(table, N):
+    """One row per order n (the row of degree m = -n) of a basis table."""
+    return table[np.arange(N + 1) ** 2]
+
+
+def scipy_rows(N, x):
+    """(j_n, y_n) for n = 0 ... N at each x from scipy, one row per order."""
+    n = np.arange(N + 1)[:, None]
+    with np.errstate(all="ignore"):
+        return sp.spherical_jn(n, x[None, :]), sp.spherical_yn(n, x[None, :])
+
+
+def away_from_zeros(N, x, j, y):
+    """Where j_n(x) is above 1e-290 and not close to one of its zeros.
+
+    Zeros only occur for n < x, where j_n and y_n oscillate inside the
+    envelope |h_n| = hypot(j_n, y_n); there an entry counts as close to a
+    zero below 5 % of the envelope.
+    """
+    n = np.arange(N + 1)[:, None]
+    with np.errstate(all="ignore"):
+        envelope = np.hypot(j, y)
+    return (np.abs(j) > 1e-290) & ((n >= x) | (np.abs(j) >= 0.05 * envelope))
+
+
+def mpmath_rows(N, x):
+    """j_n(x) for n = 0 ... N from J_{n+1/2} at 40 digits: the exact values."""
+    out = np.zeros((N + 1, x.size))
+    out[0, x == 0.0] = 1.0
+    with mpmath.workdps(40):
+        for i in np.flatnonzero(x):
+            v = mpmath.mpf(float(x[i]))
+            scale = mpmath.sqrt(mpmath.pi / (2 * v))
+            out[:, i] = [float(scale * mpmath.besselj(n + 0.5, v)) for n in range(N + 1)]
+    return out
+
+
 class TestBasisTables:
-    """Every basis table against per-(n, m) scipy calls, value by value."""
+    """Every basis table against per-(n, m) scipy calls, value by value.
+
+    The Bessel tables come from a recurrence, so they are held to
+    tolerances, not to bit equality with scipy."""
 
     @pytest.mark.parametrize("N", [0, 1, 2, 5, 10, 25])
     def test_harmonic_matrix_matches_scipy(self, N):
@@ -228,19 +282,71 @@ class TestBasisTables:
             for N in (0, 1, 2, 31):
                 specfun.harmonic_matrix(N, [0.0, 1.0, math.pi], [0.0, 2.0, 6.0])
 
-    @pytest.mark.parametrize("N", [0, 1, 5, 12])
+    @pytest.mark.parametrize("N", BESSEL_ORDERS)
     def test_bessel_j_matrix_rows(self, N):
-        x = np.array([0.0, 1e-6, 0.3, 2.0, 7.5, 25.0])
-        n, _ = flat_orders_degrees(N)
-        expected = sp.spherical_jn(n, x[None, :])
-        assert np.array_equal(specfun.bessel_j_matrix(N, x), expected)
+        x = BESSEL_GRID
+        j, y = scipy_rows(N, x)
+        table = specfun.bessel_j_matrix(N, x)
+        assert table.shape == ((N + 1) ** 2, x.size)
+        assert np.array_equal(table, order_rows(table, N)[specfun.harmonic_orders(N)])
+        got = order_rows(table, N)
+        keep = away_from_zeros(N, x, j, y)
+        rel = np.abs(got - j)[keep] / np.abs(j[keep])
+        assert rel.max() < 1e-12
+        # row 0 is sin x / x itself, as in scipy, bit for bit
+        assert np.array_equal(got[0], j[0])
 
-    @pytest.mark.parametrize("N", [0, 1, 5, 12])
+    @pytest.mark.parametrize("N", BESSEL_ORDERS)
+    def test_bessel_rows_absolute_error(self, N):
+        # held against exact values: scipy's own branch for n >= x is off by
+        # 1.0e-15 on this grid (j_8 at the zero of j_3)
+        got = order_rows(specfun.bessel_j_matrix(N, BESSEL_GRID), N)
+        assert np.max(np.abs(got - mpmath_rows(N, BESSEL_GRID))) < 1e-15
+
+    @pytest.mark.parametrize("N", BESSEL_ORDERS)
     def test_hankel_h1_matrix_rows(self, N):
-        x = np.array([1e-3, 0.3, 2.0, 7.5, 25.0])
-        n, _ = flat_orders_degrees(N)
-        expected = sp.spherical_jn(n, x[None, :]) + 1j * sp.spherical_yn(n, x[None, :])
-        assert np.array_equal(specfun.hankel_h1_matrix(N, x), expected)
+        x = BESSEL_GRID[BESSEL_GRID > 0]
+        _, y = scipy_rows(N, x)
+        finite = np.isfinite(y[-1])  # y_N overflows at the smallest x
+        x, y = x[finite], y[:, finite]
+        table = specfun.hankel_h1_matrix(N, x)
+        assert np.array_equal(table.real, specfun.bessel_j_matrix(N, x))
+        assert np.max(np.abs(order_rows(table, N).imag - y) / np.abs(y)) < 1e-13
+
+    def test_bessel_tables_build_without_warnings(self):
+        x = np.concatenate([BESSEL_GRID, np.linspace(0.0, 300.0, 4001)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for N in BESSEL_ORDERS:
+                specfun.bessel_j_matrix(N, x)
+                specfun.hankel_h1_matrix(N, x[x >= 1e-3])
+
+    def test_high_orders_rescaled_not_overflowed(self):
+        # at N = 150 the recurrence grows past 1e300 between start and x = 1
+        x = np.array([1.0, 1.5, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = order_rows(specfun.bessel_j_matrix(150, x), 150)
+        exact = mpmath_rows(150, x)
+        assert np.max(np.abs(got - exact)) < 1e-15
+        keep = np.abs(exact) > 1e-290
+        assert np.max(np.abs(got - exact)[keep] / np.abs(exact[keep])) < 1e-12
+
+    @pytest.mark.parametrize("N", [0, 5, 40])
+    def test_single_point_matches_its_row_in_a_batch(self, N):
+        # each point's start index depends on its own x alone, so its row does
+        # not change with the other points, here x = 1 beside x = 300
+        rng = np.random.default_rng(N)
+        x = np.concatenate([BESSEL_GRID, rng.uniform(0.0, 300.0, 4000 - BESSEL_GRID.size)])
+        batch = specfun.bessel_j_matrix(N, x)
+        for i in [*range(BESSEL_GRID.size), *rng.integers(0, x.size, 20)]:
+            single = specfun.bessel_j_matrix(N, x[i:i + 1])[:, 0]
+            assert np.max(np.abs(single - batch[:, i])) <= 1e-15
+
+    @pytest.mark.parametrize("x", [-1.0, np.nan, np.inf])
+    def test_invalid_bessel_arguments_rejected(self, x):
+        with pytest.raises(ValueError):
+            specfun.bessel_j_matrix(3, [1.0, x])
 
     def test_harmonic_orders(self):
         orders = specfun.harmonic_orders(4)
