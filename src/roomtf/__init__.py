@@ -5,7 +5,7 @@ from .errors import (
     ConfigurationError,
     DigestMismatchError,
 )
-from .geometry import RegionPair, SphericalCoord, to_cartesian, to_spherical
+from .geometry import RegionPair
 from .modal import WaveContext, truncation_order
 from .recording import HoMicSpec, MeasurementTensor, MicArray, mic_radius
 from .room import ImageLattice, RoomModel, image_lattice
@@ -17,9 +17,6 @@ __all__ = [
     "ConfigurationError",
     "DigestMismatchError",
     "RegionPair",
-    "SphericalCoord",
-    "to_cartesian",
-    "to_spherical",
     "WaveContext",
     "truncation_order",
     "HoMicSpec",

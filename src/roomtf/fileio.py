@@ -1,4 +1,4 @@
-"""Persistence: self-describing binary artifacts and CSV exports.
+"""Persistence: self-describing binary artifacts.
 
 Both binary formats share the same layout: an ASCII magic line, an 8-byte
 little-endian header length, a JSON header, then raw little-endian complex128
@@ -7,7 +7,6 @@ stale artifact/config combination fails loudly instead of silently.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -20,7 +19,6 @@ from .errors import ConfigurationError, DigestMismatchError
 from .geometry import RegionPair
 from .recording import MeasurementTensor
 from .rtf import RtfCoefficientSet
-from .specfun import harmonic_orders
 
 MEASUREMENT_MAGIC = b"RTFMEAS1\n"
 COEFFICIENT_MAGIC = b"RTFCOEF1\n"
@@ -174,41 +172,3 @@ def check_digests(expected: dict, actual: dict) -> None:
                 f"artifact digest mismatch for {key!r}: the file was produced "
                 "with a different geometry or config"
             )
-
-
-def _order_degree(max_order: int) -> list[tuple[int, int]]:
-    """(n, m) of each flat row n^2 + n + m up to ``max_order``."""
-    return [(n, row - n * n - n) for row, n in enumerate(harmonic_orders(max_order).tolist())]
-
-
-def export_measurement_csv(path, mt: MeasurementTensor) -> None:
-    """Inspection CSV: one row per tensor entry, 17 significant digits."""
-    idx = _order_degree(mt.mic_order)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz", "mic_unit", "speaker", "a", "b", "re", "im"])
-        for fi, f in enumerate(mt.frequencies):
-            for q in range(mt.num_units):
-                for l in range(mt.num_speakers):
-                    for ci, (a, b) in enumerate(idx):
-                        z = mt.gamma_tilde[fi, q, l, ci]
-                        writer.writerow(
-                            [f"{f:.17g}", q, l, a, b, f"{z.real:.17g}", f"{z.imag:.17g}"]
-                        )
-
-
-def export_coefficients_csv(path, cset: RtfCoefficientSet) -> None:
-    """Round-trip-faithful CSV of the alpha tensor (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz", "n", "m", "v", "mu", "re", "im"])
-        for fi, f in enumerate(cset.frequencies):
-            src_idx = _order_degree(int(cset.source_orders[fi]))
-            rcv_idx = _order_degree(int(cset.receiver_orders[fi]))
-            block = cset.alpha[fi]
-            for si, (n, m) in enumerate(src_idx):
-                for ri, (v, mu) in enumerate(rcv_idx):
-                    z = block[si, ri]
-                    writer.writerow(
-                        [f"{f:.17g}", n, m, v, mu, f"{z.real:.17g}", f"{z.imag:.17g}"]
-                    )

@@ -1,9 +1,11 @@
-"""Coordinate conversions and deterministic array geometry generation.
+"""Cartesian point sets, their spherical coordinates, and array generation.
 
-Cartesian points are plain length-3 float arrays; ``SphericalCoord`` carries
-(radius, polar angle, azimuth).  Array layouts use a Fibonacci-spiral direction
-set (approximately equal spherical area per point, valid for any count) and a
-counter-based RNG for shell radii so that a seed fully determines the geometry.
+Every point set is a (P, 3) Cartesian float array; one point is a (3,)
+array.  ``cartesian_to_spherical_arrays`` gives (radius, polar angle,
+azimuth) where a basis table needs them.  Array layouts use a
+Fibonacci-spiral direction set (approximately equal spherical area per
+point, valid for any count) and a counter-based RNG for shell radii so that
+a seed fully determines the geometry.
 """
 from __future__ import annotations
 
@@ -16,19 +18,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-@dataclass(frozen=True)
-class SphericalCoord:
-    radius: float
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -52,30 +41,12 @@ class RegionPair:
             )
 
 
-def to_spherical(v) -> SphericalCoord:
-    """Cartesian -> spherical; the zero vector maps to (0, 0, 0) by convention."""
-    x, y, z = (float(c) for c in v)
-    r = math.sqrt(x * x + y * y + z * z)
-    if r == 0.0:
-        return SphericalCoord(0.0, 0.0, 0.0)
-    theta = math.atan2(math.hypot(x, y), z)  # acos(z / r) loses the poles
-    phi = math.atan2(y, x) % (2.0 * math.pi)
-    return SphericalCoord(r, theta, phi)
-
-
-def to_cartesian(s: SphericalCoord) -> np.ndarray:
-    st = math.sin(s.theta)
-    return np.array(
-        [
-            s.radius * st * math.cos(s.phi),
-            s.radius * st * math.sin(s.phi),
-            s.radius * math.cos(s.theta),
-        ]
-    )
-
-
 def cartesian_to_spherical_arrays(points: np.ndarray):
-    """Vectorized conversion: (P, 3) -> (r, theta, phi) arrays."""
+    """(P, 3) -> (r, theta, phi) arrays; the zero vector maps to (0, 0, 0).
+
+    theta = atan2(hypot(x, y), z) keeps full precision at the poles, where
+    acos(z / r) loses it.
+    """
     points = np.asarray(points, dtype=float)
     r = np.linalg.norm(points, axis=-1)
     theta = np.arctan2(np.hypot(points[..., 0], points[..., 1]), points[..., 2])
@@ -84,6 +55,7 @@ def cartesian_to_spherical_arrays(points: np.ndarray):
 
 
 def spherical_to_cartesian_arrays(r, theta, phi) -> np.ndarray:
+    """(r, theta, phi), broadcast together -> Cartesian points (..., 3)."""
     r, theta, phi = np.broadcast_arrays(r, theta, phi)
     return np.stack(
         [
@@ -111,8 +83,8 @@ def _radius_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def shell_array(count: int, outer: float, inner: float, seed: int) -> list[SphericalCoord]:
-    """Equal-area directions with radii i.i.d. uniform on [inner, outer].
+def shell_array(count: int, outer: float, inner: float, seed: int) -> np.ndarray:
+    """(count, 3) points: equal-area directions, radii i.i.d. uniform on [inner, outer].
 
     inner == outer is the degenerate single-sphere case (all radii exactly
     outer); inner > outer is rejected.
@@ -125,25 +97,15 @@ def shell_array(count: int, outer: float, inner: float, seed: int) -> list[Spher
         raise ConfigurationError(f"inner radius must be >= 0, got {inner}")
     theta, phi = equal_area_directions(count)
     radii = _radius_stream(seed).uniform(inner, outer, count)
-    return [SphericalCoord(r, t, p) for r, t, p in zip(radii, theta, phi)]
+    return spherical_to_cartesian_arrays(radii, theta, phi)
 
 
-def sphere_array(count: int, radius: float) -> list[SphericalCoord]:
-    """Equal-area directions at a single fixed radius."""
+def sphere_array(count: int, radius: float) -> np.ndarray:
+    """(count, 3) points: equal-area directions at a single fixed radius."""
     if radius <= 0:
         raise ConfigurationError(f"sphere radius must be > 0, got {radius}")
     theta, phi = equal_area_directions(count)
-    return [SphericalCoord(radius, t, p) for t, p in zip(theta, phi)]
-
-
-def positions_to_cartesian(positions: list[SphericalCoord]) -> np.ndarray:
-    """(P, 3) Cartesian stack of a SphericalCoord list."""
-    if not positions:
-        return np.zeros((0, 3))
-    r = np.array([p.radius for p in positions])
-    t = np.array([p.theta for p in positions])
-    ph = np.array([p.phi for p in positions])
-    return spherical_to_cartesian_arrays(r, t, ph)
+    return spherical_to_cartesian_arrays(radius, theta, phi)
 
 
 def export_positions_csv(path, points: np.ndarray) -> None:

@@ -28,13 +28,7 @@ import yaml
 
 from . import fileio, recording, rtf, specfun, synthesis, translation
 from .errors import ConfigurationError, DigestMismatchError
-from .geometry import (
-    RegionPair,
-    positions_to_cartesian,
-    shell_array,
-    sphere_array,
-    export_positions_csv,
-)
+from .geometry import RegionPair, export_positions_csv, shell_array, sphere_array
 from .modal import GRID_TOLERANCE, WaveContext, truncation_order
 from .recording import HoMicSpec, MeasurementTensor, make_mic_array, mic_radius
 from .room import RoomModel, rtf_oracle_grid
@@ -188,14 +182,13 @@ class Experiment:
         self.room = RoomModel(
             cfg.room.dimensions, cfg.room.reflections, cfg.room.max_image_order
         )
-        self.speakers_local = shell_array(
+        self.speakers_local = shell_array(  # (L, 3) about O_s
             cfg.arrays.speakers,
             cfg.regions.source_radius,
             cfg.regions.source_inner_radius,
             cfg.arrays.seed,
         )
-        self.speakers_local_cart = positions_to_cartesian(self.speakers_local)
-        self.speakers_room = self.speakers_local_cart + np.asarray(cfg.regions.offset)
+        self.speakers_room = self.speakers_local + np.asarray(cfg.regions.offset)
         self.mic_local_radius = mic_radius(
             cfg.arrays.mic_order, cfg.signal.f_max, cfg.signal.sound_speed
         )
@@ -223,7 +216,7 @@ class Experiment:
         self.geometry_digest = fileio.content_digest(
             self.speakers_room,
             self.mics.unit_centers,
-            positions_to_cartesian(list(self.mics.local_offsets)),
+            self.mics.local_offsets,
             [cfg.signal.sound_speed],
         )
         values = {
@@ -272,6 +265,15 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
         )
     if not cfg.signal.frequencies:
         raise ConfigurationError("signal.frequencies must be non-empty")
+    bad = [f for f in cfg.signal.frequencies if not 0.0 < f < math.inf]
+    if bad:
+        raise ConfigurationError(
+            f"signal.frequencies must be finite and > 0 Hz, got {bad[0]}"
+        )
+    if not 0.0 < cfg.signal.sound_speed < math.inf:
+        raise ConfigurationError(
+            f"signal.sound_speed must be finite and > 0, got {cfg.signal.sound_speed}"
+        )
     exp = Experiment(cfg)  # geometry constructors enforce their own bounds
     modes_needed = (exp.design_source_order + 1) ** 2
     if cfg.arrays.speakers < modes_needed:
@@ -442,7 +444,7 @@ def run_geometry_export(cfg: ExperimentConfig, out_dir) -> list[str]:
     paths = []
     for name, pts in (
         ("speakers_room.csv", exp.speakers_room),
-        ("speakers_source_local.csv", exp.speakers_local_cart),
+        ("speakers_source_local.csv", exp.speakers_local),
         ("mic_centers.csv", exp.mics.unit_centers),
         ("mic_sensors.csv", exp.mics.omni_positions().reshape(-1, 3)),
     ):

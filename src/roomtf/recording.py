@@ -23,12 +23,7 @@ import numpy as np
 
 from . import specfun
 from .errors import BesselZeroError, ConfigurationError
-from .geometry import (
-    SphericalCoord,
-    cartesian_to_spherical_arrays,
-    positions_to_cartesian,
-    sphere_array,
-)
+from .geometry import cartesian_to_spherical_arrays, sphere_array
 from .modal import WaveContext, grid_index, truncation_order
 from .room import RoomModel, rtf_oracle_grid
 
@@ -80,21 +75,23 @@ class HoMicSpec:
 @dataclass(frozen=True)
 class MicArray:
     unit_centers: np.ndarray = field(repr=False)  # (Q, 3) Cartesian about O
-    spec: HoMicSpec = None
-    local_offsets: tuple[SphericalCoord, ...] = ()
+    spec: HoMicSpec
+    local_offsets: np.ndarray = field(repr=False)  # (Q', 3) about each unit center
 
     def __post_init__(self):
         centers = np.asarray(self.unit_centers, dtype=float)
+        offsets = np.asarray(self.local_offsets, dtype=float)
         object.__setattr__(self, "unit_centers", centers)
-        if centers.ndim != 2 or centers.shape[1] != 3 or centers.shape[0] < 1:
+        object.__setattr__(self, "local_offsets", offsets)
+        for name, pts in (("unit_centers", centers), ("local_offsets", offsets)):
+            if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
+                raise ConfigurationError(f"{name} must be an (n >= 1, 3) array, got {pts.shape}")
+        radius = self.spec.local_radius
+        norms = np.linalg.norm(offsets, axis=1)
+        if not np.all(np.abs(norms - radius) <= 1e-12 * np.maximum(norms, radius)):
             raise ConfigurationError(
-                f"unit_centers must be a (Q >= 1, 3) array, got {centers.shape}"
+                "all local offsets must sit at the spec's local_radius"
             )
-        for off in self.local_offsets:
-            if not math.isclose(off.radius, self.spec.local_radius, rel_tol=1e-12):
-                raise ConfigurationError(
-                    "all local offsets must sit at the spec's local_radius"
-                )
 
     @property
     def num_units(self) -> int:
@@ -102,15 +99,13 @@ class MicArray:
 
     def omni_positions(self) -> np.ndarray:
         """(Q, Q', 3) global Cartesian positions of every omni sensor."""
-        local = positions_to_cartesian(list(self.local_offsets))
-        return self.unit_centers[:, None, :] + local[None, :, :]
+        return self.unit_centers[:, None, :] + self.local_offsets[None, :, :]
 
 
 def make_mic_array(num_units: int, center_radius: float, spec: HoMicSpec) -> MicArray:
     """Units on an equal-area sphere of ``center_radius``, shared omni layout."""
-    centers = positions_to_cartesian(sphere_array(num_units, center_radius))
-    offsets = tuple(sphere_array(spec.omni_count, spec.local_radius))
-    return MicArray(centers, spec, offsets)
+    return MicArray(sphere_array(num_units, center_radius), spec,
+                    sphere_array(spec.omni_count, spec.local_radius))
 
 
 @dataclass(frozen=True)
@@ -171,23 +166,16 @@ def _check_bessel_zeros(spec: HoMicSpec, ctx: WaveContext, mask_order: int) -> N
         )
 
 
-def local_encoding_matrix(spec: HoMicSpec, offsets, ctx: WaveContext,
+def local_encoding_matrix(spec: HoMicSpec, offsets: np.ndarray, ctx: WaveContext,
                           mask_order: int) -> np.ndarray:
-    """((A+1)^2, Q') map from omni pressures to local coefficients.
+    """((A+1)^2, Q') map from omni pressures at ``offsets`` (Q', 3) to local coefficients.
 
     The pseudoinverse of the order-``fit_order`` fit, truncated to order A.
     Rows above ``mask_order`` are zero, so their coefficients come out exactly
     zero; a kept order on a Bessel zero raises BesselZeroError.
     """
     _check_bessel_zeros(spec, ctx, mask_order)
-    fit_order = spec.effective_fit_order
-    r = np.array([o.radius for o in offsets])
-    theta = np.array([o.theta for o in offsets])
-    phi = np.array([o.phi for o in offsets])
-    model = (
-        specfun.bessel_j_matrix(fit_order, ctx.k * r)
-        * specfun.harmonic_matrix(fit_order, theta, phi)
-    ).T  # (Q', (fit_order+1)^2)
+    model = specfun.regular_basis(spec.effective_fit_order, ctx.k, offsets).T  # (Q', modes)
     enc = np.linalg.pinv(model)[: specfun.mode_count(spec.order)]
     enc[specfun.harmonic_orders(spec.order) > mask_order] = 0.0
     return enc

@@ -1,8 +1,8 @@
 """Image-source ground-truth oracle for a shoebox room.
 
-All positions are expressed in the analysis frame whose origin O defaults to
-the room center (shifted by ``origin_offset`` if configured).  Wall reflection
-coefficients are real, frequency independent, ordered (x-, x+, y-, y+, z-, z+).
+All positions are expressed in the analysis frame whose origin O is the room
+center.  Wall reflection coefficients are real, frequency independent,
+ordered (x-, x+, y-, y+, z-, z+).
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ class RoomModel:
     dimensions: tuple[float, float, float]
     wall_reflection: tuple[float, float, float, float, float, float]
     max_image_order: int = 2
-    origin_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if len(self.dimensions) != 3 or any(d <= 0 for d in self.dimensions):
@@ -39,16 +38,10 @@ class RoomModel:
             raise ConfigurationError(
                 f"max_image_order must be >= 0, got {self.max_image_order}"
             )
-        if not self.contains(np.zeros(3)):
-            raise ConfigurationError("analysis origin must lie strictly inside the room")
 
     def to_corner_frame(self, p) -> np.ndarray:
         """Analysis-frame point -> coordinates from the (x-, y-, z-) room corner."""
-        return (
-            np.asarray(p, dtype=float)
-            + 0.5 * np.asarray(self.dimensions)
-            + np.asarray(self.origin_offset)
-        )
+        return np.asarray(p, dtype=float) + 0.5 * np.asarray(self.dimensions)
 
     def contains(self, p) -> bool:
         q = self.to_corner_frame(p)

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigurationError
-from .geometry import RegionPair, cartesian_to_spherical_arrays
+from .geometry import RegionPair
 from .modal import COINCIDENT_DISTANCE, WaveContext, grid_index
 
 
@@ -58,19 +58,29 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
     The direct field in closed form plus the reverberant bilinear form
     1j k sum j_n(k y) conj(Y_nm(y)) alpha[(n,m), (v,mu)] j_v(k x) Y_vmu(x).
     This is the one reconstruction entry point; one pair is a (1, 3) call.
-    Receivers and sources share one Bessel and one harmonic table, built to
-    the larger of the two orders after every check has passed.
+    Receivers and sources share one ``regular_basis`` table, built to the
+    larger of the two orders after every check has passed.
     """
     fi = cset.frequency_index(frequency)
     k = cset.context(frequency).k
     ns = int(cset.source_orders[fi])
     nr = int(cset.receiver_orders[fi])
-    X, Y_s = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y_s, dtype=float))
+    X, Y_s = np.asarray(X, dtype=float), np.asarray(Y_s, dtype=float)
+    try:
+        pair = np.broadcast_arrays(X, Y_s)
+    except ValueError:
+        pair = None
+    if pair is None or pair[0].ndim != 2 or pair[0].shape[1] != 3:
+        raise ConfigurationError(
+            f"receivers {X.shape} and sources {Y_s.shape} do not broadcast to (P, 3) points"
+        )
+    X, Y_s = pair
     P = X.shape[0]
-    r, theta, phi = cartesian_to_spherical_arrays(np.concatenate([X, Y_s]))
+    points = np.concatenate([X, Y_s])
+    r = np.linalg.norm(points, axis=1)
     for what, radii, limit in (("receiver", r[:P], cset.regions.receiver_radius),
                                ("source", r[P:], cset.regions.source_radius)):
-        if np.any(radii > limit + 1e-12):
+        if not np.all(radii <= limit + 1e-12):  # a NaN coordinate fails here too
             raise ConfigurationError(
                 f"{what} radius {radii.max()} exceeds the region radius {limit}; "
                 "the parameterization is invalid there"
@@ -82,9 +92,7 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
             f"pair {i}: receiver {X[i].tolist()} and source {Y_s[i].tolist()} "
             "name the same room point"
         )
-    N = max(ns, nr)
-    basis = specfun.harmonic_matrix(N, theta, phi)
-    basis *= specfun.bessel_j_matrix(N, k * r)
+    basis = specfun.regular_basis(max(ns, nr), k, points)
     np.conj(basis[:, P:], out=basis[:, P:])  # the source rows: j_n is real
     terms = cset.alpha[fi].T @ basis[:specfun.mode_count(ns), P:]
     terms *= basis[:specfun.mode_count(nr), :P]

@@ -7,6 +7,8 @@ needs numpy only.
 The basis tables ``harmonic_matrix``, ``bessel_j_matrix`` and
 ``hankel_h1_matrix`` are the one basis primitive of every matrix builder.
 Rows run over the flat index n^2 + n + m, columns over points.
+``regular_basis`` is their product j_n(k|x|) Y_nm(x-hat) at Cartesian
+points, the one table the T, T', encoder and reconstruction builders use.
 
 ``harmonic_matrix`` writes Y_nm = P_nm(cos theta) e^{i m phi}, with P_nm the
 fully normalized associated Legendre function (orthonormal on the sphere once
@@ -58,6 +60,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .geometry import cartesian_to_spherical_arrays
 
 
 def mode_count(max_order: int) -> int:
@@ -251,6 +255,17 @@ def _bessel_j_rows(max_order: int, x) -> np.ndarray:
 def bessel_j_matrix(max_order: int, x) -> np.ndarray:
     """j_n at each point, repeated per degree: shape ((N+1)^2, P)."""
     return _bessel_j_rows(max_order, x)[harmonic_orders(max_order)]
+
+
+def regular_basis(max_order: int, k: float, points) -> np.ndarray:
+    """j_n(k|x|) Y_nm(x-hat) at Cartesian points (P, 3): shape ((N+1)^2, P).
+
+    One (3,) point is P = 1.  The origin gives (1 / sqrt(4 pi), 0, ..., 0).
+    """
+    r, theta, phi = cartesian_to_spherical_arrays(np.reshape(points, (-1, 3)))
+    basis = harmonic_matrix(max_order, theta, phi)
+    basis *= bessel_j_matrix(max_order, k * r)
+    return basis
 
 
 def hankel_h1_matrix(max_order: int, x) -> np.ndarray:

@@ -13,22 +13,19 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigurationError
-from .geometry import SphericalCoord
 from .modal import WaveContext
 
 
-def build_T(speakers: list[SphericalCoord], max_order: int, ctx: WaveContext) -> np.ndarray:
-    if not speakers:
-        raise ConfigurationError("at least one loudspeaker is required")
-    k = ctx.k
-    r = np.array([s.radius for s in speakers])
-    theta = np.array([s.theta for s in speakers])
-    phi = np.array([s.phi for s in speakers])
-    return (
-        1j * k
-        * specfun.bessel_j_matrix(max_order, k * r)
-        * np.conj(specfun.harmonic_matrix(max_order, theta, phi))
-    )
+def build_T(speakers: np.ndarray, max_order: int, ctx: WaveContext) -> np.ndarray:
+    """T for loudspeakers at the rows of ``speakers`` (L, 3), about the region center."""
+    speakers = np.asarray(speakers, dtype=float)
+    if speakers.ndim != 2 or speakers.shape[1] != 3 or speakers.shape[0] < 1:
+        raise ConfigurationError(
+            f"loudspeakers must be an (L >= 1, 3) array, got shape {speakers.shape}"
+        )
+    T = np.conj(specfun.regular_basis(max_order, ctx.k, speakers))
+    T *= 1j * ctx.k
+    return T
 
 
 def solve_all_weights(T: np.ndarray, num_modes: int | None = None, *, cutoff: float):

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigurationError
-from .geometry import SphericalCoord, cartesian_to_spherical_arrays
 from .modal import WaveContext
 from .recording import MicArray
 from .specfun import wigner_3j
@@ -56,15 +55,11 @@ def _term_table(local_order: int, col_order: int):
     return np.array(entries), np.array(basis), np.array(coeffs, dtype=complex)
 
 
-def s_hat_block(local_order: int, col_order: int, displacement: SphericalCoord,
+def s_hat_block(local_order: int, col_order: int, displacement: np.ndarray,
                 ctx: WaveContext) -> np.ndarray:
-    """Dense S-hat block for one displacement: ((A+1)^2, (V+1)^2)."""
+    """Dense S-hat block for one Cartesian displacement (3,): ((A+1)^2, (V+1)^2)."""
     entries, basis, coeffs = _term_table(local_order, col_order)
-    lmax = local_order + col_order
-    table = (
-        specfun.bessel_j_matrix(lmax, [ctx.k * displacement.radius])
-        * np.conj(specfun.harmonic_matrix(lmax, [displacement.theta], [displacement.phi]))
-    )[:, 0]
+    table = np.conj(specfun.regular_basis(local_order + col_order, ctx.k, displacement)[:, 0])
     vals = coeffs * table[basis]
     shape = (specfun.mode_count(local_order), specfun.mode_count(col_order))
     size = shape[0] * shape[1]
@@ -90,12 +85,8 @@ def build_T_prime(mics: MicArray, col_order: int, ctx: WaveContext,
             f"aliasing bound violated: Q (A+1)^2 = {total_rows} rows cannot "
             f"resolve (N_r+1)^2 = {n_cols} receiver modes; increase Q or lower N_r"
         )
-    r, theta, phi = cartesian_to_spherical_arrays(mics.unit_centers)
-    blocks = []
-    for q in range(mics.num_units):
-        disp = SphericalCoord(float(r[q]), float(theta[q]), float(phi[q]))
-        blocks.append(s_hat_block(A, col_order, disp, ctx)[keep])
-    return np.vstack(blocks)
+    return np.vstack([s_hat_block(A, col_order, center, ctx)[keep]
+                      for center in mics.unit_centers])
 
 
 def solve_alpha_all(Tp: np.ndarray, gamma_all: np.ndarray, keep: np.ndarray,

@@ -6,7 +6,9 @@ Each function is the plain per-point or per-bin formula, so a batched path in
 * ``rtf_oracle_many`` is the image-source sum at one frequency, one exact
   ``exp`` per image; ``room.rtf_oracle_grid`` is checked against it bin by bin.
 * The field evaluators work on plain coefficient arrays in flat (n, m)
-  order, of length (N+1)^2; N is read back from the length.
+  order, of length (N+1)^2; N is read back from the length.  Points are
+  Cartesian, and the Bessel and harmonic tables are called directly, apart
+  from the library's ``regular_basis``.
 """
 import math
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from roomtf import specfun
 from roomtf.errors import ConfigurationError
-from roomtf.geometry import SphericalCoord, cartesian_to_spherical_arrays
+from roomtf.geometry import cartesian_to_spherical_arrays
 from roomtf.modal import COINCIDENT_DISTANCE, WaveContext
 from roomtf.room import RoomModel, image_lattice
 
@@ -56,32 +58,34 @@ def max_order_of(coeffs: np.ndarray) -> int:
     return n
 
 
-def point_source_outgoing_coeffs(y_s: SphericalCoord, ctx: WaveContext,
-                                 max_order: int) -> np.ndarray:
-    """Outgoing coefficients i k j_n(k y) conj(Y_nm(y-hat)) of a unit source at y_s."""
+def point_source_outgoing_coeffs(y_s, ctx: WaveContext, max_order: int) -> np.ndarray:
+    """Outgoing coefficients i k j_n(k y) conj(Y_nm(y-hat)) of a unit source at y_s (3,)."""
+    r, theta, phi = cartesian_to_spherical_arrays(y_s)
     k = ctx.k
-    j = specfun.bessel_j_matrix(max_order, [k * y_s.radius])[:, 0]
-    y = specfun.harmonic_matrix(max_order, [y_s.theta], [y_s.phi])[:, 0]
+    j = specfun.bessel_j_matrix(max_order, [k * r])[:, 0]
+    y = specfun.harmonic_matrix(max_order, [theta], [phi])[:, 0]
     return 1j * k * j * np.conj(y)
 
 
-def eval_interior_field(coeffs, x: SphericalCoord, ctx: WaveContext) -> complex:
-    """Sum of alpha_vm j_v(kx) Y_vm(x-hat); valid inside the source-free region."""
+def eval_interior_field(coeffs, x, ctx: WaveContext) -> complex:
+    """Sum of alpha_vm j_v(kx) Y_vm(x-hat) at x (3,); valid inside the source-free region."""
+    r, theta, phi = cartesian_to_spherical_arrays(x)
     coeffs = np.asarray(coeffs, dtype=complex)
     N = max_order_of(coeffs)
-    j = specfun.bessel_j_matrix(N, [ctx.k * x.radius])[:, 0]
-    y = specfun.harmonic_matrix(N, [x.theta], [x.phi])[:, 0]
+    j = specfun.bessel_j_matrix(N, [ctx.k * r])[:, 0]
+    y = specfun.harmonic_matrix(N, [theta], [phi])[:, 0]
     return complex(np.sum(coeffs * j * y))
 
 
-def eval_exterior_field(coeffs, z: SphericalCoord, ctx: WaveContext) -> complex:
-    """Sum of beta_nm h_n(kz) Y_nm(z-hat); valid outside the source distribution."""
-    if z.radius <= 0:
+def eval_exterior_field(coeffs, z, ctx: WaveContext) -> complex:
+    """Sum of beta_nm h_n(kz) Y_nm(z-hat) at z (3,); valid outside the source distribution."""
+    r, theta, phi = cartesian_to_spherical_arrays(z)
+    if r <= 0:
         raise ValueError("exterior field is singular at zero radius")
     coeffs = np.asarray(coeffs, dtype=complex)
     N = max_order_of(coeffs)
-    h = specfun.hankel_h1_matrix(N, [ctx.k * z.radius])[:, 0]
-    y = specfun.harmonic_matrix(N, [z.theta], [z.phi])[:, 0]
+    h = specfun.hankel_h1_matrix(N, [ctx.k * r])[:, 0]
+    y = specfun.harmonic_matrix(N, [theta], [phi])[:, 0]
     return complex(np.sum(coeffs * h * y))
 
 

@@ -5,7 +5,6 @@ and its tolerance, then asserts.  The heavy simulation artifacts (measurement
 tensors and extracted coefficient tensors) are shared through module-scoped
 fixtures so the whole gate runs in a few minutes.
 """
-import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import pytest
 from scipy import special as sp
 
 from roomtf import pipeline, specfun, synthesis, translation
-from roomtf.geometry import shell_array, sphere_array, to_spherical
+from roomtf.geometry import cartesian_to_spherical_arrays, shell_array, sphere_array
 from roomtf.modal import WaveContext, truncation_order
 from roomtf.pipeline import load_config, run_extract, run_measure, sweep_errors
 from roomtf.recording import HoMicSpec, make_mic_array, mic_radius
@@ -182,15 +181,14 @@ def test_criterion_7_translation_field_consistency():
         n_coeff = (order + 1) ** 2
         alpha = rng.standard_normal(n_coeff) + 1j * rng.standard_normal(n_coeff)
         for center in centers:
-            gamma = translation.s_hat_block(local_order, order, to_spherical(center), ctx) @ alpha
+            gamma = translation.s_hat_block(local_order, order, center, ctx) @ alpha
             for _ in range(3):
                 probe = rng.uniform(-0.03, 0.03, 3)
-                f_global = eval_interior_field(alpha, to_spherical(center + probe), ctx)
-                f_local = eval_interior_field(gamma, to_spherical(probe), ctx)
+                f_global = eval_interior_field(alpha, center + probe, ctx)
+                f_local = eval_interior_field(gamma, probe, ctx)
                 worst = max(worst, abs(f_global - f_local) / abs(f_global))
-    zero = to_spherical(np.zeros(3))
     identity_err = float(np.max(np.abs(
-        translation.s_hat_block(4, 4, zero, ctx) - np.eye(25)
+        translation.s_hat_block(4, 4, np.zeros(3), ctx) - np.eye(25)
     )))
     ok = worst < 1e-6 and identity_err < 1e-12
     report(7, ok,
@@ -247,19 +245,9 @@ def test_criterion_10_mode_matching_fidelity():
     n_s = truncation_order(ctx.k, 0.4)
     speakers = shell_array(121, 0.4, 0.3, 12345)
     T = synthesis.build_T(speakers, 10, ctx)
-    speaker_xyz = np.array([
-        [s.radius * math.sin(s.theta) * math.cos(s.phi),
-         s.radius * math.sin(s.theta) * math.sin(s.phi),
-         s.radius * math.cos(s.theta)] for s in speakers
-    ])
-    directions = np.array([
-        to_spherical(v) for v in np.random.default_rng(3).standard_normal((20, 3))
-    ], dtype=object)
-    probes = np.array([
-        [1.5 * math.sin(d.theta) * math.cos(d.phi),
-         1.5 * math.sin(d.theta) * math.sin(d.phi),
-         1.5 * math.cos(d.theta)] for d in directions
-    ])
+    directions = np.random.default_rng(3).standard_normal((20, 3))
+    _, theta, phi = cartesian_to_spherical_arrays(directions)
+    probes = 1.5 * directions / np.linalg.norm(directions, axis=1)[:, None]
     W, _ = synthesis.solve_all_weights(T, num_modes=specfun.mode_count(n_s), cutoff=1e-10)
     h = sp.spherical_jn(np.arange(n_s + 1), ctx.k * 1.5) + 1j * sp.spherical_yn(
         np.arange(n_s + 1), ctx.k * 1.5
@@ -268,12 +256,9 @@ def test_criterion_10_mode_matching_fidelity():
     for flat, n in enumerate(specfun.harmonic_orders(n_s).tolist()):
         m = flat - n * n - n
         w = W[:, flat]
-        dists = np.linalg.norm(probes[:, None, :] - speaker_xyz[None, :, :], axis=2)
+        dists = np.linalg.norm(probes[:, None, :] - speakers[None, :, :], axis=2)
         field = (np.exp(1j * ctx.k * dists) / (4 * np.pi * dists)) @ w
-        expected = np.array([
-            h[n] * sp.sph_harm_y(n, m, d.theta, d.phi)
-            for d in directions
-        ])
+        expected = h[n] * sp.sph_harm_y(n, m, theta, phi)
         rel = np.linalg.norm(field - expected) / np.linalg.norm(expected)
         worst = max(worst, rel)
     report(10, worst < 0.01,

@@ -1,5 +1,4 @@
 """Artifact persistence: binary round trips, digests, CSV fidelity."""
-import csv
 import json
 import struct
 
@@ -198,33 +197,3 @@ class TestDigests:
         b = a.copy()
         b[0, 0] += 1e-12
         assert fileio.content_digest(a) != fileio.content_digest(b)
-
-
-class TestCsvExports:
-    def test_coefficient_csv_round_trip_fidelity(self, tmp_path):
-        cset = sample_cset()
-        path = tmp_path / "c.csv"
-        fileio.export_coefficients_csv(path, cset)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 9 * 16 + 16 * 25
-        # rebuild the first block from the text and require exact equality
-        block = np.zeros((9, 16), complex)
-        for row in rows:
-            if float(row["frequency_hz"]) != 500.0:
-                continue
-            n, m = int(row["n"]), int(row["m"])
-            v, mu = int(row["v"]), int(row["mu"])
-            block[n * n + n + m, v * v + v + mu] = (
-                float(row["re"]) + 1j * float(row["im"])
-            )
-        assert np.array_equal(block, cset.alpha[0])
-
-    def test_measurement_csv_shape(self, tmp_path):
-        mt = sample_tensor()
-        path = tmp_path / "m.csv"
-        fileio.export_measurement_csv(path, mt)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["frequency_hz", "mic_unit", "speaker", "a", "b", "re", "im"]
-        assert len(rows) - 1 == 2 * 3 * 5 * 16

@@ -7,67 +7,50 @@ from hypothesis import given, strategies as st
 
 from roomtf import geometry
 from roomtf.errors import ConfigurationError
-from roomtf.geometry import SphericalCoord, to_cartesian, to_spherical
+from roomtf.geometry import cartesian_to_spherical_arrays, spherical_to_cartesian_arrays
 
 finite = st.floats(-10.0, 10.0)
 
 
+def to_spherical(point):
+    """(r, theta, phi) of one Cartesian point as plain floats."""
+    return tuple(float(c) for c in cartesian_to_spherical_arrays(np.array(point, dtype=float)))
+
+
 class TestConversions:
     def test_north_pole(self):
-        s = to_spherical((0.0, 0.0, 1.0))
-        assert (s.radius, s.theta, s.phi) == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
+        assert to_spherical((0.0, 0.0, 1.0)) == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
 
     def test_equatorial_x_axis(self):
-        s = to_spherical((1.0, 0.0, 0.0))
-        assert (s.radius, s.theta, s.phi) == pytest.approx(
+        assert to_spherical((1.0, 0.0, 0.0)) == pytest.approx(
             (1.0, math.pi / 2, 0.0), abs=1e-15
         )
 
     def test_offset_vector_example(self):
-        s = to_spherical((1.0, 1.0, 0.5))
-        assert s.radius == pytest.approx(1.5, abs=1e-15)
-        assert s.theta == pytest.approx(math.acos(1.0 / 3.0), abs=1e-12)
-        assert s.phi == pytest.approx(math.pi / 4, abs=1e-12)
+        r, theta, phi = to_spherical((1.0, 1.0, 0.5))
+        assert r == pytest.approx(1.5, abs=1e-15)
+        assert theta == pytest.approx(math.acos(1.0 / 3.0), abs=1e-12)
+        assert phi == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_zero_vector_convention(self):
-        s = to_spherical((0.0, 0.0, 0.0))
-        assert (s.radius, s.theta, s.phi) == (0.0, 0.0, 0.0)
+        assert to_spherical((0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
 
     @given(finite, finite, finite)
     def test_round_trip(self, x, y, z):
-        back = to_cartesian(to_spherical((x, y, z)))
+        back = spherical_to_cartesian_arrays(*cartesian_to_spherical_arrays(np.array([x, y, z])))
         assert np.allclose(back, [x, y, z], atol=1e-12)
 
     @pytest.mark.parametrize("point", [(0.0, 1e-8, 1.0), (0.0, -1e-8, -1.0)])
     def test_near_pole_round_trip(self, point):
-        s = to_spherical(point)
-        assert np.allclose(to_cartesian(s), point, rtol=0, atol=1e-15)
-        r, t, p = geometry.cartesian_to_spherical_arrays(np.array([point]))
-        back = geometry.spherical_to_cartesian_arrays(r, t, p)[0]
+        r, t, p = cartesian_to_spherical_arrays(np.array([point]))
+        back = spherical_to_cartesian_arrays(r, t, p)[0]
         assert np.allclose(back, point, rtol=0, atol=1e-15)
-        assert (t[0], p[0]) == (s.theta, s.phi)
 
     def test_near_pole_polar_angle(self):
-        assert to_spherical((0.0, 1e-8, 1.0)).theta == pytest.approx(1e-8, rel=1e-12)
-        assert math.pi - to_spherical((0.0, -1e-8, -1.0)).theta == pytest.approx(
+        assert to_spherical((0.0, 1e-8, 1.0))[1] == pytest.approx(1e-8, rel=1e-12)
+        assert math.pi - to_spherical((0.0, -1e-8, -1.0))[1] == pytest.approx(
             1e-8, rel=1e-7
         )
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-2, 2, (40, 3))
-        r, t, p = geometry.cartesian_to_spherical_arrays(pts)
-        for i in range(len(pts)):
-            s = to_spherical(pts[i])
-            assert (r[i], t[i], p[i]) == pytest.approx(
-                (s.radius, s.theta, s.phi), abs=1e-12
-            )
-
-    def test_invalid_spherical_coord(self):
-        with pytest.raises(ValueError):
-            SphericalCoord(-1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            SphericalCoord(1.0, 4.0, 0.0)
 
 
 class TestDirections:
@@ -97,19 +80,21 @@ class TestDirections:
 class TestArrays:
     def test_shell_radii_in_range(self):
         pts = geometry.shell_array(121, 0.4, 0.3, seed=7)
-        radii = np.array([p.radius for p in pts])
+        assert pts.shape == (121, 3)
+        radii = np.linalg.norm(pts, axis=1)
         assert radii.min() >= 0.3 and radii.max() <= 0.4
 
     def test_degenerate_shell_is_single_sphere(self):
         pts = geometry.shell_array(10, 0.4, 0.4, seed=1)
-        assert all(p.radius == 0.4 for p in pts)
+        want = spherical_to_cartesian_arrays(0.4, *geometry.equal_area_directions(10))
+        assert np.array_equal(pts, want)
 
     def test_seed_determinism(self):
         a = geometry.shell_array(50, 0.4, 0.3, seed=99)
         b = geometry.shell_array(50, 0.4, 0.3, seed=99)
-        assert a == b
+        assert np.array_equal(a, b)
         c = geometry.shell_array(50, 0.4, 0.3, seed=100)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_inverted_shell_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -120,16 +105,19 @@ class TestArrays:
         from scipy import stats
 
         pts = geometry.shell_array(10_000, 0.4, 0.3, seed=5)
-        radii = np.array([p.radius for p in pts])
+        radii = np.linalg.norm(pts, axis=1)
         stat = stats.kstest(radii, stats.uniform(0.3, 0.1).cdf).statistic
         assert stat < 0.05
 
     def test_sphere_array(self):
         pts = geometry.sphere_array(9, 0.4)
-        assert len(pts) == 9
-        assert all(p.radius == 0.4 for p in pts)
+        assert np.array_equal(
+            pts, spherical_to_cartesian_arrays(0.4, *geometry.equal_area_directions(9))
+        )
         single = geometry.sphere_array(1, 1.0)
-        assert len(single) == 1 and single[0].radius == 1.0
+        assert np.array_equal(
+            single, spherical_to_cartesian_arrays(1.0, *geometry.equal_area_directions(1))
+        )
 
     def test_region_pair_validation(self):
         with pytest.raises(ConfigurationError):

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from scipy import special as sp
 
 from roomtf import specfun
-from roomtf.geometry import SphericalCoord, to_spherical
+from roomtf.geometry import cartesian_to_spherical_arrays
+from roomtf.geometry import spherical_to_cartesian_arrays as cartesian
 from roomtf.errors import ConfigurationError
 from roomtf.modal import GRID_TOLERANCE, WaveContext, grid_index, truncation_order
 
@@ -70,7 +71,7 @@ class TestTruncationOrder:
 class TestPointSourceCoeffs:
     def test_source_at_center_excites_only_monopole(self):
         ctx = ctx_at(700.0)
-        beta = point_source_outgoing_coeffs(SphericalCoord(0.0, 0.0, 0.0), ctx, 4)
+        beta = point_source_outgoing_coeffs(np.zeros(3), ctx, 4)
         expected = 1j * ctx.k / math.sqrt(4 * math.pi)
         assert beta[0] == pytest.approx(expected, abs=1e-14)
         assert np.all(beta[1:] == 0)
@@ -79,7 +80,7 @@ class TestPointSourceCoeffs:
         # spec quotes 1.3634 from rounded intermediates; exact evaluation of
         # k/sqrt(4 pi) |j0(0.2 k)| at 500 Hz gives 1.36269
         ctx = ctx_at(500.0)
-        beta = point_source_outgoing_coeffs(SphericalCoord(0.2, 1.1, 0.7), ctx, 3)
+        beta = point_source_outgoing_coeffs(cartesian(0.2, 1.1, 0.7), ctx, 3)
         exact = ctx.k / math.sqrt(4 * math.pi) * abs(
             sp.spherical_jn(0, ctx.k * 0.2)
         )
@@ -91,7 +92,7 @@ class TestPointSourceCoeffs:
         # plain conjugates for sources at phi = 0 (the phase (-1)^m from the
         # harmonic meets the same factor from the conjugated degree flip)
         ctx = ctx_at(600.0)
-        beta = point_source_outgoing_coeffs(SphericalCoord(0.25, 1.0, 0.0), ctx, 2)
+        beta = point_source_outgoing_coeffs(cartesian(0.25, 1.0, 0.0), ctx, 2)
         b_plus = beta[3]  # flat row n^2 + n + m of (1, 1)
         b_minus = beta[1]  # and of (1, -1)
         assert b_minus == pytest.approx(np.conj(b_plus), abs=1e-14)
@@ -99,27 +100,27 @@ class TestPointSourceCoeffs:
 
 class TestFieldEvaluation:
     def test_unit_monopole_at_origin(self):
-        got = eval_interior_field([1.0], SphericalCoord(0.0, 0.0, 0.0), ctx_at(500.0))
+        got = eval_interior_field([1.0], np.zeros(3), ctx_at(500.0))
         assert got == pytest.approx(1.0 / math.sqrt(4 * math.pi), abs=1e-14)
 
     def test_zero_vector_evaluates_to_zero(self):
         coeffs = np.zeros(16, complex)
-        assert eval_interior_field(coeffs, SphericalCoord(0.2, 1.0, 2.0), ctx_at(500.0)) == 0
+        assert eval_interior_field(coeffs, cartesian(0.2, 1.0, 2.0), ctx_at(500.0)) == 0
 
     def test_plane_wave_expansion(self):
         ctx = ctx_at(700.0)
         k = ctx.k
         direction = np.array([0.3, -0.5, 0.8])
         direction /= np.linalg.norm(direction)
-        d_sph = to_spherical(direction)
+        _, theta, phi = cartesian_to_spherical_arrays(direction)
         N = truncation_order(k, 0.3) + 6
         n = specfun.harmonic_orders(N)
         m = np.arange(n.size) - n * n - n
-        coeffs = 4 * math.pi * (1j ** n) * np.conj(sp.sph_harm_y(n, m, d_sph.theta, d_sph.phi))
+        coeffs = 4 * math.pi * (1j ** n) * np.conj(sp.sph_harm_y(n, m, theta, phi))
         rng = np.random.default_rng(11)
         for _ in range(10):
             x = rng.uniform(-0.2, 0.2, 3)
-            got = eval_interior_field(coeffs, to_spherical(x), ctx)
+            got = eval_interior_field(coeffs, x, ctx)
             expected = np.exp(1j * k * direction @ x)
             assert got == pytest.approx(expected, abs=1e-6)
 
@@ -127,31 +128,31 @@ class TestFieldEvaluation:
         ctx = ctx_at(600.0)
         y = np.array([0.15, -0.1, 0.2])
         beta = point_source_outgoing_coeffs(
-            to_spherical(y), ctx, truncation_order(ctx.k, np.linalg.norm(y)) + 12
+            y, ctx, truncation_order(ctx.k, np.linalg.norm(y)) + 12
         )
         rng = np.random.default_rng(4)
         for _ in range(5):
             z = rng.uniform(-1.0, 1.0, 3)
             z *= 1.2 / np.linalg.norm(z)
-            got = eval_exterior_field(beta, to_spherical(z), ctx)
+            got = eval_exterior_field(beta, z, ctx)
             expected = direct_field(z, y, ctx)
             assert got == pytest.approx(expected, rel=1e-6)
 
     def test_exterior_monopole_closed_form(self):
         ctx = ctx_at(343.0 / (2 * math.pi))  # k = 1
-        got = eval_exterior_field([1.0], SphericalCoord(1.0, 0.4, 2.0), ctx)
+        got = eval_exterior_field([1.0], cartesian(1.0, 0.4, 2.0), ctx)
         expected = -1j * np.exp(1j) / 1.0 / math.sqrt(4 * math.pi)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_exterior_rejects_zero_radius(self):
         with pytest.raises(ValueError):
-            eval_exterior_field([1.0], SphericalCoord(0.0, 0.0, 0.0), ctx_at(500.0))
+            eval_exterior_field([1.0], np.zeros(3), ctx_at(500.0))
 
     def test_superposition(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        x = SphericalCoord(0.3, 1.2, 0.4)
+        x = cartesian(0.3, 1.2, 0.4)
         ctx = ctx_at(800.0)
         total = eval_interior_field(a + b, x, ctx)
         parts = eval_interior_field(a, x, ctx) + eval_interior_field(b, x, ctx)

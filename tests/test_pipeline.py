@@ -212,6 +212,19 @@ class TestCli:
         path = write_yaml(tmp_path, "arrays: {speakers: 10}\n")
         assert cli.main(["measure", "--config", path]) == 2
 
+    @pytest.mark.parametrize("command, signal, message", [
+        ("cond", "frequencies: [0.0, 300.0]", "signal.frequencies must be finite and > 0 Hz, got 0.0"),
+        ("measure", "frequencies: [-100.0]", "signal.frequencies must be finite and > 0 Hz, got -100.0"),
+        ("measure", "frequencies: [400.0, .inf]", "signal.frequencies must be finite and > 0 Hz, got inf"),
+        ("cond", "sound_speed: 0", "signal.sound_speed must be finite and > 0, got 0.0"),
+        ("measure", "sound_speed: -343.0", "signal.sound_speed must be finite and > 0, got -343.0"),
+    ], ids=["zero-frequency", "negative-frequency", "infinite-frequency",
+            "zero-sound-speed", "negative-sound-speed"])
+    def test_non_positive_signal_value_exits_2(self, tmp_path, capsys, command, signal, message):
+        path = write_yaml(tmp_path, f"signal: {{{signal}}}\n")
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_bessel_zero_exits_3(self, tmp_path, capsys):
         from roomtf.recording import mic_radius
 
@@ -459,7 +472,23 @@ class TestSweepReuse:
         assert not (tmp_path / "out" / "coefficients.rtfc").exists()
 
 
+# the geometry digest of each shipped config: .rtfm/.rtfc files written by
+# earlier versions load only while the array layouts keep their exact bits
+REFERENCE_DIGEST = "060222267c6a997b6b5a1fdabda4d4c6a80d34b8138ba1dc94d1e88d7921446b"
+PINNED_DIGESTS = {
+    "fig2_cond": REFERENCE_DIGEST,
+    "fig3_nonoverlap": REFERENCE_DIGEST,
+    "fig5_sweep": REFERENCE_DIGEST,
+    "fig6_overlap": "73dfd0de2c7f260b8ef20f8cbb34e4e94f9bade20bc07b5d2b353996acd908a1",
+    "freefield": REFERENCE_DIGEST,
+}
+
+
 class TestArtifactDigests:
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_config_geometry_digest_pinned(self, path):
+        assert Experiment(load_config(path)).geometry_digest == PINNED_DIGESTS[path.stem]
+
     def test_writers_record_the_digests_of_their_kind(self):
         cfg = fast_config()
         exp = validate_config(cfg)

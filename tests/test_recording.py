@@ -6,7 +6,6 @@ import pytest
 
 from roomtf import recording, specfun
 from roomtf.errors import BesselZeroError, ConfigurationError
-from roomtf.geometry import positions_to_cartesian
 from roomtf.modal import WaveContext
 from roomtf.recording import (
     HoMicSpec,
@@ -73,12 +72,18 @@ class TestSpecsAndArrays:
         assert mics.omni_positions().shape == (9, 49, 3)
         assert np.allclose(np.linalg.norm(mics.unit_centers, axis=1), 0.28)
 
+    def test_offsets_must_be_points(self):
+        spec = reference_mic_spec()
+        offsets = make_mic_array(1, 0.2, spec).local_offsets
+        with pytest.raises(ConfigurationError, match=r"local_offsets must be .* got \(49, 2\)"):
+            MicArray(np.zeros((2, 3)), spec, offsets[:, :2])
+
     def test_offsets_must_match_spec_radius(self):
         from roomtf.geometry import sphere_array
 
         spec = reference_mic_spec()
         with pytest.raises(ConfigurationError):
-            MicArray(np.zeros((2, 3)), spec, tuple(sphere_array(49, 0.5)))
+            MicArray(np.zeros((2, 3)), spec, sphere_array(49, 0.5))
 
 
 class TestLocalEncoding:
@@ -90,8 +95,7 @@ class TestLocalEncoding:
         ctx = WaveContext(900.0)
         rng = np.random.default_rng(5)
         gamma_true = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        local = positions_to_cartesian(list(mics.local_offsets))
-        basis = interior_basis(3, local, ctx)  # (16, Q')
+        basis = interior_basis(3, mics.local_offsets, ctx)  # (16, Q')
         pressures = np.broadcast_to(gamma_true @ basis, (4, spec.omni_count)).copy()
         gamma = encode(mics, pressures, ctx)
         rel = np.linalg.norm(gamma - gamma_true[None, :]) / np.linalg.norm(gamma_true)
@@ -103,9 +107,8 @@ class TestLocalEncoding:
         ctx = WaveContext(800.0)
         rng = np.random.default_rng(9)
         gamma_true = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        local = positions_to_cartesian(list(mics.local_offsets))
         pressures = np.broadcast_to(
-            gamma_true @ interior_basis(3, local, ctx), (2, 16)
+            gamma_true @ interior_basis(3, mics.local_offsets, ctx), (2, 16)
         ).copy()
         gamma = encode(mics, pressures, ctx)
         rel = np.linalg.norm(gamma - gamma_true[None, :]) / np.linalg.norm(gamma_true)
@@ -296,8 +299,7 @@ class TestComposition:
 class TestDirectComponent:
     def test_axial_speaker_excites_only_zonal_modes(self):
         spec = reference_mic_spec()
-        mics = MicArray(np.zeros((1, 3)), spec,
-                        tuple(make_mic_array(1, 0.2, spec).local_offsets))
+        mics = MicArray(np.zeros((1, 3)), spec, make_mic_array(1, 0.2, spec).local_offsets)
         speakers = np.array([[0.0, 0.0, 1.5]])  # on the +z axis of the unit
         out = direct_component_all(speakers, np.ones((1, 1)), mics, WaveContext(700.0))
         orders = specfun.harmonic_orders(3)
@@ -327,7 +329,7 @@ class TestDirectComponent:
     def test_coincident_speaker_and_center_rejected(self):
         spec = reference_mic_spec()
         mics = MicArray(np.array([[0.5, 0.5, 0.1]]), spec,
-                        tuple(make_mic_array(1, 0.2, spec).local_offsets))
+                        make_mic_array(1, 0.2, spec).local_offsets)
         with pytest.raises(ValueError):
             direct_component_all(np.array([[0.5, 0.5, 0.1]]), np.ones((1, 1)), mics,
                                  WaveContext(600.0))

@@ -73,10 +73,6 @@ class TestRoomModel:
         with pytest.raises(ConfigurationError):
             RoomModel(REFERENCE_DIMS, (0.9, 0.9, 0.9, 0.9, 0.7, 1.2))
 
-    def test_origin_must_be_inside(self):
-        with pytest.raises(ConfigurationError):
-            RoomModel(REFERENCE_DIMS, PAPER_REFL, origin_offset=(10.0, 0.0, 0.0))
-
     def test_containment(self):
         room = reference_room()
         assert room.contains((2.9, 2.4, 1.2))

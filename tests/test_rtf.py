@@ -1,12 +1,14 @@
 """Coefficient-set reconstruction and error-metric tests."""
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
 from roomtf.errors import ConfigurationError
-from roomtf.geometry import RegionPair, SphericalCoord, to_cartesian
+from roomtf.geometry import RegionPair
+from roomtf.geometry import spherical_to_cartesian_arrays as cartesian
 from roomtf.modal import WaveContext
 from roomtf.rtf import (
     RtfCoefficientSet,
@@ -30,14 +32,9 @@ def make_set(alpha_blocks, ns, nr, freqs=(900.0,), regions=REGIONS):
     )
 
 
-def one_pair(x: SphericalCoord, y: SphericalCoord):
-    """A receiver and a source point as (1, 3) Cartesian arrays."""
-    return to_cartesian(x)[None, :], to_cartesian(y)[None, :]
-
-
 def reverberant_at(cset, x, y, frequency=900.0):
-    """Reconstruction at one pair minus the direct field in closed form."""
-    X, Y = one_pair(x, y)
+    """Reconstruction at one pair of (3,) points minus the direct field in closed form."""
+    X, Y = x[None, :], y[None, :]
     direct = direct_field(X[0], Y[0] + np.asarray(REGIONS.offset), WaveContext(frequency))
     return reconstruct_rtf_many(cset, X, Y, frequency)[0] - direct
 
@@ -63,7 +60,7 @@ class TestReconstruction:
     def test_zero_tensor_gives_zero_reverberant(self):
         cset = make_set([np.zeros((16, 16))], 3, 3)
         got = reverberant_at(
-            cset, SphericalCoord(0.2, 1.0, 0.5), SphericalCoord(0.1, 2.0, 1.0)
+            cset, cartesian(0.2, 1.0, 0.5), cartesian(0.1, 2.0, 1.0)
         )
         assert got == 0.0
 
@@ -72,12 +69,12 @@ class TestReconstruction:
         alpha[0, 0] = 1.0
         cset = make_set([alpha], 3, 3)
         ctx = WaveContext(900.0)
-        x = SphericalCoord(0.25, 1.2, 0.3)
-        y = SphericalCoord(0.15, 0.7, 2.1)
+        x = cartesian(0.25, 1.2, 0.3)
+        y = cartesian(0.15, 0.7, 2.1)
         expected = (
             1j * ctx.k
-            * sp.spherical_jn(0, ctx.k * y.radius)
-            * sp.spherical_jn(0, ctx.k * x.radius)
+            * sp.spherical_jn(0, ctx.k * 0.15)
+            * sp.spherical_jn(0, ctx.k * 0.25)
             / (4 * math.pi)
         )
         assert reverberant_at(cset, x, y) == pytest.approx(expected, abs=1e-14)
@@ -86,7 +83,7 @@ class TestReconstruction:
         rng = np.random.default_rng(6)
         alpha = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         cset = make_set([alpha], 3, 3)
-        X, Y = one_pair(SphericalCoord(0.2, 1.0, 0.4), SphericalCoord(0.2, 2.0, 5.0))
+        X, Y = cartesian(0.2, 1.0, 0.4)[None, :], cartesian(0.2, 2.0, 5.0)[None, :]
         total = reconstruct_rtf_many(cset, X, Y, 900.0)[0]
         reverberant = einsum_reverberant(cset, X, Y, 900.0)[0]
         direct = direct_field(X[0], Y[0] + np.array(REGIONS.offset), WaveContext(900.0))
@@ -96,8 +93,8 @@ class TestReconstruction:
         rng = np.random.default_rng(7)
         a1 = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         a2 = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        x = SphericalCoord(0.3, 0.9, 0.2)
-        y = SphericalCoord(0.25, 1.4, 3.0)
+        x = cartesian(0.3, 0.9, 0.2)
+        y = cartesian(0.25, 1.4, 3.0)
         r1 = reverberant_at(make_set([a1], 3, 3), x, y)
         r2 = reverberant_at(make_set([a2], 3, 3), x, y)
         r12 = reverberant_at(make_set([a1 + 2 * a2], 3, 3), x, y)
@@ -109,6 +106,8 @@ class TestReconstruction:
             reconstruct_rtf_many(cset, [[0.5, 0, 0]], [[0.1, 0, 0]], 900.0)
         with pytest.raises(ConfigurationError, match=r"source radius 0\.6 .* radius 0\.4"):
             reconstruct_rtf_many(cset, [[0.1, 0, 0]], [[0, 0, 0.6]], 900.0)
+        with pytest.raises(ConfigurationError, match=r"receiver radius nan .* radius 0\.4"):
+            reconstruct_rtf_many(cset, [[np.nan, 0, 0]], [[0.1, 0, 0]], 900.0)
 
     def test_coincident_pair_rejected(self):
         # -0.2 + 0.3 != 0.1 in floating point, yet both name one room point
@@ -118,6 +117,28 @@ class TestReconstruction:
         Y = np.array([[0.1, 0.0, 0.0], [-0.2, -0.2, -0.2]])
         with pytest.raises(ConfigurationError, match="pair 1: .* same room point"):
             reconstruct_rtf_many(cset, X, Y, 900.0)
+
+    @pytest.mark.parametrize("X, Y", [
+        ([0.1, 0.0, 0.0], [0.0, 0.1, 0.0]),
+        (np.zeros((2, 3)), np.zeros((3, 3))),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.zeros((2, 1, 3)), np.zeros((2, 1, 3))),
+    ], ids=["points", "lengths", "columns", "3d"])
+    def test_bad_point_shapes_named(self, X, Y):
+        cset = make_set([np.zeros((16, 16))], 3, 3)
+        with pytest.raises(ConfigurationError, match=re.escape(
+            f"receivers {np.shape(X)} and sources {np.shape(Y)}"
+        )):
+            reconstruct_rtf_many(cset, X, Y, 900.0)
+
+    def test_one_point_broadcasts_against_many(self):
+        rng = np.random.default_rng(14)
+        alpha = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        cset = make_set([alpha], 3, 3)
+        X = rng.uniform(-0.2, 0.2, (4, 3))
+        Y = np.array([[0.1, -0.05, 0.2]])
+        got = reconstruct_rtf_many(cset, X, Y, 900.0)
+        np.testing.assert_array_equal(got, reconstruct_rtf_many(cset, X, np.repeat(Y, 4, 0), 900.0))
 
     def test_vectorized_matches_scalar(self):
         # a batch equals the single-pair (1, 3) calls the CLI makes

@@ -276,6 +276,19 @@ class TestBasisTables:
         got = specfun.harmonic_matrix(25, theta, phi)
         assert np.max(np.abs(got - sp.sph_harm_y(n, m, 1e-8, math.pi / 2))) < 1e-13
 
+    def test_regular_basis_matches_scipy(self):
+        # j_n(k|x|) Y_nm(x-hat) at Cartesian points, the origin and a pole included
+        rng = np.random.default_rng(21)
+        points = np.vstack([rng.uniform(-0.4, 0.4, (30, 3)), [[0, 0, 0], [0, 0, -0.3]]])
+        k, N = 20.0, 8
+        r, theta, phi = cartesian_to_spherical_arrays(points)
+        n, m = flat_orders_degrees(N)
+        want = sp.spherical_jn(n, k * r) * sp.sph_harm_y(n, m, theta, phi)
+        got = specfun.regular_basis(N, k, points)
+        assert got.shape == (81, 32)
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.array_equal(specfun.regular_basis(N, k, points[3]), got[:, 3:4])
+
     def test_tables_build_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

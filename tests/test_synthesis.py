@@ -6,7 +6,7 @@ import pytest
 
 from roomtf import synthesis
 from roomtf.errors import ConfigurationError
-from roomtf.geometry import SphericalCoord, shell_array
+from roomtf.geometry import shell_array
 from roomtf.modal import WaveContext
 from roomtf.specfun import mode_count
 
@@ -21,11 +21,17 @@ def shell_at(f, count=121, order=10, seed=12345):
 class TestBuildT:
     def test_single_speaker_at_origin(self):
         ctx = WaveContext(500.0)
-        T = synthesis.build_T([SphericalCoord(0.0, 0.0, 0.0)], 3, ctx)
+        T = synthesis.build_T(np.zeros((1, 3)), 3, ctx)
         assert T.shape == (16, 1)
         expected = 1j * ctx.k / math.sqrt(4 * math.pi)
         assert T[0, 0] == pytest.approx(expected, abs=1e-14)
         assert np.all(T[1:, 0] == 0)
+
+    @pytest.mark.parametrize("speakers", [np.zeros((0, 3)), np.zeros(3), np.zeros((4, 2))],
+                             ids=["empty", "one-point", "columns"])
+    def test_bad_speaker_shapes_rejected(self, speakers):
+        with pytest.raises(ConfigurationError, match=r"\(L >= 1, 3\) array"):
+            synthesis.build_T(speakers, 3, WaveContext(500.0))
 
     def test_reference_shape(self):
         T = shell_at(1000.0)

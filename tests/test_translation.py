@@ -7,7 +7,8 @@ from scipy import special as sp
 
 from roomtf import specfun
 from roomtf.errors import ConfigurationError
-from roomtf.geometry import SphericalCoord, to_spherical
+from roomtf.geometry import cartesian_to_spherical_arrays
+from roomtf.geometry import spherical_to_cartesian_arrays as cartesian
 from roomtf.modal import WaveContext
 from roomtf.recording import HoMicSpec, MicArray, make_mic_array, mic_radius
 from roomtf.translation import build_T_prime, s_hat_block, solve_alpha_all
@@ -26,6 +27,7 @@ def reference_mics(units=9, radius=0.2795):
 def s_hat(v, mu, a, b, displacement, ctx):
     """Per-entry oracle of ``s_hat_block``: one S-hat^{mu b}_{v a}, summed term by term."""
     k = ctx.k
+    radius, theta, phi = cartesian_to_spherical_arrays(displacement)
     total = 0.0j
     for l in range(abs(v - a), v + a + 1):
         if (v + a + l) % 2:
@@ -37,8 +39,8 @@ def s_hat(v, mu, a, b, displacement, ctx):
         total += (
             (1j ** l)
             * ((-1.0) ** (2 * mu - b))
-            * sp.spherical_jn(l, k * displacement.radius)
-            * np.conj(sp.sph_harm_y(l, b - mu, displacement.theta, displacement.phi))
+            * sp.spherical_jn(l, k * radius)
+            * np.conj(sp.sph_harm_y(l, b - mu, theta, phi))
             * math.sqrt((2 * v + 1) * (2 * a + 1) * (2 * l + 1) / (4.0 * math.pi))
             * w1 * w2
         )
@@ -53,7 +55,7 @@ def min_norm_alpha(Tp, rhs):
 class TestSHatEntries:
     def test_zero_translation_is_identity(self):
         ctx = WaveContext(700.0)
-        zero = SphericalCoord(0.0, 0.0, 0.0)
+        zero = np.zeros(3)
         assert s_hat(2, 1, 2, 1, zero, ctx) == pytest.approx(1.0, abs=1e-12)
         assert s_hat(2, 1, 1, 1, zero, ctx) == pytest.approx(0.0, abs=1e-12)
         block = s_hat_block(3, 3, zero, ctx)
@@ -62,7 +64,7 @@ class TestSHatEntries:
     def test_monopole_to_monopole_closed_form(self):
         # only l = 0 survives: the entry reduces to j_0(kR)
         ctx = WaveContext(700.0)
-        disp = SphericalCoord(0.2, math.pi / 2, 0.0)
+        disp = cartesian(0.2, math.pi / 2, 0.0)
         expected = sp.spherical_jn(0, ctx.k * 0.2)
         assert s_hat(0, 0, 0, 0, disp, ctx) == pytest.approx(expected, abs=1e-12)
 
@@ -70,19 +72,19 @@ class TestSHatEntries:
         # (v, a) = (1, 1): the odd l = 1 term is annihilated by the parity
         # rule, so the entry equals its l = 0 plus l = 2 contributions
         ctx = WaveContext(700.0)
-        disp = SphericalCoord(0.15, 1.0, 0.5)
+        disp = cartesian(0.15, 1.0, 0.5)
         got = s_hat(1, 0, 1, 0, disp, ctx)
         l0 = (
             4 * math.pi
             * sp.spherical_jn(0, ctx.k * 0.15)
-            * np.conj(sp.sph_harm_y(0, 0, disp.theta, disp.phi))
+            * np.conj(sp.sph_harm_y(0, 0, 1.0, 0.5))
             * math.sqrt(9 / (4 * math.pi))
             * specfun.wigner_3j(1, 1, 0, 0, 0, 0) ** 2
         )
         l2 = (
             4 * math.pi * (1j ** 2)
             * sp.spherical_jn(2, ctx.k * 0.15)
-            * np.conj(sp.sph_harm_y(2, 0, disp.theta, disp.phi))
+            * np.conj(sp.sph_harm_y(2, 0, 1.0, 0.5))
             * math.sqrt(3 * 3 * 5 / (4 * math.pi))
             * specfun.wigner_3j(1, 1, 2, 0, 0, 0) ** 2
         )
@@ -90,7 +92,7 @@ class TestSHatEntries:
 
     def test_block_matches_scalar_entries(self):
         ctx = WaveContext(900.0)
-        disp = SphericalCoord(0.25, 2.0, 4.0)
+        disp = cartesian(0.25, 2.0, 4.0)
         block = s_hat_block(2, 3, disp, ctx)
         local = [(a, b) for a in range(3) for b in range(-a, a + 1)]
         cols = [(v, mu) for v in range(4) for mu in range(-v, v + 1)]
@@ -100,8 +102,8 @@ class TestSHatEntries:
 
     def test_continuity_under_perturbation(self):
         ctx = WaveContext(800.0)
-        d1 = SphericalCoord(0.2, 1.0, 2.0)
-        d2 = SphericalCoord(0.2 + 1e-8, 1.0, 2.0)
+        d1 = cartesian(0.2, 1.0, 2.0)
+        d2 = cartesian(0.2 + 1e-8, 1.0, 2.0)
         b1 = s_hat_block(3, 4, d1, ctx)
         b2 = s_hat_block(3, 4, d2, ctx)
         assert np.max(np.abs(b1 - b2)) < 1e-6
@@ -119,11 +121,11 @@ class TestAdditionTheorem:
         for _ in range(4):
             alpha = rng.standard_normal((N + 1) ** 2) + 1j * rng.standard_normal((N + 1) ** 2)
             disp_vec = rng.uniform(-0.25, 0.25, 3)
-            gamma = s_hat_block(local_order, N, to_spherical(disp_vec), ctx) @ alpha
+            gamma = s_hat_block(local_order, N, disp_vec, ctx) @ alpha
             for _ in range(6):
                 offset = rng.uniform(-0.04, 0.04, 3)
-                f_global = eval_interior_field(alpha, to_spherical(disp_vec + offset), ctx)
-                f_local = eval_interior_field(gamma, to_spherical(offset), ctx)
+                f_global = eval_interior_field(alpha, disp_vec + offset, ctx)
+                f_local = eval_interior_field(gamma, offset, ctx)
                 worst = max(worst, abs(f_global - f_local) / max(abs(f_global), 1e-12))
         assert worst < 1e-6
 
@@ -135,8 +137,7 @@ class TestBuildTPrime:
 
     def test_single_origin_mic_is_identity(self):
         spec = HoMicSpec(3, mic_radius(3, 1000.0), 49, 5)
-        mics = MicArray(np.zeros((1, 3)), spec,
-                        tuple(make_mic_array(1, 0.1, spec).local_offsets))
+        mics = MicArray(np.zeros((1, 3)), spec, make_mic_array(1, 0.1, spec).local_offsets)
         Tp = build_T_prime(mics, 3, WaveContext(700.0), ALL_ROWS)
         assert np.max(np.abs(Tp - np.eye(16))) < 1e-12
 
