@@ -21,7 +21,10 @@ def _parse_point(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigurationError(f"expected 'x,y,z', got {text!r}")
-    return np.array([float(p) for p in parts])
+    try:
+        return np.array([float(p) for p in parts])
+    except ValueError:
+        raise ConfigurationError(f"expected three numbers 'x,y,z', got {text!r}") from None
 
 
 def _load_config(args) -> pipeline.ExperimentConfig:

@@ -27,6 +27,8 @@ class RtfCoefficientSet:
     regions: RegionPair
     sound_speed: float = 343.0
     digests: dict = field(default_factory=dict)
+    # block index -> ``_real_alpha`` of that block, built on first use
+    _real_blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -50,16 +52,35 @@ class RtfCoefficientSet:
     def context(self, frequency: float) -> WaveContext:
         return WaveContext(frequency, self.sound_speed)
 
+    def _real_alpha(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Re a'^T, Im a'^T) for block ``index``, each ((N_r+1)^2, (N_s+1)^2).
+
+        a' = U_s^H alpha U_r is the block in the real basis of
+        ``specfun.real_regular_basis`` (Y = U S), so that
+        conj(Y_src)^T alpha Y_rcv = S_src^T a' S_rcv.  Built on the first
+        call for each block, then reused.
+        """
+        halves = self._real_blocks.get(index)
+        if halves is None:
+            ns, nr = int(self.source_orders[index]), int(self.receiver_orders[index])
+            a = specfun.real_mode_columns(self.alpha[index], nr)  # alpha U_r
+            a = specfun.real_mode_columns(a.conj().T, ns)  # (alpha U_r)^H U_s = a'^H
+            halves = (a.real.copy(), -a.imag)  # a'^T = conj(a'^H)
+            self._real_blocks[index] = halves
+        return halves
+
 
 def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray,
                          frequency: float) -> np.ndarray:
     """Total RTF for each pair X[i] (about O), Y_s[i] (about O_s), both (P, 3) Cartesian.
 
     The direct field in closed form plus the reverberant bilinear form
-    1j k sum j_n(k y) conj(Y_nm(y)) alpha[(n,m), (v,mu)] j_v(k x) Y_vmu(x).
-    This is the one reconstruction entry point; one pair is a (1, 3) call.
-    Receivers and sources share one ``regular_basis`` table, built to the
-    larger of the two orders after every check has passed.
+    1j k sum j_n(k y) conj(Y_nm(y)) alpha[(n,m), (v,mu)] j_v(k x) Y_vmu(x),
+    evaluated in the real basis as 1j k S_src^T a' S_rcv (see
+    ``RtfCoefficientSet._real_alpha``).  This is the one reconstruction entry
+    point; one pair is a (1, 3) call.  Receivers and sources share one
+    ``real_regular_basis`` table, built to the larger of the two orders after
+    every check has passed.
     """
     fi = cset.frequency_index(frequency)
     k = cset.context(frequency).k
@@ -92,11 +113,18 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
             f"pair {i}: receiver {X[i].tolist()} and source {Y_s[i].tolist()} "
             "name the same room point"
         )
-    basis = specfun.regular_basis(max(ns, nr), k, points)
-    np.conj(basis[:, P:], out=basis[:, P:])  # the source rows: j_n is real
-    terms = cset.alpha[fi].T @ basis[:specfun.mode_count(ns), P:]
-    terms *= basis[:specfun.mode_count(nr), :P]
-    reverberant = 1j * k * terms.sum(axis=0)
+    basis = specfun.real_regular_basis(max(ns, nr), k, points, r)
+    a_re, a_im = cset._real_alpha(fi)
+    src, rcv = basis[:specfun.mode_count(ns), P:], basis[:specfun.mode_count(nr), :P]
+    # the two real halves take turns in one (m_r, P) buffer; a single stacked
+    # product would hold a second array as large as the basis table
+    terms = a_re @ src
+    terms *= rcv
+    s_re = terms.sum(axis=0)
+    np.matmul(a_im, src, out=terms)
+    terms *= rcv
+    s_im = terms.sum(axis=0)
+    reverberant = 1j * k * (s_re + 1j * s_im)
     direct = np.exp(1j * k * d) / (4.0 * np.pi * d)
     return direct + reverberant
 

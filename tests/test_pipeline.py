@@ -372,6 +372,18 @@ class TestCliRouting:
         err = capsys.readouterr().err
         assert "receiver radius 0.5" in err and "region radius 0.4" in err
 
+    @pytest.mark.parametrize("flag", ["--receiver", "--source"])
+    def test_bad_coordinate_exits_2(self, fast_artifacts, capsys, flag):
+        _, cfile = fast_artifacts
+        argv = ["reconstruct", "--coeffs", cfile, "-f", "400",
+                "--receiver", "0.1,0.0,0.0", "--source", "0.0,0.1,0.0"]
+        argv[argv.index(flag) + 1] = "a,0,0"
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'a,0,0'" in captured.err
+
     def test_oracle_receiver_outside_room_exits_2(self, tmp_path, capsys):
         path = write_yaml(tmp_path, FAST_YAML)
         cset = rtf.RtfCoefficientSet(

@@ -183,14 +183,22 @@ def einsum_oracle(cset, X, Y_s, frequency):
 class TestBilinearFormOracle:
     @pytest.mark.parametrize("pairs", [1, 300])
     def test_matches_einsum(self, pairs):
+        # both order shapes, and a single order 0 on either side; the batch
+        # opens with a receiver at the origin against a source on the south
+        # pole, then a receiver on the north pole against a source at the origin
         rng = np.random.default_rng(pairs)
-        alpha = rng.standard_normal((121, 81)) + 1j * rng.standard_normal((121, 81))
-        cset = make_set([alpha], 10, 8)
-        X = rng.uniform(-0.23, 0.23, (pairs, 3))
-        Y = rng.uniform(-0.23, 0.23, (pairs, 3))
-        expected = einsum_oracle(cset, X, Y, 900.0)
-        got = reconstruct_rtf_many(cset, X, Y, 900.0)
-        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+        for ns, nr in ((10, 8), (8, 10), (0, 3), (3, 0)):
+            shape = ((ns + 1) ** 2, (nr + 1) ** 2)
+            alpha = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            cset = make_set([alpha], ns, nr)
+            X = rng.uniform(-0.23, 0.23, (pairs, 3))
+            Y = rng.uniform(-0.23, 0.23, (pairs, 3))
+            if pairs > 1:
+                X[:2] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.2]]
+                Y[:2] = [[0.0, 0.0, -0.3], [0.0, 0.0, 0.0]]
+            expected = einsum_oracle(cset, X, Y, 900.0)
+            got = reconstruct_rtf_many(cset, X, Y, 900.0)
+            assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 class TestRelativeError:

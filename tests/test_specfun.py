@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
 from roomtf import specfun
-from roomtf.geometry import cartesian_to_spherical_arrays
+from roomtf.geometry import cartesian_to_spherical_arrays, spherical_to_cartesian_arrays
 from roomtf.specfun import wigner_3j
 
 
@@ -198,6 +198,13 @@ def oracle_points():
     )
 
 
+def real_oracle_points():
+    """``oracle_points`` directions on random radii up to 0.4 as Cartesian points, plus the origin."""
+    theta, phi = oracle_points()
+    radii = np.random.default_rng(12).uniform(0.05, 0.4, theta.size)
+    return np.vstack([spherical_to_cartesian_arrays(radii, theta, phi), [0.0, 0.0, 0.0]])
+
+
 # The first zeros of j_0 ... j_3, as doubles.
 BESSEL_ZEROS = (math.pi, 4.493409457909064, 5.763459196894550, 6.987932000500519)
 # Every regime of the Bessel kernel: x = 0, underflowing and tiny arguments,
@@ -288,6 +295,60 @@ class TestBasisTables:
         assert got.shape == (81, 32)
         assert np.max(np.abs(got - want)) < 1e-13
         assert np.array_equal(specfun.regular_basis(N, k, points[3]), got[:, 3:4])
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, 10, 25])
+    def test_real_regular_basis_matches_scipy(self, N):
+        # sqrt 2 Re / Im of sph_harm_y times spherical_jn, at the oracle
+        # directions (poles, theta = 1e-8 and pi - 1e-8, azimuths next to 0
+        # and 2 pi) on random radii, and at the origin
+        points = real_oracle_points()
+        r, theta, phi = cartesian_to_spherical_arrays(points)
+        k = 20.0
+        n, m = flat_orders_degrees(N)
+        Y = sp.sph_harm_y(n, np.abs(m), theta, phi)
+        S = np.where(m > 0, math.sqrt(2) * Y.real, np.where(m < 0, math.sqrt(2) * Y.imag, Y.real))
+        want = sp.spherical_jn(n, k * r) * S
+        got = specfun.real_regular_basis(N, k, points, r)
+        assert got.shape == want.shape and got.dtype == float
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("N", [0, 1, 5, 25])
+    def test_real_table_maps_onto_complex_table(self, N):
+        # Y = U S: Y_nm = (S_nm + i S_n,-m) / sqrt 2 and
+        # Y_n,-m = (-1)^m (S_nm - i S_n,-m) / sqrt 2 for m > 0; real_mode_columns is a @ U
+        points = real_oracle_points()
+        k = 20.0
+        n, m = (v.ravel() for v in flat_orders_degrees(N))
+        U = np.zeros((n.size, n.size), dtype=complex)
+        for row, (nn, mm) in enumerate(zip(n, m)):
+            pos, neg = nn * nn + nn + abs(mm), nn * nn + nn - abs(mm)
+            sign = (-1.0) ** mm if mm < 0 else 1.0
+            U[row, pos] = sign / math.sqrt(2) if mm else 1.0
+            if mm:
+                U[row, neg] = (1j if mm > 0 else -1j) * sign / math.sqrt(2)
+        S = specfun.real_regular_basis(N, k, points, np.linalg.norm(points, axis=1))
+        assert np.max(np.abs(U @ S - specfun.regular_basis(N, k, points))) < 1e-14
+        rng = np.random.default_rng(N)
+        a = rng.standard_normal((3, n.size)) + 1j * rng.standard_normal((3, n.size))
+        assert np.max(np.abs(specfun.real_mode_columns(a, N) - a @ U)) < 1e-14
+
+    def test_real_table_single_point_matches_its_column_in_a_batch(self):
+        # the batch is past the gather limit, so the two ways of applying
+        # the factors meet here; they must agree bit for bit
+        points = np.random.default_rng(23).uniform(-0.4, 0.4, (700, 3))
+        r = np.linalg.norm(points, axis=1)
+        batch = specfun.real_regular_basis(10, 20.0, points, r)
+        assert batch.size > specfun._GATHER_LIMIT
+        for i in (0, 350, 699):
+            one = specfun.real_regular_basis(10, 20.0, points[i:i + 1], r[i:i + 1])
+            assert np.array_equal(one[:, 0], batch[:, i])
+
+    def test_real_table_at_origin_and_poles_raises_nothing(self):
+        points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.3], [0.0, 0.0, -0.3]])
+        with np.errstate(all="raise"):
+            got = specfun.real_regular_basis(25, 20.0, points, np.linalg.norm(points, axis=1))
+        assert got[0, 0] == 1.0 / math.sqrt(4.0 * math.pi)
+        assert np.all(got[1:, 0] == 0.0)
 
     def test_tables_build_without_warnings(self):
         with warnings.catch_warnings():
