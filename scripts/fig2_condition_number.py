@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Condition-number sweep of the loudspeaker translation matrix (shell vs sphere).
 
-Writes out/fig2/cond.csv and prints the sphere's peak-to-shell ratios at the
-two Bessel-zero peaks inside the sweep band.  A peak whose kappa_sphere is
-above ROUNDING_KAPPA is flagged: there the bin lands on a zero of j0(kR), the
-sphere matrix is singular to rounding, and the ratio measures how closely the
-grid hits the zero rather than the array.
+Writes out/fig2/cond.csv and prints the sweep's wall time and the sphere's
+peak-to-shell ratios at the two Bessel-zero peaks inside the sweep band.  A
+peak whose kappa_sphere is above ROUNDING_KAPPA is flagged: there the bin
+lands on a zero of j0(kR), the sphere matrix is singular to rounding, and the
+ratio measures how closely the grid hits the zero rather than the array.
 """
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -22,11 +23,13 @@ ROUNDING_KAPPA = 1e10
 
 def main():
     cfg = pipeline.load_config(os.path.join(HERE, "..", "configs", "fig2_cond.yaml"))
+    start = time.perf_counter()
     freqs, kappa_shell, kappa_sphere = pipeline.run_cond(cfg)
+    seconds = time.perf_counter() - start
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "cond.csv")
     pipeline.write_cond_csv(out, freqs, kappa_shell, kappa_sphere)
-    print(f"wrote {out}")
+    print(f"wrote {out}: {freqs.size} bins, sweep wall time {seconds:.1f} s")
     for target in (420.0, 850.0):
         window = np.abs(freqs - target) < 60.0
         i = np.flatnonzero(window)[np.argmax(kappa_sphere[window])]

@@ -43,10 +43,6 @@ class RoomModel:
         """Analysis-frame point -> coordinates from the (x-, y-, z-) room corner."""
         return np.asarray(p, dtype=float) + 0.5 * np.asarray(self.dimensions)
 
-    def contains(self, p) -> bool:
-        q = self.to_corner_frame(p)
-        return bool(np.all(q > 0) and np.all(q < np.asarray(self.dimensions)))
-
     def check_inside(self, points, what: str) -> None:
         """Raise ConfigurationError naming the first row of ``points`` (n, 3) not inside."""
         points = np.asarray(points, dtype=float)

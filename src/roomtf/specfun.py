@@ -8,10 +8,10 @@ The basis tables ``harmonic_matrix``, ``bessel_j_matrix`` and
 ``hankel_h1_matrix`` are the one basis primitive of every matrix builder.
 Rows run over the flat index n^2 + n + m, columns over points.
 ``regular_basis`` is their product j_n(k|x|) Y_nm(x-hat) at Cartesian
-points, the one table the T, T' and encoder builders use.
+points, the one table the T' and encoder builders use.
 
 ``real_regular_basis`` is the same product in the real harmonic basis S,
-which the reconstruction uses.  S shares the flat rows n^2 + n + m:
+which T and the reconstruction use.  S shares the flat rows n^2 + n + m:
 
     S_n0 = Y_n0,  S_nm = sqrt 2 Re Y_nm,  S_n,-m = sqrt 2 Im Y_nm   (m > 0),
 
@@ -21,7 +21,8 @@ so Y = U S with U block diagonal, pairing rows (n, m) and (n, -m):
     Y_n,-m = (-1)^m (S_nm - i S_n,-m) / sqrt 2.
 
 ``real_mode_columns`` applies U to the columns of a coefficient block by
-that pairing.  The real table reads cos(theta) = z / r and
+that pairing, and ``complex_mode_columns`` applies U^T to a real one.  The
+real table reads cos(theta) = z / r and
 (sin(theta) e^{i phi})^m = ((x + i y) / r)^m straight from the coordinates,
 with no trigonometric call per point, and runs the same Legendre recursion
 as ``harmonic_matrix`` (``_legendre_q``).  The tests check it against
@@ -363,6 +364,19 @@ def real_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
     out = a.astype(complex)
     out[:, pos] = (plus + minus) / _SQRT2
     out[:, neg] = 1j * (plus - minus) / _SQRT2
+    return out
+
+
+def complex_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
+    """a @ U^T for a real array whose (N+1)^2 columns run over the real modes.
+
+    Column (n, m) is (a_nm + i a_n,-m) / sqrt 2 and column (n, -m) is
+    (-1)^m times its conjugate, for m > 0; the (n, 0) columns are unchanged.
+    """
+    pos, neg, sign = _degree_pairs(max_order)
+    out = a.astype(complex)
+    out[:, pos] = (a[:, pos] + 1j * a[:, neg]) / _SQRT2
+    out[:, neg] = np.conj(out[:, pos]) * sign
     return out
 
 

@@ -1,9 +1,15 @@
 """Loudspeaker-array mode matching: translation matrix T, weights, conditioning.
 
-T is a plain ((N+1)^2, L) array with entry (n,m; l) = i k j_n(k y_l)
-conj(Y_nm(y_l-hat)).  Rows run over the flat (n, m) index up to N, columns
-over loudspeakers; N is read back from the row count.  A weight vector w with
-T w = beta drives the array to emit the outgoing field described by beta.
+T is the real ((N+1)^2, L) array k S, with entry (n,m; l) =
+k j_n(k y_l) S_nm(y_l-hat) from ``specfun.real_regular_basis``.  The complex
+translation matrix T_c, with entry i k j_n(k y_l) conj(Y_nm(y_l-hat)), is
+i conj(U) T, since Y = U S with U unitary.  So T and T_c have the same
+singular values: the condition number and a relative SVD cutoff read the same
+from either, and pinv(T_c) = pinv(T) U^T / i maps the real weights back to
+complex modes by pairing the (n, m) and (n, -m) columns.  Rows run over the
+flat (n, m) index up to N, columns over loudspeakers; N is read back from the
+row count.  A weight vector w with T_c w = beta drives the array to emit the
+outgoing field described by beta.
 """
 from __future__ import annotations
 
@@ -17,23 +23,25 @@ from .modal import WaveContext
 
 
 def build_T(speakers: np.ndarray, max_order: int, ctx: WaveContext) -> np.ndarray:
-    """T for loudspeakers at the rows of ``speakers`` (L, 3), about the region center."""
+    """Real T = k S of the loudspeakers at the rows of ``speakers`` (L, 3), region-centered."""
     speakers = np.asarray(speakers, dtype=float)
     if speakers.ndim != 2 or speakers.shape[1] != 3 or speakers.shape[0] < 1:
         raise ConfigurationError(
             f"loudspeakers must be an (L >= 1, 3) array, got shape {speakers.shape}"
         )
-    T = np.conj(specfun.regular_basis(max_order, ctx.k, speakers))
-    T *= 1j * ctx.k
+    r = np.linalg.norm(speakers, axis=1)
+    T = specfun.real_regular_basis(max_order, ctx.k, speakers, r)
+    T *= ctx.k
     return T
 
 
 def solve_all_weights(T: np.ndarray, num_modes: int | None = None, *, cutoff: float):
     """Minimum-norm weights for the first ``num_modes`` unit targets; (L, M) + residuals.
 
-    Column (n, m) of the result is the weight vector for that unit mode,
-    computed for all modes in one pseudoinverse pass.  Singular values of T
-    below ``cutoff`` times the largest are dropped.
+    ``T`` is the real matrix of ``build_T``.  Column (n, m) of the result is
+    the complex weight vector w with T_c w = e_nm, and its residual is
+    |T_c w - e_nm|, for all modes from one real pseudoinverse pass.  Singular
+    values of T below ``cutoff`` times the largest are dropped.
     """
     modes, speakers = T.shape
     max_order = math.isqrt(modes) - 1
@@ -48,13 +56,27 @@ def solve_all_weights(T: np.ndarray, num_modes: int | None = None, *, cutoff: fl
         raise ConfigurationError(
             f"cannot request {num_modes} modes from an order-{max_order} matrix"
         )
-    W = np.linalg.pinv(T, rcond=cutoff)[:, :num_modes]
-    residuals = np.linalg.norm(T @ W - np.eye(modes)[:, :num_modes], axis=0)
-    return W, residuals
+    # the pairing stays inside one order, so the targets' full orders suffice
+    order = math.isqrt(max(num_modes - 1, 0))
+    cols = specfun.mode_count(order)
+    W_real = np.linalg.pinv(T, rcond=cutoff)[:, :cols]
+    # T_c W - E = conj(U) (T W_real - E) U^T, and conj(U) keeps column norms
+    misfit = T @ W_real - np.eye(modes, cols)
+    residuals = np.linalg.norm(specfun.complex_mode_columns(misfit, order), axis=0)
+    W = specfun.complex_mode_columns(W_real, order)
+    W *= -1j
+    return W[:, :num_modes], residuals[:num_modes]
 
 
 def condition_number(T: np.ndarray) -> float:
-    """kappa_2 = sigma_max / sigma_min; exact rank deficiency reports inf."""
+    """kappa_2 = sigma_max / sigma_min; a T that cannot be inverted reports inf.
+
+    That is an exactly rank-deficient T, or one with more rows than columns:
+    past the aliasing bound (N+1)^2 > L, T w = beta has no solution for a
+    general beta.
+    """
+    if T.shape[0] > T.shape[1]:
+        return float("inf")
     s = np.linalg.svd(T, compute_uv=False)
     if s[-1] == 0.0:
         return float("inf")

@@ -5,6 +5,10 @@ Each function is the plain per-point or per-bin formula, so a batched path in
 
 * ``rtf_oracle_many`` is the image-source sum at one frequency, one exact
   ``exp`` per image; ``room.rtf_oracle_grid`` is checked against it bin by bin.
+* ``contains`` is the pointwise room test that ``RoomModel.check_inside``
+  is checked against.
+* ``complex_T`` is the complex loudspeaker translation matrix from scipy;
+  ``synthesis.build_T`` builds its real counterpart k S.
 * The field evaluators work on plain coefficient arrays in flat (n, m)
   order, of length (N+1)^2; N is read back from the length.  Points are
   Cartesian, and the Bessel and harmonic tables are called directly, apart
@@ -13,6 +17,7 @@ Each function is the plain per-point or per-bin formula, so a batched path in
 import math
 
 import numpy as np
+from scipy import special as sp
 
 from roomtf import specfun
 from roomtf.errors import ConfigurationError
@@ -40,6 +45,21 @@ def rtf_oracle_many(room: RoomModel, X, Y, ctx: WaveContext) -> np.ndarray:
             )
         total += amp * np.exp(1j * ctx.k * d) / (4.0 * math.pi * d)
     return total
+
+
+def contains(room: RoomModel, p) -> bool:
+    """Whether the analysis-frame point p (3,) lies strictly inside the room."""
+    q = room.to_corner_frame(p)
+    return bool(np.all(q > 0) and np.all(q < np.asarray(room.dimensions)))
+
+
+def complex_T(speakers, max_order: int, ctx: WaveContext) -> np.ndarray:
+    """i k j_n(k y_l) conj(Y_nm(y_l-hat)) for speakers (L, 3): shape ((N+1)^2, L)."""
+    r, theta, phi = cartesian_to_spherical_arrays(np.asarray(speakers, dtype=float))
+    n = np.repeat(np.arange(max_order + 1), 2 * np.arange(max_order + 1) + 1)[:, None]
+    m = np.arange(n.size)[:, None] - n * n - n
+    table = sp.spherical_jn(n, ctx.k * r) * sp.sph_harm_y(n, m, theta, phi)
+    return 1j * ctx.k * np.conj(table)
 
 
 def direct_field(x, y, ctx: WaveContext) -> complex:

@@ -529,6 +529,16 @@ class TestSolverSettings:
         assert seen == {"solve_all_weights": 1e-6, "solve_alpha_all": 1e-6}
 
 
+class TestRunCond:
+    def test_past_the_aliasing_bound_reports_infinity(self):
+        # 121 speakers; N = 10 at 1000 Hz gives a square T, N = 11 at 1100 Hz
+        # 144 rows, so T w = beta has no solution for a general beta
+        cfg = load_config(CONFIG_DIR / "fig2_cond.yaml")
+        _, shell, sphere = pipeline.run_cond(cfg, [1000.0, 1100.0])
+        assert math.isfinite(shell[0]) and math.isfinite(sphere[0])
+        assert shell[1] == math.inf and sphere[1] == math.inf
+
+
 class TestExtractionAccuracy:
     def test_small_geometry_end_to_end_error(self):
         """Full pipeline on the reduced geometry still beats the 5% target."""

@@ -315,7 +315,8 @@ class TestBasisTables:
     @pytest.mark.parametrize("N", [0, 1, 5, 25])
     def test_real_table_maps_onto_complex_table(self, N):
         # Y = U S: Y_nm = (S_nm + i S_n,-m) / sqrt 2 and
-        # Y_n,-m = (-1)^m (S_nm - i S_n,-m) / sqrt 2 for m > 0; real_mode_columns is a @ U
+        # Y_n,-m = (-1)^m (S_nm - i S_n,-m) / sqrt 2 for m > 0; real_mode_columns
+        # is a @ U, and complex_mode_columns is b @ U^T for a real b
         points = real_oracle_points()
         k = 20.0
         n, m = (v.ravel() for v in flat_orders_degrees(N))
@@ -331,6 +332,8 @@ class TestBasisTables:
         rng = np.random.default_rng(N)
         a = rng.standard_normal((3, n.size)) + 1j * rng.standard_normal((3, n.size))
         assert np.max(np.abs(specfun.real_mode_columns(a, N) - a @ U)) < 1e-14
+        b = rng.standard_normal((3, n.size))
+        assert np.max(np.abs(specfun.complex_mode_columns(b, N) - b @ U.T)) < 1e-14
 
     def test_real_table_single_point_matches_its_column_in_a_batch(self):
         # the batch is past the gather limit, so the two ways of applying

@@ -10,6 +10,8 @@ from roomtf.geometry import shell_array
 from roomtf.modal import WaveContext
 from roomtf.specfun import mode_count
 
+from oracles import complex_T
+
 SVD_CUTOFF = 1e-10
 
 
@@ -18,14 +20,27 @@ def shell_at(f, count=121, order=10, seed=12345):
     return synthesis.build_T(speakers, order, WaveContext(f))
 
 
+def oracle_shell_at(f, count=121, order=10, seed=12345):
+    speakers = shell_array(count, 0.4, 0.3, seed)
+    return complex_T(speakers, order, WaveContext(f))
+
+
 class TestBuildT:
     def test_single_speaker_at_origin(self):
         ctx = WaveContext(500.0)
-        T = synthesis.build_T(np.zeros((1, 3)), 3, ctx)
+        speaker = np.zeros((1, 3))
+        T = synthesis.build_T(speaker, 3, ctx)
         assert T.shape == (16, 1)
         expected = 1j * ctx.k / math.sqrt(4 * math.pi)
-        assert T[0, 0] == pytest.approx(expected, abs=1e-14)
+        T_c = complex_T(speaker, 3, ctx)
+        assert T_c[0, 0] == pytest.approx(expected, abs=1e-14)
+        # T_c = i conj(U) T, and U leaves row (0, 0) as it is
+        assert 1j * T[0, 0] == pytest.approx(expected, abs=1e-14)
         assert np.all(T[1:, 0] == 0)
+
+    def test_is_real(self):
+        T = shell_at(700.0, order=4)
+        assert T.dtype == np.float64
 
     @pytest.mark.parametrize("speakers", [np.zeros((0, 3)), np.zeros(3), np.zeros((4, 2))],
                              ids=["empty", "one-point", "columns"])
@@ -38,14 +53,20 @@ class TestBuildT:
         assert T.shape == (121, 121)
 
     def test_conjugate_row_relation(self):
-        # row(n, -m) = (-1)^(m+1) conj(row(n, m)): the harmonic conjugation
-        # phase plus the sign flip of the ik prefactor under conjugation
+        # row(n, -m) = (-1)^(m+1) conj(row(n, m)) of the complex matrix: the
+        # harmonic conjugation phase plus the sign flip of the ik prefactor
+        # under conjugation.  So row (n, m) carries all of rows (n, +-m), and
+        # the real T holds sqrt 2 Im and sqrt 2 Re of it there.
         T = shell_at(700.0, order=4)
+        T_c = oracle_shell_at(700.0, order=4)
         for n in range(5):
+            assert np.allclose(T[n * n + n], T_c[n * n + n].imag, atol=1e-12)
             for m in range(1, n + 1):
-                plus = T[n * n + n + m]
-                minus = T[n * n + n - m]
+                plus = T_c[n * n + n + m]
+                minus = T_c[n * n + n - m]
                 assert np.allclose(minus, (-1) ** (m + 1) * np.conj(plus), atol=1e-12)
+                assert np.allclose(T[n * n + n + m], math.sqrt(2) * plus.imag, atol=1e-12)
+                assert np.allclose(T[n * n + n - m], math.sqrt(2) * plus.real, atol=1e-12)
 
 
 def min_norm_weights(T, num_modes):
@@ -90,9 +111,23 @@ class TestSolveWeights:
         T = shell_at(800.0, order=6)
         W, residuals = synthesis.solve_all_weights(T, cutoff=SVD_CUTOFF)
         assert W.shape == (121, 49)
-        expected = min_norm_weights(T, 49)
+        T_c = oracle_shell_at(800.0, order=6)
+        expected = min_norm_weights(T_c, 49)
         assert np.max(np.abs(W - expected)) < 1e-12 * np.max(np.abs(expected))
-        exact = np.linalg.norm(T @ expected - np.eye(49), axis=0)
+        exact = np.linalg.norm(T_c @ expected - np.eye(49), axis=0)
+        assert np.allclose(residuals, exact, atol=1e-12)
+
+    @pytest.mark.parametrize("num_modes", [1, 2, 16, 30])
+    def test_partial_modes_match_oracle(self, num_modes):
+        # the pairing of (n, m) with (n, -m) needs columns past num_modes
+        # when num_modes stops inside an order
+        T = shell_at(450.0, order=5)
+        W, residuals = synthesis.solve_all_weights(T, num_modes=num_modes, cutoff=SVD_CUTOFF)
+        assert W.shape == (121, num_modes) and residuals.shape == (num_modes,)
+        T_c = oracle_shell_at(450.0, order=5)
+        expected = min_norm_weights(T_c, num_modes)
+        assert np.max(np.abs(W - expected)) < 1e-12 * np.max(np.abs(expected))
+        exact = np.linalg.norm(T_c @ expected - np.eye(36)[:, :num_modes], axis=0)
         assert np.allclose(residuals, exact, atol=1e-12)
 
     def test_partial_batch(self):
@@ -106,11 +141,16 @@ class TestSolveWeights:
     def test_cutoff_reaches_the_solve(self):
         # a cutoff above sigma_min / sigma_max drops the weakest singular value
         T = shell_at(300.0, order=5)
-        s = np.linalg.svd(T, compute_uv=False)
+        T_c = oracle_shell_at(300.0, order=5)
+        s = np.linalg.svd(T_c, compute_uv=False)
         cutoff = 10 * s[-1] / s[0]
-        W, _ = synthesis.solve_all_weights(T, cutoff=cutoff)
-        want = np.linalg.lstsq(T, np.eye(T.shape[0]), rcond=cutoff)[0]
+        W, residuals = synthesis.solve_all_weights(T, cutoff=cutoff)
+        want = np.linalg.lstsq(T_c, np.eye(T_c.shape[0]), rcond=cutoff)[0]
         np.testing.assert_allclose(W, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        # the dropped value leaves misfits that the (n, +-m) pairing must share
+        exact = np.linalg.norm(T_c @ want - np.eye(T_c.shape[0]), axis=0)
+        assert exact.max() > 0.1
+        np.testing.assert_allclose(residuals, exact, rtol=0, atol=1e-12)
         W_small, _ = synthesis.solve_all_weights(T, cutoff=SVD_CUTOFF)
         assert np.abs(W - W_small).max() > 0.1 * np.abs(W_small).max()
 
@@ -126,6 +166,21 @@ class TestConditionNumber:
         assert synthesis.condition_number(scaled) == pytest.approx(
             synthesis.condition_number(base), rel=1e-10
         )
+
+    @pytest.mark.parametrize("order", range(3, 11))
+    def test_matches_complex_oracle(self, order):
+        # T_c = i conj(U) T with U unitary: the same singular values
+        got = synthesis.condition_number(shell_at(900.0, order=order))
+        want = synthesis.condition_number(oracle_shell_at(900.0, order=order))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_more_rows_than_columns_reports_infinity(self):
+        # past the aliasing bound (N+1)^2 > L, T w = beta is not solvable
+        T = shell_at(700.0, count=24, order=4)
+        assert T.shape == (25, 24)
+        assert synthesis.condition_number(T) == float("inf")
+        assert math.isfinite(synthesis.condition_number(T.T))  # wide
+        assert math.isfinite(synthesis.condition_number(T[:24]))  # square
 
     def test_rank_deficient_reports_infinity(self):
         T = np.zeros((4, 4), dtype=complex)
