@@ -1,11 +1,11 @@
-"""Cartesian point sets, their spherical coordinates, and array generation.
+"""Cartesian point sets and array generation.
 
 Every point set is a (P, 3) Cartesian float array; one point is a (3,)
-array.  ``cartesian_to_spherical_arrays`` gives (radius, polar angle,
-azimuth) where a basis table needs them.  Array layouts use a
-Fibonacci-spiral direction set (approximately equal spherical area per
-point, valid for any count) and a counter-based RNG for shell radii so that
-a seed fully determines the geometry.
+array.  The basis tables read their angles from the coordinates, so no
+spherical coordinates are kept.  Array layouts use a Fibonacci-spiral
+direction set (approximately equal spherical area per point, valid for any
+count) and a counter-based RNG for shell radii so that a seed fully
+determines the geometry.
 """
 from __future__ import annotations
 
@@ -39,19 +39,6 @@ class RegionPair:
             raise ConfigurationError(
                 f"receiver_radius must be > 0, got {self.receiver_radius}"
             )
-
-
-def cartesian_to_spherical_arrays(points: np.ndarray):
-    """(P, 3) -> (r, theta, phi) arrays; the zero vector maps to (0, 0, 0).
-
-    theta = atan2(hypot(x, y), z) keeps full precision at the poles, where
-    acos(z / r) loses it.
-    """
-    points = np.asarray(points, dtype=float)
-    r = np.linalg.norm(points, axis=-1)
-    theta = np.arctan2(np.hypot(points[..., 0], points[..., 1]), points[..., 2])
-    phi = np.arctan2(points[..., 1], points[..., 0]) % (2.0 * np.pi)
-    return r, theta, phi
 
 
 def spherical_to_cartesian_arrays(r, theta, phi) -> np.ndarray:

@@ -274,6 +274,10 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
         raise ConfigurationError(
             f"signal.sound_speed must be finite and > 0, got {cfg.signal.sound_speed}"
         )
+    limit = min(cfg.regions.receiver_radius, cfg.regions.source_radius)
+    if not cfg.probes.radii or not all(0.0 < R <= limit + 1e-12 for R in cfg.probes.radii):
+        raise ConfigurationError(f"probes.radii must be a non-empty list of radii in (0, "
+                                 f"{limit}] m, within both regions, got {list(cfg.probes.radii)}")
     exp = Experiment(cfg)  # geometry constructors enforce their own bounds
     modes_needed = (exp.design_source_order + 1) ** 2
     if cfg.arrays.speakers < modes_needed:
@@ -326,7 +330,11 @@ def run_measure(cfg: ExperimentConfig, frequencies=None) -> MeasurementTensor:
 
 
 def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
-    """One frequency's alpha block: returns (alpha (N_s+1)^2 x (N_r+1)^2, n_s, n_r)."""
+    """One frequency's alpha block: returns (alpha (N_s+1)^2 x (N_r+1)^2, n_s, n_r).
+
+    All in the real bases (Y = U S): x = pinv(T') U_A^T Gamma with real
+    weights and T', alpha' = -i x^T, and alpha = U_s alpha' U_r^H is stored.
+    """
     cfg = exp.cfg
     fi = mt.frequency_index(frequency)
     ctx = exp.context(frequency)
@@ -335,17 +343,17 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
     W, _ = synthesis.solve_all_weights(
         T, num_modes=(n_s + 1) ** 2, cutoff=cfg.solver.svd_cutoff
     )
-    gamma = recording.compose_all_modes(mt, fi, W)
+    direct = None
     if cfg.solver.direct_removal == "coefficient":
-        gamma = gamma - recording.direct_component_all(
-            exp.speakers_room, W, exp.mics, ctx
-        )
+        direct = recording.direct_coefficients_per_speaker(exp.speakers_room, exp.mics, ctx)
+    gamma = recording.compose_all_modes(mt, fi, W, direct)
     keep = specfun.harmonic_orders(exp.mics.spec.order) <= int(mt.mask_orders[fi])
     Tp = translation.build_T_prime(exp.mics, n_r, ctx, keep)
-    alpha, _residual = translation.solve_alpha_all(
+    x, _residual = translation.solve_alpha_all(
         Tp, gamma, keep, cutoff=cfg.solver.svd_cutoff
     )
-    return alpha.T.copy(), n_s, n_r
+    b = specfun.complex_mode_columns(-1j * x, n_s)  # a'^T U_s^T = (U_s a')^T
+    return specfun.complex_mode_columns(b.conj().T, n_r).conj(), n_s, n_r
 
 
 def check_artifact(exp: Experiment, artifact, path) -> None:

@@ -2,10 +2,12 @@
 
 Each HO microphone is an open sphere of Q' omnis on a virtual surface of radius
 r about its center R_q.  Raw per-loudspeaker responses are encoded into local
-incident coefficients gamma-tilde up to order A; unit-mode responses are then
-composed by linearity with loudspeaker weights, and the known direct field is
-removed either analytically in the coefficient domain or by subtracting exact
-direct pressures from the raw measurements.
+incident coefficients gamma-tilde up to order A, stored in the complex basis
+Y; unit-mode responses are then composed by linearity with the real
+loudspeaker weights in the real local basis S (Y = U S, see ``specfun``), and
+the known direct field is removed either analytically in the coefficient
+domain, before the composition, or by subtracting exact direct pressures from
+the raw measurements.
 
 Local coefficients are recovered by least-squares fitting a band-limited
 interior model to the omni pressures.  With the minimum Q' = (A+1)^2 sensors
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import specfun
 from .errors import BesselZeroError, ConfigurationError
-from .geometry import cartesian_to_spherical_arrays, sphere_array
+from .geometry import sphere_array
 from .modal import WaveContext, grid_index, truncation_order
 from .room import RoomModel, rtf_oracle_grid
 
@@ -172,13 +174,15 @@ def local_encoding_matrix(spec: HoMicSpec, offsets: np.ndarray, ctx: WaveContext
 
     The pseudoinverse of the order-``fit_order`` fit, truncated to order A.
     Rows above ``mask_order`` are zero, so their coefficients come out exactly
-    zero; a kept order on a Bessel zero raises BesselZeroError.
+    zero; a kept order on a Bessel zero raises BesselZeroError.  The fit is
+    real: pinv(Y^T) = conj(U) pinv(S^T), and U keeps the orders apart.
     """
     _check_bessel_zeros(spec, ctx, mask_order)
-    model = specfun.regular_basis(spec.effective_fit_order, ctx.k, offsets).T  # (Q', modes)
-    enc = np.linalg.pinv(model)[: specfun.mode_count(spec.order)]
+    r = np.linalg.norm(offsets, axis=1)
+    model = specfun.real_regular_basis(spec.effective_fit_order, ctx.k, offsets, r)
+    enc = np.linalg.pinv(model.T)[: specfun.mode_count(spec.order)]
     enc[specfun.harmonic_orders(spec.order) > mask_order] = 0.0
-    return enc
+    return specfun.complex_mode_columns(enc.T, spec.order).T.conj()
 
 
 def simulate_raw_measurements(
@@ -229,39 +233,38 @@ def simulate_raw_measurements(
     )
 
 
-def compose_all_modes(mt: MeasurementTensor, f_index: int,
-                      weight_matrix: np.ndarray) -> np.ndarray:
-    """All composed modes at once: (Q, (A+1)^2, M) for an (L, M) weight matrix."""
-    W = np.asarray(weight_matrix, dtype=complex)
-    if W.shape[0] != mt.num_speakers:
-        raise ConfigurationError(
-            f"weight matrix rows {W.shape[0]} do not match L = {mt.num_speakers}"
-        )
-    return np.matmul(mt.gamma_tilde[f_index].transpose(0, 2, 1), W)
+def compose_all_modes(mt: MeasurementTensor, f_index: int, weight_matrix: np.ndarray,
+                      direct: np.ndarray | None = None) -> np.ndarray:
+    """All composed modes in the real local basis, (Q, (A+1)^2, M), from real (L, M) weights.
+
+    gamma-tilde U_A, minus the (Q, L, (A+1)^2) ``direct`` coefficients if
+    given, times the weights: one real product on the float view.
+    """
+    W = np.asarray(weight_matrix)
+    if np.iscomplexobj(W) or W.ndim != 2 or W.shape[0] != mt.num_speakers:
+        raise ConfigurationError(f"weights must be a real (L = {mt.num_speakers}, M) "
+                                 f"matrix, got {W.dtype} {W.shape}")
+    g = specfun.real_mode_columns(mt.gamma_tilde[f_index], mt.mic_order)  # (Q, L, C)
+    if direct is not None:
+        g -= direct
+    composed = np.matmul(W.T, g.view(float)).view(complex)  # (Q, M, C)
+    return composed.transpose(0, 2, 1)
 
 
 def direct_coefficients_per_speaker(speakers: np.ndarray, mics: MicArray,
                                     ctx: WaveContext) -> np.ndarray:
-    """Analytic incident coefficients of each speaker's direct field: (Q, C, L).
+    """Analytic incident coefficients of each speaker's direct field: (Q, L, C).
 
-    gamma_ab = i k h_a(k R_ql) conj(Y_ab(R_ql-hat)) for the vector R_ql from
-    mic center q to speaker l.  Requires every speaker strictly outside each
+    gamma_ab = i k h_a(k R_ql) S_ab(R_ql-hat) in the real local basis, for
+    the vector R_ql from mic center q to speaker l; in the complex basis it is
+    i k h_a conj(Y_ab).  Requires every speaker strictly outside each
     microphone's local region for the expansion to converge at the sensors.
     """
     speakers = np.asarray(speakers, dtype=float)
-    rel = speakers[None, :, :] - mics.unit_centers[:, None, :]
-    r, theta, phi = cartesian_to_spherical_arrays(rel)
+    rel = (speakers[None, :, :] - mics.unit_centers[:, None, :]).reshape(-1, 3)
+    r = np.linalg.norm(rel, axis=1)
     if np.any(r < 1e-12):
         raise ValueError("loudspeaker coincides with a microphone unit center")
     A = mics.spec.order
-    C = specfun.mode_count(A)
-    h = specfun.hankel_h1_matrix(A, ctx.k * r.ravel()).reshape(C, *r.shape)
-    Y = specfun.harmonic_matrix(A, theta.ravel(), phi.ravel()).reshape(C, *r.shape)
-    return (1j * ctx.k * h * np.conj(Y)).transpose(1, 0, 2)
-
-
-def direct_component_all(speakers: np.ndarray, weight_matrix: np.ndarray,
-                         mics: MicArray, ctx: WaveContext) -> np.ndarray:
-    """Direct-field recordings for every composed mode: (Q, C, M)."""
-    per_speaker = direct_coefficients_per_speaker(speakers, mics, ctx)
-    return np.matmul(per_speaker, np.asarray(weight_matrix, dtype=complex))
+    coeffs = 1j * ctx.k * specfun.hankel_h1_matrix(A, ctx.k * r) * specfun.real_harmonics(A, rel, r)
+    return coeffs.T.reshape(mics.num_units, speakers.shape[0], -1)

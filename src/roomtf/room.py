@@ -107,18 +107,23 @@ def image_lattice(room: RoomModel) -> ImageLattice:
 REANCHOR_INTERVAL = 16
 
 
-def _uniform_step(ks) -> float | None:
-    """The spacing of a uniform wavenumber grid, or None if it has no one spacing.
+def _uniform_step(ks) -> tuple[float | None, int]:
+    """(dk, n0) of a uniform wavenumber grid, (None, 0) if it has no one spacing.
 
     Uniform means every k_j sits within a few ulps of k_0 + j dk, so that the
-    recurrence's phase error dk-mismatch x distance stays near rounding.
+    recurrence's phase error dk-mismatch x distance stays near rounding; n0 > 0
+    when also k_0 = n0 dk, n0 <= REANCHOR_INTERVAL, to the same tolerance.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.size < 2:
-        return None
+        return None, 0
+    tol = 8 * np.finfo(float).eps * np.abs(ks).max()
     dk = (ks[-1] - ks[0]) / (ks.size - 1)
-    drift = np.abs(ks - (ks[0] + dk * np.arange(ks.size)))
-    return float(dk) if drift.max() <= 8 * np.finfo(float).eps * np.abs(ks).max() else None
+    if np.abs(ks - (ks[0] + dk * np.arange(ks.size))).max() > tol:
+        return None, 0
+    n0 = round(ks[0] / dk)
+    on_lattice = 1 <= n0 <= REANCHOR_INTERVAL and abs(ks[0] - n0 * dk) <= tol
+    return float(dk), n0 if on_lattice else 0
 
 
 def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.ndarray:
@@ -130,17 +135,20 @@ def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.
     The distance d, the weight amp / 4 pi d and, on a uniform grid, the step
     e^{i dk d} are computed once per image; the phase then runs
     e^{i k_{j+1} d} = e^{i k_j d} e^{i dk d} across the grid, re-anchored with
-    one exact exp() every REANCHOR_INTERVAL bins.  A grid that is not uniform
-    takes one exact exp() per bin.  ``skip_direct`` leaves out the true-source
-    row, which is the reverberant part alone; the coincidence check still
-    covers it.  No temporary holds more than one image's worth of pairs.
+    one exact exp() every REANCHOR_INTERVAL bins.  On a lattice grid (k_0 =
+    n0 dk, n0 <= REANCHOR_INTERVAL) the first anchor is step^n0, with the
+    recurrence's own error: one exp() per image.  A grid that is not
+    uniform takes one exact exp() per bin.  ``skip_direct`` leaves out the
+    true-source row, which is the reverberant part alone; the coincidence
+    check still covers it.  No temporary holds more than one image's worth of
+    pairs.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     room.check_inside(Y.reshape(-1, 3), "source")
     lattice = image_lattice(room)
-    dk = _uniform_step(ks)
+    dk, n0 = _uniform_step(ks)
     anchor_every = 1 if dk is None else REANCHOR_INTERVAL
     total = np.zeros((ks.size,) + np.broadcast_shapes(X.shape, Y.shape)[:-1], dtype=complex)
     for image, amp, order in zip(lattice.positions(Y), lattice.amplitude, lattice.order):
@@ -160,7 +168,9 @@ def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.
         if dk is not None:
             step = np.exp(1j * dk * d)
         for j, k in enumerate(ks):
-            if j % anchor_every == 0:
+            if j == 0 and n0:  # step ** 1 would take numpy's slow general power
+                phase = weight * (step if n0 == 1 else step ** n0)
+            elif j % anchor_every == 0:
                 phase = weight * np.exp(1j * k * d)
             else:
                 phase *= step

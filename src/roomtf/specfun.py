@@ -1,49 +1,35 @@
-"""Spherical Bessel/Hankel functions, orthonormal spherical harmonics, Wigner 3-j.
+"""Spherical Bessel/Hankel functions, real orthonormal spherical harmonics, Wigner 3-j.
 
-All harmonics are complex orthonormal with the Condon-Shortley phase, matching
-``scipy.special.sph_harm_y``.  Everything here is pure and reentrant, and
-needs numpy only.
+Everything here is pure and reentrant, and needs numpy only.  Rows of every
+table run over the flat index n^2 + n + m, columns over points.
 
-The basis tables ``harmonic_matrix``, ``bessel_j_matrix`` and
-``hankel_h1_matrix`` are the one basis primitive of every matrix builder.
-Rows run over the flat index n^2 + n + m, columns over points.
-``regular_basis`` is their product j_n(k|x|) Y_nm(x-hat) at Cartesian
-points, the one table the T' and encoder builders use.
-
-``real_regular_basis`` is the same product in the real harmonic basis S,
-which T and the reconstruction use.  S shares the flat rows n^2 + n + m:
+The harmonics are real: the basis S of the complex orthonormal Y_nm with the
+Condon-Shortley phase (``scipy.special.sph_harm_y``),
 
     S_n0 = Y_n0,  S_nm = sqrt 2 Re Y_nm,  S_n,-m = sqrt 2 Im Y_nm   (m > 0),
 
-so Y = U S with U block diagonal, pairing rows (n, m) and (n, -m):
+so Y = U S with U unitary and block diagonal, pairing rows (n, m) and (n, -m):
 
     Y_nm = (S_nm + i S_n,-m) / sqrt 2,
     Y_n,-m = (-1)^m (S_nm - i S_n,-m) / sqrt 2.
 
-``real_mode_columns`` applies U to the columns of a coefficient block by
-that pairing, and ``complex_mode_columns`` applies U^T to a real one.  The
-real table reads cos(theta) = z / r and
-(sin(theta) e^{i phi})^m = ((x + i y) / r)^m straight from the coordinates,
-with no trigonometric call per point, and runs the same Legendre recursion
-as ``harmonic_matrix`` (``_legendre_q``).  The tests check it against
-sqrt 2 Re / Im of ``sph_harm_y`` times ``spherical_jn`` to 1e-13 absolute for
-N <= 25, and U S against ``regular_basis`` to 1e-14.
-
-``harmonic_matrix`` writes Y_nm = P_nm(cos theta) e^{i m phi}, with P_nm the
-fully normalized associated Legendre function (orthonormal on the sphere once
-multiplied by e^{i m phi}, Condon-Shortley phase (-1)^m included).  For
-m >= 0 it runs the standard forward column recursion (Holmes and
-Featherstone, J. Geodesy 76, 2002) on q_nm = P_nm / sin^m(theta):
+``real_harmonics`` is the table S at Cartesian points, ``real_regular_basis``
+j_n(k|x|) S_nm(x-hat), the one table of T, T', the encoder and the queries.
+``real_mode_columns`` applies U to the last axis of an array by that pairing,
+``complex_mode_columns`` U^T.  The tables read cos(theta) = z / r and
+(sin(theta) e^{i phi})^m = ((x + i y) / r)^m from the coordinates.  The tests
+check them against scipy to 1e-13 absolute for N <= 25, poles and origin
+included.  The Legendre part is the forward column recursion (Holmes and
+Featherstone, J. Geodesy 76, 2002) on q_nm = P_nm / sin^m(theta), P_nm fully
+normalized with the Condon-Shortley phase:
 
     q_00 = 1 / sqrt(4 pi),  q_mm = -sqrt((2m + 1) / (2m)) q_{m-1,m-1},
     q_nm = a_nm cos(theta) q_{n-1,m} - b_nm q_{n-2,m}   (m < n),
     a_nm = sqrt((4n^2 - 1) / (n^2 - m^2)),
     b_nm = sqrt(((n-1)^2 - m^2) (2n + 1) / ((2n - 3) (n^2 - m^2))),
 
-then multiplies by (sin(theta) e^{i phi})^m, built by repeated products.
-Negative degrees follow from Y_n^{-m} = (-1)^m conj(Y_nm).  The tests check
-it against per-(n, m) ``sph_harm_y`` to 1e-13 absolute for N <= 25,
-including the poles and azimuths next to 0 and 2 pi.
+then multiplies by sqrt 2 Re and sqrt 2 Im of (sin(theta) e^{i phi})^m,
+built by repeated products.
 
 The Bessel and Hankel tables evaluate every order 0 ... N at every point in
 one sweep, then repeat each order over its 2n + 1 degrees.  Row 0 is always
@@ -80,15 +66,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import cartesian_to_spherical_arrays
-
 
 def mode_count(max_order: int) -> int:
     return (max_order + 1) ** 2
 
-
-# Vectorized basis tables used by the matrix builders downstream.  Rows run over
-# the flat (n, m) index, columns over the supplied points.
 
 @lru_cache(maxsize=64)
 def harmonic_orders(max_order: int) -> np.ndarray:
@@ -103,7 +84,7 @@ def harmonic_orders(max_order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _LegendreTables:
-    """Per-N constants of ``_legendre_q`` and ``harmonic_matrix``; columns broadcast over points.
+    """Per-N constants of ``_legendre_q`` and ``real_harmonics``; columns broadcast over points.
 
     The recursion runs on q_nm = P_nm(cos theta) / sin^m(theta), which for
     m = n is a constant.
@@ -114,7 +95,6 @@ class _LegendreTables:
     sectoral_rows: np.ndarray  # flat rows n^2 + 2n
     sectoral: np.ndarray  # q_nn there
     w_rows: np.ndarray  # N + m for each flat row
-    neg_sign: np.ndarray  # (-1)^m for m = N, ..., 1
 
 
 @lru_cache(maxsize=64)
@@ -139,7 +119,6 @@ def _legendre_tables(max_order: int) -> _LegendreTables:
         a=tuple(a), b=tuple(b),
         sectoral_rows=n * n + 2 * n, sectoral=sectoral[:, None],
         w_rows=max_order + np.arange(orders.size) - orders * orders - orders,
-        neg_sign=np.where(n[:0:-1] % 2, -1.0, 1.0)[:, None],
     )
 
 
@@ -164,25 +143,6 @@ def _legendre_q(max_order: int, t: np.ndarray) -> np.ndarray:
             row[:-1] -= tab.b[n] * q[c2:c2 + n - 1]
         q[n * n:c] = q[c + n:c:-1]  # q_{n,-m} = q_nm
     return q
-
-
-def harmonic_matrix(max_order: int, theta, phi) -> np.ndarray:
-    """Y_nm at each point: shape ((N+1)^2, P)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    N = max_order
-    tab = _legendre_tables(N)
-    q = _legendre_q(N, np.cos(theta))
-    # w[N + m] = sin^m(theta) e^{i m phi} by repeated products, and
-    # w[N - m] = (-1)^m conj(w[N + m]) since Y_n^{-m} = (-1)^m conj(Y_nm)
-    w = np.empty((2 * N + 1, theta.size), dtype=complex)
-    w[N] = 1.0
-    w[N + 1:] = np.sin(theta) * (np.cos(phi) + 1j * np.sin(phi))
-    np.multiply.accumulate(w[N:], axis=0, out=w[N:])
-    w[:N] = tab.neg_sign * np.conj(w[:N:-1])
-    out = w[tab.w_rows]
-    out *= q
-    return out
 
 
 # j_n below this argument comes from its power series, at or above it from
@@ -284,33 +244,20 @@ def bessel_j_matrix(max_order: int, x) -> np.ndarray:
     return _bessel_j_rows(max_order, x)[harmonic_orders(max_order)]
 
 
-def regular_basis(max_order: int, k: float, points) -> np.ndarray:
-    """j_n(k|x|) Y_nm(x-hat) at Cartesian points (P, 3): shape ((N+1)^2, P).
-
-    One (3,) point is P = 1.  The origin gives (1 / sqrt(4 pi), 0, ..., 0).
-    """
-    r, theta, phi = cartesian_to_spherical_arrays(np.reshape(points, (-1, 3)))
-    basis = harmonic_matrix(max_order, theta, phi)
-    basis *= bessel_j_matrix(max_order, k * r)
-    return basis
-
-
 _SQRT2 = math.sqrt(2.0)
-# Up to this many entries, ``real_regular_basis`` applies its azimuthal and
-# Bessel factors by two gathers, the fewest numpy calls; above it, by one
-# in-place product per order, which needs no table-sized temporary.  Either
-# way the products are the same, bit for bit.
+# Up to this many entries, the real tables apply their azimuthal and Bessel
+# factors by gathers, the fewest numpy calls; above it, by one in-place
+# product per order, which needs no table-sized temporary.  Either way the
+# products are the same, bit for bit.
 _GATHER_LIMIT = 1 << 16
 
 
-def real_regular_basis(max_order: int, k: float, points, r) -> np.ndarray:
-    """j_n(k|x|) S_nm(x-hat) at Cartesian points (P, 3): shape ((N+1)^2, P), real.
+def real_harmonics(max_order: int, points, r) -> np.ndarray:
+    """S_nm(x-hat) at Cartesian points (P, 3): shape ((N+1)^2, P), real.
 
     ``r`` holds |x| per point, shape (P,), which the caller has from its own
-    checks.
-    cos(theta) = z / r and sin^m(theta) e^{i m phi} = ((x + i y) / r)^m come
-    straight from the coordinates; the origin maps to the north pole, as in
-    ``regular_basis``.
+    checks.  cos(theta) = z / r and sin^m(theta) e^{i m phi} = ((x + i y) / r)^m
+    come straight from the coordinates; the origin maps to the north pole.
     """
     N = max_order
     away = r > 0.0
@@ -329,13 +276,23 @@ def real_regular_basis(max_order: int, k: float, points, r) -> np.ndarray:
     del u
     if basis.size <= _GATHER_LIMIT:
         basis *= w[_legendre_tables(N).w_rows]
-        basis *= _bessel_j_rows(N, k * r)[harmonic_orders(N)]
         return basis
-    # Row block by row block, in place, each small table freed before the
-    # next is built: the call never holds two ((N+1)^2, P) arrays.
     for n in range(1, N + 1):
         basis[n * n:(n + 1) * (n + 1)] *= w[N - n:N + n + 1]
-    del w
+    return basis
+
+
+def real_regular_basis(max_order: int, k: float, points, r) -> np.ndarray:
+    """j_n(k|x|) S_nm(x-hat) at Cartesian points (P, 3): shape ((N+1)^2, P), real.
+
+    ``real_harmonics`` times the Bessel rows; ``r`` as there.
+    """
+    N = max_order
+    basis = real_harmonics(N, points, r)
+    if basis.size <= _GATHER_LIMIT:
+        basis *= _bessel_j_rows(N, k * r)[harmonic_orders(N)]
+        return basis
+    # row block by row block, in place: the call never holds two tables
     j = _bessel_j_rows(N, k * r)
     for n in range(N + 1):
         basis[n * n:(n + 1) * (n + 1)] *= j[n]
@@ -353,30 +310,32 @@ def _degree_pairs(max_order: int) -> tuple:
 
 
 def real_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
-    """a @ U for an array whose (N+1)^2 columns run over the complex modes.
+    """a @ U for an array whose last axis runs over the (N+1)^2 complex modes.
 
     Y = U S maps the real table onto the complex one, so a bilinear form
     b^T a Y becomes b^T (a U) S.  Each (n, m), (n, -m) column pair mixes
     with its partner only; the (n, 0) columns are unchanged.
     """
     pos, neg, sign = _degree_pairs(max_order)
-    plus, minus = a[:, pos], a[:, neg] * sign
+    plus, minus = a[..., pos], a[..., neg] * sign
     out = a.astype(complex)
-    out[:, pos] = (plus + minus) / _SQRT2
-    out[:, neg] = 1j * (plus - minus) / _SQRT2
+    out[..., pos] = (plus + minus) / _SQRT2
+    out[..., neg] = 1j * (plus - minus) / _SQRT2
     return out
 
 
 def complex_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
-    """a @ U^T for a real array whose (N+1)^2 columns run over the real modes.
+    """a @ U^T for an array whose last axis runs over the (N+1)^2 real modes.
 
     Column (n, m) is (a_nm + i a_n,-m) / sqrt 2 and column (n, -m) is
-    (-1)^m times its conjugate, for m > 0; the (n, 0) columns are unchanged.
+    (-1)^m (a_nm - i a_n,-m) / sqrt 2, for m > 0; the (n, 0) columns are
+    unchanged.
     """
     pos, neg, sign = _degree_pairs(max_order)
+    plus, minus = a[..., pos], 1j * a[..., neg]
     out = a.astype(complex)
-    out[:, pos] = (a[:, pos] + 1j * a[:, neg]) / _SQRT2
-    out[:, neg] = np.conj(out[:, pos]) * sign
+    out[..., pos] = (plus + minus) / _SQRT2
+    out[..., neg] = sign * (plus - minus) / _SQRT2
     return out
 
 

@@ -5,11 +5,10 @@ k j_n(k y_l) S_nm(y_l-hat) from ``specfun.real_regular_basis``.  The complex
 translation matrix T_c, with entry i k j_n(k y_l) conj(Y_nm(y_l-hat)), is
 i conj(U) T, since Y = U S with U unitary.  So T and T_c have the same
 singular values: the condition number and a relative SVD cutoff read the same
-from either, and pinv(T_c) = pinv(T) U^T / i maps the real weights back to
-complex modes by pairing the (n, m) and (n, -m) columns.  Rows run over the
-flat (n, m) index up to N, columns over loudspeakers; N is read back from the
-row count.  A weight vector w with T_c w = beta drives the array to emit the
-outgoing field described by beta.
+from either.  A weight vector w with T_c w = beta drives the array to emit the
+outgoing field sum beta_nm h_n Y_nm; a real weight vector with T w = e_s
+emits i h_n S_s, the real mode s.  Rows run over the flat (n, m) index up to
+N, columns over loudspeakers; N is read back from the row count.
 """
 from __future__ import annotations
 
@@ -36,12 +35,12 @@ def build_T(speakers: np.ndarray, max_order: int, ctx: WaveContext) -> np.ndarra
 
 
 def solve_all_weights(T: np.ndarray, num_modes: int | None = None, *, cutoff: float):
-    """Minimum-norm weights for the first ``num_modes`` unit targets; (L, M) + residuals.
+    """Minimum-norm real weights for the first ``num_modes`` real modes; (L, M) + residuals.
 
-    ``T`` is the real matrix of ``build_T``.  Column (n, m) of the result is
-    the complex weight vector w with T_c w = e_nm, and its residual is
-    |T_c w - e_nm|, for all modes from one real pseudoinverse pass.  Singular
-    values of T below ``cutoff`` times the largest are dropped.
+    ``T`` is the real matrix of ``build_T``.  Column s of the result is a
+    column of pinv(T), the weight vector w with T w = e_s, and its residual
+    is |T w - e_s|, which equals the complex misfit |T_c w - i conj(U) e_s|.
+    Singular values of T below ``cutoff`` times the largest are dropped.
     """
     modes, speakers = T.shape
     max_order = math.isqrt(modes) - 1
@@ -56,16 +55,9 @@ def solve_all_weights(T: np.ndarray, num_modes: int | None = None, *, cutoff: fl
         raise ConfigurationError(
             f"cannot request {num_modes} modes from an order-{max_order} matrix"
         )
-    # the pairing stays inside one order, so the targets' full orders suffice
-    order = math.isqrt(max(num_modes - 1, 0))
-    cols = specfun.mode_count(order)
-    W_real = np.linalg.pinv(T, rcond=cutoff)[:, :cols]
-    # T_c W - E = conj(U) (T W_real - E) U^T, and conj(U) keeps column norms
-    misfit = T @ W_real - np.eye(modes, cols)
-    residuals = np.linalg.norm(specfun.complex_mode_columns(misfit, order), axis=0)
-    W = specfun.complex_mode_columns(W_real, order)
-    W *= -1j
-    return W[:, :num_modes], residuals[:num_modes]
+    W = np.linalg.pinv(T, rcond=cutoff)[:, :num_modes]
+    residuals = np.linalg.norm(T @ W - np.eye(modes, num_modes), axis=0)
+    return W, residuals
 
 
 def condition_number(T: np.ndarray) -> float:

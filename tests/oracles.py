@@ -9,10 +9,14 @@ Each function is the plain per-point or per-bin formula, so a batched path in
   is checked against.
 * ``complex_T`` is the complex loudspeaker translation matrix from scipy;
   ``synthesis.build_T`` builds its real counterpart k S.
+* ``harmonics`` is the complex Y_nm table from ``scipy.special.sph_harm_y``,
+  ``unitary_U`` the dense matrix U of Y = U S written out entry by entry,
+  and ``cartesian_to_spherical_arrays`` the angles those two need; the
+  library reads its angles from the coordinates instead.
 * The field evaluators work on plain coefficient arrays in flat (n, m)
   order, of length (N+1)^2; N is read back from the length.  Points are
-  Cartesian, and the Bessel and harmonic tables are called directly, apart
-  from the library's ``regular_basis``.
+  Cartesian; the harmonics come from scipy, the Bessel rows from the
+  library's tables.
 """
 import math
 
@@ -21,9 +25,48 @@ from scipy import special as sp
 
 from roomtf import specfun
 from roomtf.errors import ConfigurationError
-from roomtf.geometry import cartesian_to_spherical_arrays
 from roomtf.modal import COINCIDENT_DISTANCE, WaveContext
 from roomtf.room import RoomModel, image_lattice
+
+
+def cartesian_to_spherical_arrays(points: np.ndarray):
+    """(..., 3) -> (r, theta, phi) arrays; the zero vector maps to (0, 0, 0).
+
+    theta = atan2(hypot(x, y), z) keeps full precision at the poles, where
+    acos(z / r) loses it.
+    """
+    points = np.asarray(points, dtype=float)
+    r = np.linalg.norm(points, axis=-1)
+    theta = np.arctan2(np.hypot(points[..., 0], points[..., 1]), points[..., 2])
+    phi = np.arctan2(points[..., 1], points[..., 0]) % (2.0 * np.pi)
+    return r, theta, phi
+
+
+def flat_orders_degrees(max_order: int):
+    """(n, m) of each flat row n^2 + n + m as ((N+1)^2, 1) columns, built apart from specfun."""
+    nm = [(n, m) for n in range(max_order + 1) for m in range(-n, n + 1)]
+    n, m = np.array(nm).T
+    return n[:, None], m[:, None]
+
+
+def harmonics(max_order: int, theta, phi) -> np.ndarray:
+    """Y_nm at each direction from scipy: shape ((N+1)^2, P)."""
+    n, m = flat_orders_degrees(max_order)
+    return sp.sph_harm_y(n, m, np.atleast_1d(theta)[None, :], np.atleast_1d(phi)[None, :])
+
+
+def unitary_U(max_order: int) -> np.ndarray:
+    """The dense U of Y = U S: Y_nm = (S_nm + i S_n,-m) / sqrt 2 and
+    Y_n,-m = (-1)^m (S_nm - i S_n,-m) / sqrt 2 for m > 0, Y_n0 = S_n0."""
+    n, m = (v.ravel() for v in flat_orders_degrees(max_order))
+    U = np.zeros((n.size, n.size), dtype=complex)
+    for row, (nn, mm) in enumerate(zip(n, m)):
+        pos, neg = nn * nn + nn + abs(mm), nn * nn + nn - abs(mm)
+        sign = (-1.0) ** mm if mm < 0 else 1.0
+        U[row, pos] = sign / math.sqrt(2) if mm else 1.0
+        if mm:
+            U[row, neg] = (1j if mm > 0 else -1j) * sign / math.sqrt(2)
+    return U
 
 
 def rtf_oracle_many(room: RoomModel, X, Y, ctx: WaveContext) -> np.ndarray:
@@ -56,8 +99,7 @@ def contains(room: RoomModel, p) -> bool:
 def complex_T(speakers, max_order: int, ctx: WaveContext) -> np.ndarray:
     """i k j_n(k y_l) conj(Y_nm(y_l-hat)) for speakers (L, 3): shape ((N+1)^2, L)."""
     r, theta, phi = cartesian_to_spherical_arrays(np.asarray(speakers, dtype=float))
-    n = np.repeat(np.arange(max_order + 1), 2 * np.arange(max_order + 1) + 1)[:, None]
-    m = np.arange(n.size)[:, None] - n * n - n
+    n, m = flat_orders_degrees(max_order)
     table = sp.spherical_jn(n, ctx.k * r) * sp.sph_harm_y(n, m, theta, phi)
     return 1j * ctx.k * np.conj(table)
 
@@ -83,7 +125,7 @@ def point_source_outgoing_coeffs(y_s, ctx: WaveContext, max_order: int) -> np.nd
     r, theta, phi = cartesian_to_spherical_arrays(y_s)
     k = ctx.k
     j = specfun.bessel_j_matrix(max_order, [k * r])[:, 0]
-    y = specfun.harmonic_matrix(max_order, [theta], [phi])[:, 0]
+    y = harmonics(max_order, theta, phi)[:, 0]
     return 1j * k * j * np.conj(y)
 
 
@@ -93,7 +135,7 @@ def eval_interior_field(coeffs, x, ctx: WaveContext) -> complex:
     coeffs = np.asarray(coeffs, dtype=complex)
     N = max_order_of(coeffs)
     j = specfun.bessel_j_matrix(N, [ctx.k * r])[:, 0]
-    y = specfun.harmonic_matrix(N, [theta], [phi])[:, 0]
+    y = harmonics(N, theta, phi)[:, 0]
     return complex(np.sum(coeffs * j * y))
 
 
@@ -105,13 +147,11 @@ def eval_exterior_field(coeffs, z, ctx: WaveContext) -> complex:
     coeffs = np.asarray(coeffs, dtype=complex)
     N = max_order_of(coeffs)
     h = specfun.hankel_h1_matrix(N, [ctx.k * r])[:, 0]
-    y = specfun.harmonic_matrix(N, [theta], [phi])[:, 0]
+    y = harmonics(N, theta, phi)[:, 0]
     return complex(np.sum(coeffs * h * y))
 
 
 def interior_basis(max_order: int, points, ctx: WaveContext) -> np.ndarray:
     """Matrix of j_n(kr) Y_nm at each Cartesian point: shape ((N+1)^2, P)."""
     r, theta, phi = cartesian_to_spherical_arrays(points)
-    return specfun.bessel_j_matrix(max_order, ctx.k * r) * specfun.harmonic_matrix(
-        max_order, theta, phi
-    )
+    return specfun.bessel_j_matrix(max_order, ctx.k * r) * harmonics(max_order, theta, phi)

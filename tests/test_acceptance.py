@@ -13,13 +13,20 @@ import pytest
 from scipy import special as sp
 
 from roomtf import pipeline, specfun, synthesis, translation
-from roomtf.geometry import cartesian_to_spherical_arrays, shell_array, sphere_array
+from roomtf.geometry import shell_array, sphere_array
 from roomtf.modal import WaveContext, truncation_order
 from roomtf.pipeline import load_config, run_extract, run_measure, sweep_errors
 from roomtf.recording import HoMicSpec, make_mic_array, mic_radius
 from roomtf.rtf import reconstruct_rtf_many, relative_error
 
-from oracles import direct_field, eval_interior_field, rtf_oracle_many
+from oracles import (
+    cartesian_to_spherical_arrays,
+    direct_field,
+    eval_interior_field,
+    harmonics,
+    rtf_oracle_many,
+    unitary_U,
+)
 from test_specfun import racah_exact
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -170,6 +177,12 @@ def test_criterion_6_free_field_null(separated_cfg):
            f"worst direct-field deviation over 20 pairs = {worst:.4%} (want < 1%)")
 
 
+def complex_s_hat(local_order, col_order, displacement, ctx):
+    """The complex S-hat block conj(U_A) R U_V^T of the library's real block R."""
+    real = translation.s_hat_blocks(local_order, col_order, displacement, ctx)[0]
+    return np.conj(unitary_U(local_order)) @ real @ unitary_U(col_order).T
+
+
 def test_criterion_7_translation_field_consistency():
     ctx = WaveContext(700.0)
     rng = np.random.default_rng(17)
@@ -181,14 +194,14 @@ def test_criterion_7_translation_field_consistency():
         n_coeff = (order + 1) ** 2
         alpha = rng.standard_normal(n_coeff) + 1j * rng.standard_normal(n_coeff)
         for center in centers:
-            gamma = translation.s_hat_block(local_order, order, center, ctx) @ alpha
+            gamma = complex_s_hat(local_order, order, center, ctx) @ alpha
             for _ in range(3):
                 probe = rng.uniform(-0.03, 0.03, 3)
                 f_global = eval_interior_field(alpha, center + probe, ctx)
                 f_local = eval_interior_field(gamma, probe, ctx)
                 worst = max(worst, abs(f_global - f_local) / abs(f_global))
     identity_err = float(np.max(np.abs(
-        translation.s_hat_block(4, 4, np.zeros(3), ctx) - np.eye(25)
+        complex_s_hat(4, 4, np.zeros(3), ctx) - np.eye(25)
     )))
     ok = worst < 1e-6 and identity_err < 1e-12
     report(7, ok,
@@ -252,13 +265,14 @@ def test_criterion_10_mode_matching_fidelity():
     h = sp.spherical_jn(np.arange(n_s + 1), ctx.k * 1.5) + 1j * sp.spherical_yn(
         np.arange(n_s + 1), ctx.k * 1.5
     )
+    # real weight column s emits i h_n S_s, with S = U^H Y
+    S = np.conj(unitary_U(n_s)).T @ harmonics(n_s, theta, phi)
     worst = 0.0
     for flat, n in enumerate(specfun.harmonic_orders(n_s).tolist()):
-        m = flat - n * n - n
         w = W[:, flat]
         dists = np.linalg.norm(probes[:, None, :] - speakers[None, :, :], axis=2)
         field = (np.exp(1j * ctx.k * dists) / (4 * np.pi * dists)) @ w
-        expected = h[n] * sp.sph_harm_y(n, m, theta, phi)
+        expected = 1j * h[n] * S[flat]
         rel = np.linalg.norm(field - expected) / np.linalg.norm(expected)
         worst = max(worst, rel)
     report(10, worst < 0.01,

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from roomtf import geometry
 from roomtf.errors import ConfigurationError
-from roomtf.geometry import cartesian_to_spherical_arrays, spherical_to_cartesian_arrays
+from roomtf.geometry import spherical_to_cartesian_arrays
+
+from oracles import cartesian_to_spherical_arrays
 
 finite = st.floats(-10.0, 10.0)
 

@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 from scipy import special as sp
 
 from roomtf import specfun
-from roomtf.geometry import cartesian_to_spherical_arrays
 from roomtf.geometry import spherical_to_cartesian_arrays as cartesian
 from roomtf.errors import ConfigurationError
 from roomtf.modal import GRID_TOLERANCE, WaveContext, grid_index, truncation_order
 
 from oracles import (
+    cartesian_to_spherical_arrays,
     direct_field,
     eval_exterior_field,
     eval_interior_field,

@@ -162,6 +162,21 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError, match="order_margin"):
             validate_config(fast_config(order_margin=-1))
 
+    @pytest.mark.parametrize("radii", [(), (0.5,), (-0.3,), (0.0,), (0.2, math.nan), (math.inf,)],
+                             ids=["empty", "outside", "negative", "zero", "nan", "inf"])
+    def test_bad_probe_radii_rejected(self, radii):
+        cfg = replace(fast_config(), probes=pipeline.ProbesConfig(radii=radii))
+        with pytest.raises(ConfigurationError, match="probes.radii"):
+            validate_config(cfg)
+
+    def test_probe_radii_bounded_by_the_smaller_region(self):
+        regions = RegionPair(0.4, 0.3, 0.2, (1.0, 1.0, 0.5))
+        cfg = replace(fast_config(), regions=regions,
+                      probes=pipeline.ProbesConfig(radii=(0.1, 0.3 + 1e-13)))
+        validate_config(cfg)
+        with pytest.raises(ConfigurationError, match="probes.radii"):
+            validate_config(replace(cfg, probes=pipeline.ProbesConfig(radii=(0.1, 0.35))))
+
 
 class TestEffectiveOrders:
     def test_design_frequency_caps(self):
@@ -248,6 +263,13 @@ class TestCli:
                          "--receiver", "0.1,0.0,0.05", "--source", "0.05,0.1,0.0"]) == 0
         out = capsys.readouterr().out
         assert "reconstructed H" in out
+
+    @pytest.mark.parametrize("radii", ["[0.5]", "[-0.3]"])
+    def test_bad_probe_radii_exit_2_before_any_artifact(self, tmp_path, capsys, radii):
+        text = FAST_YAML + f"probes: {{radii: {radii}}}\noutput: {{directory: {tmp_path}/out}}\n"
+        assert cli.main(["sweep", "--config", write_yaml(tmp_path, text)]) == 2
+        assert "probes.radii" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.rtfm")) and not list(tmp_path.rglob("*.rtfc"))
 
     def test_seed_override_changes_digest(self, tmp_path):
         path = write_yaml(tmp_path, FAST_YAML)

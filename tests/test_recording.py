@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from roomtf import recording, specfun
 from roomtf.errors import BesselZeroError, ConfigurationError
@@ -12,7 +13,6 @@ from roomtf.recording import (
     MicArray,
     compose_all_modes,
     default_mask_order,
-    direct_component_all,
     direct_coefficients_per_speaker,
     local_encoding_matrix,
     make_mic_array,
@@ -21,7 +21,13 @@ from roomtf.recording import (
 )
 from roomtf.room import RoomModel
 
-from oracles import interior_basis, rtf_oracle_many
+from oracles import (
+    cartesian_to_spherical_arrays,
+    harmonics,
+    interior_basis,
+    rtf_oracle_many,
+    unitary_U,
+)
 
 REFERENCE_DIMS = (6.0, 5.0, 2.5)
 
@@ -146,11 +152,11 @@ class TestSimulatedMeasurements:
         speakers = np.array([[1.0, 1.0, 0.5], [0.9, 1.3, 0.2]])
         ctx = WaveContext(900.0)
         mt = simulate_raw_measurements(room, speakers, mics, [900.0])
-        expected = direct_coefficients_per_speaker(speakers, mics, ctx)  # (Q, C, L)
+        expected = complex_direct_coefficients(speakers, mics, ctx)  # (Q, L, C)
         mask = int(mt.mask_orders[0])
         keep = specfun.harmonic_orders(3) <= mask
-        got = mt.gamma_tilde[0].transpose(0, 2, 1)[:, keep]
-        want = expected[:, keep]
+        got = mt.gamma_tilde[0][..., keep]
+        want = expected[..., keep]
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 0.01
 
     def test_tensor_shape_reference_counts(self):
@@ -244,7 +250,20 @@ class TestGridSimulation:
         assert calls == []
 
 
+def complex_direct_coefficients(speakers, mics, ctx):
+    """i k h_a(k R_ql) conj(Y_ab(R_ql-hat)) from scipy, in the complex basis: (Q, L, C)."""
+    rel = speakers[None, :, :] - mics.unit_centers[:, None, :]
+    r, theta, phi = cartesian_to_spherical_arrays(rel.reshape(-1, 3))
+    A = mics.spec.order
+    n = specfun.harmonic_orders(A)[:, None]
+    h = sp.spherical_jn(n, ctx.k * r) + 1j * sp.spherical_yn(n, ctx.k * r)
+    gamma = 1j * ctx.k * h * np.conj(harmonics(A, theta, phi))
+    return gamma.T.reshape(mics.num_units, len(speakers), -1)
+
+
 class TestComposition:
+    """compose_all_modes in the real local basis: gamma-tilde U_A composed by real weights."""
+
     def _tensor(self):
         rng = np.random.default_rng(12)
         gt = rng.standard_normal((1, 3, 5, 16)) + 1j * rng.standard_normal((1, 3, 5, 16))
@@ -261,33 +280,35 @@ class TestComposition:
     def test_unit_weight_selects_slice(self):
         mt = self._tensor()
         out = compose_all_modes(mt, 0, np.eye(5))
+        real_basis = mt.gamma_tilde[0] @ unitary_U(3)
         for l in range(5):
-            assert np.allclose(out[:, :, l], mt.gamma_tilde[0, :, l, :])
+            assert np.allclose(out[:, :, l], real_basis[:, l, :])
 
     def test_linearity(self):
         mt = self._tensor()
         rng = np.random.default_rng(1)
-        W1 = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        W2 = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        W1 = rng.standard_normal((5, 3))
+        W2 = rng.standard_normal((5, 3))
         summed = compose_all_modes(mt, 0, W1 + W2)
         parts = compose_all_modes(mt, 0, W1) + compose_all_modes(mt, 0, W2)
         assert np.allclose(summed, parts, atol=1e-12)
 
     def test_batch_matches_single(self):
-        # each composed mode is sum_l w_l gamma-tilde_l, summed here speaker by speaker
+        # each composed mode is sum_l w_l gamma-tilde_l U_A, summed here speaker by speaker
         mt = self._tensor()
         rng = np.random.default_rng(2)
-        W = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        W = rng.standard_normal((5, 4))
         batch = compose_all_modes(mt, 0, W)
+        U = unitary_U(3)
         for m in range(4):
-            single = sum(W[l, m] * mt.gamma_tilde[0, :, l, :] for l in range(5))
+            single = sum(W[l, m] * mt.gamma_tilde[0, :, l, :] @ U for l in range(5))
             assert np.allclose(batch[:, :, m], single, atol=1e-12)
 
     def test_matches_einsum_oracle(self):
         mt = self._tensor()
         rng = np.random.default_rng(3)
-        W = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-        want = np.einsum("Qlc,lm->Qcm", mt.gamma_tilde[0], W)
+        W = rng.standard_normal((5, 4))
+        want = np.einsum("Qlc,lm->Qcm", mt.gamma_tilde[0] @ unitary_U(3), W)
         np.testing.assert_allclose(compose_all_modes(mt, 0, W), want, rtol=1e-12, atol=0)
 
     def test_dimension_mismatch(self):
@@ -295,35 +316,53 @@ class TestComposition:
         with pytest.raises(ConfigurationError):
             compose_all_modes(mt, 0, np.zeros((7, 1)))
 
+    def test_complex_weights_rejected(self):
+        mt = self._tensor()
+        with pytest.raises(ConfigurationError, match="real"):
+            compose_all_modes(mt, 0, np.zeros((5, 1), dtype=complex))
+
 
 class TestDirectComponent:
     def test_axial_speaker_excites_only_zonal_modes(self):
         spec = reference_mic_spec()
         mics = MicArray(np.zeros((1, 3)), spec, make_mic_array(1, 0.2, spec).local_offsets)
         speakers = np.array([[0.0, 0.0, 1.5]])  # on the +z axis of the unit
-        out = direct_component_all(speakers, np.ones((1, 1)), mics, WaveContext(700.0))
+        out = direct_coefficients_per_speaker(speakers, mics, WaveContext(700.0))
+        assert out.shape == (1, 1, 16)
         orders = specfun.harmonic_orders(3)
         degrees = np.arange(orders.size) - orders * orders - orders
-        assert np.all(np.abs(out[0, degrees != 0, 0]) < 1e-14)
+        assert np.all(np.abs(out[0, 0, degrees != 0]) < 1e-14)
 
     def test_weight_scaling(self):
+        # with no recording, the composition is minus the composed direct field
         spec = reference_mic_spec()
         mics = make_mic_array(2, 0.25, spec)
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4]])
         ctx = WaveContext(600.0)
+        mt = recording.MeasurementTensor(np.array([600.0]), np.zeros((1, 2, 2, 16)), 3)
+        direct = direct_coefficients_per_speaker(speakers, mics, ctx)
         w = np.array([[1.0], [0.5]])
-        base = direct_component_all(speakers, w, mics, ctx)
-        scaled = direct_component_all(speakers, 3.0 * w, mics, ctx)
+        base = compose_all_modes(mt, 0, w, direct)
+        scaled = compose_all_modes(mt, 0, 3.0 * w, direct)
         assert np.allclose(scaled, 3.0 * base, atol=1e-12)
+        assert np.allclose(base, -np.einsum("Qlc,lm->Qcm", direct, w), atol=1e-12)
 
     def test_matches_einsum_oracle(self):
+        # the direct coefficients are U_A^T of the complex ones from scipy, and
+        # the composition subtracts them from gamma-tilde U_A before one product
         mics = make_mic_array(3, 0.25, reference_mic_spec())
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4], [-0.9, 0.3, 0.7]])
         ctx = WaveContext(650.0)
+        U = unitary_U(3)
+        direct = direct_coefficients_per_speaker(speakers, mics, ctx)
+        want_direct = complex_direct_coefficients(speakers, mics, ctx) @ U
+        np.testing.assert_allclose(direct, want_direct, rtol=1e-12, atol=0)
         rng = np.random.default_rng(4)
-        W = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        want = np.einsum("Qcl,lm->Qcm", direct_coefficients_per_speaker(speakers, mics, ctx), W)
-        np.testing.assert_allclose(direct_component_all(speakers, W, mics, ctx), want,
+        gt = rng.standard_normal((1, 3, 3, 16)) + 1j * rng.standard_normal((1, 3, 3, 16))
+        mt = recording.MeasurementTensor(np.array([650.0]), gt, 3)
+        W = rng.standard_normal((3, 2))
+        want = np.einsum("Qlc,lm->Qcm", gt[0] @ U - want_direct, W)
+        np.testing.assert_allclose(compose_all_modes(mt, 0, W, direct), want,
                                    rtol=1e-12, atol=0)
 
     def test_coincident_speaker_and_center_rejected(self):
@@ -331,8 +370,8 @@ class TestDirectComponent:
         mics = MicArray(np.array([[0.5, 0.5, 0.1]]), spec,
                         make_mic_array(1, 0.2, spec).local_offsets)
         with pytest.raises(ValueError):
-            direct_component_all(np.array([[0.5, 0.5, 0.1]]), np.ones((1, 1)), mics,
-                                 WaveContext(600.0))
+            direct_coefficients_per_speaker(np.array([[0.5, 0.5, 0.1]]), mics,
+                                            WaveContext(600.0))
 
 
 class TestRemoveDirect:

@@ -5,7 +5,13 @@ import pytest
 
 from roomtf.errors import ConfigurationError
 from roomtf.modal import WaveContext
-from roomtf.room import REANCHOR_INTERVAL, RoomModel, image_lattice, rtf_oracle_grid
+from roomtf.room import (
+    REANCHOR_INTERVAL,
+    RoomModel,
+    _uniform_step,
+    image_lattice,
+    rtf_oracle_grid,
+)
 
 from oracles import contains, direct_field, rtf_oracle_many
 
@@ -277,6 +283,33 @@ class TestOracleGrid:
         X, Y = self.pairs(33)
         assert_bins_close(rtf_oracle_grid(room, X, Y, wavenumbers([640.0])),
                           per_bin(room, X, Y, [640.0]), 1e-12)
+
+    @pytest.mark.parametrize("n0, df", [(1, 200.0), (2, 100.0), (8, 25.0), (16, 12.5)])
+    @pytest.mark.parametrize("skip_direct", [False, True])
+    def test_lattice_grid_matches_per_bin(self, n0, df, skip_direct):
+        # f_0 = n0 df: the first anchor is step^n0, no exact exp(); 20 bins
+        # cross the re-anchor at bin REANCHOR_INTERVAL
+        room = reference_room()
+        X, Y = self.pairs(35)
+        freqs = df * (n0 + np.arange(20))
+        ks = wavenumbers(freqs)
+        assert _uniform_step(ks) == (pytest.approx(ks[1] - ks[0], rel=1e-12), n0)
+        want = per_bin(room, X, Y, freqs)
+        if skip_direct:
+            d = np.linalg.norm(X - Y, axis=-1)
+            want = want - np.exp(1j * ks[:, None, None] * d) / (4 * np.pi * d)
+        assert_bins_close(rtf_oracle_grid(room, X, Y, ks, skip_direct=skip_direct), want, 1e-12)
+
+    @pytest.mark.parametrize("freqs", [
+        210.0 + 200.0 * np.arange(8),  # uniform, off the lattice j dk
+        12.5 * (17 + np.arange(20)),  # on the lattice, n0 = 17 > REANCHOR_INTERVAL
+    ], ids=["off-lattice", "n0-17"])
+    def test_off_lattice_grid_takes_the_exact_anchor(self, freqs):
+        room = reference_room()
+        X, Y = self.pairs(36)
+        ks = wavenumbers(freqs)
+        assert _uniform_step(ks)[1] == 0
+        assert_bins_close(rtf_oracle_grid(room, X, Y, ks), per_bin(room, X, Y, freqs), 1e-12)
 
     def test_skip_direct_is_the_reverberant_part(self):
         room = reference_room()

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
 from roomtf import specfun
-from roomtf.geometry import cartesian_to_spherical_arrays, spherical_to_cartesian_arrays
+from roomtf.geometry import spherical_to_cartesian_arrays
 from roomtf.specfun import wigner_3j
+
+from oracles import cartesian_to_spherical_arrays, flat_orders_degrees, unitary_U
 
 
 def racah_exact(j1, j2, j3, m1, m2, m3) -> float:
@@ -111,9 +113,24 @@ def hankel(n, x):
     return specfun.hankel_h1_matrix(n, [x])[n * n + n, 0]
 
 
+def complex_harmonics(N, points):
+    """Y_nm as the library builds it, U S from ``real_harmonics``: ((N+1)^2, P).
+
+    Y^T = S^T U^T, which ``complex_mode_columns`` applies by pairing.
+    """
+    points = np.reshape(points, (-1, 3))
+    S = specfun.real_harmonics(N, points, np.linalg.norm(points, axis=1))
+    return specfun.complex_mode_columns(S.T, N).T
+
+
+def unit_points(theta, phi):
+    """Cartesian points on the unit sphere, (P, 3)."""
+    return np.reshape(spherical_to_cartesian_arrays(1.0, theta, phi), (-1, 3))
+
+
 def harmonic(n, m, theta, phi):
-    """Y_nm at one point, read from its flat row of the harmonic table."""
-    return specfun.harmonic_matrix(n, theta, phi)[n * n + n + m, 0]
+    """Y_nm at one direction, read from its flat row of the library's table."""
+    return complex_harmonics(n, unit_points(theta, phi))[n * n + n + m, 0]
 
 
 class TestHankel:
@@ -174,16 +191,14 @@ class TestSphericalHarmonic:
         phi = 2 * np.pi * np.arange(nphi) / nphi
         T, P = np.meshgrid(theta, phi, indexing="ij")
         W = np.broadcast_to(weights[:, None], T.shape) * (2 * np.pi / nphi)
-        Y = specfun.harmonic_matrix(N, T.ravel(), P.ravel())
+        points = unit_points(T.ravel(), P.ravel())
+        Y = complex_harmonics(N, points)
         gram = (Y * W.ravel()) @ np.conj(Y.T)
         assert np.max(np.abs(gram - np.eye((N + 1) ** 2))) < 1e-8
-
-
-def flat_orders_degrees(N):
-    """(n, m) of each flat row, built apart from specfun."""
-    nm = [(n, m) for n in range(N + 1) for m in range(-n, n + 1)]
-    n, m = np.array(nm).T
-    return n[:, None], m[:, None]
+        # and the real table is orthonormal by itself
+        S = specfun.real_harmonics(N, points, np.ones(len(points)))
+        gram = (S * W.ravel()) @ S.T
+        assert np.max(np.abs(gram - np.eye((N + 1) ** 2))) < 1e-8
 
 
 def oracle_points():
@@ -263,38 +278,41 @@ class TestBasisTables:
 
     @pytest.mark.parametrize("N", [0, 1, 2, 5, 10, 25])
     def test_harmonic_matrix_matches_scipy(self, N):
+        # the complex table U S, from the real harmonics by pairing
         theta, phi = oracle_points()
         n, m = flat_orders_degrees(N)
         expected = sp.sph_harm_y(n, m, theta[None, :], phi[None, :])
-        got = specfun.harmonic_matrix(N, theta, phi)
+        got = complex_harmonics(N, unit_points(theta, phi))
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) < 1e-13
 
     def test_harmonic_matrix_scalar_arguments(self):
-        got = specfun.harmonic_matrix(3, 0.7, 2.0)
+        # one (3,) point is one column
+        got = complex_harmonics(3, unit_points(0.7, 2.0)[0])
         n, m = flat_orders_degrees(3)
         assert got.shape == (16, 1)
         assert np.max(np.abs(got - sp.sph_harm_y(n, m, 0.7, 2.0))) < 1e-14
 
     def test_near_pole_point(self):
-        # the point (0, 1e-8, 1) through the coordinate conversion
-        _, theta, phi = cartesian_to_spherical_arrays(np.array([[0.0, 1e-8, 1.0]]))
+        # the point (0, 1e-8, 1): the angles come straight from the coordinates
         n, m = flat_orders_degrees(25)
-        got = specfun.harmonic_matrix(25, theta, phi)
+        got = complex_harmonics(25, np.array([[0.0, 1e-8, 1.0]]))
         assert np.max(np.abs(got - sp.sph_harm_y(n, m, 1e-8, math.pi / 2))) < 1e-13
 
     def test_regular_basis_matches_scipy(self):
-        # j_n(k|x|) Y_nm(x-hat) at Cartesian points, the origin and a pole included
+        # j_n(k|x|) Y_nm(x-hat) as U times the real table at Cartesian points,
+        # the origin and a pole included
         rng = np.random.default_rng(21)
         points = np.vstack([rng.uniform(-0.4, 0.4, (30, 3)), [[0, 0, 0], [0, 0, -0.3]]])
         k, N = 20.0, 8
         r, theta, phi = cartesian_to_spherical_arrays(points)
         n, m = flat_orders_degrees(N)
         want = sp.spherical_jn(n, k * r) * sp.sph_harm_y(n, m, theta, phi)
-        got = specfun.regular_basis(N, k, points)
+        got = specfun.complex_mode_columns(specfun.real_regular_basis(N, k, points, r).T, N).T
         assert got.shape == (81, 32)
         assert np.max(np.abs(got - want)) < 1e-13
-        assert np.array_equal(specfun.regular_basis(N, k, points[3]), got[:, 3:4])
+        one = specfun.real_regular_basis(N, k, points[3:4], r[3:4])
+        assert np.array_equal(specfun.complex_mode_columns(one.T, N).T, got[:, 3:4])
 
     @pytest.mark.parametrize("N", [0, 1, 2, 5, 10, 25])
     def test_real_regular_basis_matches_scipy(self, N):
@@ -314,25 +332,21 @@ class TestBasisTables:
 
     @pytest.mark.parametrize("N", [0, 1, 5, 25])
     def test_real_table_maps_onto_complex_table(self, N):
-        # Y = U S: Y_nm = (S_nm + i S_n,-m) / sqrt 2 and
-        # Y_n,-m = (-1)^m (S_nm - i S_n,-m) / sqrt 2 for m > 0; real_mode_columns
-        # is a @ U, and complex_mode_columns is b @ U^T for a real b
+        # Y = U S with the dense U of the oracle; real_mode_columns is a @ U
+        # and complex_mode_columns is b @ U^T, over the last axis of any array
         points = real_oracle_points()
         k = 20.0
-        n, m = (v.ravel() for v in flat_orders_degrees(N))
-        U = np.zeros((n.size, n.size), dtype=complex)
-        for row, (nn, mm) in enumerate(zip(n, m)):
-            pos, neg = nn * nn + nn + abs(mm), nn * nn + nn - abs(mm)
-            sign = (-1.0) ** mm if mm < 0 else 1.0
-            U[row, pos] = sign / math.sqrt(2) if mm else 1.0
-            if mm:
-                U[row, neg] = (1j if mm > 0 else -1j) * sign / math.sqrt(2)
-        S = specfun.real_regular_basis(N, k, points, np.linalg.norm(points, axis=1))
-        assert np.max(np.abs(U @ S - specfun.regular_basis(N, k, points))) < 1e-14
+        U = unitary_U(N)
+        r, theta, phi = cartesian_to_spherical_arrays(points)
+        n, m = flat_orders_degrees(N)
+        Y = sp.spherical_jn(n, k * r) * sp.sph_harm_y(n, m, theta, phi)
+        S = specfun.real_regular_basis(N, k, points, r)
+        assert np.max(np.abs(U @ S - Y)) < 1e-14
         rng = np.random.default_rng(N)
-        a = rng.standard_normal((3, n.size)) + 1j * rng.standard_normal((3, n.size))
+        a = rng.standard_normal((2, 3, U.shape[0])) + 1j * rng.standard_normal((2, 3, U.shape[0]))
         assert np.max(np.abs(specfun.real_mode_columns(a, N) - a @ U)) < 1e-14
-        b = rng.standard_normal((3, n.size))
+        assert np.max(np.abs(specfun.complex_mode_columns(a, N) - a @ U.T)) < 1e-14
+        b = rng.standard_normal((3, U.shape[0]))
         assert np.max(np.abs(specfun.complex_mode_columns(b, N) - b @ U.T)) < 1e-14
 
     def test_real_table_single_point_matches_its_column_in_a_batch(self):
@@ -356,8 +370,9 @@ class TestBasisTables:
     def test_tables_build_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            points = np.vstack([unit_points([0.0, 1.0, math.pi], [0.0, 2.0, 6.0]), np.zeros(3)])
             for N in (0, 1, 2, 31):
-                specfun.harmonic_matrix(N, [0.0, 1.0, math.pi], [0.0, 2.0, 6.0])
+                specfun.real_harmonics(N, points, np.linalg.norm(points, axis=1))
 
     @pytest.mark.parametrize("N", BESSEL_ORDERS)
     def test_bessel_j_matrix_rows(self, N):

@@ -10,7 +10,7 @@ from roomtf.geometry import shell_array
 from roomtf.modal import WaveContext
 from roomtf.specfun import mode_count
 
-from oracles import complex_T
+from oracles import complex_T, unitary_U
 
 SVD_CUTOFF = 1e-10
 
@@ -69,10 +69,16 @@ class TestBuildT:
                 assert np.allclose(T[n * n + n - m], math.sqrt(2) * plus.real, atol=1e-12)
 
 
-def min_norm_weights(T, num_modes):
-    """Minimum-norm least-squares weights for each unit target, from lstsq."""
-    targets = np.eye(T.shape[0])[:, :num_modes]
-    return np.linalg.lstsq(T, targets, rcond=SVD_CUTOFF)[0]
+def real_mode_targets(T_c, num_modes):
+    """Complex coefficients i conj(U) e_s of the first real modes s: T w = e_s
+    is T_c w = i conj(U) e_s, since T_c = i conj(U) T."""
+    N = math.isqrt(T_c.shape[0]) - 1
+    return 1j * np.conj(unitary_U(N))[:, :num_modes]
+
+
+def min_norm_weights(T_c, num_modes, rcond=SVD_CUTOFF):
+    """Minimum-norm least-squares weights for each real-mode target, from lstsq."""
+    return np.linalg.lstsq(T_c, real_mode_targets(T_c, num_modes), rcond=rcond)[0]
 
 
 class TestSolveWeights:
@@ -113,21 +119,21 @@ class TestSolveWeights:
         assert W.shape == (121, 49)
         T_c = oracle_shell_at(800.0, order=6)
         expected = min_norm_weights(T_c, 49)
+        assert W.dtype == np.float64
         assert np.max(np.abs(W - expected)) < 1e-12 * np.max(np.abs(expected))
-        exact = np.linalg.norm(T_c @ expected - np.eye(49), axis=0)
+        exact = np.linalg.norm(T_c @ expected - real_mode_targets(T_c, 49), axis=0)
         assert np.allclose(residuals, exact, atol=1e-12)
 
     @pytest.mark.parametrize("num_modes", [1, 2, 16, 30])
     def test_partial_modes_match_oracle(self, num_modes):
-        # the pairing of (n, m) with (n, -m) needs columns past num_modes
-        # when num_modes stops inside an order
+        # counts that stop inside an order: real modes need no pairing
         T = shell_at(450.0, order=5)
         W, residuals = synthesis.solve_all_weights(T, num_modes=num_modes, cutoff=SVD_CUTOFF)
         assert W.shape == (121, num_modes) and residuals.shape == (num_modes,)
         T_c = oracle_shell_at(450.0, order=5)
         expected = min_norm_weights(T_c, num_modes)
         assert np.max(np.abs(W - expected)) < 1e-12 * np.max(np.abs(expected))
-        exact = np.linalg.norm(T_c @ expected - np.eye(36)[:, :num_modes], axis=0)
+        exact = np.linalg.norm(T_c @ expected - real_mode_targets(T_c, num_modes), axis=0)
         assert np.allclose(residuals, exact, atol=1e-12)
 
     def test_partial_batch(self):
@@ -145,10 +151,10 @@ class TestSolveWeights:
         s = np.linalg.svd(T_c, compute_uv=False)
         cutoff = 10 * s[-1] / s[0]
         W, residuals = synthesis.solve_all_weights(T, cutoff=cutoff)
-        want = np.linalg.lstsq(T_c, np.eye(T_c.shape[0]), rcond=cutoff)[0]
+        want = min_norm_weights(T_c, T_c.shape[0], rcond=cutoff)
         np.testing.assert_allclose(W, want, rtol=0, atol=1e-12 * np.abs(want).max())
-        # the dropped value leaves misfits that the (n, +-m) pairing must share
-        exact = np.linalg.norm(T_c @ want - np.eye(T_c.shape[0]), axis=0)
+        # the dropped value leaves misfits, the same in either basis
+        exact = np.linalg.norm(T_c @ want - real_mode_targets(T_c, T_c.shape[0]), axis=0)
         assert exact.max() > 0.1
         np.testing.assert_allclose(residuals, exact, rtol=0, atol=1e-12)
         W_small, _ = synthesis.solve_all_weights(T, cutoff=SVD_CUTOFF)

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from roomtf import specfun
+from roomtf import specfun, translation
 from roomtf.errors import ConfigurationError
-from roomtf.geometry import cartesian_to_spherical_arrays
 from roomtf.geometry import spherical_to_cartesian_arrays as cartesian
 from roomtf.modal import WaveContext
 from roomtf.recording import HoMicSpec, MicArray, make_mic_array, mic_radius
-from roomtf.translation import build_T_prime, s_hat_block, solve_alpha_all
+from roomtf.translation import build_T_prime, s_hat_blocks, solve_alpha_all
 
-from oracles import eval_interior_field
+from oracles import cartesian_to_spherical_arrays, eval_interior_field, unitary_U
 
 ALL_ROWS = np.ones(16, dtype=bool)  # every local mode of an order-3 mic
 SVD_CUTOFF = 1e-10
@@ -25,7 +24,7 @@ def reference_mics(units=9, radius=0.2795):
 
 
 def s_hat(v, mu, a, b, displacement, ctx):
-    """Per-entry oracle of ``s_hat_block``: one S-hat^{mu b}_{v a}, summed term by term."""
+    """Per-entry oracle of the complex S-hat: one S-hat^{mu b}_{v a}, summed term by term."""
     k = ctx.k
     radius, theta, phi = cartesian_to_spherical_arrays(displacement)
     total = 0.0j
@@ -45,6 +44,20 @@ def s_hat(v, mu, a, b, displacement, ctx):
             * w1 * w2
         )
     return complex(4.0 * math.pi * (1j ** (a - v)) * total)
+
+
+def s_hat_block(local_order, col_order, displacement, ctx):
+    """The complex S-hat block conj(U_A) R U_V^T of the library's real block R."""
+    real = s_hat_blocks(local_order, col_order, displacement, ctx)[0]
+    return np.conj(unitary_U(local_order)) @ real @ unitary_U(col_order).T
+
+
+def oracle_block(local_order, col_order, displacement, ctx):
+    """The complex S-hat block from ``s_hat``, entry by entry."""
+    local = [(a, b) for a in range(local_order + 1) for b in range(-a, a + 1)]
+    cols = [(v, mu) for v in range(col_order + 1) for mu in range(-v, v + 1)]
+    return np.array([[s_hat(v, mu, a, b, displacement, ctx) for v, mu in cols]
+                     for a, b in local])
 
 
 def min_norm_alpha(Tp, rhs):
@@ -100,6 +113,54 @@ class TestSHatEntries:
             for ci, (v, mu) in enumerate(cols):
                 assert block[ri, ci] == pytest.approx(s_hat(v, mu, a, b, disp, ctx), abs=1e-12)
 
+    @pytest.mark.parametrize("local_order, col_order, f, disp", [
+        (2, 3, 900.0, (0.25, 2.0, 4.0)),
+        (3, 5, 600.0, (0.2795, 0.3, 5.9)),
+        (3, 4, 1000.0, (0.1, 3.1, 1.0)),
+    ])
+    def test_real_block_matches_mapped_oracle(self, local_order, col_order, f, disp):
+        # U_A^T S-hat conj(U_V) from the scipy entries and a dense U: real,
+        # and equal to the library's real block
+        ctx = WaveContext(f)
+        d = cartesian(*disp)
+        want = unitary_U(local_order).T @ oracle_block(local_order, col_order, d, ctx) \
+            @ np.conj(unitary_U(col_order))
+        assert np.max(np.abs(want.imag)) < 1e-12
+        got = s_hat_blocks(local_order, col_order, d, ctx)
+        assert got.dtype == np.float64
+        assert got.shape == (1, (local_order + 1) ** 2, (col_order + 1) ** 2)
+        assert np.max(np.abs(got[0] - want.real)) < 1e-12
+
+    def test_batched_blocks_equal_per_centre_blocks(self):
+        ctx = WaveContext(800.0)
+        centers = reference_mics().unit_centers
+        batch = s_hat_blocks(3, 8, centers, ctx)
+        assert batch.shape == (9, 16, 81)
+        for q, center in enumerate(centers):
+            assert np.array_equal(s_hat_blocks(3, 8, center, ctx)[0], batch[q])
+
+    @pytest.mark.parametrize("local_order, col_order", [(2, 3), (3, 6), (4, 4), (3, 11)])
+    def test_real_term_table_coefficients_are_real(self, local_order, col_order):
+        # the complex terms taken to the real bases, densely: conj(Y) = conj(U) S
+        entries, basis, coeffs = translation._term_table(local_order, col_order)
+        C_A, C_V = (local_order + 1) ** 2, (col_order + 1) ** 2
+        C_B = (local_order + col_order + 1) ** 2
+        dense = np.zeros((C_A * C_V, C_B), dtype=complex)
+        np.add.at(dense, (entries, basis), coeffs)
+        mapped = np.einsum("ai,avb,bs,vj->ijs", unitary_U(local_order),
+                           dense.reshape(C_A, C_V, C_B),
+                           np.conj(unitary_U(local_order + col_order)),
+                           np.conj(unitary_U(col_order)), optimize=True)
+        scale = np.abs(mapped).max()
+        assert np.abs(mapped.imag).max() < 1e-14 * scale
+        rows, starts, real_basis, real_coeffs = translation._real_term_table(
+            local_order, col_order)
+        assert real_coeffs.dtype == np.float64
+        table = np.zeros((C_A * C_V, C_B))
+        entry = np.repeat(rows, np.diff(np.append(starts, real_basis.size)))
+        np.add.at(table, (entry, real_basis), real_coeffs)
+        assert np.abs(table - mapped.real.reshape(C_A * C_V, C_B)).max() < 1e-14 * scale
+
     def test_continuity_under_perturbation(self):
         ctx = WaveContext(800.0)
         d1 = cartesian(0.2, 1.0, 2.0)
@@ -134,6 +195,7 @@ class TestBuildTPrime:
     def test_reference_shape(self):
         Tp = build_T_prime(reference_mics(), 10, WaveContext(1000.0), ALL_ROWS)
         assert Tp.shape == (144, 121)
+        assert Tp.dtype == np.float64
 
     def test_single_origin_mic_is_identity(self):
         spec = HoMicSpec(3, mic_radius(3, 1000.0), 49, 5)
