@@ -33,8 +33,6 @@ def _load_config(args) -> pipeline.ExperimentConfig:
     cfg = pipeline.load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, arrays=replace(cfg.arrays, seed=args.seed))
-    if getattr(args, "probe_preset", None):
-        cfg = replace(cfg, probes=replace(cfg.probes, preset=args.probe_preset))
     return cfg
 
 
@@ -132,12 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, probe=False):
+    def common(p):
         p.add_argument("--config", help="experiment config (YAML)")
         p.add_argument("--out", help="output path")
         p.add_argument("--seed", type=int, help="override the config's array seed")
-        if probe:
-            p.add_argument("--probe-preset", help="probe layout preset (paper-fig5)")
 
     p = sub.add_parser("measure", help="simulate the raw measurement tensor")
     common(p)
@@ -161,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("sweep", help="broadband reconstruction-error sweep")
-    common(p, probe=True)
+    common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cond", help="condition-number sweep (shell vs sphere)")

@@ -4,6 +4,11 @@ Both binary formats share the same layout: an ASCII magic line, an 8-byte
 little-endian header length, a JSON header, then raw little-endian complex128
 payload (IEEE-754 double pairs).  Headers carry geometry/config digests so a
 stale artifact/config combination fails loudly instead of silently.
+
+Format 2 stores gamma-tilde and alpha as held in memory, in the real basis S
+of ``specfun`` (Y = U S), so a save and a load return the same bits.  Format 1
+held the same fields and layout in the complex basis Y; it still loads, mapped
+to the real basis by ``specfun.real_mode_columns``.
 """
 from __future__ import annotations
 
@@ -11,10 +16,11 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
+from . import specfun
 from .errors import ConfigurationError, DigestMismatchError
 from .geometry import RegionPair
 from .recording import MeasurementTensor
@@ -22,6 +28,8 @@ from .rtf import RtfCoefficientSet
 
 MEASUREMENT_MAGIC = b"RTFMEAS1\n"
 COEFFICIENT_MAGIC = b"RTFCOEF1\n"
+FORMAT_VERSION = 2  # 1: complex-basis payloads, still read
+_INT, _NUMBER = (int,), (int, float)  # header value types; a bool is neither
 
 
 def content_digest(*arrays) -> str:
@@ -42,16 +50,26 @@ def _write_block(fh, magic: bytes, header: dict, payload: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(payload, dtype=np.complex128).tobytes())
 
 
-def _fields(block: dict, names, where: str) -> list:
-    """The values of ``names`` in ``block``; a missing one is named in the error."""
-    for name in names:
+def _fields(block: dict, kinds: dict, where: str) -> list:
+    """The values in ``block`` of the fields ``kinds`` maps to a tuple of types, or to a
+    list holding one for a list of such values; a missing or mistyped field is named
+    in the error, so no arithmetic runs on a mistyped header value."""
+    values = []
+    for name, kind in kinds.items():
         if name not in block:
             raise ConfigurationError(f"corrupt file: the {where} lacks the field {name!r}")
-    return [block[name] for name in names]
+        value = block[name]
+        items, types = (value, kind[0]) if isinstance(kind, list) else ([value], kind)
+        if not isinstance(items, list) or any(type(v) not in types for v in items):
+            want = "a list of " * isinstance(kind, list) + "/".join(t.__name__ for t in types)
+            raise ConfigurationError(f"corrupt file: the {where} field {name!r} must be "
+                                     f"{want}, got {value!r}")
+        values.append(value)
+    return values
 
 
 def _read_block(fh, magic: bytes):
-    """(header, raw payload bytes); a short, corrupt or unknown header raises."""
+    """(header, raw payload bytes) of format 1 or 2; a short, corrupt or unknown header raises."""
     got = fh.read(len(magic))
     if got != magic:
         raise ConfigurationError(
@@ -71,24 +89,27 @@ def _read_block(fh, magic: bytes):
     except ValueError as exc:
         raise ConfigurationError(f"corrupt file header: {exc}") from None
     version = header.get("format_version") if isinstance(header, dict) else None
-    if version != 1:
-        raise ConfigurationError(f"unsupported format_version {version!r}; expected 1")
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise ConfigurationError(
+            f"unsupported format_version {version!r}; expected 1 or {FORMAT_VERSION}"
+        )
     return header, fh.read()
 
 
-def _payload(raw: bytes, count: int) -> np.ndarray:
-    """The complex128 payload, checked against the element count the header implies."""
-    if len(raw) != 16 * count:
+def _payload(raw: bytes, shape: tuple) -> np.ndarray:
+    """The complex128 payload as an array of ``shape``, checked against the header."""
+    count = math.prod(shape)
+    if min(shape) < 0 or len(raw) != 16 * count:
         raise ConfigurationError(
             f"truncated or corrupt file: payload holds {len(raw)} bytes, "
-            f"the header implies {count} complex values ({16 * count} bytes)"
+            f"the header implies shape {shape} ({16 * count} bytes)"
         )
-    return np.frombuffer(raw, dtype=np.complex128)
+    return np.frombuffer(raw, dtype=np.complex128).reshape(shape)
 
 
 def save_measurement_tensor(path, mt: MeasurementTensor) -> None:
     header = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "num_units": mt.num_units,
         "num_speakers": mt.num_speakers,
         "mic_order": mt.mic_order,
@@ -103,22 +124,24 @@ def save_measurement_tensor(path, mt: MeasurementTensor) -> None:
 def load_measurement_tensor(path) -> MeasurementTensor:
     with open(path, "rb") as fh:
         header, raw = _read_block(fh, MEASUREMENT_MAGIC)
-    freqs, units, speakers, mic_order, masks = _fields(header, (
-        "frequencies", "num_units", "num_speakers", "mic_order", "mask_orders"
-    ), "header")
-    shape = (len(freqs), units, speakers, (mic_order + 1) ** 2)
-    return MeasurementTensor(
+    freqs, units, speakers, mic_order, masks = _fields(header, {
+        "frequencies": [_NUMBER], "num_units": _INT, "num_speakers": _INT, "mic_order": _INT,
+        "mask_orders": [_INT]}, "header")
+    mt = MeasurementTensor(
         frequencies=np.array(freqs),
-        gamma_tilde=_payload(raw, math.prod(shape)).reshape(shape),
+        gamma_tilde=_payload(raw, (len(freqs), units, speakers, (mic_order + 1) ** 2)),
         mic_order=mic_order,
         mask_orders=np.array(masks),
         digests=header.get("digests", {}),
     )
+    if header["format_version"] == 1:  # complex basis: gamma-tilde U_A
+        mt = replace(mt, gamma_tilde=specfun.real_mode_columns(mt.gamma_tilde, mic_order))
+    return mt
 
 
 def save_coefficient_set(path, cset: RtfCoefficientSet) -> None:
     header = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "sound_speed": cset.sound_speed,
         "frequencies": cset.frequencies.tolist(),
         "source_orders": cset.source_orders.tolist(),
@@ -134,21 +157,17 @@ def save_coefficient_set(path, cset: RtfCoefficientSet) -> None:
 def load_coefficient_set(path) -> RtfCoefficientSet:
     with open(path, "rb") as fh:
         header, raw = _read_block(fh, COEFFICIENT_MAGIC)
-    freqs, source_orders, receiver_orders, sound_speed, regions = _fields(header, (
-        "frequencies", "source_orders", "receiver_orders", "sound_speed", "regions"
-    ), "header")
-    orders = list(zip(source_orders, receiver_orders))
-    payload = _payload(raw, sum((ns + 1) ** 2 * (nr + 1) ** 2 for ns, nr in orders))
-    blocks = []
-    pos = 0
-    for ns, nr in orders:
-        size = (ns + 1) ** 2 * (nr + 1) ** 2
-        blocks.append(payload[pos:pos + size].reshape((ns + 1) ** 2, (nr + 1) ** 2))
-        pos += size
-    *radii, offset = _fields(regions, (
-        "receiver_radius", "source_radius", "source_inner_radius", "offset"
-    ), "regions header")
-    return RtfCoefficientSet(
+    freqs, source_orders, receiver_orders, sound_speed, regions = _fields(header, {
+        "frequencies": [_NUMBER], "source_orders": [_INT], "receiver_orders": [_INT],
+        "sound_speed": _NUMBER, "regions": (dict,)}, "header")
+    *radii, offset = _fields(regions, {
+        "receiver_radius": _NUMBER, "source_radius": _NUMBER, "source_inner_radius": _NUMBER,
+        "offset": [_NUMBER]}, "regions header")
+    shapes = [((ns + 1) ** 2, (nr + 1) ** 2) for ns, nr in zip(source_orders, receiver_orders)]
+    sizes = [rows * cols for rows, cols in shapes]
+    payload = np.split(_payload(raw, (sum(sizes),)), np.cumsum(sizes)[:-1])
+    blocks = [block.reshape(shape) for block, shape in zip(payload, shapes)]
+    cset = RtfCoefficientSet(
         frequencies=np.array(freqs),
         alpha=tuple(blocks),
         source_orders=np.array(source_orders),
@@ -157,6 +176,12 @@ def load_coefficient_set(path) -> RtfCoefficientSet:
         sound_speed=sound_speed,
         digests=header.get("digests", {}),
     )
+    if header["format_version"] == 1:  # complex basis: alpha' = U_s^H alpha U_r
+        cset = replace(cset, alpha=tuple(
+            specfun.real_mode_columns(specfun.real_mode_columns(a, nr).conj().T, ns).conj().T
+            for a, ns, nr in zip(cset.alpha, source_orders, receiver_orders)
+        ))
+    return cset
 
 
 def check_digests(expected: dict, actual: dict) -> None:

@@ -39,6 +39,8 @@ class RegionPair:
             raise ConfigurationError(
                 f"receiver_radius must be > 0, got {self.receiver_radius}"
             )
+        if len(self.offset) != 3 or not np.all(np.isfinite(self.offset)):
+            raise ConfigurationError(f"offset must be three finite coordinates, got {self.offset}")
 
 
 def spherical_to_cartesian_arrays(r, theta, phi) -> np.ndarray:

@@ -21,9 +21,9 @@ class WaveContext:
     sound_speed: float = DEFAULT_SOUND_SPEED
 
     def __post_init__(self):
-        if self.frequency <= 0 or self.sound_speed <= 0:
-            raise ValueError(
-                f"frequency and sound speed must be > 0, got f={self.frequency}, "
+        if not (0 < self.frequency < math.inf and 0 < self.sound_speed < math.inf):
+            raise ConfigurationError(
+                f"frequency and sound speed must be finite and > 0, got f={self.frequency}, "
                 f"c={self.sound_speed}"
             )
 

@@ -274,6 +274,8 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
         raise ConfigurationError(
             f"signal.sound_speed must be finite and > 0, got {cfg.signal.sound_speed}"
         )
+    if cfg.probes.preset != "paper-fig5":  # the one layout, kept as a config key
+        raise ConfigurationError(f"probes.preset must be 'paper-fig5', got {cfg.probes.preset!r}")
     limit = min(cfg.regions.receiver_radius, cfg.regions.source_radius)
     if not cfg.probes.radii or not all(0.0 < R <= limit + 1e-12 for R in cfg.probes.radii):
         raise ConfigurationError(f"probes.radii must be a non-empty list of radii in (0, "
@@ -330,10 +332,10 @@ def run_measure(cfg: ExperimentConfig, frequencies=None) -> MeasurementTensor:
 
 
 def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
-    """One frequency's alpha block: returns (alpha (N_s+1)^2 x (N_r+1)^2, n_s, n_r).
+    """One frequency's alpha' block: returns (alpha' (N_s+1)^2 x (N_r+1)^2, n_s, n_r).
 
-    All in the real bases (Y = U S): x = pinv(T') U_A^T Gamma with real
-    weights and T', alpha' = -i x^T, and alpha = U_s alpha' U_r^H is stored.
+    All in the real bases (Y = U S): x = pinv(T') Gamma with real weights
+    and T', and alpha' = U_s^H alpha U_r = -i x^T is the block stored.
     """
     cfg = exp.cfg
     fi = mt.frequency_index(frequency)
@@ -352,8 +354,7 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
     x, _residual = translation.solve_alpha_all(
         Tp, gamma, keep, cutoff=cfg.solver.svd_cutoff
     )
-    b = specfun.complex_mode_columns(-1j * x, n_s)  # a'^T U_s^T = (U_s a')^T
-    return specfun.complex_mode_columns(b.conj().T, n_r).conj(), n_s, n_r
+    return -1j * x.T, n_s, n_r
 
 
 def check_artifact(exp: Experiment, artifact, path) -> None:
@@ -425,7 +426,7 @@ def sweep_errors(cfg: ExperimentConfig, cset: RtfCoefficientSet,
     ks = [exp.context(f).k for f in cset.frequencies]
     out = {}
     for R in radii:
-        receivers, sources = probe_pairs(cfg.probes.preset, R)
+        receivers, sources = probe_pairs(R)
         truth = rtf_oracle_grid(exp.room, receivers, sources + offset, ks)
         out[float(R)] = np.array([
             relative_error(t, rtf.reconstruct_rtf_many(cset, receivers, sources, f))

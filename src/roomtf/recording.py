@@ -2,12 +2,12 @@
 
 Each HO microphone is an open sphere of Q' omnis on a virtual surface of radius
 r about its center R_q.  Raw per-loudspeaker responses are encoded into local
-incident coefficients gamma-tilde up to order A, stored in the complex basis
-Y; unit-mode responses are then composed by linearity with the real
-loudspeaker weights in the real local basis S (Y = U S, see ``specfun``), and
-the known direct field is removed either analytically in the coefficient
-domain, before the composition, or by subtracting exact direct pressures from
-the raw measurements.
+incident coefficients gamma-tilde up to order A in the real local basis S
+(Y = U S, see ``specfun``), which is also the basis the ``.rtfm`` stores;
+unit-mode responses are then composed by linearity with the real loudspeaker
+weights, and the known direct field is removed either analytically in the
+coefficient domain, before the composition, or by subtracting exact direct
+pressures from the raw measurements.
 
 Local coefficients are recovered by least-squares fitting a band-limited
 interior model to the omni pressures.  With the minimum Q' = (A+1)^2 sensors
@@ -112,7 +112,8 @@ def make_mic_array(num_units: int, center_radius: float, spec: HoMicSpec) -> Mic
 
 @dataclass(frozen=True)
 class MeasurementTensor:
-    """Raw encoded responses gamma-tilde, one (Q, L, (A+1)^2) block per frequency."""
+    """Raw encoded responses gamma-tilde, one (Q, L, (A+1)^2) block per frequency,
+    in the real local basis S (Y = U S): gamma-tilde U_A of the complex-basis block."""
 
     frequencies: np.ndarray
     gamma_tilde: np.ndarray = field(repr=False)  # (F, Q, L, (A+1)^2)
@@ -122,7 +123,7 @@ class MeasurementTensor:
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
-        gt = np.asarray(self.gamma_tilde, dtype=complex)
+        gt = np.ascontiguousarray(self.gamma_tilde, dtype=complex)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "gamma_tilde", gt)
         expected_modes = specfun.mode_count(self.mic_order)
@@ -134,7 +135,13 @@ class MeasurementTensor:
         mask = self.mask_orders
         if mask is None:
             mask = np.full(freqs.shape[0], self.mic_order, dtype=int)
-        object.__setattr__(self, "mask_orders", np.asarray(mask, dtype=int))
+        mask = np.asarray(mask, dtype=int)
+        if self.mic_order < 0 or mask.shape != freqs.shape or np.any(mask < 0) \
+                or np.any(mask > self.mic_order):
+            raise ConfigurationError(f"mask_orders {mask.tolist()} must hold one order in "
+                                     f"[0, mic_order = {self.mic_order}] per frequency "
+                                     f"({freqs.shape[0]})")
+        object.__setattr__(self, "mask_orders", mask)
 
     @property
     def num_units(self) -> int:
@@ -172,17 +179,17 @@ def local_encoding_matrix(spec: HoMicSpec, offsets: np.ndarray, ctx: WaveContext
                           mask_order: int) -> np.ndarray:
     """((A+1)^2, Q') map from omni pressures at ``offsets`` (Q', 3) to local coefficients.
 
-    The pseudoinverse of the order-``fit_order`` fit, truncated to order A.
-    Rows above ``mask_order`` are zero, so their coefficients come out exactly
-    zero; a kept order on a Bessel zero raises BesselZeroError.  The fit is
-    real: pinv(Y^T) = conj(U) pinv(S^T), and U keeps the orders apart.
+    The real pseudoinverse of the order-``fit_order`` fit on the real table,
+    truncated to order A: coefficients in the real basis S.  Rows above
+    ``mask_order`` are zero, so their coefficients come out exactly zero; a
+    kept order on a Bessel zero raises BesselZeroError.
     """
     _check_bessel_zeros(spec, ctx, mask_order)
     r = np.linalg.norm(offsets, axis=1)
     model = specfun.real_regular_basis(spec.effective_fit_order, ctx.k, offsets, r)
     enc = np.linalg.pinv(model.T)[: specfun.mode_count(spec.order)]
     enc[specfun.harmonic_orders(spec.order) > mask_order] = 0.0
-    return specfun.complex_mode_columns(enc.T, spec.order).T.conj()
+    return enc
 
 
 def simulate_raw_measurements(
@@ -237,16 +244,16 @@ def compose_all_modes(mt: MeasurementTensor, f_index: int, weight_matrix: np.nda
                       direct: np.ndarray | None = None) -> np.ndarray:
     """All composed modes in the real local basis, (Q, (A+1)^2, M), from real (L, M) weights.
 
-    gamma-tilde U_A, minus the (Q, L, (A+1)^2) ``direct`` coefficients if
-    given, times the weights: one real product on the float view.
+    The stored gamma-tilde, minus the (Q, L, (A+1)^2) ``direct`` coefficients
+    if given, times the weights: one real product on the float view.
     """
     W = np.asarray(weight_matrix)
     if np.iscomplexobj(W) or W.ndim != 2 or W.shape[0] != mt.num_speakers:
         raise ConfigurationError(f"weights must be a real (L = {mt.num_speakers}, M) "
                                  f"matrix, got {W.dtype} {W.shape}")
-    g = specfun.real_mode_columns(mt.gamma_tilde[f_index], mt.mic_order)  # (Q, L, C)
+    g = mt.gamma_tilde[f_index]  # (Q, L, C)
     if direct is not None:
-        g -= direct
+        g = g - direct
     composed = np.matmul(W.T, g.view(float)).view(complex)  # (Q, M, C)
     return composed.transpose(0, 2, 1)
 

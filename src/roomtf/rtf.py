@@ -1,4 +1,8 @@
-"""RTF assembly from the extracted coefficient tensor, plus the error metric."""
+"""RTF assembly from the extracted coefficient tensor, plus the error metric.
+
+Each block is held in the real basis S of ``specfun`` (Y = U S), as
+alpha' = U_s^H alpha U_r, the form the extraction solves for.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -15,8 +19,9 @@ from .modal import COINCIDENT_DISTANCE, WaveContext, grid_index
 class RtfCoefficientSet:
     """Per-frequency alpha tensors linking source modes (n, m) to receiver modes (v, mu).
 
-    ``alpha[i]`` has shape ((N_s+1)^2, (N_r+1)^2) with the per-frequency orders
-    in ``source_orders``/``receiver_orders`` — the tensor is ragged across
+    ``alpha[i]`` is the block alpha' = U_s^H alpha U_r in the real basis, of
+    shape ((N_s+1)^2, (N_r+1)^2) with the per-frequency orders in
+    ``source_orders``/``receiver_orders`` — the tensor is ragged across
     frequency because the truncation orders track k.
     """
 
@@ -27,8 +32,6 @@ class RtfCoefficientSet:
     regions: RegionPair
     sound_speed: float = 343.0
     digests: dict = field(default_factory=dict)
-    # block index -> ``_real_alpha`` of that block, built on first use
-    _real_blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -38,8 +41,13 @@ class RtfCoefficientSet:
         object.__setattr__(self, "receiver_orders", np.asarray(self.receiver_orders, dtype=int))
         if len(self.alpha) != freqs.shape[0]:
             raise ConfigurationError("one alpha block per frequency is required")
-        for a, ns, nr in zip(self.alpha, self.source_orders, self.receiver_orders):
-            expected = (specfun.mode_count(int(ns)), specfun.mode_count(int(nr)))
+        ns, nr = self.source_orders, self.receiver_orders
+        if not ns.shape == nr.shape == freqs.shape or np.any(ns < 0) or np.any(nr < 0):
+            raise ConfigurationError(f"source_orders {ns.tolist()} and receiver_orders "
+                                     f"{nr.tolist()} must each hold one order >= 0 per "
+                                     f"frequency ({freqs.shape[0]})")
+        for a, n_s, n_r in zip(self.alpha, ns, nr):
+            expected = (specfun.mode_count(int(n_s)), specfun.mode_count(int(n_r)))
             if a.shape != expected:
                 raise ConfigurationError(
                     f"alpha block shape {a.shape} != {expected} from stored orders"
@@ -52,23 +60,6 @@ class RtfCoefficientSet:
     def context(self, frequency: float) -> WaveContext:
         return WaveContext(frequency, self.sound_speed)
 
-    def _real_alpha(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Re a'^T, Im a'^T) for block ``index``, each ((N_r+1)^2, (N_s+1)^2).
-
-        a' = U_s^H alpha U_r is the block in the real basis of
-        ``specfun.real_regular_basis`` (Y = U S), so that
-        conj(Y_src)^T alpha Y_rcv = S_src^T a' S_rcv.  Built on the first
-        call for each block, then reused.
-        """
-        halves = self._real_blocks.get(index)
-        if halves is None:
-            ns, nr = int(self.source_orders[index]), int(self.receiver_orders[index])
-            a = specfun.real_mode_columns(self.alpha[index], nr)  # alpha U_r
-            a = specfun.real_mode_columns(a.conj().T, ns)  # (alpha U_r)^H U_s = a'^H
-            halves = (a.real.copy(), -a.imag)  # a'^T = conj(a'^H)
-            self._real_blocks[index] = halves
-        return halves
-
 
 def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray,
                          frequency: float) -> np.ndarray:
@@ -76,11 +67,10 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
 
     The direct field in closed form plus the reverberant bilinear form
     1j k sum j_n(k y) conj(Y_nm(y)) alpha[(n,m), (v,mu)] j_v(k x) Y_vmu(x),
-    evaluated in the real basis as 1j k S_src^T a' S_rcv (see
-    ``RtfCoefficientSet._real_alpha``).  This is the one reconstruction entry
-    point; one pair is a (1, 3) call.  Receivers and sources share one
-    ``real_regular_basis`` table, built to the larger of the two orders after
-    every check has passed.
+    evaluated as 1j k S_src^T alpha' S_rcv on the stored real-basis block.
+    This is the one reconstruction entry point; one pair is a (1, 3) call.
+    Receivers and sources share one ``real_regular_basis`` table, built to
+    the larger of the two orders after every check has passed.
     """
     fi = cset.frequency_index(frequency)
     k = cset.context(frequency).k
@@ -114,10 +104,10 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
             "name the same room point"
         )
     basis = specfun.real_regular_basis(max(ns, nr), k, points, r)
-    a_re, a_im = cset._real_alpha(fi)
     src, rcv = basis[:specfun.mode_count(ns), P:], basis[:specfun.mode_count(nr), :P]
-    # the two real halves take turns in one (m_r, P) buffer; a single stacked
-    # product would hold a second array as large as the basis table
+    # the real halves of alpha'^T take turns in one (m_r, P) buffer; one product on
+    # the float view would hold a second array as large as the basis table
+    a_re, a_im = np.stack([cset.alpha[fi].real.T, cset.alpha[fi].imag.T])
     terms = a_re @ src
     terms *= rcv
     s_re = terms.sum(axis=0)
@@ -141,15 +131,13 @@ def relative_error(truth, estimate) -> float:
     return float(np.abs(truth - estimate).sum() / denom)
 
 
-def probe_pairs(preset: str = "paper-fig5", radius: float = 0.4):
+def probe_pairs(radius: float = 0.4):
     """One-to-one probe pairs (receiver about O, source about O_s), Cartesian.
 
-    The default layout puts one probe at each region center and one at each
-    axis intersection with the region surface; pairs are matched first-with-
-    first, giving G = 7 combinations.
+    The Fig. 5 layout (``probes.preset: paper-fig5``) puts one probe at each
+    region center and one at each axis intersection with the sphere of
+    ``radius``; pairs are matched first-with-first, giving G = 7 combinations.
     """
-    if preset != "paper-fig5":
-        raise ConfigurationError(f"unknown probe preset: {preset!r}")
     R = radius
     layout = np.array(
         [

@@ -14,9 +14,10 @@ so Y = U S with U unitary and block diagonal, pairing rows (n, m) and (n, -m):
     Y_n,-m = (-1)^m (S_nm - i S_n,-m) / sqrt 2.
 
 ``real_harmonics`` is the table S at Cartesian points, ``real_regular_basis``
-j_n(k|x|) S_nm(x-hat), the one table of T, T', the encoder and the queries.
-``real_mode_columns`` applies U to the last axis of an array by that pairing,
-``complex_mode_columns`` U^T.  The tables read cos(theta) = z / r and
+j_n(k|x|) S_nm(x-hat), the one table of T, T', the encoder and the queries;
+every stored coefficient is in this basis.  ``real_mode_columns`` applies U
+to the last axis of an array by that pairing, for the complex-basis inputs
+(format-1 artifacts, S-hat terms).  The tables read cos(theta) = z / r and
 (sin(theta) e^{i phi})^m = ((x + i y) / r)^m from the coordinates.  The tests
 check them against scipy to 1e-13 absolute for N <= 25, poles and origin
 included.  The Legendre part is the forward column recursion (Holmes and
@@ -299,16 +300,6 @@ def real_regular_basis(max_order: int, k: float, points, r) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=64)
-def _degree_pairs(max_order: int) -> tuple:
-    """Flat rows of (n, m) and of (n, -m) for every m > 0, and (-1)^m."""
-    orders = harmonic_orders(max_order)
-    rows = np.arange(orders.size)
-    m = rows - orders * orders - orders
-    pos, m = rows[m > 0], m[m > 0]
-    return pos, pos - 2 * m, np.where(m % 2, -1.0, 1.0)
-
-
 def real_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
     """a @ U for an array whose last axis runs over the (N+1)^2 complex modes.
 
@@ -316,26 +307,15 @@ def real_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
     b^T a Y becomes b^T (a U) S.  Each (n, m), (n, -m) column pair mixes
     with its partner only; the (n, 0) columns are unchanged.
     """
-    pos, neg, sign = _degree_pairs(max_order)
-    plus, minus = a[..., pos], a[..., neg] * sign
+    orders = harmonic_orders(max_order)
+    rows = np.arange(orders.size)
+    m = rows - orders * orders - orders
+    pos, m = rows[m > 0], m[m > 0]
+    neg = pos - 2 * m  # the (n, -m) partner of each (n, m) with m > 0
+    plus, minus = a[..., pos], a[..., neg] * np.where(m % 2, -1.0, 1.0)
     out = a.astype(complex)
     out[..., pos] = (plus + minus) / _SQRT2
     out[..., neg] = 1j * (plus - minus) / _SQRT2
-    return out
-
-
-def complex_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
-    """a @ U^T for an array whose last axis runs over the (N+1)^2 real modes.
-
-    Column (n, m) is (a_nm + i a_n,-m) / sqrt 2 and column (n, -m) is
-    (-1)^m (a_nm - i a_n,-m) / sqrt 2, for m > 0; the (n, 0) columns are
-    unchanged.
-    """
-    pos, neg, sign = _degree_pairs(max_order)
-    plus, minus = a[..., pos], 1j * a[..., neg]
-    out = a.astype(complex)
-    out[..., pos] = (plus + minus) / _SQRT2
-    out[..., neg] = sign * (plus - minus) / _SQRT2
     return out
 
 

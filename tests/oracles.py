@@ -11,8 +11,10 @@ Each function is the plain per-point or per-bin formula, so a batched path in
   ``synthesis.build_T`` builds its real counterpart k S.
 * ``harmonics`` is the complex Y_nm table from ``scipy.special.sph_harm_y``,
   ``unitary_U`` the dense matrix U of Y = U S written out entry by entry,
-  and ``cartesian_to_spherical_arrays`` the angles those two need; the
-  library reads its angles from the coordinates instead.
+  ``complex_mode_columns`` the product a U^T by (n, m), (n, -m) pairing, and
+  ``cartesian_to_spherical_arrays`` the angles the tables need; the library
+  reads its angles from the coordinates and stores every coefficient in the
+  real basis S.
 * The field evaluators work on plain coefficient arrays in flat (n, m)
   order, of length (N+1)^2; N is read back from the length.  Points are
   Cartesian; the harmonics come from scipy, the Bessel rows from the
@@ -67,6 +69,24 @@ def unitary_U(max_order: int) -> np.ndarray:
         if mm:
             U[row, neg] = (1j if mm > 0 else -1j) * sign / math.sqrt(2)
     return U
+
+
+def complex_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
+    """a @ U^T for an array whose last axis runs over the (N+1)^2 real modes.
+
+    Column (n, m) is (a_nm + i a_n,-m) / sqrt 2 and column (n, -m) is
+    (-1)^m (a_nm - i a_n,-m) / sqrt 2, for m > 0; the (n, 0) columns are
+    unchanged.
+    """
+    n, m = (v.ravel() for v in flat_orders_degrees(max_order))
+    pos = np.flatnonzero(m > 0)
+    neg = pos - 2 * m[pos]
+    sign = np.where(m[pos] % 2, -1.0, 1.0)
+    plus, minus = a[..., pos], 1j * a[..., neg]
+    out = a.astype(complex)
+    out[..., pos] = (plus + minus) / math.sqrt(2)
+    out[..., neg] = sign * (plus - minus) / math.sqrt(2)
+    return out
 
 
 def rtf_oracle_many(room: RoomModel, X, Y, ctx: WaveContext) -> np.ndarray:

@@ -1,15 +1,24 @@
 """Artifact persistence: binary round trips, digests, CSV fidelity."""
 import json
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from roomtf import cli, fileio
 from roomtf.errors import ConfigurationError, DigestMismatchError
 from roomtf.geometry import RegionPair
 from roomtf.recording import MeasurementTensor
 from roomtf.rtf import RtfCoefficientSet
+
+from oracles import unitary_U
+
+# A format-1 .rtfm/.rtfc pair (complex-basis payloads), written by the
+# format-1 writer from v1_config.yaml, and the E that its sweep printed.
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def sample_tensor():
@@ -91,6 +100,65 @@ def coefficient_header_bytes(header: dict) -> bytes:
     return fileio.COEFFICIENT_MAGIC + struct.pack("<Q", len(raw)) + raw
 
 
+def read_artifact(path):
+    """(magic, JSON header, raw payload bytes) of the artifact at ``path``."""
+    data = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<Q", data[9:17])
+    return data[:9], json.loads(data[17:17 + hlen]), data[17 + hlen:]
+
+
+def edit_header(path, edit) -> None:
+    """Rewrite the JSON header of the artifact at ``path`` by ``edit(header)``, payload kept."""
+    magic, header, payload = read_artifact(path)
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(magic + struct.pack("<Q", len(raw)) + raw + payload)
+
+
+def set_field(name, value, section=None):
+    def edit(header):
+        (header[section] if section else header)[name] = value
+    return edit
+
+
+# (artifact, header edit, message): each header loads at the parent as a
+# traceback or as a silently wrong set, and must raise ConfigurationError
+MALFORMED_HEADERS = {
+    "offset-one-value": ("c", set_field("offset", [1.0], "regions"),
+                         r"offset must be three finite coordinates, got \(1\.0,\)"),
+    "offset-nan": ("c", set_field("offset", [1.0, float("nan"), 0.5], "regions"),
+                   r"offset must be three finite coordinates, got \(1\.0, nan, 0\.5\)"),
+    "offset-string": ("c", set_field("offset", "1,1,0.5", "regions"),
+                      "field 'offset' must be a list of int/float"),
+    "sound-speed-string": ("c", set_field("sound_speed", "343"),
+                           "field 'sound_speed' must be int/float, got '343'"),
+    "order-string": ("c", set_field("source_orders", [2, "3"]),
+                     "field 'source_orders' must be a list of int, got \\[2, '3'\\]"),
+    "order-float": ("c", set_field("receiver_orders", [3.0, 4]),
+                    "field 'receiver_orders' must be a list of int"),
+    # (-4 + 1)^2 = (2 + 1)^2, so the payload still has the size the header implies
+    "order-negative": ("c", set_field("source_orders", [-4, 3]),
+                       r"source_orders \[-4, 3\] and receiver_orders \[3, 4\] must each hold"),
+    "orders-longer": ("c", set_field("receiver_orders", [3, 4, 5]),
+                      r"\[3, 4, 5\] must each hold one order >= 0 per frequency \(2\)"),
+    "frequencies-scalar": ("c", set_field("frequencies", 500.0),
+                           "field 'frequencies' must be a list of int/float, got 500.0"),
+    "mic-order-string": ("m", set_field("mic_order", "3"),
+                         "field 'mic_order' must be int, got '3'"),
+    "mic-order-negative": ("m", set_field("mic_order", -5),
+                           r"mask_orders \[2, 3\] must hold one order in \[0, mic_order = -5\]"),
+    "mask-negative": ("m", set_field("mask_orders", [-1, 3]),
+                      r"mask_orders \[-1, 3\] must hold one order in \[0, mic_order = 3\]"),
+    "mask-above-mic-order": ("m", set_field("mask_orders", [2, 4]),
+                             r"mask_orders \[2, 4\] must hold one order in \[0, mic_order = 3\]"),
+    "masks-shorter": ("m", set_field("mask_orders", [2]),
+                      r"mask_orders \[2\] must hold one order .* per frequency \(2\)"),
+    # (-3) x (-5) = 3 x 5, so only the signs are wrong
+    "counts-negative": ("m", lambda h: h.update(num_units=-3, num_speakers=-5),
+                        r"truncated or corrupt file: .* shape \(2, -3, -5, 16\)"),
+}
+
+
 class TestMalformedArtifacts:
     @pytest.mark.parametrize("cut", [16, 24])
     def test_truncated_coefficient_payload(self, tmp_path, cut):
@@ -110,8 +178,8 @@ class TestMalformedArtifacts:
 
     def test_bad_format_version(self, tmp_path):
         path = tmp_path / "c.rtfc"
-        path.write_bytes(coefficient_header_bytes({"format_version": 2}))
-        with pytest.raises(ConfigurationError, match="format_version 2"):
+        path.write_bytes(coefficient_header_bytes({"format_version": 3}))
+        with pytest.raises(ConfigurationError, match="format_version 3"):
             fileio.load_coefficient_set(path)
 
     def test_short_header(self, tmp_path):
@@ -143,32 +211,47 @@ class TestMalformedArtifacts:
     def test_incomplete_measurement_header(self, tmp_path):
         path = tmp_path / "m.rtfm"
         fileio.save_measurement_tensor(path, sample_tensor())
-        data = path.read_bytes()
-        (hlen,) = struct.unpack("<Q", data[9:17])
-        header = json.loads(data[17:17 + hlen])
-        del header["mask_orders"]
-        raw = json.dumps(header).encode("utf-8")
-        path.write_bytes(fileio.MEASUREMENT_MAGIC + struct.pack("<Q", len(raw)) + raw
-                         + data[17 + hlen:])
+        edit_header(path, lambda header: header.pop("mask_orders"))
         with pytest.raises(ConfigurationError, match="lacks the field 'mask_orders'"):
             fileio.load_measurement_tensor(path)
 
     def test_coefficient_header_without_regions(self, tmp_path, capsys):
         path = tmp_path / "c.rtfc"
         fileio.save_coefficient_set(path, sample_cset())
-        data = path.read_bytes()
-        (hlen,) = struct.unpack("<Q", data[9:17])
-        header = json.loads(data[17:17 + hlen])
-        del header["regions"]
-        raw = json.dumps(header).encode("utf-8")
-        path.write_bytes(fileio.COEFFICIENT_MAGIC + struct.pack("<Q", len(raw)) + raw
-                         + data[17 + hlen:])
+        edit_header(path, lambda header: header.pop("regions"))
         with pytest.raises(ConfigurationError, match="lacks the field 'regions'"):
             fileio.load_coefficient_set(path)
         argv = ["reconstruct", "--coeffs", str(path), "-f", "500",
                 "--receiver", "0.1,0,0", "--source", "0,0.1,0"]
         assert cli.main(argv) == 2
         assert "the header lacks the field 'regions'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_rejected(self, tmp_path, case):
+        kind, edit, message = MALFORMED_HEADERS[case]
+        path = tmp_path / "artifact"
+        save, load = {
+            "c": (lambda: fileio.save_coefficient_set(path, sample_cset()),
+                  fileio.load_coefficient_set),
+            "m": (lambda: fileio.save_measurement_tensor(path, sample_tensor()),
+                  fileio.load_measurement_tensor),
+        }[kind]
+        save()
+        edit_header(path, edit)
+        with pytest.raises(ConfigurationError, match=message):
+            load(path)
+
+    def test_cli_rejects_a_one_value_offset_with_exit_2(self, tmp_path, capsys):
+        # this file once printed a wrong RTF with exit 0
+        path = tmp_path / "c.rtfc"
+        fileio.save_coefficient_set(path, sample_cset())
+        edit_header(path, set_field("offset", [1.0], "regions"))
+        argv = ["reconstruct", "--coeffs", str(path), "-f", "500",
+                "--receiver", "0.1,0,0", "--source", "0,0.1,0"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "offset must be three finite coordinates" in captured.err
+        assert "reconstructed" not in captured.out
 
     def test_cli_reports_truncation_with_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.rtfc"
@@ -197,3 +280,84 @@ class TestDigests:
         b = a.copy()
         b[0, 0] += 1e-12
         assert fileio.content_digest(a) != fileio.content_digest(b)
+
+
+def v1_workspace(tmp_path, *artifacts) -> str:
+    """The v1 config with its output directory under ``tmp_path``, holding
+    copies of the named format-1 artifacts; returns the config path."""
+    raw = yaml.safe_load((DATA / "v1_config.yaml").read_text())
+    out = tmp_path / "out"
+    out.mkdir()
+    raw["output"]["directory"] = str(out)
+    for name in artifacts:
+        shutil.copy(DATA / f"v1_{name}", out / name)
+    path = tmp_path / "v1.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return str(path)
+
+
+class TestFormatVersions:
+    """Format 1 (complex basis) is read and mapped; format 2 is written and round-trips."""
+
+    E_PARENT = np.loadtxt(DATA / "v1_sweep.csv", delimiter=",", skiprows=1)
+
+    def sweep(self, tmp_path, *artifacts) -> np.ndarray:
+        path = v1_workspace(tmp_path, *artifacts)
+        assert cli.main(["sweep", "--config", path]) == 0
+        return np.loadtxt(tmp_path / "out" / "sweep.csv", delimiter=",", skiprows=1)
+
+    def test_sweep_from_v1_coefficients_reproduces_e(self, tmp_path):
+        got = self.sweep(tmp_path, "coefficients.rtfc")
+        np.testing.assert_allclose(got, self.E_PARENT, rtol=1e-12, atol=0)
+
+    def test_extraction_from_v1_measurements_reproduces_e(self, tmp_path):
+        got = self.sweep(tmp_path, "measurements.rtfm")
+        np.testing.assert_allclose(got, self.E_PARENT, rtol=1e-9, atol=0)
+        assert read_artifact(tmp_path / "out" / "coefficients.rtfc")[1]["format_version"] == 2
+
+    def test_v1_payloads_map_to_the_real_basis(self):
+        # against the dense U of the oracle: gamma-tilde U_A and U_s^H alpha U_r
+        _, header, raw = read_artifact(DATA / "v1_coefficients.rtfc")
+        assert header["format_version"] == 1
+        payload = np.frombuffer(raw, complex)
+        cset = fileio.load_coefficient_set(DATA / "v1_coefficients.rtfc")
+        pos = 0
+        for a, ns, nr in zip(cset.alpha, header["source_orders"], header["receiver_orders"]):
+            alpha = payload[pos:pos + a.size].reshape(a.shape)
+            pos += a.size
+            want = unitary_U(ns).conj().T @ alpha @ unitary_U(nr)
+            assert np.max(np.abs(a - want)) <= 1e-15 * np.max(np.abs(want))
+        _, header, raw = read_artifact(DATA / "v1_measurements.rtfm")
+        assert header["format_version"] == 1
+        gamma = np.frombuffer(raw, complex)
+        mt = fileio.load_measurement_tensor(DATA / "v1_measurements.rtfm")
+        want = gamma.reshape(mt.gamma_tilde.shape) @ unitary_U(mt.mic_order)
+        assert np.max(np.abs(mt.gamma_tilde - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_v2_pair_round_trips_bit_for_bit(self, tmp_path):
+        for name, load, save in (
+            ("measurements.rtfm", fileio.load_measurement_tensor, fileio.save_measurement_tensor),
+            ("coefficients.rtfc", fileio.load_coefficient_set, fileio.save_coefficient_set),
+        ):
+            first, second = tmp_path / f"1-{name}", tmp_path / f"2-{name}"
+            artifact = load(DATA / f"v1_{name}")
+            save(first, artifact)
+            back = load(first)
+            save(second, back)
+            assert read_artifact(first)[1]["format_version"] == 2
+            assert first.read_bytes() == second.read_bytes()
+            if name.endswith("rtfm"):
+                assert back.gamma_tilde.tobytes() == artifact.gamma_tilde.tobytes()
+            else:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(back.alpha, artifact.alpha))
+
+    def test_format_version_3_exits_2(self, tmp_path, capsys):
+        path = v1_workspace(tmp_path, "measurements.rtfm", "coefficients.rtfc")
+        for name in ("measurements.rtfm", "coefficients.rtfc"):
+            edit_header(tmp_path / "out" / name, set_field("format_version", 3))
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--coeffs", str(tmp_path / "out" / "coefficients.rtfc"),
+                         "-f", "150", "--receiver", "0.1,0,0", "--source", "0,0.1,0"]) == 2
+        assert cli.main(["extract", "--config", path, "--out", str(tmp_path / "c.rtfc")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("unsupported format_version 3; expected 1 or 2") == 2

@@ -35,6 +35,11 @@ class TestWaveContext:
             WaveContext(0.0)
         with pytest.raises(ValueError):
             WaveContext(100.0, -1.0)
+        # not finite: a .rtfc header may carry these; the CLI exits 2 on them
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            WaveContext(math.inf)
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            WaveContext(100.0, math.nan)
 
 
 class TestGridIndex:

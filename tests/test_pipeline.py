@@ -169,6 +169,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError, match="probes.radii"):
             validate_config(cfg)
 
+    def test_unknown_probe_preset(self):
+        cfg = replace(fast_config(), probes=pipeline.ProbesConfig(preset="bogus"))
+        with pytest.raises(ConfigurationError, match="preset must be 'paper-fig5', got 'bogus'"):
+            validate_config(cfg)
+
     def test_probe_radii_bounded_by_the_smaller_region(self):
         regions = RegionPair(0.4, 0.3, 0.2, (1.0, 1.0, 0.5))
         cfg = replace(fast_config(), regions=regions,
@@ -270,6 +275,15 @@ class TestCli:
         assert cli.main(["sweep", "--config", write_yaml(tmp_path, text)]) == 2
         assert "probes.radii" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.rtfm")) and not list(tmp_path.rglob("*.rtfc"))
+
+    def test_unknown_probe_preset_exits_2_before_any_artifact(self, tmp_path, capsys):
+        text = FAST_YAML + f"probes: {{preset: nope}}\noutput: {{directory: {tmp_path}/out}}\n"
+        assert cli.main(["sweep", "--config", write_yaml(tmp_path, text)]) == 2
+        assert "probes.preset" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.rtfm")) and not list(tmp_path.rglob("*.rtfc"))
+        with pytest.raises(SystemExit):  # the flag is gone; the config key names the layout
+            cli.main(["sweep", "--config", write_yaml(tmp_path, FAST_YAML),
+                      "--probe-preset", "paper-fig5"])
 
     def test_seed_override_changes_digest(self, tmp_path):
         path = write_yaml(tmp_path, FAST_YAML)

@@ -103,8 +103,9 @@ class TestLocalEncoding:
         gamma_true = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         basis = interior_basis(3, mics.local_offsets, ctx)  # (16, Q')
         pressures = np.broadcast_to(gamma_true @ basis, (4, spec.omni_count)).copy()
-        gamma = encode(mics, pressures, ctx)
-        rel = np.linalg.norm(gamma - gamma_true[None, :]) / np.linalg.norm(gamma_true)
+        gamma = encode(mics, pressures, ctx)  # in the real basis: gamma_true U
+        want = gamma_true @ unitary_U(3)
+        rel = np.linalg.norm(gamma - want[None, :]) / np.linalg.norm(want)
         assert rel < 1e-6
 
     def test_minimum_sensor_count_still_recovers(self):
@@ -116,8 +117,9 @@ class TestLocalEncoding:
         pressures = np.broadcast_to(
             gamma_true @ interior_basis(3, mics.local_offsets, ctx), (2, 16)
         ).copy()
-        gamma = encode(mics, pressures, ctx)
-        rel = np.linalg.norm(gamma - gamma_true[None, :]) / np.linalg.norm(gamma_true)
+        gamma = encode(mics, pressures, ctx)  # in the real basis: gamma_true U
+        want = gamma_true @ unitary_U(3)
+        rel = np.linalg.norm(gamma - want[None, :]) / np.linalg.norm(want)
         assert rel < 1e-6
 
     def test_masked_modes_exactly_zero(self):
@@ -152,7 +154,7 @@ class TestSimulatedMeasurements:
         speakers = np.array([[1.0, 1.0, 0.5], [0.9, 1.3, 0.2]])
         ctx = WaveContext(900.0)
         mt = simulate_raw_measurements(room, speakers, mics, [900.0])
-        expected = complex_direct_coefficients(speakers, mics, ctx)  # (Q, L, C)
+        expected = complex_direct_coefficients(speakers, mics, ctx) @ unitary_U(3)  # (Q, L, C)
         mask = int(mt.mask_orders[0])
         keep = specfun.harmonic_orders(3) <= mask
         got = mt.gamma_tilde[0][..., keep]
@@ -262,7 +264,7 @@ def complex_direct_coefficients(speakers, mics, ctx):
 
 
 class TestComposition:
-    """compose_all_modes in the real local basis: gamma-tilde U_A composed by real weights."""
+    """compose_all_modes in the real local basis: stored gamma-tilde composed by real weights."""
 
     def _tensor(self):
         rng = np.random.default_rng(12)
@@ -280,9 +282,8 @@ class TestComposition:
     def test_unit_weight_selects_slice(self):
         mt = self._tensor()
         out = compose_all_modes(mt, 0, np.eye(5))
-        real_basis = mt.gamma_tilde[0] @ unitary_U(3)
         for l in range(5):
-            assert np.allclose(out[:, :, l], real_basis[:, l, :])
+            assert np.allclose(out[:, :, l], mt.gamma_tilde[0, :, l, :])
 
     def test_linearity(self):
         mt = self._tensor()
@@ -294,21 +295,20 @@ class TestComposition:
         assert np.allclose(summed, parts, atol=1e-12)
 
     def test_batch_matches_single(self):
-        # each composed mode is sum_l w_l gamma-tilde_l U_A, summed here speaker by speaker
+        # each composed mode is sum_l w_l gamma-tilde_l, summed here speaker by speaker
         mt = self._tensor()
         rng = np.random.default_rng(2)
         W = rng.standard_normal((5, 4))
         batch = compose_all_modes(mt, 0, W)
-        U = unitary_U(3)
         for m in range(4):
-            single = sum(W[l, m] * mt.gamma_tilde[0, :, l, :] @ U for l in range(5))
+            single = sum(W[l, m] * mt.gamma_tilde[0, :, l, :] for l in range(5))
             assert np.allclose(batch[:, :, m], single, atol=1e-12)
 
     def test_matches_einsum_oracle(self):
         mt = self._tensor()
         rng = np.random.default_rng(3)
         W = rng.standard_normal((5, 4))
-        want = np.einsum("Qlc,lm->Qcm", mt.gamma_tilde[0] @ unitary_U(3), W)
+        want = np.einsum("Qlc,lm->Qcm", mt.gamma_tilde[0], W)
         np.testing.assert_allclose(compose_all_modes(mt, 0, W), want, rtol=1e-12, atol=0)
 
     def test_dimension_mismatch(self):
@@ -349,7 +349,7 @@ class TestDirectComponent:
 
     def test_matches_einsum_oracle(self):
         # the direct coefficients are U_A^T of the complex ones from scipy, and
-        # the composition subtracts them from gamma-tilde U_A before one product
+        # the composition subtracts them from the stored gamma-tilde before one product
         mics = make_mic_array(3, 0.25, reference_mic_spec())
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4], [-0.9, 0.3, 0.7]])
         ctx = WaveContext(650.0)
@@ -361,7 +361,7 @@ class TestDirectComponent:
         gt = rng.standard_normal((1, 3, 3, 16)) + 1j * rng.standard_normal((1, 3, 3, 16))
         mt = recording.MeasurementTensor(np.array([650.0]), gt, 3)
         W = rng.standard_normal((3, 2))
-        want = np.einsum("Qlc,lm->Qcm", gt[0] @ U - want_direct, W)
+        want = np.einsum("Qlc,lm->Qcm", gt[0] - want_direct, W)
         np.testing.assert_allclose(compose_all_modes(mt, 0, W, direct), want,
                                    rtol=1e-12, atol=0)
 

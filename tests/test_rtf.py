@@ -17,7 +17,7 @@ from roomtf.rtf import (
     relative_error,
 )
 
-from oracles import direct_field
+from oracles import direct_field, unitary_U
 
 REGIONS = RegionPair(0.4, 0.4, 0.3, (1.0, 1.0, 0.5))
 
@@ -155,9 +155,15 @@ class TestReconstruction:
 
 
 def einsum_reverberant(cset, X, Y_s, frequency):
-    """The reverberant bilinear form as a 3-operand einsum over scipy basis tables."""
+    """The reverberant bilinear form as a 3-operand einsum over scipy basis tables.
+
+    The set stores alpha' = U_s^H alpha U_r; the form on the complex tables
+    takes alpha = U_s alpha' U_r^H.
+    """
     fi = cset.frequency_index(frequency)
     k = cset.context(frequency).k
+    ns, nr = int(cset.source_orders[fi]), int(cset.receiver_orders[fi])
+    alpha = unitary_U(ns) @ cset.alpha[fi] @ unitary_U(nr).conj().T
 
     def basis(N, P):
         nm = [(n, m) for n in range(N + 1) for m in range(-n, n + 1)]
@@ -167,9 +173,9 @@ def einsum_reverberant(cset, X, Y_s, frequency):
         phi = np.arctan2(P[:, 1], P[:, 0])
         return sp.spherical_jn(n, k * r) * sp.sph_harm_y(n, m, theta, phi)
 
-    by = np.conj(basis(int(cset.source_orders[fi]), Y_s))
-    bx = basis(int(cset.receiver_orders[fi]), X)
-    return 1j * k * np.einsum("ng,nv,vg->g", by, cset.alpha[fi], bx)
+    by = np.conj(basis(ns, Y_s))
+    bx = basis(nr, X)
+    return 1j * k * np.einsum("ng,nv,vg->g", by, alpha, bx)
 
 
 def einsum_oracle(cset, X, Y_s, frequency):
@@ -229,7 +235,7 @@ class TestRelativeError:
 
 class TestProbePairs:
     def test_default_layout(self):
-        receivers, sources = probe_pairs("paper-fig5", 0.4)
+        receivers, sources = probe_pairs(0.4)
         assert receivers.shape == (7, 3) and sources.shape == (7, 3)
         assert np.array_equal(receivers[0], [0, 0, 0])
         assert np.allclose(np.linalg.norm(receivers[1:], axis=1), 0.4)
@@ -237,9 +243,5 @@ class TestProbePairs:
         assert np.array_equal(receivers, sources)
 
     def test_radius_scaling(self):
-        receivers, _ = probe_pairs("paper-fig5", 0.1)
+        receivers, _ = probe_pairs(0.1)
         assert np.allclose(np.linalg.norm(receivers[1:], axis=1), 0.1)
-
-    def test_unknown_preset(self):
-        with pytest.raises(ConfigurationError):
-            probe_pairs("bogus")

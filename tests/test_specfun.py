@@ -14,7 +14,12 @@ from roomtf import specfun
 from roomtf.geometry import spherical_to_cartesian_arrays
 from roomtf.specfun import wigner_3j
 
-from oracles import cartesian_to_spherical_arrays, flat_orders_degrees, unitary_U
+from oracles import (
+    cartesian_to_spherical_arrays,
+    complex_mode_columns,
+    flat_orders_degrees,
+    unitary_U,
+)
 
 
 def racah_exact(j1, j2, j3, m1, m2, m3) -> float:
@@ -120,7 +125,7 @@ def complex_harmonics(N, points):
     """
     points = np.reshape(points, (-1, 3))
     S = specfun.real_harmonics(N, points, np.linalg.norm(points, axis=1))
-    return specfun.complex_mode_columns(S.T, N).T
+    return complex_mode_columns(S.T, N).T
 
 
 def unit_points(theta, phi):
@@ -308,11 +313,11 @@ class TestBasisTables:
         r, theta, phi = cartesian_to_spherical_arrays(points)
         n, m = flat_orders_degrees(N)
         want = sp.spherical_jn(n, k * r) * sp.sph_harm_y(n, m, theta, phi)
-        got = specfun.complex_mode_columns(specfun.real_regular_basis(N, k, points, r).T, N).T
+        got = complex_mode_columns(specfun.real_regular_basis(N, k, points, r).T, N).T
         assert got.shape == (81, 32)
         assert np.max(np.abs(got - want)) < 1e-13
         one = specfun.real_regular_basis(N, k, points[3:4], r[3:4])
-        assert np.array_equal(specfun.complex_mode_columns(one.T, N).T, got[:, 3:4])
+        assert np.array_equal(complex_mode_columns(one.T, N).T, got[:, 3:4])
 
     @pytest.mark.parametrize("N", [0, 1, 2, 5, 10, 25])
     def test_real_regular_basis_matches_scipy(self, N):
@@ -333,7 +338,8 @@ class TestBasisTables:
     @pytest.mark.parametrize("N", [0, 1, 5, 25])
     def test_real_table_maps_onto_complex_table(self, N):
         # Y = U S with the dense U of the oracle; real_mode_columns is a @ U
-        # and complex_mode_columns is b @ U^T, over the last axis of any array
+        # and the oracle's complex_mode_columns is b @ U^T, over the last axis
+        # of any array
         points = real_oracle_points()
         k = 20.0
         U = unitary_U(N)
@@ -345,9 +351,9 @@ class TestBasisTables:
         rng = np.random.default_rng(N)
         a = rng.standard_normal((2, 3, U.shape[0])) + 1j * rng.standard_normal((2, 3, U.shape[0]))
         assert np.max(np.abs(specfun.real_mode_columns(a, N) - a @ U)) < 1e-14
-        assert np.max(np.abs(specfun.complex_mode_columns(a, N) - a @ U.T)) < 1e-14
+        assert np.max(np.abs(complex_mode_columns(a, N) - a @ U.T)) < 1e-14
         b = rng.standard_normal((3, U.shape[0]))
-        assert np.max(np.abs(specfun.complex_mode_columns(b, N) - b @ U.T)) < 1e-14
+        assert np.max(np.abs(complex_mode_columns(b, N) - b @ U.T)) < 1e-14
 
     def test_real_table_single_point_matches_its_column_in_a_batch(self):
         # the batch is past the gather limit, so the two ways of applying
