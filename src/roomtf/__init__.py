@@ -10,7 +10,6 @@ from .modal import WaveContext, truncation_order
 from .recording import HoMicSpec, MeasurementTensor, MicArray, mic_radius
 from .room import ImageLattice, RoomModel, image_lattice
 from .rtf import RtfCoefficientSet, relative_error
-from .specfun import wigner_3j
 
 __all__ = [
     "BesselZeroError",
@@ -28,7 +27,6 @@ __all__ = [
     "image_lattice",
     "RtfCoefficientSet",
     "relative_error",
-    "wigner_3j",
 ]
 
 __version__ = "0.1.0"

@@ -6,9 +6,15 @@ payload (IEEE-754 double pairs).  Headers carry geometry/config digests so a
 stale artifact/config combination fails loudly instead of silently.
 
 Format 2 stores gamma-tilde and alpha as held in memory, in the real basis S
-of ``specfun`` (Y = U S), so a save and a load return the same bits.  Format 1
-held the same fields and layout in the complex basis Y; it still loads, mapped
-to the real basis by ``specfun.real_mode_columns``.
+of ``specfun``, so a save and a load return the same bits.  Format 1 held the
+same fields and layout in the complex basis Y = U S, with U unitary and block
+diagonal, pairing rows (n, m) and (n, -m):
+
+    Y_nm = (S_nm + i S_n,-m) / sqrt 2,
+    Y_n,-m = (-1)^m (S_nm - i S_n,-m) / sqrt 2   (m > 0),  Y_n0 = S_n0.
+
+It still loads, mapped to the real basis by ``_real_mode_columns``; this
+loader is the one place in the library that knows the complex basis.
 """
 from __future__ import annotations
 
@@ -53,7 +59,8 @@ def _write_block(fh, magic: bytes, header: dict, payload: np.ndarray) -> None:
 def _fields(block: dict, kinds: dict, where: str) -> list:
     """The values in ``block`` of the fields ``kinds`` maps to a tuple of types, or to a
     list holding one for a list of such values; a missing or mistyped field is named
-    in the error, so no arithmetic runs on a mistyped header value."""
+    in the error, so no arithmetic runs on a mistyped header value.  An optional
+    field is given its default by the caller, as ``{"digests": {}, **header}``."""
     values = []
     for name, kind in kinds.items():
         if name not in block:
@@ -107,6 +114,25 @@ def _payload(raw: bytes, shape: tuple) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.complex128).reshape(shape)
 
 
+def _real_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
+    """a @ U for an array whose last axis runs over the (N+1)^2 complex modes.
+
+    Y = U S maps the real table onto the complex one, so a bilinear form
+    b^T a Y becomes b^T (a U) S.  Each (n, m), (n, -m) column pair mixes
+    with its partner only; the (n, 0) columns are unchanged.
+    """
+    orders = specfun.harmonic_orders(max_order)
+    rows = np.arange(orders.size)
+    m = rows - orders * orders - orders
+    pos, m = rows[m > 0], m[m > 0]
+    neg = pos - 2 * m  # the (n, -m) partner of each (n, m) with m > 0
+    plus, minus = a[..., pos], a[..., neg] * np.where(m % 2, -1.0, 1.0)
+    out = a.astype(complex)
+    out[..., pos] = (plus + minus) / math.sqrt(2.0)
+    out[..., neg] = 1j * (plus - minus) / math.sqrt(2.0)
+    return out
+
+
 def save_measurement_tensor(path, mt: MeasurementTensor) -> None:
     header = {
         "format_version": FORMAT_VERSION,
@@ -124,18 +150,18 @@ def save_measurement_tensor(path, mt: MeasurementTensor) -> None:
 def load_measurement_tensor(path) -> MeasurementTensor:
     with open(path, "rb") as fh:
         header, raw = _read_block(fh, MEASUREMENT_MAGIC)
-    freqs, units, speakers, mic_order, masks = _fields(header, {
+    freqs, units, speakers, mic_order, masks, digests = _fields({"digests": {}, **header}, {
         "frequencies": [_NUMBER], "num_units": _INT, "num_speakers": _INT, "mic_order": _INT,
-        "mask_orders": [_INT]}, "header")
+        "mask_orders": [_INT], "digests": (dict,)}, "header")
     mt = MeasurementTensor(
         frequencies=np.array(freqs),
         gamma_tilde=_payload(raw, (len(freqs), units, speakers, (mic_order + 1) ** 2)),
         mic_order=mic_order,
         mask_orders=np.array(masks),
-        digests=header.get("digests", {}),
+        digests=digests,
     )
     if header["format_version"] == 1:  # complex basis: gamma-tilde U_A
-        mt = replace(mt, gamma_tilde=specfun.real_mode_columns(mt.gamma_tilde, mic_order))
+        mt = replace(mt, gamma_tilde=_real_mode_columns(mt.gamma_tilde, mic_order))
     return mt
 
 
@@ -157,9 +183,10 @@ def save_coefficient_set(path, cset: RtfCoefficientSet) -> None:
 def load_coefficient_set(path) -> RtfCoefficientSet:
     with open(path, "rb") as fh:
         header, raw = _read_block(fh, COEFFICIENT_MAGIC)
-    freqs, source_orders, receiver_orders, sound_speed, regions = _fields(header, {
-        "frequencies": [_NUMBER], "source_orders": [_INT], "receiver_orders": [_INT],
-        "sound_speed": _NUMBER, "regions": (dict,)}, "header")
+    freqs, source_orders, receiver_orders, sound_speed, regions, digests = _fields(
+        {"digests": {}, **header}, {
+            "frequencies": [_NUMBER], "source_orders": [_INT], "receiver_orders": [_INT],
+            "sound_speed": _NUMBER, "regions": (dict,), "digests": (dict,)}, "header")
     *radii, offset = _fields(regions, {
         "receiver_radius": _NUMBER, "source_radius": _NUMBER, "source_inner_radius": _NUMBER,
         "offset": [_NUMBER]}, "regions header")
@@ -174,11 +201,11 @@ def load_coefficient_set(path) -> RtfCoefficientSet:
         receiver_orders=np.array(receiver_orders),
         regions=RegionPair(*radii, tuple(offset)),
         sound_speed=sound_speed,
-        digests=header.get("digests", {}),
+        digests=digests,
     )
     if header["format_version"] == 1:  # complex basis: alpha' = U_s^H alpha U_r
         cset = replace(cset, alpha=tuple(
-            specfun.real_mode_columns(specfun.real_mode_columns(a, nr).conj().T, ns).conj().T
+            _real_mode_columns(_real_mode_columns(a, nr).conj().T, ns).conj().T
             for a, ns, nr in zip(cset.alpha, source_orders, receiver_orders)
         ))
     return cset

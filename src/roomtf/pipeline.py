@@ -127,10 +127,14 @@ def _coerce(value, hint, where: str):
                 f"{where}: expected {len(args)} values, got {len(value)}: {value}"
             )
         return tuple(_coerce(v, args[0], where) for v in value)
-    try:
-        return hint(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{where} must be of type {hint.__name__}, got {value!r}") from None
+    # int() and float() would take a bool, and int() would truncate 1.5 to 1
+    if not (hint in (int, float) and isinstance(value, bool)
+            or hint is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return hint(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{where} must be of type {hint.__name__}, got {value!r}")
 
 
 def _frequency_range(block, where: str) -> list[float]:

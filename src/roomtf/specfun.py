@@ -1,4 +1,4 @@
-"""Spherical Bessel/Hankel functions, real orthonormal spherical harmonics, Wigner 3-j.
+"""Spherical Bessel/Hankel functions and real orthonormal spherical harmonics.
 
 Everything here is pure and reentrant, and needs numpy only.  Rows of every
 table run over the flat index n^2 + n + m, columns over points.
@@ -8,21 +8,20 @@ Condon-Shortley phase (``scipy.special.sph_harm_y``),
 
     S_n0 = Y_n0,  S_nm = sqrt 2 Re Y_nm,  S_n,-m = sqrt 2 Im Y_nm   (m > 0),
 
-so Y = U S with U unitary and block diagonal, pairing rows (n, m) and (n, -m):
-
-    Y_nm = (S_nm + i S_n,-m) / sqrt 2,
-    Y_n,-m = (-1)^m (S_nm - i S_n,-m) / sqrt 2.
+so Y = U S with U unitary, pairing rows (n, m) and (n, -m); only the
+format-1 loader of ``fileio`` still maps complex-basis coefficients.
 
 ``real_harmonics`` is the table S at Cartesian points, ``real_regular_basis``
 j_n(k|x|) S_nm(x-hat), the one table of T, T', the encoder and the queries;
-every stored coefficient is in this basis.  ``real_mode_columns`` applies U
-to the last axis of an array by that pairing, for the complex-basis inputs
-(format-1 artifacts, S-hat terms).  The tables read cos(theta) = z / r and
-(sin(theta) e^{i phi})^m = ((x + i y) / r)^m from the coordinates.  The tests
-check them against scipy to 1e-13 absolute for N <= 25, poles and origin
-included.  The Legendre part is the forward column recursion (Holmes and
-Featherstone, J. Geodesy 76, 2002) on q_nm = P_nm / sin^m(theta), P_nm fully
-normalized with the Condon-Shortley phase:
+every stored coefficient is in this basis.  ``translation`` integrates
+triple products of S exactly on a Gauss-Legendre grid (its real Gaunt
+integrals; the exactness condition is stated there).  The tables read
+cos(theta) = z / r and (sin(theta) e^{i phi})^m = ((x + i y) / r)^m from
+the coordinates.  The tests check them against scipy to 1e-13 absolute for
+N <= 25, poles and origin included.  The Legendre part is the forward column
+recursion (Holmes and Featherstone, J. Geodesy 76, 2002) on
+q_nm = P_nm / sin^m(theta), P_nm fully normalized with the Condon-Shortley
+phase:
 
     q_00 = 1 / sqrt(4 pi),  q_mm = -sqrt((2m + 1) / (2m)) q_{m-1,m-1},
     q_nm = a_nm cos(theta) q_{n-1,m} - b_nm q_{n-2,m}   (m < n),
@@ -300,25 +299,6 @@ def real_regular_basis(max_order: int, k: float, points, r) -> np.ndarray:
     return basis
 
 
-def real_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
-    """a @ U for an array whose last axis runs over the (N+1)^2 complex modes.
-
-    Y = U S maps the real table onto the complex one, so a bilinear form
-    b^T a Y becomes b^T (a U) S.  Each (n, m), (n, -m) column pair mixes
-    with its partner only; the (n, 0) columns are unchanged.
-    """
-    orders = harmonic_orders(max_order)
-    rows = np.arange(orders.size)
-    m = rows - orders * orders - orders
-    pos, m = rows[m > 0], m[m > 0]
-    neg = pos - 2 * m  # the (n, -m) partner of each (n, m) with m > 0
-    plus, minus = a[..., pos], a[..., neg] * np.where(m % 2, -1.0, 1.0)
-    out = a.astype(complex)
-    out[..., pos] = (plus + minus) / _SQRT2
-    out[..., neg] = 1j * (plus - minus) / _SQRT2
-    return out
-
-
 def hankel_h1_matrix(max_order: int, x) -> np.ndarray:
     """h_n = j_n + i y_n at each point, repeated per degree: shape ((N+1)^2, P).
 
@@ -341,36 +321,3 @@ def hankel_h1_matrix(max_order: int, x) -> np.ndarray:
         y[n + 1] -= y[n - 1]
     return h[harmonic_orders(max_order)]
 
-
-def _lf(n: int) -> float:
-    return math.lgamma(n + 1)
-
-
-@lru_cache(maxsize=None)
-def wigner_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
-    """Wigner 3-j symbol via the Racah single-sum formula with log-factorials.
-
-    Selection-rule failures return exactly 0.0 (the mathematical value).
-    Stable for j up to ~40, far beyond the orders needed here.
-    """
-    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
-        return 0.0
-    if m1 + m2 + m3 != 0 or not abs(j1 - j2) <= j3 <= j1 + j2:
-        return 0.0
-    pref = 0.5 * (
-        _lf(j1 + j2 - j3) + _lf(j1 - j2 + j3) + _lf(-j1 + j2 + j3)
-        - _lf(j1 + j2 + j3 + 1)
-        + _lf(j1 + m1) + _lf(j1 - m1)
-        + _lf(j2 + m2) + _lf(j2 - m2)
-        + _lf(j3 + m3) + _lf(j3 - m3)
-    )
-    tmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
-    tmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
-    total = 0.0
-    for t in range(tmin, tmax + 1):
-        denom = (
-            _lf(t) + _lf(j3 - j2 + m1 + t) + _lf(j3 - j1 - m2 + t)
-            + _lf(j1 + j2 - j3 - t) + _lf(j1 - m1 - t) + _lf(j2 + m2 - t)
-        )
-        total += (-1) ** t * math.exp(pref - denom)
-    return (-1) ** (j1 - j2 - m3) * total

@@ -1,14 +1,22 @@
 """Coefficient translation between the region origin and mic-unit centers.
 
 The operator S-hat re-expresses an interior field's coefficients about a
-displaced origin.  Its entries couple a global mode (v, mu) to a local mode
-(a, b) through a finite sum over l (3-j selection rules: |v-a| <= l <= v+a
-with v+a+l even) of j_l(kR) conj(Y_l,b-mu(R-hat)).  Between the real bases
-(Y = U S, see ``specfun``) the operator U_A^T S-hat conj(U_V) is real, and
-its terms are sums over the real table j_l S.  Stacking it over all mic units
-gives the real system matrix T-prime, whose least-squares inverse recovers
-the region coefficients, in the real basis, from the units' reverberant
-recordings.
+displaced origin, in the real basis S of ``specfun``.  Writing j_v S_v,mu as
+an integral over plane-wave directions and splitting e^{ik.(R + y)} by the
+real expansion e^{ik.x} = 4 pi sum_n i^n j_n(k|x|) S_n(x-hat) . S_n(k-hat)
+gives
+
+    j_v S_v,mu(R + y) = sum_ab S-hat(ab, v mu) j_a S_ab(y),
+    S-hat(ab, v mu) = 4 pi sum_lm i^(l+a-v) G(ab, v mu, lm) j_l(k|R|) S_lm(R-hat),
+
+with G the real Gaunt integral of S_ab S_v,mu S_lm over the sphere.  G is
+zero unless a + v + l is even, so every coefficient is real, and l <= A + V.
+The integrand is a polynomial of degree at most 2(A + V) in cos(theta) and a
+trigonometric polynomial of degree at most 2(A + V) in phi, so A + V + 1
+Gauss-Legendre nodes in cos(theta) times 2(A + V) + 1 equispaced azimuths
+integrate it exactly.  Stacking the blocks over all mic units gives the real
+system matrix T-prime, whose least-squares inverse recovers the region
+coefficients from the units' reverberant recordings.
 """
 from __future__ import annotations
 
@@ -21,83 +29,46 @@ from . import specfun
 from .errors import ConfigurationError
 from .modal import WaveContext
 from .recording import MicArray
-from .specfun import wigner_3j
-
-
-def _term_table(local_order: int, col_order: int):
-    """Frequency/geometry-independent sparse term list of the complex S-hat entries.
-
-    Returns parallel arrays (entry, basis, coeff) such that block entry
-    ``entry`` (row-major) = sum over its terms of coeff * j_l(kR) *
-    conj(Y_{l m}(R-hat)), with basis = l^2 + l + m the flat row of (l, m) in
-    the basis tables.
-    """
-    entries, basis, coeffs = [], [], []
-    n_cols = specfun.mode_count(col_order)
-    col_orders = specfun.harmonic_orders(col_order).tolist()
-    for ri, a in enumerate(specfun.harmonic_orders(local_order).tolist()):
-        b = ri - a * a - a
-        for ci, v in enumerate(col_orders):
-            mu = ci - v * v - v
-            for l in range(abs(v - a), v + a + 1):
-                if (v + a + l) % 2 or abs(b - mu) > l:
-                    continue
-                w1 = wigner_3j(v, a, l, 0, 0, 0)
-                w2 = wigner_3j(v, a, l, mu, -b, b - mu)
-                if w1 == 0.0 or w2 == 0.0:
-                    continue
-                entries.append(ri * n_cols + ci)
-                basis.append(l * l + l + b - mu)
-                coeffs.append(
-                    4.0 * math.pi
-                    * (1j ** (a - v)) * (1j ** l) * ((-1.0) ** (2 * mu - b))
-                    * math.sqrt((2 * v + 1) * (2 * a + 1) * (2 * l + 1) / (4.0 * math.pi))
-                    * w1 * w2
-                )
-    return np.array(entries), np.array(basis), np.array(coeffs, dtype=complex)
 
 
 @lru_cache(maxsize=32)
 def _real_term_table(local_order: int, col_order: int):
-    """(rows, starts, basis, coeff) of the real block U_A^T S-hat conj(U_V).
+    """(rows, starts, basis, coeff) of the real S-hat block.
 
-    Entry rows[i] (row-major) sums terms starts[i]:starts[i+1], coeff times
-    row ``basis`` of ``real_regular_basis``.  Through conj(Y) = conj(U) S,
-    each index paired with (n, -m), a complex term spreads over at most eight
-    real ones; the sums are real, as v + a + l is even.  Sums below 1e-12 of
-    the largest (cancelled, or 3-j symbols zero up to rounding) are dropped.
+    Entry rows[i] (row-major over (a, b) then (v, mu)) sums terms
+    starts[i]:starts[i+1], coeff times row ``basis`` (= l^2 + l + m) of
+    ``real_regular_basis``: coeff = 4 pi i^(l+a-v) G(ab, v mu, lm), real as
+    a + v + l is even.  G comes from the quadrature of the module docstring,
+    one matmul per local mode; values below 1e-12 of a local mode's largest
+    are quadrature zeros and are dropped.
     """
-    entries, basis, coeffs = _term_table(local_order, col_order)
+    L = local_order + col_order
+    t, weight = np.polynomial.legendre.leggauss(L + 1)
+    phi = np.linspace(0.0, 2.0 * math.pi, 2 * L + 1, endpoint=False)
+    s = np.sqrt(1.0 - t * t)[:, None]
+    nodes = np.stack(np.broadcast_arrays(s * np.cos(phi), s * np.sin(phi), t[:, None]), axis=-1)
+    S = specfun.real_harmonics(L, nodes.reshape(-1, 3), np.ones(t.size * phi.size))
     n_cols = specfun.mode_count(col_order)
-    index = [*np.divmod(entries, n_cols), basis]
-    values = coeffs
-    for axis, (order, conj) in enumerate(
-            ((local_order, False), (col_order, True), (local_order + col_order, True))):
-        U = specfun.real_mode_columns(np.eye(specfun.mode_count(order)), order)
-        if conj:
-            U = U.conj()
-        i = index[axis]
-        n = specfun.harmonic_orders(order)[i]
-        partner = 2 * (n * n + n) - i  # (n, -m) of (n, m)
-        index = [np.concatenate([i, partner]) if ax == axis else np.tile(ix, 2)
-                 for ax, ix in enumerate(index)]
-        values = np.tile(values, 2) * np.concatenate([U[i, i], U[i, partner] * (partner != i)])
-    n_basis = specfun.mode_count(local_order + col_order)
-    keys, where = np.unique((index[0] * n_cols + index[1]) * n_basis + index[2],
-                            return_inverse=True)
-    total = np.bincount(where, values.real)
-    kept = np.abs(total) > 1e-12 * np.abs(total).max()
-    entry, basis = np.divmod(keys[kept], n_basis)
-    rows, starts = np.unique(entry, return_index=True)
-    return rows, starts, basis, total[kept]
+    weighted = S[:n_cols] * np.repeat(weight * (2.0 * math.pi / phi.size), phi.size)
+    v_of, l_of = specfun.harmonic_orders(col_order), specfun.harmonic_orders(L)
+    entries, basis, coeffs = [], [], []
+    for ab, a in enumerate(specfun.harmonic_orders(local_order).tolist()):
+        gaunt = (weighted * S[ab]) @ S.T  # G(ab, v mu, l m), shape (C_V, C_L)
+        col, lm = np.nonzero(np.abs(gaunt) > 1e-12 * np.abs(gaunt).max())
+        entries.append(ab * n_cols + col)
+        basis.append(lm)
+        coeffs.append(np.where((a + l_of[lm] - v_of[col]) % 4, -4.0, 4.0) * math.pi
+                      * gaunt[col, lm])
+    rows, starts = np.unique(np.concatenate(entries), return_index=True)
+    return rows, starts, np.concatenate(basis), np.concatenate(coeffs)
 
 
 def s_hat_blocks(local_order: int, col_order: int, displacements: np.ndarray,
                  ctx: WaveContext) -> np.ndarray:
     """Real S-hat blocks at Cartesian displacements (P, 3): (P, (A+1)^2, (V+1)^2).
 
-    Block p is U_A^T S-hat(d_p) conj(U_V), the operator between the real
-    local and global bases (Y = U S); all P come from one table call.
+    Block p is S-hat(d_p) between the real local and global bases; all P
+    come from one table call.
     """
     rows, starts, basis, coeffs = _real_term_table(local_order, col_order)
     displacements = np.reshape(displacements, (-1, 3))

@@ -9,6 +9,10 @@ Each function is the plain per-point or per-bin formula, so a batched path in
   is checked against.
 * ``complex_T`` is the complex loudspeaker translation matrix from scipy;
   ``synthesis.build_T`` builds its real counterpart k S.
+* ``wigner_3j`` is the Racah single-sum formula with log-factorials, and
+  ``complex_term_table`` the sparse term list of the complex S-hat built from
+  it; ``translation`` builds its real term table from real Gaunt integrals
+  instead, and the tests map this list onto the real basis to check it.
 * ``harmonics`` is the complex Y_nm table from ``scipy.special.sph_harm_y``,
   ``unitary_U`` the dense matrix U of Y = U S written out entry by entry,
   ``complex_mode_columns`` the product a U^T by (n, m), (n, -m) pairing, and
@@ -21,6 +25,7 @@ Each function is the plain per-point or per-bin formula, so a batched path in
   library's tables.
 """
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as sp
@@ -87,6 +92,70 @@ def complex_mode_columns(a: np.ndarray, max_order: int) -> np.ndarray:
     out[..., pos] = (plus + minus) / math.sqrt(2)
     out[..., neg] = sign * (plus - minus) / math.sqrt(2)
     return out
+
+
+def _lf(n: int) -> float:
+    return math.lgamma(n + 1)
+
+
+@lru_cache(maxsize=None)
+def wigner_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
+    """Wigner 3-j symbol via the Racah single-sum formula with log-factorials.
+
+    Selection-rule failures return exactly 0.0 (the mathematical value).
+    Stable for j up to ~40, far beyond the orders needed here.
+    """
+    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
+        return 0.0
+    if m1 + m2 + m3 != 0 or not abs(j1 - j2) <= j3 <= j1 + j2:
+        return 0.0
+    pref = 0.5 * (
+        _lf(j1 + j2 - j3) + _lf(j1 - j2 + j3) + _lf(-j1 + j2 + j3)
+        - _lf(j1 + j2 + j3 + 1)
+        + _lf(j1 + m1) + _lf(j1 - m1)
+        + _lf(j2 + m2) + _lf(j2 - m2)
+        + _lf(j3 + m3) + _lf(j3 - m3)
+    )
+    tmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
+    tmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
+    total = 0.0
+    for t in range(tmin, tmax + 1):
+        denom = (
+            _lf(t) + _lf(j3 - j2 + m1 + t) + _lf(j3 - j1 - m2 + t)
+            + _lf(j1 + j2 - j3 - t) + _lf(j1 - m1 - t) + _lf(j2 + m2 - t)
+        )
+        total += (-1) ** t * math.exp(pref - denom)
+    return (-1) ** (j1 - j2 - m3) * total
+
+
+def complex_term_table(local_order: int, col_order: int):
+    """Sparse term list (entry, basis, coeff) of the complex S-hat block.
+
+    Block entry ``entry`` (row-major over (a, b) then (v, mu)) = sum over its
+    terms of coeff * j_l(kR) * conj(Y_lm(R-hat)), with basis = l^2 + l + m,
+    m = b - mu; l runs over |v - a| ... v + a with v + a + l even.
+    """
+    entries, basis, coeffs = [], [], []
+    locals_ = [(a, b) for a in range(local_order + 1) for b in range(-a, a + 1)]
+    cols = [(v, mu) for v in range(col_order + 1) for mu in range(-v, v + 1)]
+    for ri, (a, b) in enumerate(locals_):
+        for ci, (v, mu) in enumerate(cols):
+            for l in range(abs(v - a), v + a + 1):
+                if (v + a + l) % 2 or abs(b - mu) > l:
+                    continue
+                w1 = wigner_3j(v, a, l, 0, 0, 0)
+                w2 = wigner_3j(v, a, l, mu, -b, b - mu)
+                if w1 == 0.0 or w2 == 0.0:
+                    continue
+                entries.append(ri * len(cols) + ci)
+                basis.append(l * l + l + b - mu)
+                coeffs.append(
+                    4.0 * math.pi
+                    * (1j ** (a - v)) * (1j ** l) * ((-1.0) ** (2 * mu - b))
+                    * math.sqrt((2 * v + 1) * (2 * a + 1) * (2 * l + 1) / (4.0 * math.pi))
+                    * w1 * w2
+                )
+    return np.array(entries, dtype=int), np.array(basis, dtype=int), np.array(coeffs, dtype=complex)
 
 
 def rtf_oracle_many(room: RoomModel, X, Y, ctx: WaveContext) -> np.ndarray:

@@ -26,8 +26,9 @@ from oracles import (
     harmonics,
     rtf_oracle_many,
     unitary_U,
+    wigner_3j,
 )
-from test_specfun import racah_exact
+from test_translation import racah_exact
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -220,15 +221,15 @@ def test_criterion_8_wigner_oracle():
                         m3 = -m1 - m2
                         if abs(m3) > j3:
                             continue
-                        got = specfun.wigner_3j(j1, j2, j3, m1, m2, m3)
+                        got = wigner_3j(j1, j2, j3, m1, m2, m3)
                         want = racah_exact(j1, j2, j3, m1, m2, m3)
                         worst = max(worst, abs(got - want))
                         checked += 1
     # selection-rule violations must be exact zeros
     zeros_exact = (
-        specfun.wigner_3j(1, 1, 3, 0, 0, 0) == 0.0
-        and specfun.wigner_3j(2, 2, 2, 1, 0, 0) == 0.0
-        and specfun.wigner_3j(1, 1, 1, 0, 0, 0) == 0.0
+        wigner_3j(1, 1, 3, 0, 0, 0) == 0.0
+        and wigner_3j(2, 2, 2, 1, 0, 0) == 0.0
+        and wigner_3j(1, 1, 1, 0, 0, 0) == 0.0
     )
     ok = worst < 1e-10 and zeros_exact
     report(8, ok,

@@ -153,6 +153,10 @@ MALFORMED_HEADERS = {
                              r"mask_orders \[2, 4\] must hold one order in \[0, mic_order = 3\]"),
     "masks-shorter": ("m", set_field("mask_orders", [2]),
                       r"mask_orders \[2\] must hold one order .* per frequency \(2\)"),
+    "digests-list-c": ("c", set_field("digests", ["geometry", "solver"]),
+                       r"field 'digests' must be dict, got \['geometry', 'solver'\]"),
+    "digests-list-m": ("m", set_field("digests", ["geometry", "direct_removal"]),
+                       r"field 'digests' must be dict, got \['geometry', 'direct_removal'\]"),
     # (-3) x (-5) = 3 x 5, so only the signs are wrong
     "counts-negative": ("m", lambda h: h.update(num_units=-3, num_speakers=-5),
                         r"truncated or corrupt file: .* shape \(2, -3, -5, 16\)"),
@@ -350,6 +354,23 @@ class TestFormatVersions:
                 assert back.gamma_tilde.tobytes() == artifact.gamma_tilde.tobytes()
             else:
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(back.alpha, artifact.alpha))
+
+    def test_sweep_exits_2_on_a_digests_list(self, tmp_path, capsys):
+        # this header once loaded, and the digest check raised a TypeError
+        path = v1_workspace(tmp_path, "coefficients.rtfc")
+        edit_header(tmp_path / "out" / "coefficients.rtfc",
+                    set_field("digests", ["geometry", "solver"]))
+        assert cli.main(["sweep", "--config", path]) == 2
+        assert "field 'digests' must be dict" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("N", [0, 1, 5, 25])
+    def test_real_mode_columns_is_a_times_U(self, N):
+        # the format-1 mapping against the dense U of Y = U S, over the last
+        # axis of any array
+        U = unitary_U(N)
+        rng = np.random.default_rng(N)
+        a = rng.standard_normal((2, 3, U.shape[0])) + 1j * rng.standard_normal((2, 3, U.shape[0]))
+        assert np.max(np.abs(fileio._real_mode_columns(a, N) - a @ U)) < 1e-14
 
     def test_format_version_3_exits_2(self, tmp_path, capsys):
         path = v1_workspace(tmp_path, "measurements.rtfm", "coefficients.rtfc")

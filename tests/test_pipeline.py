@@ -104,7 +104,16 @@ class TestLoadConfig:
         ("room: [6, 5, 2.5]\n", "config section 'room' must be a mapping"),
         ("signal: {frequencies: {start: 200, stop: 400, step: 0}}\n",
          "signal.frequencies.step must be > 0"),
-    ], ids=["int", "length", "list", "mapping", "step"])
+        # int() would truncate these, and int() and float() would take a bool
+        ("arrays: {speakers: 121.7}\n", "arrays.speakers must be of type int, got 121.7"),
+        ("room: {max_image_order: 1.5}\n", "room.max_image_order must be of type int, got 1.5"),
+        ("solver: {order_margin: 2.9}\n", "solver.order_margin must be of type int, got 2.9"),
+        ("arrays: {seed: true}\n", "arrays.seed must be of type int, got True"),
+        ("signal: {sound_speed: true}\n", "signal.sound_speed must be of type float, got True"),
+        ("room: {dimensions: [6, false, 2.5]}\n",
+         "room.dimensions must be of type float, got False"),
+    ], ids=["int", "length", "list", "mapping", "step", "fraction-speakers",
+            "fraction-image-order", "fraction-margin", "bool-int", "bool-float", "bool-in-tuple"])
     def test_bad_value_named(self, tmp_path, text, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             load_config(write_yaml(tmp_path, text))

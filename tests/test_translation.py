@@ -1,8 +1,14 @@
-"""Translation-operator tests, anchored by the addition-theorem field oracle."""
+"""Translation-operator tests, anchored by the addition-theorem field oracle.
+
+The S-hat oracles use the Wigner 3-j symbols of ``oracles``, which are
+checked here against the Racah sum in exact rational arithmetic.
+"""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
 from roomtf import specfun, translation
@@ -12,7 +18,13 @@ from roomtf.modal import WaveContext
 from roomtf.recording import HoMicSpec, MicArray, make_mic_array, mic_radius
 from roomtf.translation import build_T_prime, s_hat_blocks, solve_alpha_all
 
-from oracles import cartesian_to_spherical_arrays, eval_interior_field, unitary_U
+from oracles import (
+    cartesian_to_spherical_arrays,
+    complex_term_table,
+    eval_interior_field,
+    unitary_U,
+    wigner_3j,
+)
 
 ALL_ROWS = np.ones(16, dtype=bool)  # every local mode of an order-3 mic
 SVD_CUTOFF = 1e-10
@@ -31,8 +43,8 @@ def s_hat(v, mu, a, b, displacement, ctx):
     for l in range(abs(v - a), v + a + 1):
         if (v + a + l) % 2:
             continue
-        w1 = specfun.wigner_3j(v, a, l, 0, 0, 0)
-        w2 = specfun.wigner_3j(v, a, l, mu, -b, b - mu)
+        w1 = wigner_3j(v, a, l, 0, 0, 0)
+        w2 = wigner_3j(v, a, l, mu, -b, b - mu)
         if w1 == 0.0 or w2 == 0.0:
             continue
         total += (
@@ -92,14 +104,14 @@ class TestSHatEntries:
             * sp.spherical_jn(0, ctx.k * 0.15)
             * np.conj(sp.sph_harm_y(0, 0, 1.0, 0.5))
             * math.sqrt(9 / (4 * math.pi))
-            * specfun.wigner_3j(1, 1, 0, 0, 0, 0) ** 2
+            * wigner_3j(1, 1, 0, 0, 0, 0) ** 2
         )
         l2 = (
             4 * math.pi * (1j ** 2)
             * sp.spherical_jn(2, ctx.k * 0.15)
             * np.conj(sp.sph_harm_y(2, 0, 1.0, 0.5))
             * math.sqrt(3 * 3 * 5 / (4 * math.pi))
-            * specfun.wigner_3j(1, 1, 2, 0, 0, 0) ** 2
+            * wigner_3j(1, 1, 2, 0, 0, 0) ** 2
         )
         assert got == pytest.approx(complex(l0 + l2), abs=1e-12)
 
@@ -139,10 +151,13 @@ class TestSHatEntries:
         for q, center in enumerate(centers):
             assert np.array_equal(s_hat_blocks(3, 8, center, ctx)[0], batch[q])
 
-    @pytest.mark.parametrize("local_order, col_order", [(2, 3), (3, 6), (4, 4), (3, 11)])
+    @pytest.mark.parametrize("local_order, col_order",
+                             [(0, 0), (3, 0), (2, 3), (3, 6), (4, 4), (5, 2), (3, 11)])
     def test_real_term_table_coefficients_are_real(self, local_order, col_order):
-        # the complex terms taken to the real bases, densely: conj(Y) = conj(U) S
-        entries, basis, coeffs = translation._term_table(local_order, col_order)
+        # the oracle's complex Wigner terms taken to the real bases densely,
+        # conj(Y) = conj(U) S: the library's Gaunt table must have the same
+        # support, term for term, and the same real coefficients
+        entries, basis, coeffs = complex_term_table(local_order, col_order)
         C_A, C_V = (local_order + 1) ** 2, (col_order + 1) ** 2
         C_B = (local_order + col_order + 1) ** 2
         dense = np.zeros((C_A * C_V, C_B), dtype=complex)
@@ -153,13 +168,16 @@ class TestSHatEntries:
                            np.conj(unitary_U(col_order)), optimize=True)
         scale = np.abs(mapped).max()
         assert np.abs(mapped.imag).max() < 1e-14 * scale
+        want = mapped.real.reshape(C_A * C_V, C_B)
+        want_entry, want_basis = np.nonzero(np.abs(want) > 1e-12 * scale)
         rows, starts, real_basis, real_coeffs = translation._real_term_table(
             local_order, col_order)
         assert real_coeffs.dtype == np.float64
-        table = np.zeros((C_A * C_V, C_B))
+        assert np.array_equal(rows, np.unique(want_entry))
         entry = np.repeat(rows, np.diff(np.append(starts, real_basis.size)))
-        np.add.at(table, (entry, real_basis), real_coeffs)
-        assert np.abs(table - mapped.real.reshape(C_A * C_V, C_B)).max() < 1e-14 * scale
+        assert np.array_equal(entry, want_entry)
+        assert np.array_equal(real_basis, want_basis)
+        assert np.abs(real_coeffs - want[want_entry, want_basis]).max() < 1e-13 * scale
 
     def test_continuity_under_perturbation(self):
         ctx = WaveContext(800.0)
@@ -256,3 +274,72 @@ class TestSolveAlpha:
             solve_alpha_all(Tp, np.zeros((4, 16)), ALL_ROWS, SVD_CUTOFF)
         with pytest.raises(ConfigurationError, match="T-prime layout"):
             solve_alpha_all(Tp, np.zeros((9, 9)), ALL_ROWS, SVD_CUTOFF)
+
+
+def racah_exact(j1, j2, j3, m1, m2, m3) -> float:
+    """Independent oracle: Racah sum in exact rational arithmetic.
+
+    The symbol is sign * sqrt(P) * S with P an exact rational (triangle
+    coefficient times factorial products) and S an exact rational sum, so the
+    only floating-point step is the final square root.
+    """
+    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
+        return 0.0
+    if m1 + m2 + m3 != 0 or not abs(j1 - j2) <= j3 <= j1 + j2:
+        return 0.0
+    f = math.factorial
+    P = Fraction(
+        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3), f(j1 + j2 + j3 + 1)
+    ) * (
+        f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
+    )
+    tmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
+    tmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
+    S = Fraction(0)
+    for t in range(tmin, tmax + 1):
+        S += Fraction(
+            (-1) ** t,
+            f(t) * f(j3 - j2 + m1 + t) * f(j3 - j1 - m2 + t)
+            * f(j1 + j2 - j3 - t) * f(j1 - m1 - t) * f(j2 + m2 - t),
+        )
+    return (-1) ** (j1 - j2 - m3) * float(S) * math.sqrt(float(P))
+
+
+class TestWigner3j:
+    def test_trivial_values(self):
+        assert wigner_3j(0, 0, 0, 0, 0, 0) == pytest.approx(1.0, abs=1e-14)
+        assert wigner_3j(1, 1, 1, 0, 0, 0) == 0.0
+        assert wigner_3j(1, 1, 0, 0, 0, 0) == pytest.approx(-1 / math.sqrt(3), abs=1e-12)
+        assert wigner_3j(1, 1, 2, 0, 0, 0) == pytest.approx(math.sqrt(2 / 15), abs=1e-12)
+
+    def test_selection_rule_zeros_are_exact(self):
+        assert wigner_3j(2, 2, 5, 0, 0, 0) == 0.0  # triangle violation
+        assert wigner_3j(3, 2, 2, 1, 1, 1) == 0.0  # m-sum violation
+        assert wigner_3j(5, 2, 4, 0, 0, 0) == 0.0  # odd j-sum, zero bottom row
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 16),
+           st.integers(-8, 8), st.integers(-8, 8))
+    def test_matches_exact_racah_oracle(self, j1, j2, j3, m1, m2):
+        if abs(m1) > j1 or abs(m2) > j2:
+            return
+        m3 = -m1 - m2
+        got = wigner_3j(j1, j2, j3, m1, m2, m3)
+        assert got == pytest.approx(racah_exact(j1, j2, j3, m1, m2, m3), abs=1e-10)
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 12),
+           st.integers(-6, 6), st.integers(-6, 6))
+    def test_column_swap_symmetry(self, j1, j2, j3, m1, m2):
+        if abs(m1) > j1 or abs(m2) > j2:
+            return
+        m3 = -m1 - m2
+        if abs(m3) > j3:
+            return
+        direct = wigner_3j(j1, j2, j3, m1, m2, m3)
+        swapped = wigner_3j(j2, j1, j3, m2, m1, m3)
+        assert swapped == pytest.approx((-1) ** (j1 + j2 + j3) * direct, abs=1e-12)
+
+    def test_purity(self):
+        args = (4, 5, 7, 2, -3, 1)
+        assert wigner_3j(*args) == wigner_3j(*args)
