@@ -127,9 +127,11 @@ def _coerce(value, hint, where: str):
                 f"{where}: expected {len(args)} values, got {len(value)}: {value}"
             )
         return tuple(_coerce(v, args[0], where) for v in value)
-    # int() and float() would take a bool, and int() would truncate 1.5 to 1
+    # int() and float() would take a bool, int() would truncate 1.5 to 1, and
+    # str() would turn any scalar into a string
     if not (hint in (int, float) and isinstance(value, bool)
-            or hint is int and isinstance(value, float) and not value.is_integer()):
+            or hint is int and isinstance(value, float) and not value.is_integer()
+            or hint is str and not isinstance(value, str)):
         try:
             return hint(value)
         except (TypeError, ValueError):

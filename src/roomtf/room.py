@@ -103,8 +103,77 @@ def image_lattice(room: RoomModel) -> ImageLattice:
     )
 
 
-# bins between exact exp() anchors of the phase recurrence in rtf_oracle_grid
+# bins between exact anchors of the phase recurrence in rtf_oracle_grid
 REANCHOR_INTERVAL = 16
+# anchor tables alive at once in rtf_oracle_grid, each at most 1 MB
+_TABLES_PER_PASS = 16
+# _PhaseTable spacing h: the largest power of two with k h <= _PHASE_SPACING
+_PHASE_SPACING = 0.03
+# entries per _PhaseTable table: at most 2 ** _TABLE_BITS (1 MB)
+_TABLE_BITS = 16
+
+
+class _PhaseTable:
+    """e^{ikd} for distances 0 <= d <= d_max, from tables of exact values.
+
+    With h = 2^-p, q = rint(d 2^p) and theta = k (d - q h), e^{ikd} is the
+    tabulated e^{ik qh} times e^{i theta}; |theta| <= k h / 2 <= 0.015, so the
+    Taylor series of cos and sin through theta^7 truncate below 1e-19.  As h
+    is a power of two, d 2^p, q h and d - q h are exact: beyond the rounding
+    of k d that exp(1j k d) also has, the product adds about 2 ulp.  Each
+    table entry takes one exact cos and sin.  A q with more than _TABLE_BITS
+    bits is split into digits, one table and one complex product per digit.
+    """
+
+    def __init__(self, k: float, d_max: float):
+        # k d_max < 2^46 keeps every q below 2^53; the floor on p keeps 2^-p finite
+        if not abs(k) * d_max < 2.0 ** 46:
+            raise ConfigurationError(
+                f"phases k d up to {abs(k) * d_max:.3g} rad are beyond double precision"
+            )
+        p = max(math.frexp(abs(k) / _PHASE_SPACING)[1], -64)
+        self.k, self.scale, self.h = k, math.ldexp(1.0, p), math.ldexp(1.0, -p)
+        top = d_max * self.scale + 1.0  # bounds every q, d 2^p rounding included
+        bits = int(top).bit_length()
+        levels = -(-bits // _TABLE_BITS)
+        self.width = -(-bits // levels)
+        self.tables = []
+        for level in range(levels):
+            shift = level * self.width
+            q = np.arange(min(1 << self.width, (int(top) >> shift) + 1))
+            angle = k * (q * math.ldexp(self.h, shift))
+            table = np.empty(q.size, dtype=complex)
+            table.real, table.imag = np.cos(angle), np.sin(angle)
+            self.tables.append(table)
+
+    def __call__(self, d) -> np.ndarray:
+        """e^{ikd} for an array of distances d in [0, d_max]."""
+        theta = d * self.scale
+        q = np.rint(theta)
+        theta -= q
+        theta *= self.h * self.k  # (d 2^p - q) h k: k (d - q h) with one rounding
+        t2 = theta * theta
+        cos = t2 * (-1.0 / 720.0)
+        cos += 1.0 / 24.0
+        cos *= t2
+        cos -= 0.5
+        cos *= t2
+        cos += 1.0
+        sin = t2 * (-1.0 / 5040.0)
+        sin += 1.0 / 120.0
+        sin *= t2
+        sin -= 1.0 / 6.0
+        sin *= t2
+        sin += 1.0
+        sin *= theta
+        out = np.empty(np.shape(d), dtype=complex)
+        out.real, out.imag = cos, sin
+        q = q.astype(np.intp)
+        for table in self.tables[:-1]:  # low digits first
+            out *= table.take(q & ((1 << self.width) - 1))
+            q >>= self.width
+        out *= self.tables[-1].take(q)
+        return out
 
 
 def _uniform_step(ks) -> tuple[float | None, int]:
@@ -134,45 +203,62 @@ def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.
     Row j is the image sum at wavenumber ks[j]; one bin is a one-element ks.
     The distance d, the weight amp / 4 pi d and, on a uniform grid, the step
     e^{i dk d} are computed once per image; the phase then runs
-    e^{i k_{j+1} d} = e^{i k_j d} e^{i dk d} across the grid, re-anchored with
-    one exact exp() every REANCHOR_INTERVAL bins.  On a lattice grid (k_0 =
-    n0 dk, n0 <= REANCHOR_INTERVAL) the first anchor is step^n0, with the
-    recurrence's own error: one exp() per image.  A grid that is not
-    uniform takes one exact exp() per bin.  ``skip_direct`` leaves out the
-    true-source row, which is the reverberant part alone; the coincidence
-    check still covers it.  No temporary holds more than one image's worth of
-    pairs.
+    e^{i k_{j+1} d} = e^{i k_j d} e^{i dk d} across the grid, re-anchored at
+    every REANCHOR_INTERVAL-th bin by an exact e^{i k_j d}.  On a lattice grid
+    (k_0 = n0 dk, n0 <= REANCHOR_INTERVAL) the first anchor is step^n0, with
+    the recurrence's own error.  A grid that is not uniform anchors every bin.
+    Steps and anchors come from a _PhaseTable per wavenumber and call: a
+    table of exact e^{ik qh} on a power-of-two spacing h, times a short
+    Taylor series, as accurate as exp(1j k d).  The distance bound of the
+    tables is |max |X| per axis| + max |image|.  At most _TABLES_PER_PASS
+    anchor tables are alive; a longer grid takes another pass over the
+    images.  ``skip_direct`` leaves out the true-source row, which is the
+    reverberant part alone; the coincidence check still covers it.  No
+    temporary holds more than one image's worth of pairs.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     room.check_inside(Y.reshape(-1, 3), "source")
+    if not np.isfinite(X).all():
+        raise ConfigurationError("receiver coordinates must be finite")
     lattice = image_lattice(room)
+    images = lattice.positions(Y)
+    # |x - image| <= |x| + |image| bounds every distance the tables take
+    d_max = float(np.linalg.norm(np.abs(X.reshape(-1, 3)).max(axis=0, initial=0.0))
+                  + np.sqrt((images ** 2).sum(axis=-1)).max())
     dk, n0 = _uniform_step(ks)
+    step_table = None if dk is None else _PhaseTable(dk, d_max)
     anchor_every = 1 if dk is None else REANCHOR_INTERVAL
+    span = anchor_every * _TABLES_PER_PASS
     total = np.zeros((ks.size,) + np.broadcast_shapes(X.shape, Y.shape)[:-1], dtype=complex)
-    for image, amp, order in zip(lattice.positions(Y), lattice.amplitude, lattice.order):
-        d = (X[..., 0] - image[..., 0]) ** 2
-        d += (X[..., 1] - image[..., 1]) ** 2
-        d += (X[..., 2] - image[..., 2]) ** 2
-        d = np.sqrt(d)
-        # the corner-frame round trip moves an image by rounding, so a receiver
-        # on the source can sit a few ulps away from its order-0 image
-        if np.any(d < COINCIDENT_DISTANCE):
-            raise ConfigurationError(
-                "receiver coincides with the source or one of its images"
-            )
-        if skip_direct and order == 0:
-            continue
-        weight = amp / (4.0 * math.pi * d)
-        if dk is not None:
-            step = np.exp(1j * dk * d)
-        for j, k in enumerate(ks):
-            if j == 0 and n0:  # step ** 1 would take numpy's slow general power
-                phase = weight * (step if n0 == 1 else step ** n0)
-            elif j % anchor_every == 0:
-                phase = weight * np.exp(1j * k * d)
-            else:
-                phase *= step
-            total[j] += phase
+    for start in range(0, ks.size, span):
+        bins = range(start, min(start + span, ks.size))
+        anchors = {j: _PhaseTable(ks[j], d_max) for j in bins[::anchor_every] if j or not n0}
+        for image, amp, order in zip(images, lattice.amplitude, lattice.order):
+            d = (X[..., 0] - image[..., 0]) ** 2
+            d += (X[..., 1] - image[..., 1]) ** 2
+            d += (X[..., 2] - image[..., 2]) ** 2
+            d = np.sqrt(d)
+            # the corner-frame round trip moves an image by rounding, so a
+            # receiver on the source can sit a few ulps away from its order-0 image
+            if np.any(d < COINCIDENT_DISTANCE):
+                raise ConfigurationError(
+                    "receiver coincides with the source or one of its images"
+                )
+            if skip_direct and order == 0:
+                continue
+            weight = amp / (4.0 * math.pi * d)
+            if step_table is not None:
+                step = step_table(d)
+            for j in bins:
+                if j == 0 and n0:  # step ** 1 would take numpy's slow general power
+                    phase = weight * (step if n0 == 1 else step ** n0)
+                elif j in anchors:
+                    phase = anchors[j](d)
+                    phase *= weight
+                else:
+                    phase *= step
+                total[j] += phase
+        del anchors  # before the next pass builds its own
     return total

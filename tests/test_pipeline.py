@@ -112,8 +112,13 @@ class TestLoadConfig:
         ("signal: {sound_speed: true}\n", "signal.sound_speed must be of type float, got True"),
         ("room: {dimensions: [6, false, 2.5]}\n",
          "room.dimensions must be of type float, got False"),
+        # str() would turn these into the strings 'True', '3' and '1.5'
+        ("output: {directory: true}\n", "output.directory must be of type str, got True"),
+        ("solver: {direct_removal: 3}\n", "solver.direct_removal must be of type str, got 3"),
+        ("probes: {preset: 1.5}\n", "probes.preset must be of type str, got 1.5"),
     ], ids=["int", "length", "list", "mapping", "step", "fraction-speakers",
-            "fraction-image-order", "fraction-margin", "bool-int", "bool-float", "bool-in-tuple"])
+            "fraction-image-order", "fraction-margin", "bool-int", "bool-float", "bool-in-tuple",
+            "bool-directory", "int-removal", "float-preset"])
     def test_bad_value_named(self, tmp_path, text, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             load_config(write_yaml(tmp_path, text))
@@ -127,6 +132,11 @@ class TestLoadConfig:
         path = write_yaml(tmp_path, f"signal: {{frequencies: {grid}}}\n")
         assert cli.main(["cond", "--config", path, "--out", str(tmp_path / "c.csv")]) == 2
         assert f"signal.frequencies range lacks {key!r}" in capsys.readouterr().err
+
+    def test_non_string_directory_exits_2(self, tmp_path, capsys):
+        path = write_yaml(tmp_path, "output: {directory: 2024}\n")
+        assert cli.main(["cond", "--config", path, "--out", str(tmp_path / "c.csv")]) == 2
+        assert "output.directory must be of type str, got 2024" in capsys.readouterr().err
 
     def test_bad_removal_mode_rejected(self, tmp_path):
         path = write_yaml(tmp_path, (

@@ -1,5 +1,8 @@
 """Image-source oracle tests, including a brute-force mirror oracle."""
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from roomtf.modal import WaveContext
 from roomtf.room import (
     REANCHOR_INTERVAL,
     RoomModel,
+    _PhaseTable,
     _uniform_step,
     image_lattice,
     rtf_oracle_grid,
@@ -163,7 +167,7 @@ class TestEnumerateImages:
 
 
 class TestOracle:
-    """rtf_oracle_grid at one bin, which takes one exact exp() per image."""
+    """rtf_oracle_grid at one bin, which takes one table lookup per image."""
 
     def test_free_field_equals_direct(self):
         room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 2)
@@ -287,7 +291,7 @@ class TestOracleGrid:
     @pytest.mark.parametrize("n0, df", [(1, 200.0), (2, 100.0), (8, 25.0), (16, 12.5)])
     @pytest.mark.parametrize("skip_direct", [False, True])
     def test_lattice_grid_matches_per_bin(self, n0, df, skip_direct):
-        # f_0 = n0 df: the first anchor is step^n0, no exact exp(); 20 bins
+        # f_0 = n0 df: the first anchor is step^n0, not an exact table; 20 bins
         # cross the re-anchor at bin REANCHOR_INTERVAL
         room = reference_room()
         X, Y = self.pairs(35)
@@ -333,3 +337,119 @@ class TestOracleGrid:
             with pytest.raises(ConfigurationError, match="coincides"):
                 rtf_oracle_grid(reference_room(), np.array([[0.0, 0.0, 0.0], x]), y,
                                 wavenumbers([300.0, 400.0]), skip_direct=skip_direct)
+
+
+def exact_expi(k, d):
+    """e^{ikd} to 40 digits for the doubles k and each d, rounded to complex."""
+    with mpmath.workdps(40):
+        return np.array([complex(mpmath.expj(mpmath.mpf(k) * mpmath.mpf(float(x))))
+                         for x in np.ravel(d)])
+
+
+def assert_expi_close(table, k, d):
+    """The kernel within a few eps (1 + k d) of e^{ikd}, the error of exp(1j k d)."""
+    eps = np.finfo(float).eps
+    err = np.abs(table(d) - exact_expi(k, d))
+    assert np.all(err <= 4 * eps * (1 + abs(k) * d)), err.max()
+
+
+class TestPhaseTable:
+    """The table-driven e^{ikd} of rtf_oracle_grid against 40-digit mpmath."""
+
+    D_MAX = 25.0
+
+    def table_and_distances(self, k, seed):
+        """A table to d_max = 25 m + 3h/4, so that rint(d_max 2^p) is one past
+        floor(d_max 2^p), and distances in [0, d_max]: random ones, some
+        d = (q + 1/2) h, where rint rounds to even and |k (d - q h)| is
+        largest, and both ends."""
+        d_max = self.D_MAX + 0.75 * _PhaseTable(k, 1.0).h
+        table = _PhaseTable(k, d_max)
+        rng = np.random.default_rng(seed)
+        half = (rng.integers(0, int(d_max * table.scale) + 1, 60) + 0.5) * table.h
+        d = np.concatenate([rng.uniform(0.0, d_max, 120), half, [0.0, table.h / 2, d_max]])
+        return table, d[d <= d_max]
+
+    # 1e-310 (f near 1e-308 Hz) is below 0.03 2^-1024, where h = 2^-p would overflow
+    @pytest.mark.parametrize("k", [1e-310, 0.5, 3.66, 16.49, 146.5, 400.0])
+    def test_matches_mpmath(self, k):
+        table, d = self.table_and_distances(k, int(k))
+        assert table.k * table.h <= 0.03
+        assert_expi_close(table, k, d)
+
+    def test_large_span_splits_into_small_tables(self):
+        # at 400 rad/m, h = 2^-14: one table to 25 m would hold 409 601 entries
+        k = 400.0
+        table, d = self.table_and_distances(k, 7)
+        assert self.D_MAX * table.scale > 2 ** 16
+        assert len(table.tables) == 2
+        assert all(t.size <= 2 ** 16 for t in table.tables)
+        assert_expi_close(table, k, d)
+
+    def test_phase_beyond_double_precision_rejected(self):
+        with pytest.raises(ConfigurationError, match="beyond double precision"):
+            _PhaseTable(1e12, 1e3)
+
+    def test_order_six_at_8khz_with_the_farthest_pair_at_the_bound(self):
+        # one receiver opposite the source's farthest image: its distance is the
+        # tables' bound |x| + max |image|, so it takes the last table entry
+        room = reference_room(6)
+        y = np.array([0.8, -1.1, 0.3])
+        images = image_lattice(room).positions(y)
+        far = images[np.argmax(np.linalg.norm(images, axis=-1))]
+        x = -0.5 * far / np.linalg.norm(far)
+        ctx = WaveContext(8000.0)
+        d_max = np.linalg.norm(np.abs(x)) + np.linalg.norm(images, axis=-1).max()
+        d_far = np.linalg.norm(x - far)
+        assert d_far == pytest.approx(d_max, rel=4 * np.finfo(float).eps)
+        table = _PhaseTable(ctx.k, d_max)
+        assert len(table.tables) == 2 and all(t.size <= 2 ** 16 for t in table.tables)
+        top = int(np.rint(d_far * table.scale)) >> table.width
+        assert top == table.tables[-1].size - 1
+        got = rtf_oracle_grid(room, x[None], y, [ctx.k])
+        assert_bins_close(got, rtf_oracle_many(room, x[None], y, ctx)[None], 1e-12)
+
+    def test_point_receiver_and_source(self):
+        # a (3,) receiver against a (3,) source: 0-d distances, one response per bin
+        room = reference_room()
+        x, y = np.array([0.1, 0.2, 0.3]), np.array([1.0, 1.0, 0.5])
+        freqs = [640.0, 900.0, 1333.3]
+        for grid in (freqs[:1], freqs):
+            got = rtf_oracle_grid(room, x, y, wavenumbers(grid))
+            assert got.shape == (len(grid),)
+            want = [rtf_oracle_many(room, x, y, WaveContext(f)) for f in grid]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_non_finite_receiver_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            rtf_oracle_grid(reference_room(), np.array([[0.0, np.nan, 0.0]]),
+                            np.array([1.0, 1.0, 0.5]), wavenumbers([300.0]))
+
+    def test_long_grid_takes_several_passes(self):
+        # 16 tables per pass: a 40-bin non-uniform grid and a 600-bin uniform
+        # one each take three passes over the images
+        room = reference_room()
+        X, Y = TestOracleGrid().pairs(37)
+        freqs = 150.0 + 37.5 * np.arange(40) + 1e-3 * np.arange(40) ** 2
+        assert _uniform_step(wavenumbers(freqs))[0] is None
+        assert_bins_close(rtf_oracle_grid(room, X, Y, wavenumbers(freqs)),
+                          per_bin(room, X, Y, freqs), 1e-12)
+        freqs = 150.0 + 2.5 * np.arange(600)
+        assert _uniform_step(wavenumbers(freqs))[0] is not None
+        got = rtf_oracle_grid(room, X[:2], Y[:, :2], wavenumbers(freqs))
+        some = np.arange(0, 600, 37)
+        assert_bins_close(got[some], per_bin(room, X[:2], Y[:, :2], freqs[some]), 1e-12)
+
+    def test_long_grid_keeps_at_most_16_tables(self):
+        # 48 bins near 4.5 kHz, not uniform: each table has 59 394 entries
+        # (0.9 MB), so 16 at once take 15 MB and all 48 would take 44 MB
+        room = reference_room()
+        x, y = np.array([0.1, 0.2, 0.3]), np.array([1.0, 1.0, 0.5])
+        ks = wavenumbers(4500.0 + 10.0 * np.arange(48) + 0.1 * np.arange(48) ** 2)
+        tracemalloc.start()
+        try:
+            rtf_oracle_grid(room, x, y, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
