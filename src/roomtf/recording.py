@@ -27,7 +27,7 @@ from . import specfun
 from .errors import BesselZeroError, ConfigurationError
 from .geometry import sphere_array
 from .modal import WaveContext, grid_index, truncation_order
-from .room import RoomModel, rtf_oracle_grid
+from .room import RoomModel, rtf_oracle_blocks
 
 BESSEL_ZERO_THRESHOLD = 1e-8
 
@@ -203,13 +203,15 @@ def simulate_raw_measurements(
     """Record the room response from every loudspeaker at every mic unit.
 
     ``speakers`` is an (L, 3) Cartesian array in room (analysis-frame)
-    coordinates.  The whole frequency grid is simulated in one pass, one mic
-    unit at a time: ``rtf_oracle_grid`` gives the unit's (F, Q', L) omni
-    pressures, which per-bin encoders built once turn into its slice of
-    gamma-tilde.  With ``subtract_direct_pressure`` the free-space direct
-    field (the true-source term of the image sum) is left out of the raw
-    omni pressures, so the tensor holds reverberant-only coefficients; this
-    is the robust path when loudspeakers come close to a microphone's local
+    coordinates.  The whole frequency grid is simulated in one image-source
+    pass: ``rtf_oracle_blocks`` sets up the image lattice and the phase
+    tables once and yields one mic unit's (F, Q', L) omni pressures at a
+    time, which per-bin encoders built once turn into its slice of
+    gamma-tilde; no (F, Q, Q', L) pressure tensor is held.  With
+    ``subtract_direct_pressure`` the free-space direct field (the
+    true-source term of the image sum) is left out of the raw omni
+    pressures, so the tensor holds reverberant-only coefficients; this is
+    the robust path when loudspeakers come close to a microphone's local
     surface.
     """
     speakers = np.asarray(speakers, dtype=float)
@@ -225,13 +227,11 @@ def simulate_raw_measurements(
     ])
     ks = np.array([ctx.k for ctx in ctxs])
     gamma_tilde = np.empty((frequencies.size, Q, L, encoders.shape[1]), dtype=complex)
-    for q in range(Q):
-        # (F, Q', L); the oracle rejects a loudspeaker on a sensor of the unit
-        pressures = rtf_oracle_grid(
-            room, omnis[q][:, None], speakers[None], ks,
-            skip_direct=subtract_direct_pressure,
-        )
-        gamma_tilde[:, q] = np.matmul(encoders, pressures).transpose(0, 2, 1)
+    # one (F, Q', L) block per unit; the oracle rejects a loudspeaker on a sensor
+    units = rtf_oracle_blocks(room, omnis[:, :, None], speakers[None, None], ks,
+                              skip_direct=subtract_direct_pressure)
+    for q in range(Q):  # no name keeps a unit's block alive while the next is summed
+        gamma_tilde[:, q] = np.matmul(encoders, next(units)).transpose(0, 2, 1)
     return MeasurementTensor(
         frequencies=frequencies,
         gamma_tilde=gamma_tilde,

@@ -7,6 +7,8 @@ ordered (x-, x+, y-, y+, z-, z+).
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,9 +25,10 @@ class RoomModel:
     max_image_order: int = 2
 
     def __post_init__(self):
-        if len(self.dimensions) != 3 or any(d <= 0 for d in self.dimensions):
+        # a NaN passes d > 0, and an infinite length puts every image at infinity
+        if len(self.dimensions) != 3 or not all(0 < d < math.inf for d in self.dimensions):
             raise ConfigurationError(
-                f"room dimensions must be three positive lengths, got {self.dimensions}"
+                f"room dimensions must be three finite positive lengths, got {self.dimensions}"
             )
         if len(self.wall_reflection) != 6 or any(
             not 0.0 <= b <= 1.0 for b in self.wall_reflection
@@ -34,10 +37,10 @@ class RoomModel:
                 "wall_reflection must be six coefficients in [0, 1], got "
                 f"{self.wall_reflection}"
             )
-        if self.max_image_order < 0:
-            raise ConfigurationError(
-                f"max_image_order must be >= 0, got {self.max_image_order}"
-            )
+        # a bool is an int, and 1.5 would build an order-1 lattice of float orders
+        order = self.max_image_order
+        if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
+            raise ConfigurationError(f"max_image_order must be an integer >= 0, got {order!r}")
 
     def to_corner_frame(self, p) -> np.ndarray:
         """Analysis-frame point -> coordinates from the (x-, y-, z-) room corner."""
@@ -58,12 +61,15 @@ class RoomModel:
 class ImageLattice(NamedTuple):
     """The images of a room for any source, one row per image, by order.
 
-    The image of a source at y (analysis frame) sits at
-    ``sign * (y + shift) + offset - shift``; y + shift is y in the corner frame.
+    Along each axis an image takes one of C = 2P + 1 choices (P the maximum
+    order): axis a of the image of a source at y (analysis frame) sits at
+    ``sign[a, c] * (y_a + shift_a) + offset[a, c] - shift_a`` with
+    c = pick[m, a]; y + shift is y in the corner frame.
     """
 
-    sign: np.ndarray       # (M, 3) +-1 per axis
-    offset: np.ndarray     # (M, 3) lattice offset 2 n L
+    pick: np.ndarray       # (M, 3) per axis, the column of each image in sign and offset
+    sign: np.ndarray       # (3, C) +-1 of each per-axis choice
+    offset: np.ndarray     # (3, C) lattice offset 2 n L of each per-axis choice
     amplitude: np.ndarray  # (M,) product of the reflection coefficients met
     order: np.ndarray      # (M,) number of reflections
     shift: np.ndarray      # (3,) analysis frame -> corner frame
@@ -72,7 +78,20 @@ class ImageLattice(NamedTuple):
         """Image positions (M, ..., 3) of the sources y (..., 3)."""
         yc = np.asarray(y, dtype=float) + self.shift
         rows = (slice(None),) + (None,) * (yc.ndim - 1)
-        return self.sign[rows] * yc + self.offset[rows] - self.shift
+        axes = np.arange(3)
+        return (self.sign[axes, self.pick][rows] * yc + self.offset[axes, self.pick][rows]
+                - self.shift)
+
+    def axis_positions(self, y) -> np.ndarray:
+        """Per-axis image coordinates (3, C, ...) of the sources y (..., 3).
+
+        Entry [a, pick[m, a]] is axis a of image m, the same value to the bit
+        as ``positions(y)[m, ..., a]``.
+        """
+        yc = np.moveaxis(np.asarray(y, dtype=float) + self.shift, -1, 0)[:, None]
+        rows = (slice(None), slice(None)) + (None,) * (yc.ndim - 2)
+        return (self.sign[rows] * yc + self.offset[rows]
+                - self.shift.reshape((3,) + (1,) * (yc.ndim - 1)))
 
 
 def image_lattice(room: RoomModel) -> ImageLattice:
@@ -86,26 +105,30 @@ def image_lattice(room: RoomModel) -> ImageLattice:
     max_order = room.max_image_order
     nmax = max_order // 2 + 1
     q, n = (g.ravel() for g in np.meshgrid((0, 1), np.arange(-nmax, nmax + 1), indexing="ij"))
+    keep = np.abs(n - q) + np.abs(n) <= max_order
+    q, n = q[keep], n[keep]
     minus, plus = np.abs(n - q), np.abs(n)
-    axis = np.flatnonzero(minus + plus <= max_order)
     # one per-axis choice for each of x, y, z, kept up to max_order in all
-    pick = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
+    choices = np.arange(q.size)
+    pick = np.stack([g.ravel() for g in np.meshgrid(choices, choices, choices, indexing="ij")],
+                    axis=1)
     order = (minus + plus)[pick].sum(axis=1)
     rows = np.argsort(order, kind="stable")[: np.count_nonzero(order <= max_order)]
     pick = pick[rows]
     beta = np.asarray(room.wall_reflection, dtype=float).reshape(3, 2)
     return ImageLattice(
-        sign=(1 - 2 * q[pick]).astype(float),
-        offset=2 * n[pick] * np.asarray(room.dimensions, dtype=float),
+        pick=pick,
+        sign=np.tile((1 - 2 * q).astype(float), (3, 1)),
+        offset=2 * n * np.asarray(room.dimensions, dtype=float)[:, None],
         amplitude=np.prod(beta[:, 0] ** minus[pick] * beta[:, 1] ** plus[pick], axis=1),
         order=order[rows],
         shift=room.to_corner_frame(np.zeros(3)),
     )
 
 
-# bins between exact anchors of the phase recurrence in rtf_oracle_grid
+# bins between exact anchors of the phase recurrence in rtf_oracle_blocks
 REANCHOR_INTERVAL = 16
-# anchor tables alive at once in rtf_oracle_grid, each at most 1 MB
+# anchor tables alive at once in rtf_oracle_blocks, each at most 1 MB
 _TABLES_PER_PASS = 16
 # _PhaseTable spacing h: the largest power of two with k h <= _PHASE_SPACING
 _PHASE_SPACING = 0.03
@@ -195,26 +218,38 @@ def _uniform_step(ks) -> tuple[float | None, int]:
     return float(dk), n0 if on_lattice else 0
 
 
-def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.ndarray:
-    """Responses (F, ...) at receivers X (..., 3) to unit sources at Y (..., 3).
+def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
+                      skip_direct: bool = False) -> Iterator[np.ndarray]:
+    """Responses (F, ...) at receivers X to unit sources at Y, one block at a time.
 
-    X and Y broadcast: an (n, 3) X against one (3,) source gives n responses
-    per bin; X[:, None] against Y[None] gives every receiver-source pair.
-    Row j is the image sum at wavenumber ks[j]; one bin is a one-element ks.
-    The distance d, the weight amp / 4 pi d and, on a uniform grid, the step
-    e^{i dk d} are computed once per image; the phase then runs
+    X (B, ..., 3) and Y (B, ..., 3) broadcast, and block b is the image sum of
+    X[b] against Y[b]; an axis of length 1 or a missing axis repeats.  So
+    ``omnis[:, :, None]`` against ``speakers[None, None]`` yields each mic
+    unit's (F, Q', L) pressures.  Row j of a block is the sum at wavenumber
+    ks[j]; one bin is a one-element ks.  The sources, the image lattice, the
+    distance bound of the phase tables and the tables themselves are set up
+    once per call; a grid that needs more than one pass over the images
+    (see below) rebuilds its anchor tables for every block.
+
+    Within a block, the square (X_a - c)^2 is computed once for each of the
+    2P + 1 image coordinates c along each axis a, P the maximum image order;
+    an image's distance is then sqrt(sq_x + sq_y + sq_z).  The distance d,
+    the weight amp / 4 pi d and, on a uniform grid, the step e^{i dk d} are
+    computed once per image; the phase then runs
     e^{i k_{j+1} d} = e^{i k_j d} e^{i dk d} across the grid, re-anchored at
     every REANCHOR_INTERVAL-th bin by an exact e^{i k_j d}.  On a lattice grid
     (k_0 = n0 dk, n0 <= REANCHOR_INTERVAL) the first anchor is step^n0, with
     the recurrence's own error.  A grid that is not uniform anchors every bin.
-    Steps and anchors come from a _PhaseTable per wavenumber and call: a
-    table of exact e^{ik qh} on a power-of-two spacing h, times a short
-    Taylor series, as accurate as exp(1j k d).  The distance bound of the
-    tables is |max |X| per axis| + max |image|.  At most _TABLES_PER_PASS
-    anchor tables are alive; a longer grid takes another pass over the
-    images.  ``skip_direct`` leaves out the true-source row, which is the
-    reverberant part alone; the coincidence check still covers it.  No
-    temporary holds more than one image's worth of pairs.
+    Steps and anchors come from a _PhaseTable per wavenumber: a table of exact
+    e^{ik qh} on a power-of-two spacing h, times a short Taylor series, as
+    accurate as exp(1j k d).  The distance bound of the tables is
+    |max |X| per axis| + max |image| over all blocks.  At most
+    _TABLES_PER_PASS anchor tables are alive; a longer grid takes another
+    pass over the images.  ``skip_direct`` leaves out the true-source row,
+    which is the reverberant part alone; the coincidence check still covers
+    it.  Besides the block's (F, ...) result and the tables, the temporaries
+    are the 3 (2P + 1) per-axis squares of one block and one image's worth of
+    distances and phases.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -222,43 +257,73 @@ def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.
     room.check_inside(Y.reshape(-1, 3), "source")
     if not np.isfinite(X).all():
         raise ConfigurationError("receiver coordinates must be finite")
+    shape = np.broadcast_shapes(X.shape, Y.shape)
+    X, Y = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (X, Y))
     lattice = image_lattice(room)
-    images = lattice.positions(Y)
     # |x - image| <= |x| + |image| bounds every distance the tables take
     d_max = float(np.linalg.norm(np.abs(X.reshape(-1, 3)).max(axis=0, initial=0.0))
-                  + np.sqrt((images ** 2).sum(axis=-1)).max())
+                  + np.sqrt((lattice.positions(Y) ** 2).sum(axis=-1)).max())
+    X = np.broadcast_to(X, shape[:1] + X.shape[1:])
+    coords = lattice.axis_positions(Y)  # (3, 2P + 1, B or 1, ...)
+    coords = np.broadcast_to(coords, coords.shape[:2] + shape[:1] + coords.shape[3:])
     dk, n0 = _uniform_step(ks)
     step_table = None if dk is None else _PhaseTable(dk, d_max)
     anchor_every = 1 if dk is None else REANCHOR_INTERVAL
     span = anchor_every * _TABLES_PER_PASS
-    total = np.zeros((ks.size,) + np.broadcast_shapes(X.shape, Y.shape)[:-1], dtype=complex)
-    for start in range(0, ks.size, span):
-        bins = range(start, min(start + span, ks.size))
-        anchors = {j: _PhaseTable(ks[j], d_max) for j in bins[::anchor_every] if j or not n0}
-        for image, amp, order in zip(images, lattice.amplitude, lattice.order):
-            d = (X[..., 0] - image[..., 0]) ** 2
-            d += (X[..., 1] - image[..., 1]) ** 2
-            d += (X[..., 2] - image[..., 2]) ** 2
-            d = np.sqrt(d)
-            # the corner-frame round trip moves an image by rounding, so a
-            # receiver on the source can sit a few ulps away from its order-0 image
-            if np.any(d < COINCIDENT_DISTANCE):
-                raise ConfigurationError(
-                    "receiver coincides with the source or one of its images"
-                )
-            if skip_direct and order == 0:
-                continue
-            weight = amp / (4.0 * math.pi * d)
-            if step_table is not None:
-                step = step_table(d)
-            for j in bins:
-                if j == 0 and n0:  # step ** 1 would take numpy's slow general power
-                    phase = weight * (step if n0 == 1 else step ** n0)
-                elif j in anchors:
-                    phase = anchors[j](d)
-                    phase *= weight
-                else:
-                    phase *= step
-                total[j] += phase
-        del anchors  # before the next pass builds its own
-    return total
+    passes = [range(start, min(start + span, ks.size)) for start in range(0, ks.size, span)]
+
+    def anchor_tables(bins):
+        return {j: _PhaseTable(ks[j], d_max) for j in bins[::anchor_every] if j or not n0}
+
+    shared = anchor_tables(passes[0]) if len(passes) == 1 else None
+
+    def image_sum(b):
+        """Block b's (F, ...) sum; its temporaries go when it returns."""
+        squares = [(X[b, ..., a] - coords[a, :, b]) ** 2 for a in range(3)]
+        d = np.empty(shape[1:-1])
+        total = np.zeros((ks.size,) + shape[1:-1], dtype=complex)
+        for bins in passes:
+            anchors = anchor_tables(bins) if shared is None else shared
+            for (ix, iy, iz), amp, order in zip(lattice.pick, lattice.amplitude, lattice.order):
+                np.add(squares[0][ix], squares[1][iy], out=d)
+                d += squares[2][iz]
+                np.sqrt(d, out=d)
+                # the corner-frame round trip moves an image by rounding, so a
+                # receiver on the source can sit a few ulps away from its order-0 image
+                if np.any(d < COINCIDENT_DISTANCE):
+                    raise ConfigurationError(
+                        "receiver coincides with the source or one of its images"
+                    )
+                if skip_direct and order == 0:
+                    continue
+                weight = amp / (4.0 * math.pi * d)
+                if step_table is not None:
+                    step = step_table(d)
+                for j in bins:
+                    if j == 0 and n0:  # step ** 1 would take numpy's slow general power
+                        phase = weight * (step if n0 == 1 else step ** n0)
+                    elif j in anchors:
+                        phase = anchors[j](d)
+                        phase *= weight
+                    else:
+                        phase *= step
+                    total[j] += phase
+            del anchors  # before the next pass builds its own
+        return total
+
+    for b in range(shape[0]):
+        yield image_sum(b)
+
+
+def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.ndarray:
+    """Responses (F, ...) at receivers X (..., 3) to unit sources at Y (..., 3).
+
+    X and Y broadcast: an (n, 3) X against one (3,) source gives n responses
+    per bin; X[:, None] against Y[None] gives every receiver-source pair.
+    The one-block case of ``rtf_oracle_blocks``, with the same tables and
+    checks.  Besides the (F, ...) result and the phase tables it holds the
+    3 (2P + 1) per-axis squares, each of the broadcast shape, and one
+    image's worth of distances and phases.
+    """
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    return next(rtf_oracle_blocks(room, X[None], Y[None], ks, skip_direct))

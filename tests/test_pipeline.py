@@ -251,6 +251,15 @@ class TestCli:
         path = write_yaml(tmp_path, "arrays: {speakers: 10}\n")
         assert cli.main(["measure", "--config", path]) == 2
 
+    @pytest.mark.parametrize("dims", ["[.nan, 5.0, 2.5]", "[6.0, .inf, 2.5]"], ids=["nan", "inf"])
+    def test_non_finite_room_dimensions_exit_2(self, tmp_path, capsys, dims):
+        # a NaN length used to pass and put every loudspeaker "outside the room"
+        path = write_yaml(tmp_path, f"room: {{dimensions: {dims}}}\n")
+        assert cli.main(["measure", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "room dimensions must be three finite positive lengths" in err
+        assert "outside the room" not in err
+
     @pytest.mark.parametrize("command, signal, message", [
         ("cond", "frequencies: [0.0, 300.0]", "signal.frequencies must be finite and > 0 Hz, got 0.0"),
         ("measure", "frequencies: [-100.0]", "signal.frequencies must be finite and > 0 Hz, got -100.0"),

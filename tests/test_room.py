@@ -14,6 +14,7 @@ from roomtf.room import (
     _PhaseTable,
     _uniform_step,
     image_lattice,
+    rtf_oracle_blocks,
     rtf_oracle_grid,
 )
 
@@ -83,6 +84,22 @@ class TestRoomModel:
         with pytest.raises(ConfigurationError):
             RoomModel(REFERENCE_DIMS, (0.9, 0.9, 0.9, 0.9, 0.7, 1.2))
 
+    @pytest.mark.parametrize("dims", [(np.nan, 5.0, 2.5), (6.0, np.inf, 2.5), (6.0, 5.0, -np.inf)],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_dimensions_rejected(self, dims):
+        with pytest.raises(ConfigurationError, match="dimensions must be three finite positive"):
+            RoomModel(dims, PAPER_REFL)
+
+    @pytest.mark.parametrize("order", [1.5, 2.0, True, -1],
+                             ids=["fraction", "float", "bool", "negative"])
+    def test_image_order_must_be_a_non_negative_integer(self, order):
+        with pytest.raises(ConfigurationError, match="max_image_order must be an integer >= 0"):
+            RoomModel(REFERENCE_DIMS, PAPER_REFL, order)
+
+    def test_numpy_integer_image_order_accepted(self):
+        lattice = image_lattice(RoomModel(REFERENCE_DIMS, PAPER_REFL, np.int64(1)))
+        assert lattice.order.dtype.kind == "i" and lattice.order.size == 7
+
     def test_containment(self):
         room = reference_room()
         assert contains(room, (2.9, 2.4, 1.2))
@@ -147,6 +164,16 @@ class TestEnumerateImages:
         }
         expected = {(p, round(a, 12), o) for p, a, o in expected}
         assert got == expected
+
+    @pytest.mark.parametrize("max_order", [0, 1, 2, 3, 5])
+    def test_axis_positions_are_the_positions_per_axis(self, max_order):
+        # 2P + 1 coordinates per axis; each image's coordinates to the bit
+        lattice = image_lattice(reference_room(max_order))
+        Y = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 1, 3))
+        coords, positions = lattice.axis_positions(Y), lattice.positions(Y)
+        assert coords.shape == (3, 2 * max_order + 1, 4, 1)
+        for a in range(3):
+            assert np.array_equal(coords[a][lattice.pick[:, a]], positions[..., a])
 
     def test_deterministic_ordering(self):
         # the true source first, then by order; the same rows on every call
@@ -253,6 +280,16 @@ def per_bin(room, X, Y, frequencies):
     return np.stack([rtf_oracle_many(room, X, Y, WaveContext(f)) for f in frequencies])
 
 
+# one grid of each kind the oracle treats apart: uniform across re-anchors,
+# not uniform, one bin, and uniform on the lattice k_0 = 2 dk
+GRIDS = {
+    "uniform": 150.0 + 37.5 * np.arange(2 * REANCHOR_INTERVAL + 9),
+    "non-uniform": np.array([210.0, 330.0, 345.0, 900.0, 1333.3, 1700.0]),
+    "single": np.array([640.0]),
+    "lattice": 100.0 * (2 + np.arange(20)),
+}
+
+
 def assert_bins_close(got, want, rtol):
     """Per bin, the largest deviation relative to the bin's largest response."""
     assert got.shape == want.shape
@@ -324,6 +361,41 @@ class TestOracleGrid:
         want = per_bin(room, X, Y, freqs) - direct
         got = rtf_oracle_grid(room, X, Y, wavenumbers(freqs), skip_direct=True)
         assert_bins_close(got, want, 1e-12)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("max_order", [0, 1, 3, 5])
+    def test_image_orders_match_per_bin(self, max_order, grid):
+        # 1, 3, 7 and 11 image coordinates per axis against 1 to 231 images
+        room = reference_room(max_order)
+        X, Y = self.pairs(38)
+        freqs = GRIDS[grid]
+        assert_bins_close(rtf_oracle_grid(room, X, Y, wavenumbers(freqs)),
+                          per_bin(room, X, Y, freqs), 1e-12)
+
+    @pytest.mark.parametrize("max_order", [0, 1, 2, 3, 5])
+    def test_receivers_against_one_source_and_paired(self, max_order):
+        # (n, 3) receivers against one (3,) source, as scripts/fig3_field_map.py
+        # calls it, and paired (n, 3) against (n, 3), as sweep_errors does
+        room = reference_room(max_order)
+        X, Y = np.random.default_rng(39).uniform(-1.0, 1.0, (2, 7, 3))
+        freqs = GRIDS["uniform"]
+        for y in (Y[0], Y):
+            got = rtf_oracle_grid(room, X, y, wavenumbers(freqs))
+            assert got.shape == (freqs.size, 7)
+            assert_bins_close(got, per_bin(room, X, y, freqs), 1e-12)
+
+    def test_blocks_equal_one_block_calls(self):
+        # every block against its own one-block call: the shared tables differ
+        # only in length, so the bits are the same
+        room = reference_room()
+        rng = np.random.default_rng(41)
+        ks = wavenumbers(GRIDS["uniform"])
+        X = rng.uniform(-1.0, 1.0, (3, 4, 1, 3))
+        for Y in (rng.uniform(-1.0, 1.0, (1, 1, 5, 3)), rng.uniform(-1.0, 1.0, (3, 1, 5, 3))):
+            blocks = list(rtf_oracle_blocks(room, X, Y, ks))
+            assert len(blocks) == 3
+            for b, got in enumerate(blocks):
+                assert np.array_equal(got, rtf_oracle_grid(room, X[b], Y[b % len(Y)], ks))
 
     def test_source_outside_rejected(self):
         with pytest.raises(ConfigurationError, match=r"source at .*2\.6.* outside"):
