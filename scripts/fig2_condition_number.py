@@ -26,8 +26,8 @@ def main():
     start = time.perf_counter()
     freqs, kappa_shell, kappa_sphere = pipeline.run_cond(cfg)
     seconds = time.perf_counter() - start
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    out = os.path.join(cfg.output_dir, "cond.csv")
+    os.makedirs(cfg.output.directory, exist_ok=True)
+    out = os.path.join(cfg.output.directory, "cond.csv")
     pipeline.write_cond_csv(out, freqs, kappa_shell, kappa_sphere)
     print(f"wrote {out}: {freqs.size} bins, sweep wall time {seconds:.1f} s")
     for target in (420.0, 850.0):

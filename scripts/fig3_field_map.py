@@ -51,8 +51,8 @@ def main():
         [exp.context(args.frequency).k],
     )[0]
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    out = os.path.join(cfg.output_dir, "field_map.csv")
+    os.makedirs(cfg.output.directory, exist_ok=True)
+    out = os.path.join(cfg.output.directory, "field_map.csv")
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "re_est", "im_est", "re_oracle", "im_oracle", "abs_dev"])

@@ -26,8 +26,8 @@ def main():
     cset = pipeline.run_extract(cfg, mt)
     extracted = time.perf_counter()
     errors = pipeline.sweep_errors(cfg, cset)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    out = os.path.join(cfg.output_dir, "sweep.csv")
+    os.makedirs(cfg.output.directory, exist_ok=True)
+    out = os.path.join(cfg.output.directory, "sweep.csv")
     pipeline.write_sweep_csv(out, cset.frequencies, errors)
     print(f"wrote {out}: {cset.frequencies.size} bins, measure {measured - start:.2f} s, "
           f"extract {extracted - measured:.2f} s")

@@ -37,8 +37,8 @@ def _load_config(args) -> pipeline.ExperimentConfig:
 
 
 def _default_out(cfg, name):
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return os.path.join(cfg.output_dir, name)
+    os.makedirs(cfg.output.directory, exist_ok=True)
+    return os.path.join(cfg.output.directory, name)
 
 
 def cmd_measure(args) -> int:
@@ -117,7 +117,7 @@ def cmd_cond(args) -> int:
 
 def cmd_geometry_export(args) -> int:
     cfg = _load_config(args)
-    out_dir = args.out or cfg.output_dir
+    out_dir = args.out or cfg.output.directory
     for path in pipeline.run_geometry_export(cfg, out_dir):
         print(f"wrote {path}")
     return 0

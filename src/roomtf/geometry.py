@@ -30,14 +30,15 @@ class RegionPair:
     offset: tuple[float, float, float]
 
     def __post_init__(self):
+        # a NaN passes r > 0, and an infinite radius has no truncation order
+        for name in ("receiver_radius", "source_radius"):
+            radius = getattr(self, name)
+            if not 0.0 < radius < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0, got {radius}")
         if not 0.0 <= self.source_inner_radius < self.source_radius:
             raise ConfigurationError(
                 "source shell requires 0 <= inner < outer, got "
                 f"inner={self.source_inner_radius}, outer={self.source_radius}"
-            )
-        if self.receiver_radius <= 0:
-            raise ConfigurationError(
-                f"receiver_radius must be > 0, got {self.receiver_radius}"
             )
         if len(self.offset) != 3 or not np.all(np.isfinite(self.offset)):
             raise ConfigurationError(f"offset must be three finite coordinates, got {self.offset}")
@@ -69,6 +70,8 @@ def equal_area_directions(count: int):
 
 def _radius_stream(seed: int) -> np.random.Generator:
     # Counter-based generator: portable and fully determined by the seed.
+    if not 0 <= seed < 2**128:  # the range of a Philox key
+        raise ConfigurationError(f"array seed must be an integer in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -44,22 +44,12 @@ ARTIFACT_DIGESTS = {
 
 
 @dataclass(frozen=True)
-class RoomConfig:
-    dimensions: tuple[float, float, float] = (6.0, 5.0, 2.5)
-    reflections: tuple[float, float, float, float, float, float] = (
-        0.9, 0.9, 0.9, 0.9, 0.7, 0.7
-    )
-    max_image_order: int = 2
-
-
-@dataclass(frozen=True)
 class ArraysConfig:
     speakers: int = 121
     mic_units: int = 9
     mic_order: int = 3
     omnis_per_mic: int = 49
     mic_fit_order: int | None = 5
-    mic_center_radius: float | None = None  # default: receiver radius - mic radius
     seed: int = 12345
 
 
@@ -84,8 +74,17 @@ class ProbesConfig:
 
 
 @dataclass(frozen=True)
+class OutputConfig:
+    directory: str = "out"
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    room: RoomConfig = field(default_factory=RoomConfig)
+    """One field per YAML section, each the dataclass that its keys set."""
+
+    room: RoomModel = field(
+        default_factory=lambda: RoomModel((6.0, 5.0, 2.5), (0.9, 0.9, 0.9, 0.9, 0.7, 0.7), 2)
+    )
     regions: RegionPair = field(
         default_factory=lambda: RegionPair(0.4, 0.4, 0.3, (1.0, 1.0, 0.5))
     )
@@ -93,14 +92,7 @@ class ExperimentConfig:
     signal: SignalConfig = field(default_factory=SignalConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     probes: ProbesConfig = field(default_factory=ProbesConfig)
-    output_dir: str = "out"
-
-
-@dataclass(frozen=True)
-class _OutputSection:
-    """The YAML section ``output``; its one key sets ExperimentConfig.output_dir."""
-
-    directory: str
+    output: OutputConfig = field(default_factory=OutputConfig)
 
 
 def _check_mapping(block, allowed, where: str, noun: str = "key") -> None:
@@ -165,17 +157,14 @@ def _section(default, block, where: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    """An ExperimentConfig from YAML: one mapping per dataclass section, plus ``output``."""
+    """An ExperimentConfig from YAML: one mapping per section, over its defaults."""
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
     cfg = ExperimentConfig()
-    sections = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "output_dir"}
-    sections["output"] = _OutputSection(cfg.output_dir)
+    sections = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     _check_mapping(raw, sections, "the config file", noun="section")
-    changes = {name: _section(sections[name], block, name) for name, block in raw.items()}
-    if "output" in changes:
-        changes["output_dir"] = changes.pop("output").directory
-    cfg = replace(cfg, **changes)
+    cfg = replace(cfg, **{name: _section(sections[name], block, name)
+                          for name, block in raw.items()})
     validate_config(cfg)
     return cfg
 
@@ -185,9 +174,16 @@ class Experiment:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.room = RoomModel(
-            cfg.room.dimensions, cfg.room.reflections, cfg.room.max_image_order
+        self.room = cfg.room
+        self.mic_local_radius = mic_radius(
+            cfg.arrays.mic_order, cfg.signal.f_max, cfg.signal.sound_speed
         )
+        if not self.mic_local_radius < cfg.regions.receiver_radius:
+            raise ConfigurationError(
+                f"regions.receiver_radius = {cfg.regions.receiver_radius} m must exceed the "
+                f"microphone radius r = A c / (pi e f_max) = {self.mic_local_radius:.6g} m: "
+                "the mic units sit at R_r - r, so every sensor is inside the receiver region"
+            )
         self.speakers_local = shell_array(  # (L, 3) about O_s
             cfg.arrays.speakers,
             cfg.regions.source_radius,
@@ -195,17 +191,9 @@ class Experiment:
             cfg.arrays.seed,
         )
         self.speakers_room = self.speakers_local + np.asarray(cfg.regions.offset)
-        self.mic_local_radius = mic_radius(
-            cfg.arrays.mic_order, cfg.signal.f_max, cfg.signal.sound_speed
-        )
-        center_radius = cfg.arrays.mic_center_radius
-        if center_radius is None:
-            # Keep every omni sensor inside the parameterized receiver sphere.
-            center_radius = cfg.regions.receiver_radius - self.mic_local_radius
-        self.mic_center_radius = center_radius
         self.mics = make_mic_array(
             cfg.arrays.mic_units,
-            center_radius,
+            cfg.regions.receiver_radius - self.mic_local_radius,
             HoMicSpec(
                 cfg.arrays.mic_order,
                 self.mic_local_radius,
@@ -280,6 +268,14 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
         raise ConfigurationError(
             f"signal.sound_speed must be finite and > 0, got {cfg.signal.sound_speed}"
         )
+    if not 0.0 < cfg.signal.f_max < math.inf:
+        raise ConfigurationError(f"signal.f_max must be finite and > 0 Hz, got {cfg.signal.f_max}")
+    # pinv drops singular values at or below cutoff * the largest, so a cutoff
+    # of 1 or more (or NaN) zeroes both solves and every alpha
+    if not 0.0 <= cfg.solver.svd_cutoff < 1.0:
+        raise ConfigurationError(
+            f"solver.svd_cutoff must be finite and in [0, 1), got {cfg.solver.svd_cutoff}"
+        )
     if cfg.probes.preset != "paper-fig5":  # the one layout, kept as a config key
         raise ConfigurationError(f"probes.preset must be 'paper-fig5', got {cfg.probes.preset!r}")
     limit = min(cfg.regions.receiver_radius, cfg.regions.source_radius)
@@ -299,12 +295,6 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
         raise ConfigurationError(
             f"microphone aliasing bound violated: Q (A+1)^2 = {rows} < "
             f"(N_r+1)^2 = {cols} at f_max = {cfg.signal.f_max} Hz"
-        )
-    if exp.mic_center_radius + exp.mic_local_radius > cfg.regions.receiver_radius + 1e-12:
-        raise ConfigurationError(
-            "microphone sensors extend beyond the receiver region: center radius "
-            f"{exp.mic_center_radius} + local radius {exp.mic_local_radius} > "
-            f"R_r = {cfg.regions.receiver_radius}"
         )
     exp.room.check_inside(exp.speakers_room, "loudspeaker")
     exp.room.check_inside(exp.mics.omni_positions().reshape(-1, 3), "microphone sensor")

@@ -88,6 +88,11 @@ class MicArray:
         for name, pts in (("unit_centers", centers), ("local_offsets", offsets)):
             if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
                 raise ConfigurationError(f"{name} must be an (n >= 1, 3) array, got {pts.shape}")
+        if offsets.shape[0] != self.spec.omni_count:
+            raise ConfigurationError(
+                f"local_offsets has {offsets.shape[0]} rows, but the spec has "
+                f"omni_count = {self.spec.omni_count}"
+            )
         radius = self.spec.local_radius
         norms = np.linalg.norm(offsets, axis=1)
         if not np.all(np.abs(norms - radius) <= 1e-12 * np.maximum(norms, radius)):

@@ -21,7 +21,7 @@ from .modal import COINCIDENT_DISTANCE
 @dataclass(frozen=True)
 class RoomModel:
     dimensions: tuple[float, float, float]
-    wall_reflection: tuple[float, float, float, float, float, float]
+    reflections: tuple[float, float, float, float, float, float]
     max_image_order: int = 2
 
     def __post_init__(self):
@@ -30,12 +30,9 @@ class RoomModel:
             raise ConfigurationError(
                 f"room dimensions must be three finite positive lengths, got {self.dimensions}"
             )
-        if len(self.wall_reflection) != 6 or any(
-            not 0.0 <= b <= 1.0 for b in self.wall_reflection
-        ):
+        if len(self.reflections) != 6 or any(not 0.0 <= b <= 1.0 for b in self.reflections):
             raise ConfigurationError(
-                "wall_reflection must be six coefficients in [0, 1], got "
-                f"{self.wall_reflection}"
+                f"room reflections must be six coefficients in [0, 1], got {self.reflections}"
             )
         # a bool is an int, and 1.5 would build an order-1 lattice of float orders
         order = self.max_image_order
@@ -115,7 +112,7 @@ def image_lattice(room: RoomModel) -> ImageLattice:
     order = (minus + plus)[pick].sum(axis=1)
     rows = np.argsort(order, kind="stable")[: np.count_nonzero(order <= max_order)]
     pick = pick[rows]
-    beta = np.asarray(room.wall_reflection, dtype=float).reshape(3, 2)
+    beta = np.asarray(room.reflections, dtype=float).reshape(3, 2)
     return ImageLattice(
         pick=pick,
         sign=np.tile((1 - 2 * q).astype(float), (3, 1)),

@@ -23,6 +23,7 @@ from roomtf.pipeline import (
     validate_config,
 )
 from roomtf.recording import MeasurementTensor
+from roomtf.room import RoomModel
 from roomtf.rtf import RtfCoefficientSet
 
 from oracles import rtf_oracle_many
@@ -78,7 +79,8 @@ class TestLoadConfig:
         ("room: {reflection: [0, 0, 0, 0, 0, 0]}\n", "'reflection'"),
         ("signl: {frequencies: [400]}\n", "'signl'"),
         ("output: {dir: out}\n", "'dir'"),
-    ], ids=["key", "section", "output-key"])
+        ("arrays: {mic_center_radius: 0.2}\n", "'mic_center_radius'"),
+    ], ids=["key", "section", "output-key", "mic-center-radius"])
     def test_unknown_key_rejected(self, tmp_path, text, name):
         with pytest.raises(ConfigurationError, match=f"unknown .*{name}"):
             load_config(write_yaml(tmp_path, text))
@@ -86,13 +88,12 @@ class TestLoadConfig:
     def test_every_field_loads_by_its_type(self, tmp_path):
         cfg = replace(
             fast_config(order_margin=1, direct_removal="measurement", svd_cutoff=1e-8),
-            room=pipeline.RoomConfig((6.5, 5.5, 3.0), (0.8,) * 6, 1),
+            room=RoomModel((6.5, 5.5, 3.0), (0.8,) * 6, 1),
             regions=RegionPair(0.35, 0.4, 0.25, (1.0, 0.9, 0.6)),
             probes=pipeline.ProbesConfig(radii=(0.2,)),
-            output_dir=str(tmp_path / "out"),
+            output=pipeline.OutputConfig(str(tmp_path / "out")),
         )
         raw = json.loads(json.dumps(asdict(cfg)))  # tuples -> lists
-        raw["output"] = {"directory": raw.pop("output_dir")}
         path = tmp_path / "all.yaml"
         path.write_text(yaml.safe_dump(raw))
         assert load_config(path) == cfg
@@ -165,11 +166,13 @@ class TestValidateConfig:
             validate_config(cfg)
 
     def test_sensors_beyond_receiver_region(self):
-        cfg = replace(
-            fast_config(),
-            arrays=replace(fast_config().arrays, mic_center_radius=0.35),
-        )
-        with pytest.raises(ConfigurationError, match="beyond the receiver region"):
+        # the units sit at R_r - r, so only R_r <= r (0.241 m at 500 Hz) puts
+        # a sensor outside the receiver region
+        cfg = replace(fast_config(), regions=RegionPair(0.2, 0.4, 0.3, (1.0, 1.0, 0.5)),
+                      probes=pipeline.ProbesConfig(radii=(0.1,)))
+        with pytest.raises(ConfigurationError,
+                           match=r"regions.receiver_radius = 0.2 m must exceed the microphone "
+                                 r"radius r = A c / \(pi e f_max\) = 0.240"):
             validate_config(cfg)
 
     def test_speakers_outside_room(self):
@@ -303,6 +306,37 @@ class TestCli:
         assert cli.main(["sweep", "--config", write_yaml(tmp_path, text)]) == 2
         assert "probes.radii" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.rtfm")) and not list(tmp_path.rglob("*.rtfc"))
+
+    @pytest.mark.parametrize("section, key, value, argv, field", [
+        ("solver", "svd_cutoff", math.nan, [], "solver.svd_cutoff"),
+        ("solver", "svd_cutoff", 2.0, [], "solver.svd_cutoff"),
+        ("solver", "svd_cutoff", 1.0, [], "solver.svd_cutoff"),
+        ("solver", "svd_cutoff", -1.0, [], "solver.svd_cutoff"),
+        ("regions", "receiver_radius", math.inf, [], "receiver_radius"),
+        ("regions", "receiver_radius", math.nan, [], "receiver_radius"),
+        ("regions", "source_radius", math.inf, [], "source_radius"),
+        ("signal", "f_max", math.nan, [], "signal.f_max"),
+        ("signal", "f_max", math.inf, [], "signal.f_max"),
+        ("arrays", "seed", -1, [], "seed"),
+        ("arrays", "seed", 2**128, [], "seed"),
+        (None, None, None, ["--seed", "-1"], "seed"),
+        # below the microphone radius r = 0.241 m at f_max = 500 Hz
+        ("regions", "receiver_radius", 0.2, [], "regions.receiver_radius"),
+    ], ids=["cutoff-nan", "cutoff-2", "cutoff-1", "cutoff-negative", "receiver-inf",
+            "receiver-nan", "source-inf", "f-max-nan", "f-max-inf", "seed-negative",
+            "seed-too-large", "seed-flag-negative", "receiver-below-mic-radius"])
+    def test_bad_value_exits_2_before_any_artifact(self, tmp_path, capsys, section, key,
+                                                   value, argv, field):
+        raw = yaml.safe_load(FAST_YAML)
+        raw["probes"] = {"radii": [0.1]}
+        raw["output"] = {"directory": str(tmp_path / "out")}
+        if section:
+            raw.setdefault(section, {})[key] = value
+        path = write_yaml(tmp_path, yaml.safe_dump(raw))
+        assert cli.main(["sweep", "--config", path] + argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "probes.radii" not in err
+        assert not [p for p in tmp_path.rglob("*") if p.suffix in (".rtfm", ".rtfc", ".csv")]
 
     def test_unknown_probe_preset_exits_2_before_any_artifact(self, tmp_path, capsys):
         text = FAST_YAML + f"probes: {{preset: nope}}\noutput: {{directory: {tmp_path}/out}}\n"

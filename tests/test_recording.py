@@ -84,6 +84,14 @@ class TestSpecsAndArrays:
         with pytest.raises(ConfigurationError, match=r"local_offsets must be .* got \(49, 2\)"):
             MicArray(np.zeros((2, 3)), spec, offsets[:, :2])
 
+    def test_offsets_must_match_spec_count(self):
+        # 16 offsets cannot carry an order-5 fit of a 49-omni spec
+        from roomtf.geometry import sphere_array
+
+        spec = reference_mic_spec()
+        with pytest.raises(ConfigurationError, match="16 rows, but the spec has omni_count = 49"):
+            MicArray(np.zeros((2, 3)), spec, sphere_array(16, spec.local_radius))
+
     def test_offsets_must_match_spec_radius(self):
         from roomtf.geometry import sphere_array
 

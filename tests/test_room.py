@@ -50,8 +50,8 @@ def mirror_images(room, y, max_order):
     dims = np.asarray(room.dimensions)
     walls = []
     for axis in range(3):
-        walls.append((axis, -dims[axis] / 2, room.wall_reflection[2 * axis]))
-        walls.append((axis, +dims[axis] / 2, room.wall_reflection[2 * axis + 1]))
+        walls.append((axis, -dims[axis] / 2, room.reflections[2 * axis]))
+        walls.append((axis, +dims[axis] / 2, room.reflections[2 * axis + 1]))
     start = tuple(np.round(np.asarray(y, float), 9))
     found = {start: (1.0, 0, np.asarray(y, float))}
     frontier = [(np.asarray(y, float), 1.0, 0)]
