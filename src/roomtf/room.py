@@ -244,9 +244,11 @@ def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
     _TABLES_PER_PASS anchor tables are alive; a longer grid takes another
     pass over the images.  ``skip_direct`` leaves out the true-source row,
     which is the reverberant part alone; the coincidence check still covers
-    it.  Besides the block's (F, ...) result and the tables, the temporaries
-    are the 3 (2P + 1) per-axis squares of one block and one image's worth of
-    distances and phases.
+    it.  That check tests each image's distances only in a block where the
+    per-axis squares' lower bound sum_a min_c (X_a - c)^2 comes within
+    COINCIDENT_DISTANCE.  Besides the block's (F, ...) result and the tables,
+    the temporaries are the 3 (2P + 1) per-axis squares of one block and one
+    image's worth of distances and phases.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -277,6 +279,12 @@ def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
     def image_sum(b):
         """Block b's (F, ...) sum; its temporaries go when it returns."""
         squares = [(X[b, ..., a] - coords[a, :, b]) ** 2 for a in range(3)]
+        # sum_a min_c (X_a - c)^2 bounds every image's rounded d^2 from below, as
+        # rounded addition and sqrt are monotone: past the distance, no image can be
+        # coincident, and the per-image test would give the same verdict
+        nearest = squares[0].min(axis=0) + squares[1].min(axis=0)
+        nearest += squares[2].min(axis=0)
+        check_each = not np.sqrt(nearest.min(initial=math.inf)) >= COINCIDENT_DISTANCE
         d = np.empty(shape[1:-1])
         total = np.zeros((ks.size,) + shape[1:-1], dtype=complex)
         for bins in passes:
@@ -287,7 +295,7 @@ def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
                 np.sqrt(d, out=d)
                 # the corner-frame round trip moves an image by rounding, so a
                 # receiver on the source can sit a few ulps away from its order-0 image
-                if np.any(d < COINCIDENT_DISTANCE):
+                if check_each and np.any(d < COINCIDENT_DISTANCE):
                     raise ConfigurationError(
                         "receiver coincides with the source or one of its images"
                     )

@@ -32,6 +32,9 @@ class RtfCoefficientSet:
     regions: RegionPair
     sound_speed: float = 343.0
     digests: dict = field(default_factory=dict)
+    # block index -> the real and imaginary halves of alpha'^T that the queries
+    # multiply by, made on the block's first query; never saved or compared
+    _halves: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -60,6 +63,16 @@ class RtfCoefficientSet:
     def context(self, frequency: float) -> WaveContext:
         return WaveContext(frequency, self.sound_speed)
 
+    def _alpha_halves(self, i: int) -> np.ndarray:
+        """Block i's alpha'^T as stacked real halves, shape (2, m_r, m_s), read-only."""
+        halves = self._halves.get(i)
+        if halves is None:
+            a = self.alpha[i]
+            halves = np.stack([a.real.T, a.imag.T])
+            halves.flags.writeable = False
+            halves = self._halves.setdefault(i, halves)
+        return halves
+
 
 def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray,
                          frequency: float) -> np.ndarray:
@@ -78,7 +91,7 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
     nr = int(cset.receiver_orders[fi])
     X, Y_s = np.asarray(X, dtype=float), np.asarray(Y_s, dtype=float)
     try:
-        pair = np.broadcast_arrays(X, Y_s)
+        pair = (X, Y_s) if X.shape == Y_s.shape else np.broadcast_arrays(X, Y_s)
     except ValueError:
         pair = None
     if pair is None or pair[0].ndim != 2 or pair[0].shape[1] != 3:
@@ -88,16 +101,18 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
     X, Y_s = pair
     P = X.shape[0]
     points = np.concatenate([X, Y_s])
-    r = np.linalg.norm(points, axis=1)
+    # sqrt of the row sums of squares: the bits of np.linalg.norm(axis=1)
+    r = np.sqrt((points * points).sum(axis=1))
     for what, radii, limit in (("receiver", r[:P], cset.regions.receiver_radius),
                                ("source", r[P:], cset.regions.source_radius)):
-        if not np.all(radii <= limit + 1e-12):  # a NaN coordinate fails here too
+        if not (radii <= limit + 1e-12).all():  # a NaN coordinate fails here too
             raise ConfigurationError(
                 f"{what} radius {radii.max()} exceeds the region radius {limit}; "
                 "the parameterization is invalid there"
             )
-    d = np.linalg.norm(X - (Y_s + np.asarray(cset.regions.offset)), axis=1)
-    if np.any(d < COINCIDENT_DISTANCE):
+    gap = X - (Y_s + np.asarray(cset.regions.offset))
+    d = np.sqrt((gap * gap).sum(axis=1))
+    if P and d.min() < COINCIDENT_DISTANCE:  # d is finite here; min raises on no pairs
         i = int(np.argmin(d))
         raise ConfigurationError(
             f"pair {i}: receiver {X[i].tolist()} and source {Y_s[i].tolist()} "
@@ -107,7 +122,7 @@ def reconstruct_rtf_many(cset: RtfCoefficientSet, X: np.ndarray, Y_s: np.ndarray
     src, rcv = basis[:specfun.mode_count(ns), P:], basis[:specfun.mode_count(nr), :P]
     # the real halves of alpha'^T take turns in one (m_r, P) buffer; one product on
     # the float view would hold a second array as large as the basis table
-    a_re, a_im = np.stack([cset.alpha[fi].real.T, cset.alpha[fi].imag.T])
+    a_re, a_im = cset._alpha_halves(fi)
     terms = a_re @ src
     terms *= rcv
     s_re = terms.sum(axis=0)

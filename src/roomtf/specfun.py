@@ -51,6 +51,16 @@ a column that grows past 2^600 is scaled by an exact 2^-600, so small and
 large x share a call without overflow.  y_n runs upward from y_0 = -cos x / x
 and y_1, the stable direction for the dominant solution.
 
+A table of at most _SCALAR_LIMIT = 4 points, such as the two points of a
+one-pair query, runs the Legendre and Miller recursions one point at a time
+on Python floats: there numpy's fixed cost per call, paid on each of the
+N Legendre steps and the M Miller steps (29 at N = 10), outweighs the
+arithmetic.  Each entry takes the same operations in the same order as in
+the array loops, so both give the same bits.  Timed against the array loops
+(2-core x86 VM), the Python loops built the whole j_n S_nm table faster up
+to 8-10 points at N = 5 ... 10, and broke even at 4 points at N = 40: the
+limit is that crossover at the top of the tested domain.
+
 Tested domain: N <= 40 and 0 <= x <= 300.  Against 40-digit values j_n is
 within 1e-15 absolute everywhere; against scipy within 1e-12 relative for
 |j_n| > 1e-290 away from a zero (5 % of the envelope |h_n|), and y_n within
@@ -92,6 +102,9 @@ class _LegendreTables:
 
     a: tuple  # a[n]: weights of t q_{n-1,m}, m < n
     b: tuple  # b[n]: weights of q_{n-2,m}, m < n - 1
+    # per degree m, Python floats: (q_mm, ((a_nm, b_nm) for n = m+1 ... N)), b_{m+1,m} = 0
+    by_degree: tuple
+    degree_major_rows: np.ndarray  # for each flat row, its entry in degree-major order
     sectoral_rows: np.ndarray  # flat rows n^2 + 2n
     sectoral: np.ndarray  # q_nn there
     w_rows: np.ndarray  # N + m for each flat row
@@ -115,10 +128,20 @@ def _legendre_tables(max_order: int) -> _LegendreTables:
         sectoral[m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sectoral[m - 1]
     n = np.arange(max_order + 1)
     orders = harmonic_orders(max_order)
+    degrees = np.arange(orders.size) - orders * orders - orders  # m of each flat row
+    m_abs = np.abs(degrees)
     return _LegendreTables(
         a=tuple(a), b=tuple(b),
+        by_degree=tuple(
+            (float(sectoral[m]), tuple(
+                (float(a[n][m, 0]), float(b[n][m, 0]) if n > m + 1 else 0.0)
+                for n in range(m + 1, max_order + 1)))
+            for m in range(max_order + 1)
+        ),
+        # degree m's run of orders n = m ... N starts at sum_{m' < m} (N + 1 - m')
+        degree_major_rows=m_abs * (max_order + 1) - m_abs * (m_abs - 1) // 2 + orders - m_abs,
         sectoral_rows=n * n + 2 * n, sectoral=sectoral[:, None],
-        w_rows=max_order + np.arange(orders.size) - orders * orders - orders,
+        w_rows=max_order + degrees,
     )
 
 
@@ -127,8 +150,10 @@ def _legendre_q(max_order: int, t: np.ndarray) -> np.ndarray:
 
     Row n^2 + n - m repeats row n^2 + n + m.  Loops over n only: each step of
     the normalized Legendre recursion updates every m < n and every point at
-    once.
+    once.  Up to _SCALAR_LIMIT points ``_legendre_floats`` runs instead.
     """
+    if t.size <= _SCALAR_LIMIT:
+        return _legendre_floats(max_order, t)
     N = max_order
     tab = _legendre_tables(N)
     q = np.empty((mode_count(N), t.size))
@@ -143,6 +168,31 @@ def _legendre_q(max_order: int, t: np.ndarray) -> np.ndarray:
             row[:-1] -= tab.b[n] * q[c2:c2 + n - 1]
         q[n * n:c] = q[c + n:c:-1]  # q_{n,-m} = q_nm
     return q
+
+
+def _legendre_floats(max_order: int, t: np.ndarray) -> np.ndarray:
+    """``_legendre_q`` one point at a time on Python floats.
+
+    Runs up the orders n of one degree m at a time, carrying q_{n-1,m} and
+    q_{n-2,m} along, which needs no table lookups; each entry takes the same
+    operations in the same order as there, (q_{n-1,m} a_nm) t - b_nm q_{n-2,m},
+    so the table has the same bits.  The first step, q_{m+1,m}, has no
+    q_{n-2,m} term there; here it subtracts 0 * 0, and v - 0.0 is v, bit for bit.
+    """
+    tab = _legendre_tables(max_order)
+    q = np.empty((t.size, (max_order + 1) * (max_order + 2) // 2))
+    for i, ti in enumerate(t.tolist()):
+        col = []
+        for q_mm, steps in tab.by_degree:
+            q0, q1 = 0.0, q_mm
+            col.append(q1)
+            for a, b in steps:
+                q0, q1 = q1, q1 * a * ti - b * q0
+                col.append(q1)
+        q[i] = col
+    # C order, as the array loop's table: later products take their BLAS path,
+    # and so their rounding, from the layout
+    return np.ascontiguousarray(q.T[tab.degree_major_rows])
 
 
 # j_n below this argument comes from its power series, at or above it from
@@ -188,12 +238,23 @@ def _miller_rows(max_order: int, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
     is scaled down by an exact power of two; the per-step growth bound
     (2n+1)/x + 1 sets how often that is checked.  The column is normalized
     to whichever of j_0 = sin x / x and j_1 = (j_0 - cos x) / x is larger.
+    Up to _SCALAR_LIMIT points the loop runs on Python floats.
     """
     m = np.maximum(x, max_order)
     starts = (m + _START_SLOPE * np.cbrt(m)).astype(int) + _START_PAD
+    every = max(1, int(_HEADROOM / math.log((2 * int(starts.max()) + 1) / x.min() + 1.0)))
+    loop = _miller_floats if x.size <= _SCALAR_LIMIT else _miller_arrays
+    f = loop(max_order, x, starts, every)
+    j1 = (j0 - np.cos(x)) / x
+    use_j0 = np.abs(j0) >= np.abs(j1)
+    f *= np.where(use_j0, j0, j1) / np.where(use_j0, f[0], f[1])
+    return f
+
+
+def _miller_arrays(max_order: int, x: np.ndarray, starts: np.ndarray, every: int) -> np.ndarray:
+    """The unnormalized rows 0 ... N of ``_miller_rows``, every point at each step."""
     top = int(starts.max())
     seeds = {int(s): np.flatnonzero(starts == s) for s in np.unique(starts)[:-1]}
-    every = max(1, int(_HEADROOM / math.log((2 * top + 1) / x.min() + 1.0)))
     coef = (2.0 * np.arange(top + 1) + 1.0)[:, None] / x  # (2n+1)/x in row n
     f = np.zeros((top + 2, x.size))
     f[top] = starts == top
@@ -207,10 +268,28 @@ def _miller_rows(max_order: int, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
             hot = np.maximum(np.abs(row), np.abs(f[n])) > _RESCALE
             if hot.any():
                 f[n - 1:, hot] /= _RESCALE
-    j1 = (j0 - np.cos(x)) / x
-    use_j0 = np.abs(j0) >= np.abs(j1)
-    f = f[:max_order + 1]
-    f *= np.where(use_j0, j0, j1) / np.where(use_j0, f[0], f[1])
+    return f[:max_order + 1]
+
+
+def _miller_floats(max_order: int, x: np.ndarray, starts: np.ndarray, every: int) -> np.ndarray:
+    """``_miller_arrays`` one point at a time on Python floats.
+
+    Each step takes the same operations in the same order, f_n ((2n+1)/x)
+    - f_{n+1}, and a column is rescaled at the same steps, so the rows have
+    the same bits.
+    """
+    f = np.empty((max_order + 1, x.size))
+    for i, (xi, start) in enumerate(zip(x.tolist(), starts.tolist())):
+        above, here, rows = 0.0, 1.0, []  # f_{n+1}, f_n; rows N, N-1, ... kept so far
+        for n in range(start, 0, -1):
+            below = here * ((2.0 * n + 1.0) / xi) - above
+            if n % every == 0 and max(abs(below), abs(here)) > _RESCALE:
+                below, here = below / _RESCALE, here / _RESCALE
+                rows = [v / _RESCALE for v in rows]
+            if n <= max_order + 1:
+                rows.append(below)
+            above, here = here, below
+        f[:, i] = rows[::-1]
     return f
 
 
@@ -250,6 +329,10 @@ _SQRT2 = math.sqrt(2.0)
 # product per order, which needs no table-sized temporary.  Either way the
 # products are the same, bit for bit.
 _GATHER_LIMIT = 1 << 16
+# Up to this many points, the Legendre and Miller recursions run one point at
+# a time on Python floats (see the module docstring); either way gives the
+# same bits.
+_SCALAR_LIMIT = 4
 
 
 def real_harmonics(max_order: int, points, r) -> np.ndarray:

@@ -410,6 +410,31 @@ class TestOracleGrid:
                 rtf_oracle_grid(reference_room(), np.array([[0.0, 0.0, 0.0], x]), y,
                                 wavenumbers([300.0, 400.0]), skip_direct=skip_direct)
 
+    @pytest.mark.parametrize("step", [0.5e-9, 0.999e-9, 1.001e-9, 1.5e-9])
+    def test_receiver_just_within_or_beyond_coincidence(self, step):
+        # 1e-9 m decides beside the source and beside its x- image, as image by image
+        room = reference_room()
+        y = np.array([0.4, 0.7, -0.1])
+        for x in (y, np.array([-6.4, 0.7, -0.1])):
+            X = np.array([[0.0, 0.0, 0.0], x + [0.0, step, 0.0]])
+            if step < 1e-9:
+                with pytest.raises(ConfigurationError, match="coincides"):
+                    one_bin(room, X, y, WaveContext(500.0))
+                with pytest.raises(ConfigurationError, match="coincides"):
+                    rtf_oracle_many(room, X, y, WaveContext(500.0))
+            else:
+                assert np.all(np.isfinite(one_bin(room, X, y, WaveContext(500.0))))
+
+    def test_receiver_on_an_image_coordinate_along_every_axis(self):
+        # x of the order-2 x image, y of the order-2 y image and z of the source:
+        # the per-axis lower bound on the distances is 0, so every image is
+        # tested, but the order-4 image at that point is not in the lattice
+        room = reference_room()
+        y = np.array([0.4, 0.7, -0.1])
+        X = np.array([[12.4, 10.7, -0.1], [0.0, 0.0, 0.0]])
+        want = rtf_oracle_many(room, X, y, WaveContext(500.0))
+        assert one_bin(room, X, y, WaveContext(500.0)) == pytest.approx(want, rel=1e-12)
+
 
 def exact_expi(k, d):
     """e^{ikd} to 40 digits for the doubles k and each d, rounded to complex."""

@@ -1,4 +1,5 @@
 """Coefficient-set reconstruction and error-metric tests."""
+import dataclasses
 import math
 import re
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from roomtf import fileio
 from roomtf.errors import ConfigurationError
 from roomtf.geometry import RegionPair
 from roomtf.geometry import spherical_to_cartesian_arrays as cartesian
@@ -108,6 +110,11 @@ class TestReconstruction:
             reconstruct_rtf_many(cset, [[0.1, 0, 0]], [[0, 0, 0.6]], 900.0)
         with pytest.raises(ConfigurationError, match=r"receiver radius nan .* radius 0\.4"):
             reconstruct_rtf_many(cset, [[np.nan, 0, 0]], [[0.1, 0, 0]], 900.0)
+        # one point against many, either way round
+        with pytest.raises(ConfigurationError, match=r"receiver radius 0\.5 .* radius 0\.4"):
+            reconstruct_rtf_many(cset, [[0.1, 0, 0], [0, 0.5, 0]], [[0.1, 0, 0]], 900.0)
+        with pytest.raises(ConfigurationError, match=r"source radius nan .* radius 0\.4"):
+            reconstruct_rtf_many(cset, [[0.1, 0, 0]], [[0, 0.1, 0], [0, 0, np.nan]], 900.0)
 
     def test_coincident_pair_rejected(self):
         # -0.2 + 0.3 != 0.1 in floating point, yet both name one room point
@@ -117,13 +124,19 @@ class TestReconstruction:
         Y = np.array([[0.1, 0.0, 0.0], [-0.2, -0.2, -0.2]])
         with pytest.raises(ConfigurationError, match="pair 1: .* same room point"):
             reconstruct_rtf_many(cset, X, Y, 900.0)
+        with pytest.raises(ConfigurationError, match="pair 1: .* same room point"):
+            reconstruct_rtf_many(cset, X, Y[1:], 900.0)
 
     @pytest.mark.parametrize("X, Y", [
         ([0.1, 0.0, 0.0], [0.0, 0.1, 0.0]),
         (np.zeros((2, 3)), np.zeros((3, 3))),
         (np.zeros((2, 2)), np.zeros((2, 2))),
         (np.zeros((2, 1, 3)), np.zeros((2, 1, 3))),
-    ], ids=["points", "lengths", "columns", "3d"])
+        (np.zeros((0, 3)), np.zeros((2, 3))),
+        (np.zeros((0, 2)), np.zeros((0, 2))),
+        (np.zeros((1, 2)), np.zeros((3, 3))),
+    ], ids=["points", "lengths", "columns", "3d", "none-against-two", "no-columns",
+            "one-against-many-columns"])
     def test_bad_point_shapes_named(self, X, Y):
         cset = make_set([np.zeros((16, 16))], 3, 3)
         with pytest.raises(ConfigurationError, match=re.escape(
@@ -141,17 +154,70 @@ class TestReconstruction:
         np.testing.assert_array_equal(got, reconstruct_rtf_many(cset, X, np.repeat(Y, 4, 0), 900.0))
 
     def test_vectorized_matches_scalar(self):
-        # a batch equals the single-pair (1, 3) calls the CLI makes
+        # a batch equals the single-pair (1, 3) calls the CLI makes, to a few
+        # ulps, not bit for bit: BLAS forms one column and many in different
+        # orders, and so does the sum over modes
         rng = np.random.default_rng(13)
-        alpha = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        cset = make_set([alpha], 3, 3)
-        X = rng.uniform(-0.2, 0.2, (5, 3))
-        Y = rng.uniform(-0.2, 0.2, (5, 3))
-        batch = reconstruct_rtf_many(cset, X, Y, 900.0)
-        for i in range(5):
-            single = reconstruct_rtf_many(cset, X[i:i + 1], Y[i:i + 1], 900.0)
-            assert single.shape == (1,)
-            assert batch[i] == pytest.approx(single[0], rel=1e-12)
+        for (ns, nr), pairs in (((3, 3), 5), ((10, 8), 2000)):
+            shape = ((ns + 1) ** 2, (nr + 1) ** 2)
+            alpha = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            cset = make_set([alpha], ns, nr)
+            X = rng.uniform(-0.2, 0.2, (pairs, 3))
+            Y = rng.uniform(-0.2, 0.2, (pairs, 3))
+            batch = reconstruct_rtf_many(cset, X, Y, 900.0)
+            for i in sorted({0, 1, 2, 3, 4, pairs // 2, pairs - 1}):
+                single = reconstruct_rtf_many(cset, X[i:i + 1], Y[i:i + 1], 900.0)
+                assert single.shape == (1,)
+                assert batch[i] == pytest.approx(single[0], rel=1e-12)
+
+    @pytest.mark.parametrize("X, Y", [
+        (np.zeros((0, 3)), np.zeros((0, 3))),
+        (np.zeros((0, 3)), np.zeros((1, 3))),
+        (np.zeros((1, 3)), np.zeros((0, 3))),
+    ], ids=["none-against-none", "none-against-one", "one-against-none"])
+    def test_no_pairs_give_an_empty_result(self, X, Y):
+        cset = make_set([np.ones((16, 16))], 3, 3)
+        got = reconstruct_rtf_many(cset, X, Y, 900.0)
+        assert got.shape == (0,) and got.dtype == complex
+
+
+class TestQueryCache:
+    """A query keeps its block's real halves of alpha'^T on the set, outside its value."""
+
+    FREQS = (500.0, 900.0)
+    X, Y = np.array([[0.1, 0.0, 0.2]]), np.array([[0.0, -0.1, 0.3]])
+
+    def make(self, scale=1.0):
+        rng = np.random.default_rng(21)
+        blocks = [scale * (rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9)))
+                  for _ in self.FREQS]
+        return make_set(blocks, 3, 2, freqs=self.FREQS)
+
+    def query(self, cset):
+        return [reconstruct_rtf_many(cset, self.X, self.Y, f) for f in self.FREQS]
+
+    def test_queries_leave_file_repr_and_value_unchanged(self, tmp_path):
+        cset = self.make()
+        text = repr(cset)
+        fileio.save_coefficient_set(tmp_path / "fresh.rtfc", cset)
+        first = self.query(cset)
+        fileio.save_coefficient_set(tmp_path / "queried.rtfc", cset)
+        assert (tmp_path / "queried.rtfc").read_bytes() == (tmp_path / "fresh.rtfc").read_bytes()
+        assert repr(cset) == text
+        loaded = fileio.load_coefficient_set(tmp_path / "queried.rtfc")
+        for f in dataclasses.fields(cset):
+            if f.compare:
+                np.testing.assert_equal(getattr(loaded, f.name), getattr(cset, f.name))
+        np.testing.assert_array_equal(self.query(cset), first)
+        np.testing.assert_array_equal(self.query(loaded), first)
+
+    def test_replaced_alpha_is_not_served_old_halves(self):
+        cset = self.make()
+        old = self.query(cset)
+        swapped = dataclasses.replace(cset, alpha=self.make(2.0).alpha)
+        got = self.query(swapped)
+        np.testing.assert_array_equal(got, self.query(self.make(2.0)))
+        assert not np.any(np.equal(got, old))
 
 
 def einsum_reverberant(cset, X, Y_s, frequency):

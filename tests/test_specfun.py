@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special as sp
 
 from roomtf import specfun
@@ -419,3 +419,44 @@ class TestBasisTables:
         assert specfun.harmonic_orders(4) is orders
         with pytest.raises(ValueError):
             orders[0] = 1
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFloatLoops:
+    """Up to _SCALAR_LIMIT points the recursions run on Python floats; past it,
+    on arrays.  Both ways give the same bits at every point count."""
+
+    @staticmethod
+    def both_ways(table, *args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfun, "_SCALAR_LIMIT", 10 ** 6)
+            floats = table(*args)
+            mp.setattr(specfun, "_SCALAR_LIMIT", -1)
+            arrays = table(*args)
+        return floats, arrays
+
+    # N = 80 and 150 near x = 1 grow past 2^600 and are rescaled (see
+    # test_high_orders_rescaled_not_overflowed)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(st.integers(0, 40), st.sampled_from([80, 150])),
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 3.0), st.floats(1.0, 300.0)),
+                 min_size=1, max_size=specfun._SCALAR_LIMIT + 1),
+    )
+    @example(N=150, x=[1.0, 1.5, 3.0])
+    @example(N=40, x=[0.5, 1.0, 300.0])
+    def test_miller_rows(self, N, x):
+        assert same_bits(*self.both_ways(specfun._bessel_j_rows, N, np.array(x)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.0, 0.0, 1.0])),
+                 min_size=1, max_size=specfun._SCALAR_LIMIT + 1),
+    )
+    @example(N=40, t=[1.0, -1.0])
+    def test_legendre_rows(self, N, t):
+        assert same_bits(*self.both_ways(specfun._legendre_q, N, np.array(t)))
