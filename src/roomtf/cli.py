@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 config/validation or file failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -36,12 +37,19 @@ def _load_config(args) -> pipeline.ExperimentConfig:
     return cfg
 
 
+def _check_out(path) -> None:
+    """Fail before any work when ``--out`` names a file in a missing directory."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _default_out(cfg, name):
     os.makedirs(cfg.output.directory, exist_ok=True)
     return os.path.join(cfg.output.directory, name)
 
 
 def cmd_measure(args) -> int:
+    _check_out(args.out)
     cfg = _load_config(args)
     mt = pipeline.run_measure(cfg)
     out = args.out or _default_out(cfg, "measurements.rtfm")
@@ -52,6 +60,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    _check_out(args.out)
     cfg = _load_config(args)
     mpath = args.measurements or _default_out(cfg, "measurements.rtfm")
     mt = fileio.load_measurement_tensor(mpath)
@@ -83,6 +92,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_out(args.out)
     cfg = _load_config(args)
     exp = pipeline.validate_config(cfg)
     mpath = _default_out(cfg, "measurements.rtfm")
@@ -107,6 +117,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cond(args) -> int:
+    _check_out(args.out)
     cfg = _load_config(args)
     freqs, kappa_shell, kappa_sphere = pipeline.run_cond(cfg)
     out = args.out or _default_out(cfg, "cond.csv")

@@ -6,11 +6,11 @@ coincide with room coordinates; source-region coordinates are offset by R_sr.
 Per-frequency solver policy (the knobs that make the extraction robust):
 
 * Effective orders track the ceiling truncation rule at the current k, plus a
-  configurable margin, capped at the design-frequency orders and the aliasing
-  bounds of the arrays.
+  configurable margin, capped at the design-frequency orders, which
+  ``validate_config`` holds within the aliasing bounds of the arrays.
 * Loudspeaker weights are solved against a translation matrix built to the
-  largest order the array can null (``isqrt(L) - 1``), so modes just above the
-  matched order are actively cancelled rather than aliased.
+  design source order, so modes just above the matched order are actively
+  cancelled rather than aliased.
 * Local recordings keep orders up to min(A, ceil truncation at the mic radius);
   rows above that are dropped from the translation solve.
 """
@@ -207,9 +207,6 @@ class Experiment:
         k_max = WaveContext(cfg.signal.f_max, cfg.signal.sound_speed).k
         self.design_source_order = truncation_order(k_max, cfg.regions.source_radius)
         self.design_receiver_order = truncation_order(k_max, cfg.regions.receiver_radius)
-        self.null_order = min(
-            math.isqrt(cfg.arrays.speakers) - 1, self.design_source_order
-        )
         # every input that shapes gamma-tilde: array layouts, sound speed, room, encoder fit
         self.geometry_digest = fileio.content_digest(
             self.speakers_room,
@@ -237,19 +234,10 @@ class Experiment:
         cfg = self.cfg
         k = self.context(frequency).k
         margin = cfg.solver.order_margin
-        n_s = min(
-            truncation_order(k, cfg.regions.source_radius) + margin,
-            self.design_source_order,
-            self.null_order,
-        )
-        row_capacity = math.isqrt(
-            cfg.arrays.mic_units * (cfg.arrays.mic_order + 1) ** 2
-        ) - 1
-        n_r = min(
-            truncation_order(k, cfg.regions.receiver_radius) + margin,
-            self.design_receiver_order,
-            row_capacity,
-        )
+        n_s = min(truncation_order(k, cfg.regions.source_radius) + margin,
+                  self.design_source_order)
+        n_r = min(truncation_order(k, cfg.regions.receiver_radius) + margin,
+                  self.design_receiver_order)
         return n_s, n_r
 
 
@@ -344,7 +332,7 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
     fi = mt.frequency_index(frequency)
     ctx = exp.context(frequency)
     n_s, n_r = exp.effective_orders(frequency)
-    T = synthesis.build_T(exp.speakers_local, exp.null_order, ctx)
+    T = synthesis.build_T(exp.speakers_local, exp.design_source_order, ctx)
     W, _ = synthesis.solve_all_weights(
         T, num_modes=(n_s + 1) ** 2, cutoff=cfg.solver.svd_cutoff
     )

@@ -209,9 +209,8 @@ def simulate_raw_measurements(
 
     ``speakers`` is an (L, 3) Cartesian array in room (analysis-frame)
     coordinates.  The whole frequency grid is simulated in one image-source
-    pass: ``rtf_oracle_blocks`` sets up the image lattice and the phase
-    tables once and yields one mic unit's (F, Q', L) omni pressures at a
-    time, which per-bin encoders built once turn into its slice of
+    pass: ``rtf_oracle_blocks`` sets up the image lattice once and yields
+    one mic unit's (F, Q', L) omni pressures at a time, which per-bin encoders built once turn into its slice of
     gamma-tilde; no (F, Q, Q', L) pressure tensor is held.  With
     ``subtract_direct_pressure`` the free-space direct field (the
     true-source term of the image sum) is left out of the raw omni

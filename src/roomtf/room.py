@@ -125,75 +125,64 @@ def image_lattice(room: RoomModel) -> ImageLattice:
 
 # bins between exact anchors of the phase recurrence in rtf_oracle_blocks
 REANCHOR_INTERVAL = 16
-# anchor tables alive at once in rtf_oracle_blocks, each at most 1 MB
-_TABLES_PER_PASS = 16
-# _PhaseTable spacing h: the largest power of two with k h <= _PHASE_SPACING
-_PHASE_SPACING = 0.03
-# entries per _PhaseTable table: at most 2 ** _TABLE_BITS (1 MB)
-_TABLE_BITS = 16
+# entries N of the phase table _PHASES, e^{2 pi i j / N} for j = 0 ... N - 1
+_PHASE_ENTRIES = 512
+# 2 pi - fl(2 pi): the part of 2 pi that math.tau leaves out
+_TAU_LO = 2.4492935982947064e-16
 
 
-class _PhaseTable:
-    """e^{ikd} for distances 0 <= d <= d_max, from tables of exact values.
+def _phase_table() -> np.ndarray:
+    """e^{2 pi i j / N} for j < N, each within about 1 ulp.
 
-    With h = 2^-p, q = rint(d 2^p) and theta = k (d - q h), e^{ikd} is the
-    tabulated e^{ik qh} times e^{i theta}; |theta| <= k h / 2 <= 0.015, so the
-    Taylor series of cos and sin through theta^7 truncate below 1e-19.  As h
-    is a power of two, d 2^p, q h and d - q h are exact: beyond the rounding
-    of k d that exp(1j k d) also has, the product adds about 2 ulp.  Each
-    table entry takes one exact cos and sin.  A q with more than _TABLE_BITS
-    bits is split into digits, one table and one complex product per digit.
+    The angle is split as j C_hi + j C_lo with C_hi + C_lo = 2 pi / N to about
+    1e-30: C_hi keeps 43 bits, so j C_hi is exact for j < 2^10, and j C_lo
+    (below 3e-13) enters to first order.  A plain cos(fl(2 pi j / N)) would
+    carry the rounding of the angle, about 3 eps at worst.
     """
+    c_hi = math.ldexp(math.floor(math.ldexp(math.tau, 40)), -40) / _PHASE_ENTRIES
+    c_lo = (math.tau - c_hi * _PHASE_ENTRIES + _TAU_LO) / _PHASE_ENTRIES
+    j = np.arange(_PHASE_ENTRIES)
+    cos, sin = np.cos(j * c_hi), np.sin(j * c_hi)
+    table = np.empty(_PHASE_ENTRIES, dtype=complex)
+    table.real, table.imag = cos - sin * (j * c_lo), sin + cos * (j * c_lo)
+    return table
 
-    def __init__(self, k: float, d_max: float):
-        # k d_max < 2^46 keeps every q below 2^53; the floor on p keeps 2^-p finite
-        if not abs(k) * d_max < 2.0 ** 46:
-            raise ConfigurationError(
-                f"phases k d up to {abs(k) * d_max:.3g} rad are beyond double precision"
-            )
-        p = max(math.frexp(abs(k) / _PHASE_SPACING)[1], -64)
-        self.k, self.scale, self.h = k, math.ldexp(1.0, p), math.ldexp(1.0, -p)
-        top = d_max * self.scale + 1.0  # bounds every q, d 2^p rounding included
-        bits = int(top).bit_length()
-        levels = -(-bits // _TABLE_BITS)
-        self.width = -(-bits // levels)
-        self.tables = []
-        for level in range(levels):
-            shift = level * self.width
-            q = np.arange(min(1 << self.width, (int(top) >> shift) + 1))
-            angle = k * (q * math.ldexp(self.h, shift))
-            table = np.empty(q.size, dtype=complex)
-            table.real, table.imag = np.cos(angle), np.sin(angle)
-            self.tables.append(table)
 
-    def __call__(self, d) -> np.ndarray:
-        """e^{ikd} for an array of distances d in [0, d_max]."""
-        theta = d * self.scale
-        q = np.rint(theta)
-        theta -= q
-        theta *= self.h * self.k  # (d 2^p - q) h k: k (d - q h) with one rounding
-        t2 = theta * theta
-        cos = t2 * (-1.0 / 720.0)
-        cos += 1.0 / 24.0
-        cos *= t2
-        cos -= 0.5
-        cos *= t2
-        cos += 1.0
-        sin = t2 * (-1.0 / 5040.0)
-        sin += 1.0 / 120.0
-        sin *= t2
-        sin -= 1.0 / 6.0
-        sin *= t2
-        sin += 1.0
-        sin *= theta
-        out = np.empty(np.shape(d), dtype=complex)
-        out.real, out.imag = cos, sin
-        q = q.astype(np.intp)
-        for table in self.tables[:-1]:  # low digits first
-            out *= table.take(q & ((1 << self.width) - 1))
-            q >>= self.width
-        out *= self.tables[-1].take(q)
-        return out
+_PHASES = _phase_table()
+
+
+def _expi(k: float, d) -> np.ndarray:
+    """e^{ikd} for an array of distances d, as accurate as exp(1j k d).
+
+    With kappa = k N / 2 pi, q = rint(d kappa) and r = (d kappa - q) 2 pi / N,
+    e^{ikd} is the table entry _PHASES[q mod N] times e^{ir}.  As |r| <= pi / N,
+    the Taylor series of cos r through r^6 and sin r through r^5 truncate
+    below 1e-19.  Beyond the rounding of k d that exp(1j k d) also has, the
+    product adds about 2 ulp.  q is exact while k d < 2^46 rad, which
+    rtf_oracle_blocks checks.
+    """
+    r = d * (k * (_PHASE_ENTRIES / math.tau))
+    q = np.rint(r)
+    r -= q
+    r *= math.tau / _PHASE_ENTRIES
+    t2 = r * r
+    cos = t2 * (-1.0 / 720.0)
+    cos += 1.0 / 24.0
+    cos *= t2
+    cos -= 0.5
+    cos *= t2
+    cos += 1.0
+    sin = t2 * (1.0 / 120.0)
+    sin -= 1.0 / 6.0
+    sin *= t2
+    sin += 1.0
+    sin *= r
+    out = np.empty(np.shape(d), dtype=complex)
+    out.real, out.imag = cos, sin
+    index = q.astype(np.intp)
+    index &= _PHASE_ENTRIES - 1  # q mod N, also for a negative q
+    out *= _PHASES.take(index)
+    return out
 
 
 def _uniform_step(ks) -> tuple[float | None, int]:
@@ -223,10 +212,8 @@ def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
     X[b] against Y[b]; an axis of length 1 or a missing axis repeats.  So
     ``omnis[:, :, None]`` against ``speakers[None, None]`` yields each mic
     unit's (F, Q', L) pressures.  Row j of a block is the sum at wavenumber
-    ks[j]; one bin is a one-element ks.  The sources, the image lattice, the
-    distance bound of the phase tables and the tables themselves are set up
-    once per call; a grid that needs more than one pass over the images
-    (see below) rebuilds its anchor tables for every block.
+    ks[j]; one bin is a one-element ks.  The sources, the image lattice and
+    the phase bound are checked and set up once per call.
 
     Within a block, the square (X_a - c)^2 is computed once for each of the
     2P + 1 image coordinates c along each axis a, P the maximum image order;
@@ -237,18 +224,16 @@ def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
     every REANCHOR_INTERVAL-th bin by an exact e^{i k_j d}.  On a lattice grid
     (k_0 = n0 dk, n0 <= REANCHOR_INTERVAL) the first anchor is step^n0, with
     the recurrence's own error.  A grid that is not uniform anchors every bin.
-    Steps and anchors come from a _PhaseTable per wavenumber: a table of exact
-    e^{ik qh} on a power-of-two spacing h, times a short Taylor series, as
-    accurate as exp(1j k d).  The distance bound of the tables is
-    |max |X| per axis| + max |image| over all blocks.  At most
-    _TABLES_PER_PASS anchor tables are alive; a longer grid takes another
-    pass over the images.  ``skip_direct`` leaves out the true-source row,
-    which is the reverberant part alone; the coincidence check still covers
-    it.  That check tests each image's distances only in a block where the
-    per-axis squares' lower bound sum_a min_c (X_a - c)^2 comes within
-    COINCIDENT_DISTANCE.  Besides the block's (F, ...) result and the tables,
-    the temporaries are the 3 (2P + 1) per-axis squares of one block and one
-    image's worth of distances and phases.
+    Steps and anchors come from _expi: an entry of the one wavenumber-free
+    table _PHASES times a short Taylor series, as accurate as exp(1j k d).
+    Its phases k d must stay below 2^46 rad for every k of the grid and every
+    distance up to |max |X| per axis| + max |image|.  ``skip_direct`` leaves
+    out the true-source row, which is the reverberant part alone; the
+    coincidence check still covers it.  That check tests each image's
+    distances only in a block where the per-axis squares' lower bound
+    sum_a min_c (X_a - c)^2 comes within COINCIDENT_DISTANCE.  Besides the
+    block's (F, ...) result, the temporaries are the 3 (2P + 1) per-axis
+    squares of one block and one image's worth of distances and phases.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -259,22 +244,20 @@ def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
     shape = np.broadcast_shapes(X.shape, Y.shape)
     X, Y = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (X, Y))
     lattice = image_lattice(room)
-    # |x - image| <= |x| + |image| bounds every distance the tables take
+    # |x - image| <= |x| + |image| bounds every distance the kernel takes
     d_max = float(np.linalg.norm(np.abs(X.reshape(-1, 3)).max(axis=0, initial=0.0))
                   + np.sqrt((lattice.positions(Y) ** 2).sum(axis=-1)).max())
     X = np.broadcast_to(X, shape[:1] + X.shape[1:])
     coords = lattice.axis_positions(Y)  # (3, 2P + 1, B or 1, ...)
     coords = np.broadcast_to(coords, coords.shape[:2] + shape[:1] + coords.shape[3:])
     dk, n0 = _uniform_step(ks)
-    step_table = None if dk is None else _PhaseTable(dk, d_max)
+    # k d < 2^46 keeps every q of _expi below 2^53, so exact; a NaN fails it too
+    k_top = max(np.abs(ks).max(initial=0.0), abs(dk or 0.0))
+    if not k_top * d_max < 2.0 ** 46:
+        raise ConfigurationError(
+            f"phases k d up to {k_top * d_max:.3g} rad are beyond double precision"
+        )
     anchor_every = 1 if dk is None else REANCHOR_INTERVAL
-    span = anchor_every * _TABLES_PER_PASS
-    passes = [range(start, min(start + span, ks.size)) for start in range(0, ks.size, span)]
-
-    def anchor_tables(bins):
-        return {j: _PhaseTable(ks[j], d_max) for j in bins[::anchor_every] if j or not n0}
-
-    shared = anchor_tables(passes[0]) if len(passes) == 1 else None
 
     def image_sum(b):
         """Block b's (F, ...) sum; its temporaries go when it returns."""
@@ -287,33 +270,30 @@ def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
         check_each = not np.sqrt(nearest.min(initial=math.inf)) >= COINCIDENT_DISTANCE
         d = np.empty(shape[1:-1])
         total = np.zeros((ks.size,) + shape[1:-1], dtype=complex)
-        for bins in passes:
-            anchors = anchor_tables(bins) if shared is None else shared
-            for (ix, iy, iz), amp, order in zip(lattice.pick, lattice.amplitude, lattice.order):
-                np.add(squares[0][ix], squares[1][iy], out=d)
-                d += squares[2][iz]
-                np.sqrt(d, out=d)
-                # the corner-frame round trip moves an image by rounding, so a
-                # receiver on the source can sit a few ulps away from its order-0 image
-                if check_each and np.any(d < COINCIDENT_DISTANCE):
-                    raise ConfigurationError(
-                        "receiver coincides with the source or one of its images"
-                    )
-                if skip_direct and order == 0:
-                    continue
-                weight = amp / (4.0 * math.pi * d)
-                if step_table is not None:
-                    step = step_table(d)
-                for j in bins:
-                    if j == 0 and n0:  # step ** 1 would take numpy's slow general power
-                        phase = weight * (step if n0 == 1 else step ** n0)
-                    elif j in anchors:
-                        phase = anchors[j](d)
-                        phase *= weight
-                    else:
-                        phase *= step
-                    total[j] += phase
-            del anchors  # before the next pass builds its own
+        for (ix, iy, iz), amp, order in zip(lattice.pick, lattice.amplitude, lattice.order):
+            np.add(squares[0][ix], squares[1][iy], out=d)
+            d += squares[2][iz]
+            np.sqrt(d, out=d)
+            # the corner-frame round trip moves an image by rounding, so a
+            # receiver on the source can sit a few ulps away from its order-0 image
+            if check_each and np.any(d < COINCIDENT_DISTANCE):
+                raise ConfigurationError(
+                    "receiver coincides with the source or one of its images"
+                )
+            if skip_direct and order == 0:
+                continue
+            weight = amp / (4.0 * math.pi * d)
+            if dk is not None:
+                step = _expi(dk, d)
+            for j, k in enumerate(ks):
+                if j == 0 and n0:  # step ** 1 would take numpy's slow general power
+                    phase = weight * (step if n0 == 1 else step ** n0)
+                elif j % anchor_every == 0:
+                    phase = _expi(k, d)
+                    phase *= weight
+                else:
+                    phase *= step
+                total[j] += phase
         return total
 
     for b in range(shape[0]):
@@ -325,10 +305,10 @@ def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.
 
     X and Y broadcast: an (n, 3) X against one (3,) source gives n responses
     per bin; X[:, None] against Y[None] gives every receiver-source pair.
-    The one-block case of ``rtf_oracle_blocks``, with the same tables and
-    checks.  Besides the (F, ...) result and the phase tables it holds the
-    3 (2P + 1) per-axis squares, each of the broadcast shape, and one
-    image's worth of distances and phases.
+    The one-block case of ``rtf_oracle_blocks``, with the same kernel and
+    checks.  Besides the (F, ...) result it holds the 3 (2P + 1) per-axis
+    squares, each of the broadcast shape, and one image's worth of distances
+    and phases.
     """
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     return next(rtf_oracle_blocks(room, X[None], Y[None], ks, skip_direct))

@@ -154,7 +154,6 @@ class TestValidateConfig:
     def test_fast_config_valid(self):
         exp = validate_config(fast_config())
         assert exp.design_source_order == 5
-        assert exp.null_order == 5
 
     def test_speaker_aliasing_named(self):
         cfg = replace(fast_config(), arrays=replace(fast_config().arrays, speakers=30))
@@ -272,11 +271,18 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["missing-config", "yaml-syntax", "missing-coeffs",
-                                      "missing-measurements", "unwritable-out"])
-    def test_file_error_exits_2(self, tmp_path, capsys, case):
-        # each of these once ended in a traceback with exit 1
-        good = write_yaml(tmp_path, FAST_YAML)
+                                      "missing-measurements", "unwritable-out",
+                                      "extract-out", "sweep-out", "cond-out"])
+    def test_file_error_exits_2(self, tmp_path, capsys, monkeypatch, fast_artifacts, case):
+        # each of these once ended in a traceback with exit 1; a missing --out
+        # directory fails before any simulation, extraction or sweep
+        for name in ("run_measure", "run_extract", "run_cond"):
+            monkeypatch.setattr(pipeline, name,
+                                lambda *args, name=name: pytest.fail(f"{name} called"))
+        good = write_yaml(tmp_path, FAST_YAML + f"output: {{directory: {tmp_path}/out}}\n")
+        measured = str(Path(fast_artifacts[1]).with_name("m.rtfm"))
         missing = f"file error: [Errno 2] No such file or directory: '{tmp_path}/"
+        bad_out = ["--out", str(tmp_path / "no" / "such" / "x")]
         argv, message = {
             "missing-config": (["measure", "--config", str(tmp_path / "missing.yaml")],
                                missing + "missing.yaml'\n"),
@@ -289,9 +295,11 @@ class TestCli:
             "missing-measurements": (["extract", "--config", good,
                                       "--measurements", str(tmp_path / "missing.rtfm")],
                                      missing + "missing.rtfm'\n"),
-            "unwritable-out": (["measure", "--config", good,
-                                "--out", str(tmp_path / "no" / "such" / "x.rtfm")],
-                               missing + "no/such/x.rtfm'\n"),
+            "unwritable-out": (["measure", "--config", good] + bad_out, missing + "no/such/x'\n"),
+            "extract-out": (["extract", "--config", good, "--measurements", measured] + bad_out,
+                            missing + "no/such/x'\n"),
+            "sweep-out": (["sweep", "--config", good] + bad_out, missing + "no/such/x'\n"),
+            "cond-out": (["cond", "--config", good] + bad_out, missing + "no/such/x'\n"),
         }[case]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(message)

@@ -1,5 +1,6 @@
 """Image-source oracle tests, including a brute-force mirror oracle."""
 
+import math
 import tracemalloc
 
 import mpmath
@@ -11,7 +12,8 @@ from roomtf.modal import WaveContext
 from roomtf.room import (
     REANCHOR_INTERVAL,
     RoomModel,
-    _PhaseTable,
+    _PHASES,
+    _expi,
     _uniform_step,
     image_lattice,
     rtf_oracle_blocks,
@@ -443,10 +445,10 @@ def exact_expi(k, d):
                          for x in np.ravel(d)])
 
 
-def assert_expi_close(table, k, d):
+def assert_expi_close(k, d):
     """The kernel within a few eps (1 + k d) of e^{ikd}, the error of exp(1j k d)."""
     eps = np.finfo(float).eps
-    err = np.abs(table(d) - exact_expi(k, d))
+    err = np.abs(_expi(k, d) - exact_expi(k, d))
     assert np.all(err <= 4 * eps * (1 + abs(k) * d)), err.max()
 
 
@@ -455,41 +457,37 @@ class TestPhaseTable:
 
     D_MAX = 25.0
 
-    def table_and_distances(self, k, seed):
-        """A table to d_max = 25 m + 3h/4, so that rint(d_max 2^p) is one past
-        floor(d_max 2^p), and distances in [0, d_max]: random ones, some
-        d = (q + 1/2) h, where rint rounds to even and |k (d - q h)| is
+    def distances(self, k, seed):
+        """Distances in [0, 25 m]: random ones, some d = (q + 1/2) / kappa with
+        kappa = k N / 2 pi, where rint rounds to even and the residual r is
         largest, and both ends."""
-        d_max = self.D_MAX + 0.75 * _PhaseTable(k, 1.0).h
-        table = _PhaseTable(k, d_max)
+        kappa = k * _PHASES.size / math.tau
         rng = np.random.default_rng(seed)
-        half = (rng.integers(0, int(d_max * table.scale) + 1, 60) + 0.5) * table.h
-        d = np.concatenate([rng.uniform(0.0, d_max, 120), half, [0.0, table.h / 2, d_max]])
-        return table, d[d <= d_max]
+        half = (rng.integers(0, int(self.D_MAX * kappa) + 1, 60) + 0.5) / kappa
+        d = np.concatenate([rng.uniform(0.0, self.D_MAX, 120), half,
+                            [0.0, 0.5 / kappa, self.D_MAX]])
+        return d[d <= self.D_MAX]
 
-    # 1e-310 (f near 1e-308 Hz) is below 0.03 2^-1024, where h = 2^-p would overflow
+    def test_table_entries_match_mpmath(self):
+        # every entry e^{2 pi i j / N} within 2 eps; cos(fl(2 pi j / N)) is not
+        with mpmath.workdps(40):
+            want = np.array([complex(mpmath.expjpi(mpmath.mpf(2 * j) / _PHASES.size))
+                             for j in range(_PHASES.size)])
+        assert np.all(np.abs(_PHASES - want) <= 2 * np.finfo(float).eps)
+
+    # 1e-310 (f near 1e-308 Hz) is subnormal, and so is its kappa
     @pytest.mark.parametrize("k", [1e-310, 0.5, 3.66, 16.49, 146.5, 400.0])
     def test_matches_mpmath(self, k):
-        table, d = self.table_and_distances(k, int(k))
-        assert table.k * table.h <= 0.03
-        assert_expi_close(table, k, d)
-
-    def test_large_span_splits_into_small_tables(self):
-        # at 400 rad/m, h = 2^-14: one table to 25 m would hold 409 601 entries
-        k = 400.0
-        table, d = self.table_and_distances(k, 7)
-        assert self.D_MAX * table.scale > 2 ** 16
-        assert len(table.tables) == 2
-        assert all(t.size <= 2 ** 16 for t in table.tables)
-        assert_expi_close(table, k, d)
+        assert_expi_close(k, self.distances(k, int(k)))
 
     def test_phase_beyond_double_precision_rejected(self):
-        with pytest.raises(ConfigurationError, match="beyond double precision"):
-            _PhaseTable(1e12, 1e3)
+        for ks in ([1e13], [1.0, 1e13], [math.nan]):
+            with pytest.raises(ConfigurationError, match="beyond double precision"):
+                rtf_oracle_grid(reference_room(), np.zeros(3), np.array([1.0, 1.0, 0.5]), ks)
 
     def test_order_six_at_8khz_with_the_farthest_pair_at_the_bound(self):
         # one receiver opposite the source's farthest image: its distance is the
-        # tables' bound |x| + max |image|, so it takes the last table entry
+        # phase bound |x| + max |image|, the largest q the kernel takes
         room = reference_room(6)
         y = np.array([0.8, -1.1, 0.3])
         images = image_lattice(room).positions(y)
@@ -499,10 +497,7 @@ class TestPhaseTable:
         d_max = np.linalg.norm(np.abs(x)) + np.linalg.norm(images, axis=-1).max()
         d_far = np.linalg.norm(x - far)
         assert d_far == pytest.approx(d_max, rel=4 * np.finfo(float).eps)
-        table = _PhaseTable(ctx.k, d_max)
-        assert len(table.tables) == 2 and all(t.size <= 2 ** 16 for t in table.tables)
-        top = int(np.rint(d_far * table.scale)) >> table.width
-        assert top == table.tables[-1].size - 1
+        assert_expi_close(ctx.k, np.array([d_far]))
         got = rtf_oracle_grid(room, x[None], y, [ctx.k])
         assert_bins_close(got, rtf_oracle_many(room, x[None], y, ctx)[None], 1e-12)
 
@@ -522,9 +517,9 @@ class TestPhaseTable:
             rtf_oracle_grid(reference_room(), np.array([[0.0, np.nan, 0.0]]),
                             np.array([1.0, 1.0, 0.5]), wavenumbers([300.0]))
 
-    def test_long_grid_takes_several_passes(self):
-        # 16 tables per pass: a 40-bin non-uniform grid and a 600-bin uniform
-        # one each take three passes over the images
+    def test_long_grids_match_per_bin(self):
+        # a 40-bin non-uniform grid anchors every bin, and a 600-bin uniform one
+        # off the lattice takes 38 exact anchors
         room = reference_room()
         X, Y = TestOracleGrid().pairs(37)
         freqs = 150.0 + 37.5 * np.arange(40) + 1e-3 * np.arange(40) ** 2
@@ -537,9 +532,9 @@ class TestPhaseTable:
         some = np.arange(0, 600, 37)
         assert_bins_close(got[some], per_bin(room, X[:2], Y[:, :2], freqs[some]), 1e-12)
 
-    def test_long_grid_keeps_at_most_16_tables(self):
-        # 48 bins near 4.5 kHz, not uniform: each table has 59 394 entries
-        # (0.9 MB), so 16 at once take 15 MB and all 48 would take 44 MB
+    def test_long_grid_peak_memory_under_1mb(self):
+        # 48 bins near 4.5 kHz, not uniform: 48 anchors, one image at a time,
+        # and one 8 KB table for every wavenumber
         room = reference_room()
         x, y = np.array([0.1, 0.2, 0.3]), np.array([1.0, 1.0, 0.5])
         ks = wavenumbers(4500.0 + 10.0 * np.arange(48) + 0.1 * np.arange(48) ** 2)
@@ -549,4 +544,4 @@ class TestPhaseTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2 ** 20
+        assert peak < 2 ** 20
