@@ -22,6 +22,7 @@ import os
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -226,6 +227,11 @@ class Experiment:
         self.digests = {kind: {key: values[key] for key in keys}
                         for kind, keys in ARTIFACT_DIGESTS.items()}
 
+    @cached_property
+    def speaker_table(self) -> synthesis.SpeakerTable:
+        """The loudspeakers' angular table to the design source order, built on first use."""
+        return synthesis.speaker_table(self.speakers_local, self.design_source_order)
+
     def context(self, frequency: float) -> WaveContext:
         return WaveContext(frequency, self.cfg.signal.sound_speed)
 
@@ -332,7 +338,7 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
     fi = mt.frequency_index(frequency)
     ctx = exp.context(frequency)
     n_s, n_r = exp.effective_orders(frequency)
-    T = synthesis.build_T(exp.speakers_local, exp.design_source_order, ctx)
+    T = synthesis.build_T(exp.speaker_table, exp.design_source_order, ctx)
     W, _ = synthesis.solve_all_weights(
         T, num_modes=(n_s + 1) ** 2, cutoff=cfg.solver.svd_cutoff
     )
@@ -385,18 +391,11 @@ def run_cond(cfg: ExperimentConfig, frequencies=None):
     exp = validate_config(cfg)
     if frequencies is None:
         frequencies = cfg.signal.frequencies
+    ctxs = [exp.context(f) for f in frequencies]
+    orders = [truncation_order(ctx.k, cfg.regions.source_radius) for ctx in ctxs]
     sphere = sphere_array(cfg.arrays.speakers, cfg.regions.source_radius)
-    kappas_shell, kappas_sphere = [], []
-    for f in frequencies:
-        ctx = exp.context(f)
-        order = truncation_order(ctx.k, cfg.regions.source_radius)
-        kappas_shell.append(
-            synthesis.condition_number(synthesis.build_T(exp.speakers_local, order, ctx))
-        )
-        kappas_sphere.append(
-            synthesis.condition_number(synthesis.build_T(sphere, order, ctx))
-        )
-    return np.asarray(frequencies, dtype=float), np.array(kappas_shell), np.array(kappas_sphere)
+    kappa = synthesis.condition_numbers((exp.speakers_local, sphere), orders, ctxs)
+    return np.asarray(frequencies, dtype=float), kappa[:, 0], kappa[:, 1]
 
 
 def write_cond_csv(path, frequencies, kappa_shell, kappa_sphere) -> None:

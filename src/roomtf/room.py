@@ -204,6 +204,14 @@ def _uniform_step(ks) -> tuple[float | None, int]:
     return float(dk), n0 if on_lattice else 0
 
 
+def _check_phase_bound(k: float, d_max: float) -> None:
+    """k d < 2^46 keeps every q of _expi below 2^53, so exact; a NaN or inf k fails it too."""
+    if not k * d_max < 2.0 ** 46:
+        raise ConfigurationError(
+            f"phases k d up to {k * d_max:.3g} rad are beyond double precision"
+        )
+
+
 def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
                       skip_direct: bool = False) -> Iterator[np.ndarray]:
     """Responses (F, ...) at receivers X to unit sources at Y, one block at a time.
@@ -250,13 +258,10 @@ def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
     X = np.broadcast_to(X, shape[:1] + X.shape[1:])
     coords = lattice.axis_positions(Y)  # (3, 2P + 1, B or 1, ...)
     coords = np.broadcast_to(coords, coords.shape[:2] + shape[:1] + coords.shape[3:])
+    # every k is checked before _uniform_step, which must not do arithmetic on a NaN or inf
+    _check_phase_bound(np.abs(ks).max(initial=0.0), d_max)
     dk, n0 = _uniform_step(ks)
-    # k d < 2^46 keeps every q of _expi below 2^53, so exact; a NaN fails it too
-    k_top = max(np.abs(ks).max(initial=0.0), abs(dk or 0.0))
-    if not k_top * d_max < 2.0 ** 46:
-        raise ConfigurationError(
-            f"phases k d up to {k_top * d_max:.3g} rad are beyond double precision"
-        )
+    _check_phase_bound(abs(dk or 0.0), d_max)
     anchor_every = 1 if dk is None else REANCHOR_INTERVAL
 
     def image_sum(b):

@@ -11,10 +11,12 @@ Condon-Shortley phase (``scipy.special.sph_harm_y``),
 so Y = U S with U unitary, pairing rows (n, m) and (n, -m).
 
 ``real_harmonics`` is the table S at Cartesian points, ``real_regular_basis``
-j_n(k|x|) S_nm(x-hat), the one table of T, T', the encoder and the queries;
-every stored coefficient is in this basis.  ``translation`` integrates
-triple products of S exactly on a Gauss-Legendre grid (its real Gaunt
-integrals; the exactness condition is stated there).  The tables read
+j_n(k|x|) S_nm(x-hat), the one table of T', the encoder and the queries;
+``synthesis`` builds T from S and ``bessel_j_rows`` itself, so that one
+angular table serves every frequency.  Every stored coefficient is in this
+basis.  ``translation`` integrates triple products of S exactly on a
+Gauss-Legendre grid (its real Gaunt integrals; the exactness condition is
+stated there).  The tables read
 cos(theta) = z / r and (sin(theta) e^{i phi})^m = ((x + i y) / r)^m from
 the coordinates.  The tests check them against scipy to 1e-13 absolute for
 N <= 25, poles and origin included.  The Legendre part is the forward column
@@ -292,11 +294,12 @@ def _miller_floats(max_order: int, x: np.ndarray, starts: np.ndarray, every: int
     return f
 
 
-def _bessel_j_rows(max_order: int, x) -> np.ndarray:
+def bessel_j_rows(max_order: int, x) -> np.ndarray:
     """j_0 ... j_N at each point, one row per order: shape (N + 1, P).
 
     Row 0 is sin x / x itself (1 at x = 0); the fig2 condition numbers near
-    j_0(kR) = 0 depend on it.
+    j_0(kR) = 0 depend on it.  A column has the same bits alone as in any
+    batch, so callers may batch points of several tables into one call.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
@@ -319,7 +322,7 @@ def _bessel_j_rows(max_order: int, x) -> np.ndarray:
 
 def bessel_j_matrix(max_order: int, x) -> np.ndarray:
     """j_n at each point, repeated per degree: shape ((N+1)^2, P)."""
-    return _bessel_j_rows(max_order, x)[harmonic_orders(max_order)]
+    return bessel_j_rows(max_order, x)[harmonic_orders(max_order)]
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -372,10 +375,10 @@ def real_regular_basis(max_order: int, k: float, points, r) -> np.ndarray:
     N = max_order
     basis = real_harmonics(N, points, r)
     if basis.size <= _GATHER_LIMIT:
-        basis *= _bessel_j_rows(N, k * r)[harmonic_orders(N)]
+        basis *= bessel_j_rows(N, k * r)[harmonic_orders(N)]
         return basis
     # row block by row block, in place: the call never holds two tables
-    j = _bessel_j_rows(N, k * r)
+    j = bessel_j_rows(N, k * r)
     for n in range(N + 1):
         basis[n * n:(n + 1) * (n + 1)] *= j[n]
     return basis
@@ -391,7 +394,7 @@ def hankel_h1_matrix(max_order: int, x) -> np.ndarray:
     if not (x.size == 0 or (x.min() > 0.0 and x.max() < math.inf)):
         raise ValueError("hankel_h1_matrix requires finite x > 0")
     h = np.empty((max_order + 1, x.size), dtype=complex)
-    h.real = _bessel_j_rows(max_order, x)
+    h.real = bessel_j_rows(max_order, x)
     y = h.imag
     inv_x = 1.0 / x
     y[0] = -np.cos(x) * inv_x

@@ -101,12 +101,9 @@ def test_criterion_2_array_conditioning():
     for f in grid:
         ctx = WaveContext(f)
         order = truncation_order(ctx.k, 0.4)
-        kappa_shell.append(
-            synthesis.condition_number(synthesis.build_T(shell, order, ctx))
-        )
-        kappa_sphere.append(
-            synthesis.condition_number(synthesis.build_T(sphere, order, ctx))
-        )
+        for array, kappas in ((shell, kappa_shell), (sphere, kappa_sphere)):
+            T = synthesis.build_T(synthesis.speaker_table(array, order), order, ctx)
+            kappas.append(synthesis.condition_number(T))
     kappa_shell = np.array(kappa_shell)
     kappa_sphere = np.array(kappa_sphere)
     details = []
@@ -258,7 +255,7 @@ def test_criterion_10_mode_matching_fidelity():
     ctx = WaveContext(500.0)
     n_s = truncation_order(ctx.k, 0.4)
     speakers = shell_array(121, 0.4, 0.3, 12345)
-    T = synthesis.build_T(speakers, 10, ctx)
+    T = synthesis.build_T(synthesis.speaker_table(speakers, 10), 10, ctx)
     directions = np.random.default_rng(3).standard_normal((20, 3))
     _, theta, phi = cartesian_to_spherical_arrays(directions)
     probes = 1.5 * directions / np.linalg.norm(directions, axis=1)[:, None]

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
-from roomtf import cli, fileio, pipeline, rtf, synthesis, translation
+from roomtf import cli, fileio, pipeline, rtf, specfun, synthesis, translation
 from roomtf.errors import BesselZeroError, ConfigurationError, DigestMismatchError
-from roomtf.geometry import RegionPair
+from roomtf.geometry import RegionPair, sphere_array
+from roomtf.modal import truncation_order
 from roomtf.pipeline import (
     ArraysConfig,
     Experiment,
@@ -688,6 +689,48 @@ class TestRunCond:
         _, shell, sphere = pipeline.run_cond(cfg, [1000.0, 1100.0])
         assert math.isfinite(shell[0]) and math.isfinite(sphere[0])
         assert shell[1] == math.inf and sphere[1] == math.inf
+
+    def test_sweep_matches_per_bin_matrices_bit_for_bit(self):
+        # unsorted, with orders repeated; the 11 bins of order 7 (602-702 Hz)
+        # take two Bessel batches; 1100 Hz is past the aliasing bound and
+        # 857.5 Hz on the sphere's j0(kR) = 0
+        cfg = load_config(CONFIG_DIR / "fig2_cond.yaml")
+        exp = validate_config(cfg)
+        grid = [857.5, 300.0, 1100.0, 310.0, 205.0, 999.0, 428.5, 300.0]
+        grid += (700.0 - 9.0 * np.arange(11)).tolist()
+        freqs, shell, sphere = pipeline.run_cond(cfg, grid)
+        want = []
+        for f in grid:
+            ctx = exp.context(f)
+            order = truncation_order(ctx.k, cfg.regions.source_radius)
+            for array in (exp.speakers_local, sphere_array(121, 0.4)):
+                T = per_bin_T(array, order, ctx)
+                fresh = synthesis.build_T(synthesis.speaker_table(array, order), order, ctx)
+                assert np.array_equal(fresh, T)
+                want.append(synthesis.condition_number(T))
+        assert np.array_equal(freqs, grid)
+        assert np.array_equal(np.column_stack([shell, sphere]).ravel(), want)
+        assert shell[2] == sphere[2] == math.inf and sphere[0] > 1e10
+
+    def test_extraction_uses_a_fresh_design_order_T(self, monkeypatch):
+        seen = []
+        solve = synthesis.solve_all_weights
+        monkeypatch.setattr(synthesis, "solve_all_weights",
+                            lambda T, *args, **kwargs: seen.append(T) or solve(T, *args, **kwargs))
+        cfg = replace(fast_config(), signal=SignalConfig(f_max=500.0, frequencies=(300.0, 400.0)))
+        exp = validate_config(cfg)
+        mt = run_measure(cfg)
+        for f in cfg.signal.frequencies:
+            pipeline.extract_frequency(exp, mt, f)
+            want = per_bin_T(exp.speakers_local, exp.design_source_order, exp.context(f))
+            assert np.array_equal(seen.pop(), want)
+
+
+def per_bin_T(speakers, order, ctx):
+    """T = k j_n(k|y_l|) S_nm(y_l-hat) as one ``real_regular_basis`` table of its own."""
+    T = specfun.real_regular_basis(order, ctx.k, speakers, np.linalg.norm(speakers, axis=1))
+    T *= ctx.k
+    return T
 
 
 class TestExtractionAccuracy:

@@ -1,9 +1,8 @@
 """Regression anchor: the committed reference outputs regenerate.
 
-The fig5 error sweep and the fig3 field map are recomputed in full.  The fig2
-condition-number sweep is recomputed on a subsample of its 0.5 Hz grid: every
-40th bin plus the bins at and next to the two Bessel-zero peaks.  Nothing
-here writes to ``out/``.
+The fig5 error sweep, the fig3 field map and the fig2 condition-number sweep
+(all 1601 bins of its 0.5 Hz grid) are recomputed in full.  Nothing here
+writes to ``out/``.
 """
 from pathlib import Path
 
@@ -35,9 +34,7 @@ def test_fig5_sweep_regenerates():
 
 def test_fig2_condition_numbers_regenerate():
     ref = read_csv("fig2/cond.csv")
-    rows = np.isin(ref[:, 0], [428.5, 429.0, 857.5])
-    rows[::40] = True
-    ref = ref[rows]
+    assert len(ref) == 1601
     cfg = pipeline.load_config(ROOT / "configs" / "fig2_cond.yaml")
     freqs, kappa_shell, kappa_sphere = pipeline.run_cond(cfg, ref[:, 0])
     got = np.column_stack([freqs, kappa_shell, kappa_sphere])

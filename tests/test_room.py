@@ -485,6 +485,14 @@ class TestPhaseTable:
             with pytest.raises(ConfigurationError, match="beyond double precision"):
                 rtf_oracle_grid(reference_room(), np.zeros(3), np.array([1.0, 1.0, 0.5]), ks)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ks", [[3.0, math.nan], [math.nan, 3.0], [3.0, math.inf]],
+                             ids=["nan-last", "nan-first", "inf-last"])
+    def test_non_finite_wavenumber_in_a_grid_rejected(self, ks):
+        # checked before the grid's spacing is computed from it
+        with pytest.raises(ConfigurationError, match="beyond double precision"):
+            rtf_oracle_grid(reference_room(), np.zeros(3), np.array([1.0, 1.0, 0.5]), ks)
+
     def test_order_six_at_8khz_with_the_farthest_pair_at_the_bound(self):
         # one receiver opposite the source's farthest image: its distance is the
         # phase bound |x| + max |image|, the largest q the kernel takes

@@ -333,6 +333,21 @@ class TestBasisTables:
             one = specfun.real_regular_basis(10, 20.0, points[i:i + 1], r[i:i + 1])
             assert np.array_equal(one[:, 0], batch[:, i])
 
+    @pytest.mark.parametrize("P,top", [(1, 10), (4, 25), (5, 25), (121, 10), (121, 40)],
+                             ids=["1-point", "4-points", "5-points", "121-points",
+                                  "past-gather-limit"])
+    def test_lower_orders_are_leading_rows_of_a_higher_table(self, P, top):
+        # synthesis builds one angular table per array and slices each order
+        # from it: that slice must be the order's own table bit for bit
+        points = np.random.default_rng(P).uniform(-0.4, 0.4, (P, 3))
+        points[:2] = [[0.0, 0.0, 0.0], [0.0, 0.0, -0.3]][:P]  # the origin and a pole
+        r = np.linalg.norm(points, axis=1)
+        full = specfun.real_harmonics(top, points, r)
+        assert (full.size > specfun._GATHER_LIMIT) == (top == 40)
+        for N in range(top):
+            assert np.array_equal(full[:specfun.mode_count(N)],
+                                  specfun.real_harmonics(N, points, r))
+
     def test_real_table_at_origin_and_poles_raises_nothing(self):
         points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.3], [0.0, 0.0, -0.3]])
         with np.errstate(all="raise"):
@@ -449,7 +464,7 @@ class TestFloatLoops:
     @example(N=150, x=[1.0, 1.5, 3.0])
     @example(N=40, x=[0.5, 1.0, 300.0])
     def test_miller_rows(self, N, x):
-        assert same_bits(*self.both_ways(specfun._bessel_j_rows, N, np.array(x)))
+        assert same_bits(*self.both_ways(specfun.bessel_j_rows, N, np.array(x)))
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -17,7 +17,7 @@ SVD_CUTOFF = 1e-10
 
 def shell_at(f, count=121, order=10, seed=12345):
     speakers = shell_array(count, 0.4, 0.3, seed)
-    return synthesis.build_T(speakers, order, WaveContext(f))
+    return synthesis.build_T(synthesis.speaker_table(speakers, order), order, WaveContext(f))
 
 
 def oracle_shell_at(f, count=121, order=10, seed=12345):
@@ -29,7 +29,7 @@ class TestBuildT:
     def test_single_speaker_at_origin(self):
         ctx = WaveContext(500.0)
         speaker = np.zeros((1, 3))
-        T = synthesis.build_T(speaker, 3, ctx)
+        T = synthesis.build_T(synthesis.speaker_table(speaker, 3), 3, ctx)
         assert T.shape == (16, 1)
         expected = 1j * ctx.k / math.sqrt(4 * math.pi)
         T_c = complex_T(speaker, 3, ctx)
@@ -46,7 +46,12 @@ class TestBuildT:
                              ids=["empty", "one-point", "columns"])
     def test_bad_speaker_shapes_rejected(self, speakers):
         with pytest.raises(ConfigurationError, match=r"\(L >= 1, 3\) array"):
-            synthesis.build_T(speakers, 3, WaveContext(500.0))
+            synthesis.speaker_table(speakers, 3)
+
+    def test_order_above_the_table_rejected(self):
+        table = synthesis.speaker_table(shell_array(121, 0.4, 0.3, 12345), 0)
+        with pytest.raises(ValueError, match="order-1 T needs 4 rows"):
+            synthesis.build_T(table, 1, WaveContext(500.0))
 
     def test_reference_shape(self):
         T = shell_at(1000.0)
@@ -202,6 +207,6 @@ class TestConditionNumber:
         f = 857.5
         ctx = WaveContext(f)
         order = truncation_order(ctx.k, 0.4)
-        sphere = synthesis.build_T(sphere_array(121, 0.4), order, ctx)
-        shell = synthesis.build_T(shell_array(121, 0.4, 0.3, 12345), order, ctx)
+        sphere, shell = (synthesis.build_T(synthesis.speaker_table(a, order), order, ctx)
+                         for a in (sphere_array(121, 0.4), shell_array(121, 0.4, 0.3, 12345)))
         assert synthesis.condition_number(sphere) > 10 * synthesis.condition_number(shell)
