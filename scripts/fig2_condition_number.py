@@ -18,6 +18,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from roomtf import pipeline  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+# a relative output.directory is read from the repository root, not the
+# working directory
+ROOT = os.path.dirname(HERE)
 ROUNDING_KAPPA = 1e10
 
 
@@ -26,8 +29,9 @@ def main():
     start = time.perf_counter()
     freqs, kappa_shell, kappa_sphere = pipeline.run_cond(cfg)
     seconds = time.perf_counter() - start
-    os.makedirs(cfg.output.directory, exist_ok=True)
-    out = os.path.join(cfg.output.directory, "cond.csv")
+    out_dir = os.path.join(ROOT, cfg.output.directory)
+    os.makedirs(out_dir, exist_ok=True)
+    out = os.path.join(out_dir, "cond.csv")
     pipeline.write_cond_csv(out, freqs, kappa_shell, kappa_sphere)
     print(f"wrote {out}: {freqs.size} bins, sweep wall time {seconds:.1f} s")
     for target in (420.0, 850.0):

@@ -19,6 +19,9 @@ from roomtf import pipeline, rtf  # noqa: E402
 from roomtf.room import rtf_oracle_grid  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+# a relative output.directory is read from the repository root, not the
+# working directory
+ROOT = os.path.dirname(HERE)
 DEFAULT_CONFIG = os.path.join(HERE, "..", "configs", "fig3_nonoverlap.yaml")
 
 
@@ -51,8 +54,9 @@ def main():
         [exp.context(args.frequency).k],
     )[0]
 
-    os.makedirs(cfg.output.directory, exist_ok=True)
-    out = os.path.join(cfg.output.directory, "field_map.csv")
+    out_dir = os.path.join(ROOT, cfg.output.directory)
+    os.makedirs(out_dir, exist_ok=True)
+    out = os.path.join(out_dir, "field_map.csv")
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "re_est", "im_est", "re_oracle", "im_oracle", "abs_dev"])

@@ -16,6 +16,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from roomtf import pipeline  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+# a relative output.directory is read from the repository root, not the
+# working directory
+ROOT = os.path.dirname(HERE)
 
 
 def main():
@@ -26,8 +29,9 @@ def main():
     cset = pipeline.run_extract(cfg, mt)
     extracted = time.perf_counter()
     errors = pipeline.sweep_errors(cfg, cset)
-    os.makedirs(cfg.output.directory, exist_ok=True)
-    out = os.path.join(cfg.output.directory, "sweep.csv")
+    out_dir = os.path.join(ROOT, cfg.output.directory)
+    os.makedirs(out_dir, exist_ok=True)
+    out = os.path.join(out_dir, "sweep.csv")
     pipeline.write_sweep_csv(out, cset.frequencies, errors)
     print(f"wrote {out}: {cset.frequencies.size} bins, measure {measured - start:.2f} s, "
           f"extract {extracted - measured:.2f} s")

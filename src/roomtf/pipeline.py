@@ -232,6 +232,14 @@ class Experiment:
         """The loudspeakers' angular table to the design source order, built on first use."""
         return synthesis.speaker_table(self.speakers_local, self.design_source_order)
 
+    @cached_property
+    def direct_table(self) -> recording.DirectTable:
+        """Unit-to-loudspeaker distances and angles of the direct field, built on first use.
+
+        Only the coefficient-domain direct removal reads it.
+        """
+        return recording.direct_table(self.speakers_room, self.mics)
+
     def context(self, frequency: float) -> WaveContext:
         return WaveContext(frequency, self.cfg.signal.sound_speed)
 
@@ -344,7 +352,7 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
     )
     direct = None
     if cfg.solver.direct_removal == "coefficient":
-        direct = recording.direct_coefficients_per_speaker(exp.speakers_room, exp.mics, ctx)
+        direct = recording.direct_coefficients_per_speaker(exp.direct_table, ctx)
     gamma = recording.compose_all_modes(mt, fi, W, direct)
     keep = specfun.harmonic_orders(exp.mics.spec.order) <= int(mt.mask_orders[fi])
     Tp = translation.build_T_prime(exp.mics, n_r, ctx, keep)

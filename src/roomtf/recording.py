@@ -15,6 +15,16 @@ and fit order A this coincides with the discrete orthogonality projection
 (each orthogonality sum is the normal-equation form of the same fit), but the
 fit stays exact when Q' or the fit order is raised, which the shipped configs
 use to suppress leakage from orders just above A.
+
+The encoder is factored (Rafaely, IEEE Trans. Speech Audio Process. 13,
+2005).  It relies on every omni of a unit sitting on one sphere of radius r,
+which ``MicArray`` enforces to 1e-12 relative: the model j_n(kr) S is then
+S^T D with D = diag j_n(kr), and its pseudoinverse is D^-1 pinv(S^T).  So
+``angular_encoder`` takes one pseudoinverse of the angular table per
+measurement, and each bin divides its kept rows by j_n(kr) from one Bessel
+call, which also checks them for zeros.  The direct field's distances and
+angular table (``direct_table``) do not depend on frequency either; a run
+builds them once, and each bin multiplies them by i k h_n(k|R|).
 """
 from __future__ import annotations
 
@@ -169,9 +179,9 @@ def default_mask_order(spec: HoMicSpec, ctx: WaveContext) -> int:
     return min(spec.order, truncation_order(ctx.k, spec.local_radius))
 
 
-def _check_bessel_zeros(spec: HoMicSpec, ctx: WaveContext, mask_order: int) -> None:
-    j = specfun.bessel_j_matrix(mask_order, [ctx.k * spec.local_radius])
-    zeros = np.flatnonzero(np.abs(j[np.arange(mask_order + 1) ** 2, 0]) < BESSEL_ZERO_THRESHOLD)
+def _check_bessel_zeros(bessel: np.ndarray, ctx: WaveContext) -> None:
+    """Raise BesselZeroError if a kept order's j_a(kr), rows of ``bessel``, is near zero."""
+    zeros = np.flatnonzero(np.abs(bessel) < BESSEL_ZERO_THRESHOLD)
     if zeros.size:
         raise BesselZeroError(
             f"local mode a = {zeros[0]} sits on a Bessel zero at f = "
@@ -180,20 +190,35 @@ def _check_bessel_zeros(spec: HoMicSpec, ctx: WaveContext, mask_order: int) -> N
         )
 
 
-def local_encoding_matrix(spec: HoMicSpec, offsets: np.ndarray, ctx: WaveContext,
-                          mask_order: int) -> np.ndarray:
-    """((A+1)^2, Q') map from omni pressures at ``offsets`` (Q', 3) to local coefficients.
+def angular_encoder(spec: HoMicSpec, offsets: np.ndarray) -> np.ndarray:
+    """((A+1)^2, Q') frequency-independent part of the encoder for omnis at ``offsets`` (Q', 3).
 
-    The real pseudoinverse of the order-``fit_order`` fit on the real table,
-    truncated to order A: coefficients in the real basis S.  Rows above
-    ``mask_order`` are zero, so their coefficients come out exactly zero; a
+    pinv(S^T), with S the real harmonics to ``fit_order`` at the offsets,
+    truncated to order A.  Every omni of a unit sits on one sphere of radius
+    r (``MicArray`` holds them there to 1e-12), so the order-``fit_order``
+    model is S^T D with D = diag j_n(kr), and for a fit of full column rank
+    pinv(S^T D) = D^-1 pinv(S^T): the encoder at a bin is this table with
+    row n divided by j_n(kr).
+    """
+    r = np.linalg.norm(offsets, axis=1)
+    harmonics = specfun.real_harmonics(spec.effective_fit_order, offsets, r)
+    return np.linalg.pinv(harmonics.T)[: specfun.mode_count(spec.order)]
+
+
+def local_encoding_matrix(spec: HoMicSpec, angular: np.ndarray, ctx: WaveContext,
+                          mask_order: int) -> np.ndarray:
+    """((A+1)^2, Q') map from omni pressures to local coefficients in the real basis S.
+
+    ``angular`` is the ``angular_encoder`` of the unit's omnis; its rows up
+    to ``mask_order`` are divided by j_n(k r) at the spec's local radius, and
+    rows above it are zero, so their coefficients come out exactly zero.  A
     kept order on a Bessel zero raises BesselZeroError.
     """
-    _check_bessel_zeros(spec, ctx, mask_order)
-    r = np.linalg.norm(offsets, axis=1)
-    model = specfun.real_regular_basis(spec.effective_fit_order, ctx.k, offsets, r)
-    enc = np.linalg.pinv(model.T)[: specfun.mode_count(spec.order)]
-    enc[specfun.harmonic_orders(spec.order) > mask_order] = 0.0
+    bessel = specfun.bessel_j_rows(mask_order, [ctx.k * spec.local_radius])[:, 0]
+    _check_bessel_zeros(bessel, ctx)
+    kept = specfun.mode_count(mask_order)
+    enc = np.zeros_like(angular)
+    np.divide(angular[:kept], bessel[specfun.harmonic_orders(mask_order), None], out=enc[:kept])
     return enc
 
 
@@ -210,7 +235,8 @@ def simulate_raw_measurements(
     ``speakers`` is an (L, 3) Cartesian array in room (analysis-frame)
     coordinates.  The whole frequency grid is simulated in one image-source
     pass: ``rtf_oracle_blocks`` sets up the image lattice once and yields
-    one mic unit's (F, Q', L) omni pressures at a time, which per-bin encoders built once turn into its slice of
+    one mic unit's (F, Q', L) omni pressures at a time, which the per-bin
+    encoders, scaled from one angular encoder, turn into its slice of
     gamma-tilde; no (F, Q, Q', L) pressure tensor is held.  With
     ``subtract_direct_pressure`` the free-space direct field (the
     true-source term of the image sum) is left out of the raw omni
@@ -225,9 +251,9 @@ def simulate_raw_measurements(
     Q, L = omnis.shape[0], speakers.shape[0]
     room.check_inside(omnis.reshape(-1, 3), "microphone sensor")
     masks = np.array([default_mask_order(mics.spec, ctx) for ctx in ctxs], dtype=int)
+    angular = angular_encoder(mics.spec, mics.local_offsets)
     encoders = np.stack([  # (F, (A+1)^2, Q'), Bessel zeros checked before any oracle work
-        local_encoding_matrix(mics.spec, mics.local_offsets, ctx, mask)
-        for ctx, mask in zip(ctxs, masks)
+        local_encoding_matrix(mics.spec, angular, ctx, mask) for ctx, mask in zip(ctxs, masks)
     ])
     ks = np.array([ctx.k for ctx in ctxs])
     gamma_tilde = np.empty((frequencies.size, Q, L, encoders.shape[1]), dtype=complex)
@@ -262,20 +288,40 @@ def compose_all_modes(mt: MeasurementTensor, f_index: int, weight_matrix: np.nda
     return composed.transpose(0, 2, 1)
 
 
-def direct_coefficients_per_speaker(speakers: np.ndarray, mics: MicArray,
-                                    ctx: WaveContext) -> np.ndarray:
-    """Analytic incident coefficients of each speaker's direct field: (Q, L, C).
+@dataclass(frozen=True)
+class DirectTable:
+    """The frequency-independent part of the direct-field coefficients.
 
-    gamma_ab = i k h_a(k R_ql) S_ab(R_ql-hat) in the real local basis, for
-    the vector R_ql from mic center q to speaker l; in the complex basis it is
-    i k h_a conj(Y_ab).  Requires every speaker strictly outside each
-    microphone's local region for the expansion to converge at the sensors.
+    One column per (unit q, loudspeaker l) pair, q-major: the distance
+    |R_ql| and the real harmonics S_ab(R_ql-hat) to the mic order.
+    """
+
+    distances: np.ndarray  # (Q L,)
+    harmonics: np.ndarray  # ((A+1)^2, Q L)
+    num_units: int
+
+
+def direct_table(speakers: np.ndarray, mics: MicArray) -> DirectTable:
+    """The ``DirectTable`` of loudspeakers (L, 3) seen from each unit center of ``mics``.
+
+    Requires every speaker strictly outside each microphone's local region
+    for the expansion to converge at the sensors.
     """
     speakers = np.asarray(speakers, dtype=float)
     rel = (speakers[None, :, :] - mics.unit_centers[:, None, :]).reshape(-1, 3)
     r = np.linalg.norm(rel, axis=1)
     if np.any(r < 1e-12):
         raise ValueError("loudspeaker coincides with a microphone unit center")
-    A = mics.spec.order
-    coeffs = 1j * ctx.k * specfun.hankel_h1_matrix(A, ctx.k * r) * specfun.real_harmonics(A, rel, r)
-    return coeffs.T.reshape(mics.num_units, speakers.shape[0], -1)
+    return DirectTable(r, specfun.real_harmonics(mics.spec.order, rel, r), mics.num_units)
+
+
+def direct_coefficients_per_speaker(table: DirectTable, ctx: WaveContext) -> np.ndarray:
+    """Analytic incident coefficients of each speaker's direct field: (Q, L, C).
+
+    gamma_ab = i k h_a(k R_ql) S_ab(R_ql-hat) in the real local basis, for
+    the vector R_ql from mic center q to speaker l; in the complex basis it is
+    i k h_a conj(Y_ab).  Only the Hankel rows depend on the bin.
+    """
+    A = math.isqrt(table.harmonics.shape[0]) - 1
+    coeffs = 1j * ctx.k * specfun.hankel_h1_matrix(A, ctx.k * table.distances) * table.harmonics
+    return coeffs.T.reshape(table.num_units, -1, coeffs.shape[0])

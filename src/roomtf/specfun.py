@@ -34,28 +34,33 @@ built by repeated products.
 
 The Bessel and Hankel tables evaluate every order 0 ... N at every point in
 one sweep, then repeat each order over its 2n + 1 degrees.  Row 0 is always
-sin x / x itself (1 at x = 0).  For x < 1 (``SERIES_LIMIT``) j_n is its power
-series
+sin x / x itself (1 at x = 0).  Each point takes one of three branches by
+its own x alone, so one point gives the same row alone as in a batch.  For
+x < 1 (``SERIES_LIMIT``) j_n is its power series
 
     j_n(x) = x^n / (2n+1)!! sum_k (-x^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1)),
 
 8 terms, which gives exactly (1, 0, ..., 0) at x = 0 and underflows to 0
-quietly for tiny x.  For x >= 1, j_n comes from Miller's algorithm (DLMF
-3.6(iii)) on j_{n-1} = (2n+1)/x j_n - j_{n+1} (DLMF 10.51.1): from 1 at the
-start index M = max(N, x) + 8 max(N, x)^(1/3) + 2, zero above, down to
-n = 0, then normalized to whichever of j_0 = sin x / x and
-j_1 = (j_0 - cos x) / x is larger.  Past the turning point n ~ x the minimal
-solution j_n falls off within a few x^(1/3) orders, and the margin
-8 m^(1/3) + 2 puts j_M / y_M below 1e-17 relative to j_N / y_N; every point
-has its own start, so one point gives the same row alone as in a batch, and
-a column that grows past 2^600 is scaled by an exact 2^-600, so small and
-large x share a call without overflow.  y_n runs upward from y_0 = -cos x / x
-and y_1, the stable direction for the dominant solution.
+quietly for tiny x.  For x > N + 1 every order lies below the turning point
+n ~ x, where the upward recurrence j_{n+1} = (2n+1)/x j_n - j_{n-1}
+(DLMF 10.51.1) is stable (Gautschi, SIAM Review 9, 1967): N steps from
+j_0 = sin x / x and j_1 = (j_0 - cos x) / x, within 1.2e-16 absolute of
+40-digit values for N <= 40, x <= 300.  For 1 <= x <= N + 1, j_n comes
+from Miller's algorithm (DLMF 3.6(iii)) on the same recurrence run down:
+from 1 at the start index M = max(N, x) + 8 max(N, x)^(1/3) + 2, zero
+above, down to n = 0, then normalized to whichever of j_0 and j_1 is
+larger.  Past the turning point the minimal solution j_n falls off within a
+few x^(1/3) orders, and the margin 8 m^(1/3) + 2 puts j_M / y_M below 1e-17
+relative to j_N / y_N; as x <= N + 1 there, M stays below
+N + 1 + 8 (N + 1)^(1/3) + 2 whatever the largest x of the call, and a
+column that grows past 2^600 is scaled by an exact 2^-600, so small x and
+high orders share a call without overflow.  y_n runs upward from
+y_0 = -cos x / x and y_1, the stable direction for the dominant solution.
 
 A table of at most _SCALAR_LIMIT = 4 points, such as the two points of a
-one-pair query, runs the Legendre and Miller recursions one point at a time
-on Python floats: there numpy's fixed cost per call, paid on each of the
-N Legendre steps and the M Miller steps (29 at N = 10), outweighs the
+one-pair query, runs the Legendre, Miller and upward recursions one point at
+a time on Python floats: there numpy's fixed cost per call, paid on each of
+the N Legendre steps and the M Miller steps (29 at N = 10), outweighs the
 arithmetic.  Each entry takes the same operations in the same order as in
 the array loops, so both give the same bits.  Timed against the array loops
 (2-core x86 VM), the Python loops built the whole j_n S_nm table faster up
@@ -66,8 +71,7 @@ Tested domain: N <= 40 and 0 <= x <= 300.  Against 40-digit values j_n is
 within 1e-15 absolute everywhere; against scipy within 1e-12 relative for
 |j_n| > 1e-290 away from a zero (5 % of the envelope |h_n|), and y_n within
 1e-13 relative wherever scipy's y_N is finite.  Near the zeros of an order
-n < x the error stays absolute, about (x + N) ulp of the envelope, since the
-sweep passes through every order below the start.
+n < x the error stays absolute, a few ulp of the envelope.
 """
 from __future__ import annotations
 
@@ -197,7 +201,7 @@ def _legendre_floats(max_order: int, t: np.ndarray) -> np.ndarray:
 
 
 # j_n below this argument comes from its power series, at or above it from
-# the downward recurrence; _SERIES_TERMS terms of the series reach 1 ulp there
+# a recurrence; _SERIES_TERMS terms of the series reach 1 ulp there
 SERIES_LIMIT = 1.0
 _SERIES_TERMS = 8
 # start index max(N, x) + _START_SLOPE * max(N, x)^(1/3) + _START_PAD
@@ -231,7 +235,7 @@ def _series_rows(max_order: int, x: np.ndarray) -> np.ndarray:
 
 
 def _miller_rows(max_order: int, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
-    """j_0 ... j_N (N >= 1) at x >= 1 by Miller's downward recurrence.
+    """j_0 ... j_N (N >= 1) at 1 <= x <= N + 1 by Miller's downward recurrence.
 
     Each column starts from f = 1 at its own start index (zeros above) and
     runs f_{n-1} = (2n+1)/x f_n - f_{n+1} down to n = 0, so a column's result
@@ -294,28 +298,66 @@ def _miller_floats(max_order: int, x: np.ndarray, starts: np.ndarray, every: int
     return f
 
 
+def _upward_rows(max_order: int, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
+    """j_0 ... j_N (N >= 1) at x > N + 1 by the upward recurrence.
+
+    From j_0 = sin x / x and j_1 = (j_0 - cos x) / x, each step is
+    j_{n+1} = j_n ((2n+1)/x) - j_{n-1} (DLMF 10.51.1), the stable direction
+    below the turning point n ~ x.  Up to _SCALAR_LIMIT points the loop runs
+    on Python floats, with the same operations in the same order.
+    """
+    j1 = (j0 - np.cos(x)) / x
+    j = np.empty((max_order + 1, x.size))
+    if x.size <= _SCALAR_LIMIT:
+        for i, (xi, below, here) in enumerate(zip(x.tolist(), j0.tolist(), j1.tolist())):
+            col = [below, here]
+            for n in range(1, max_order):
+                below, here = here, here * ((2.0 * n + 1.0) / xi) - below
+                col.append(here)
+            j[:, i] = col
+        return j
+    j[0], j[1] = j0, j1
+    for n in range(1, max_order):
+        np.multiply(j[n], (2.0 * n + 1.0) / x, out=j[n + 1])
+        j[n + 1] -= j[n - 1]
+    return j
+
+
 def bessel_j_rows(max_order: int, x) -> np.ndarray:
     """j_0 ... j_N at each point, one row per order: shape (N + 1, P).
 
     Row 0 is sin x / x itself (1 at x = 0); the fig2 condition numbers near
-    j_0(kR) = 0 depend on it.  A column has the same bits alone as in any
-    batch, so callers may batch points of several tables into one call.
+    j_0(kR) = 0 depend on it.  Points with x < 1 take the series, points
+    with x > N + 1 the upward recurrence and the rest Miller's; a call whose
+    points all fall in one branch, read from x.min() and x.max(), takes no
+    mask.  A column has the same bits alone as in any batch, so callers may
+    batch points of several tables into one call.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("spherical Bessel tables require finite x >= 0")
-    N = max(max_order, 1)  # the normalization reads rows 0 and 1
+    N = max(max_order, 1)  # the normalization and the upward start read rows 0 and 1
     j0 = np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0.0)
-    small = x < SERIES_LIMIT
     with np.errstate(under="ignore"):
-        if small.all():
+        if hi < SERIES_LIMIT:
             j = _series_rows(N, x)
-        elif not small.any():
+        elif lo > N + 1:
+            j = _upward_rows(N, x, j0)
+        elif lo >= SERIES_LIMIT and hi <= N + 1:
             j = _miller_rows(N, x, j0)
-        else:
+        else:  # two or three branches; a mask only for the branches x.min()/x.max() reach
             j = np.empty((N + 1, x.size))
-            j[:, small] = _series_rows(N, x[small])
-            j[:, ~small] = _miller_rows(N, x[~small], j0[~small])
+            middle = x >= SERIES_LIMIT
+            if lo < SERIES_LIMIT:
+                small = ~middle
+                j[:, small] = _series_rows(N, x[small])
+            if hi > N + 1:
+                large = x > N + 1
+                j[:, large] = _upward_rows(N, x[large], j0[large])
+                middle &= ~large
+            if middle.any():
+                j[:, middle] = _miller_rows(N, x[middle], j0[middle])
     j[0] = j0
     return j[:max_order + 1]
 

@@ -73,10 +73,14 @@ def s_hat_blocks(local_order: int, col_order: int, displacements: np.ndarray,
     rows, starts, basis, coeffs = _real_term_table(local_order, col_order)
     displacements = np.reshape(displacements, (-1, 3))
     r = np.linalg.norm(displacements, axis=1)
-    table = specfun.real_regular_basis(local_order + col_order, ctx.k, displacements, r).T
+    table = specfun.real_regular_basis(local_order + col_order, ctx.k, displacements, r)
+    # (terms, P), summed over each entry's run of terms along axis 0, so the
+    # inner loops run over the contiguous points axis
+    terms = np.take(table, basis, axis=0)
+    terms *= coeffs[:, None]
     shape = (specfun.mode_count(local_order), specfun.mode_count(col_order))
     blocks = np.zeros((r.size, shape[0] * shape[1]))
-    blocks[:, rows] = np.add.reduceat(table[:, basis] * coeffs, starts, axis=1)
+    blocks[:, rows] = np.add.reduceat(terms, starts).T
     return blocks.reshape(r.size, *shape)
 
 

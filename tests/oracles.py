@@ -19,6 +19,12 @@ Each function is the plain per-point or per-bin formula, so a batched path in
   ``cartesian_to_spherical_arrays`` the angles the tables need; the library
   reads its angles from the coordinates and stores every coefficient in the
   real basis S.
+* ``pinv_encoding_matrix`` is the encoder as one least-squares fit per
+  bin, the pseudoinverse of the j_n(k r_i) S table at each omni's own
+  radius, ``per_bin_direct_coefficients`` the direct-field coefficients
+  with every table rebuilt per bin, and ``s_hat_blocks_across`` the S-hat
+  blocks summed across the terms axis of the transposed table;
+  ``recording`` and ``translation`` factor or reorder each of these.
 * The field evaluators work on plain coefficient arrays in flat (n, m)
   order, of length (N+1)^2; N is read back from the length.  Points are
   Cartesian; the harmonics come from scipy, the Bessel rows from the
@@ -30,8 +36,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from roomtf import specfun
-from roomtf.errors import ConfigurationError
+from roomtf import specfun, translation
+from roomtf.errors import BesselZeroError, ConfigurationError
 from roomtf.modal import COINCIDENT_DISTANCE, WaveContext
 from roomtf.room import RoomModel, image_lattice
 
@@ -244,3 +250,41 @@ def interior_basis(max_order: int, points, ctx: WaveContext) -> np.ndarray:
     """Matrix of j_n(kr) Y_nm at each Cartesian point: shape ((N+1)^2, P)."""
     r, theta, phi = cartesian_to_spherical_arrays(points)
     return specfun.bessel_j_matrix(max_order, ctx.k * r) * harmonics(max_order, theta, phi)
+
+
+def pinv_encoding_matrix(spec, offsets, ctx: WaveContext, mask_order: int) -> np.ndarray:
+    """((A+1)^2, Q') encoder: the pseudoinverse of the order-``fit_order`` j_n S fit, per bin.
+
+    Rows above ``mask_order`` are zero; a kept order on a Bessel zero raises
+    BesselZeroError.
+    """
+    j = specfun.bessel_j_rows(mask_order, [ctx.k * spec.local_radius])[:, 0]
+    if np.any(np.abs(j) < 1e-8):
+        raise BesselZeroError(f"a kept order sits on a Bessel zero at {ctx.frequency} Hz")
+    r = np.linalg.norm(offsets, axis=1)
+    model = specfun.real_regular_basis(spec.effective_fit_order, ctx.k, offsets, r)
+    enc = np.linalg.pinv(model.T)[: specfun.mode_count(spec.order)]
+    enc[specfun.harmonic_orders(spec.order) > mask_order] = 0.0
+    return enc
+
+
+def per_bin_direct_coefficients(speakers, mics, ctx: WaveContext) -> np.ndarray:
+    """i k h_a(k R_ql) S_ab(R_ql-hat) for every unit q and loudspeaker l, built in one bin: (Q, L, C)."""
+    speakers = np.asarray(speakers, dtype=float)
+    rel = (speakers[None, :, :] - mics.unit_centers[:, None, :]).reshape(-1, 3)
+    r = np.linalg.norm(rel, axis=1)
+    A = mics.spec.order
+    coeffs = 1j * ctx.k * specfun.hankel_h1_matrix(A, ctx.k * r) * specfun.real_harmonics(A, rel, r)
+    return coeffs.T.reshape(mics.num_units, speakers.shape[0], -1)
+
+
+def s_hat_blocks_across(local_order: int, col_order: int, displacements, ctx: WaveContext):
+    """Real S-hat blocks (P, (A+1)^2, (V+1)^2), each entry's terms summed along axis 1 of (P, terms)."""
+    rows, starts, basis, coeffs = translation._real_term_table(local_order, col_order)
+    displacements = np.reshape(displacements, (-1, 3))
+    r = np.linalg.norm(displacements, axis=1)
+    table = specfun.real_regular_basis(local_order + col_order, ctx.k, displacements, r).T
+    shape = (specfun.mode_count(local_order), specfun.mode_count(col_order))
+    blocks = np.zeros((r.size, shape[0] * shape[1]))
+    blocks[:, rows] = np.add.reduceat(table[:, basis] * coeffs, starts, axis=1)
+    return blocks.reshape(r.size, *shape)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from roomtf import cli, fileio, pipeline, rtf, specfun, synthesis, translation
+from roomtf import cli, fileio, pipeline, recording, rtf, specfun, synthesis, translation
 from roomtf.errors import BesselZeroError, ConfigurationError, DigestMismatchError
 from roomtf.geometry import RegionPair, sphere_array
 from roomtf.modal import truncation_order
@@ -679,6 +679,21 @@ class TestSolverSettings:
         cfg = fast_config(svd_cutoff=1e-6)
         pipeline.run_extract(cfg, run_measure(cfg))
         assert seen == {"solve_all_weights": 1e-6, "solve_alpha_all": 1e-6}
+
+
+class TestPerRunTables:
+    @pytest.mark.parametrize("removal,builds", [("coefficient", 1), ("measurement", 0)])
+    def test_direct_table_built_once_per_extraction(self, monkeypatch, removal, builds):
+        calls = []
+        build = recording.direct_table
+        monkeypatch.setattr(recording, "direct_table",
+                            lambda *args: calls.append(args) or build(*args))
+        cfg = replace(fast_config(direct_removal=removal),
+                      signal=SignalConfig(f_max=500.0, frequencies=(300.0, 400.0, 500.0)))
+        mt = run_measure(cfg)
+        pipeline.run_extract(cfg, mt)
+        pipeline.run_extract(cfg, mt)
+        assert len(calls) == 2 * builds
 
 
 class TestRunCond:

@@ -11,9 +11,11 @@ from roomtf.modal import WaveContext
 from roomtf.recording import (
     HoMicSpec,
     MicArray,
+    angular_encoder,
     compose_all_modes,
     default_mask_order,
     direct_coefficients_per_speaker,
+    direct_table,
     local_encoding_matrix,
     make_mic_array,
     mic_radius,
@@ -23,8 +25,10 @@ from roomtf.room import RoomModel
 
 from oracles import (
     cartesian_to_spherical_arrays,
+    per_bin_direct_coefficients,
     harmonics,
     interior_basis,
+    pinv_encoding_matrix,
     rtf_oracle_many,
     unitary_U,
 )
@@ -40,7 +44,8 @@ def encode(mics, pressures, ctx, mask_order=None):
     """Omni pressures (Q, Q', ...) -> local coefficients (Q, ..., (A+1)^2)."""
     if mask_order is None:
         mask_order = default_mask_order(mics.spec, ctx)
-    enc = local_encoding_matrix(mics.spec, mics.local_offsets, ctx, mask_order)
+    enc = local_encoding_matrix(mics.spec, angular_encoder(mics.spec, mics.local_offsets), ctx,
+                                mask_order)
     return np.tensordot(pressures, enc, axes=([1], [1]))  # sensor-mode last
 
 
@@ -144,14 +149,52 @@ class TestLocalEncoding:
         mics = make_mic_array(1, 0.2, spec)
         f = 343.0 / (2 * spec.local_radius)  # k r = pi, a Bessel zero of j_0
         with pytest.raises(BesselZeroError, match="a = 0"):
-            local_encoding_matrix(spec, mics.local_offsets, WaveContext(f), 0)
+            local_encoding_matrix(spec, angular_encoder(spec, mics.local_offsets),
+                                  WaveContext(f), 0)
 
     def test_higher_order_bessel_zero_named(self):
         spec = reference_mic_spec()
         mics = make_mic_array(1, 0.2, spec)
         f = 4.493409457909064 * 343.0 / (2 * math.pi * spec.local_radius)  # first zero of j_1
         with pytest.raises(BesselZeroError, match="a = 1 sits on a Bessel zero"):
-            local_encoding_matrix(spec, mics.local_offsets, WaveContext(f), 2)
+            local_encoding_matrix(spec, angular_encoder(spec, mics.local_offsets),
+                                  WaveContext(f), 2)
+
+
+class TestFactoredEncoder:
+    """One angular encoder per array, scaled per bin, against one pinv per bin."""
+
+    @pytest.mark.parametrize("omnis,fit", [(49, 5), (16, 3), (36, 4)])
+    @pytest.mark.parametrize("f", [150.0, 300.0, 650.0, 900.0, 1600.0])
+    def test_matches_the_per_bin_pseudoinverse(self, omnis, fit, f):
+        spec = reference_mic_spec(omnis, fit)
+        mics = make_mic_array(2, 0.25, spec)
+        ctx = WaveContext(f)
+        angular = angular_encoder(spec, mics.local_offsets)
+        r = np.linalg.norm(mics.local_offsets, axis=1)
+        model = specfun.real_regular_basis(fit, ctx.k, mics.local_offsets, r).T  # (Q', C_fit)
+        # the per-bin pinv is only as accurate as about kappa eps of its fit,
+        # which reaches 3.2e6 at 150 Hz for the order-5 fit (j_5(kr) ~ 4e-7)
+        tol = max(1e-12, 1e-16 * np.linalg.cond(model))
+        for mask in range(default_mask_order(spec, ctx) + 1):  # masked bins included
+            got = local_encoding_matrix(spec, angular, ctx, mask)
+            want = pinv_encoding_matrix(spec, mics.local_offsets, ctx, mask)
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+            masked = specfun.harmonic_orders(3) > mask
+            assert np.all(got[masked] == 0.0) and np.all(want[masked] == 0.0)
+            # either way, the kept rows invert the band-limited model
+            kept = specfun.mode_count(mask)
+            identity = np.eye(model.shape[1])[:kept]
+            assert np.max(np.abs(got[:kept] @ model - identity)) < 1e-13
+
+    def test_bessel_zero_raises_on_both(self):
+        spec = reference_mic_spec()
+        offsets = make_mic_array(1, 0.2, spec).local_offsets
+        ctx = WaveContext(343.0 / (2 * spec.local_radius))  # k r = pi, a zero of j_0
+        with pytest.raises(BesselZeroError, match="a = 0"):
+            local_encoding_matrix(spec, angular_encoder(spec, offsets), ctx, 0)
+        with pytest.raises(BesselZeroError):
+            pinv_encoding_matrix(spec, offsets, ctx, 0)
 
 
 class TestSimulatedMeasurements:
@@ -352,7 +395,7 @@ class TestDirectComponent:
         spec = reference_mic_spec()
         mics = MicArray(np.zeros((1, 3)), spec, make_mic_array(1, 0.2, spec).local_offsets)
         speakers = np.array([[0.0, 0.0, 1.5]])  # on the +z axis of the unit
-        out = direct_coefficients_per_speaker(speakers, mics, WaveContext(700.0))
+        out = direct_coefficients_per_speaker(direct_table(speakers, mics), WaveContext(700.0))
         assert out.shape == (1, 1, 16)
         orders = specfun.harmonic_orders(3)
         degrees = np.arange(orders.size) - orders * orders - orders
@@ -365,7 +408,7 @@ class TestDirectComponent:
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4]])
         ctx = WaveContext(600.0)
         mt = recording.MeasurementTensor(np.array([600.0]), np.zeros((1, 2, 2, 16)), 3)
-        direct = direct_coefficients_per_speaker(speakers, mics, ctx)
+        direct = direct_coefficients_per_speaker(direct_table(speakers, mics), ctx)
         w = np.array([[1.0], [0.5]])
         base = compose_all_modes(mt, 0, w, direct)
         scaled = compose_all_modes(mt, 0, 3.0 * w, direct)
@@ -379,7 +422,7 @@ class TestDirectComponent:
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4], [-0.9, 0.3, 0.7]])
         ctx = WaveContext(650.0)
         U = unitary_U(3)
-        direct = direct_coefficients_per_speaker(speakers, mics, ctx)
+        direct = direct_coefficients_per_speaker(direct_table(speakers, mics), ctx)
         want_direct = complex_direct_coefficients(speakers, mics, ctx) @ U
         np.testing.assert_allclose(direct, want_direct, rtol=1e-12, atol=0)
         rng = np.random.default_rng(4)
@@ -390,13 +433,23 @@ class TestDirectComponent:
         np.testing.assert_allclose(compose_all_modes(mt, 0, W, direct), want,
                                    rtol=1e-12, atol=0)
 
+    def test_one_table_gives_the_per_bin_coefficients_bit_for_bit(self):
+        mics = make_mic_array(3, 0.25, reference_mic_spec())
+        speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4], [-0.9, 0.3, 0.7]])
+        table = direct_table(speakers, mics)
+        for f in (200.0, 650.0, 1600.0, 5000.0):  # up to k R past the upward split
+            ctx = WaveContext(f)
+            got = direct_coefficients_per_speaker(table, ctx)
+            want = per_bin_direct_coefficients(speakers, mics, ctx)
+            assert got.shape == want.shape == (3, 3, 16)
+            assert got.tobytes() == want.tobytes()
+
     def test_coincident_speaker_and_center_rejected(self):
         spec = reference_mic_spec()
         mics = MicArray(np.array([[0.5, 0.5, 0.1]]), spec,
                         make_mic_array(1, 0.2, spec).local_offsets)
         with pytest.raises(ValueError):
-            direct_coefficients_per_speaker(np.array([[0.5, 0.5, 0.1]]), mics,
-                                            WaveContext(600.0))
+            direct_table(np.array([[0.5, 0.5, 0.1]]), mics)
 
 
 class TestRemoveDirect:

@@ -436,6 +436,51 @@ class TestBasisTables:
             orders[0] = 1
 
 
+class TestBesselBranches:
+    """Series below x = 1, Miller's recurrence up to x = N + 1, the upward one past it."""
+
+    @staticmethod
+    def split_grid(N):
+        """Points on both sides of x = N + 1, and one of each branch."""
+        top = N + 1.0
+        return np.array([0.5, 1.0, 2.0, top - 0.25, np.nextafter(top, 0.0), top,
+                         np.nextafter(top, 2.0 * top), top + 1e-9, top + 0.25, 1.5 * top,
+                         60.0, 300.0])
+
+    @pytest.mark.parametrize("N", [0, 1, 3, 10, 40])
+    def test_rows_against_exact_values_across_the_split(self, N):
+        x = self.split_grid(N)
+        got = specfun.bessel_j_rows(N, x)
+        assert got.shape == (N + 1, x.size)
+        assert np.max(np.abs(got - mpmath_rows(N, x))) < 1e-15
+
+    @pytest.mark.parametrize("N", [1, 3, 10, 40])
+    def test_each_point_alone_has_its_bits_in_a_mixed_batch(self, N):
+        # the batch runs the array loops of all three branches, each point
+        # alone the float loop of its own
+        x = np.concatenate([[0.0, 0.3, np.nextafter(1.0, 0.0)], self.split_grid(N)])
+        batch = specfun.bessel_j_rows(N, x)
+        assert x.size > specfun._SCALAR_LIMIT
+        for i in range(x.size):
+            assert same_bits(specfun.bessel_j_rows(N, x[i:i + 1]), batch[:, i:i + 1])
+
+    @pytest.mark.parametrize("N", [1, 3, 10, 40])
+    def test_float_and_array_loops_agree_on_a_mixed_batch(self, N):
+        x = np.array([0.3, 1.0, N + 1.0, np.nextafter(N + 1.0, 300.0), 300.0])
+        assert same_bits(*TestFloatLoops.both_ways(specfun.bessel_j_rows, N, x))
+
+    def test_miller_sees_only_its_own_points(self, monkeypatch):
+        # its start index no longer follows the largest x of the call
+        seen = []
+        miller = specfun._miller_rows
+        monkeypatch.setattr(specfun, "_miller_rows",
+                            lambda N, x, j0: seen.append(x.tolist()) or miller(N, x, j0))
+        specfun.bessel_j_rows(5, np.array([0.5, 3.0, 6.0, 6.5, 300.0]))
+        specfun.bessel_j_rows(5, np.array([6.5, 300.0]))
+        specfun.bessel_j_rows(5, np.array([0.5, 0.9]))
+        assert seen == [[3.0, 6.0]]
+
+
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

@@ -22,6 +22,7 @@ from oracles import (
     cartesian_to_spherical_arrays,
     complex_term_table,
     eval_interior_field,
+    s_hat_blocks_across,
     unitary_U,
     wigner_3j,
 )
@@ -142,6 +143,16 @@ class TestSHatEntries:
         assert got.dtype == np.float64
         assert got.shape == (1, (local_order + 1) ** 2, (col_order + 1) ** 2)
         assert np.max(np.abs(got[0] - want.real)) < 1e-12
+
+    @pytest.mark.parametrize("local_order,col_order", [(0, 0), (1, 4), (3, 3), (3, 10)])
+    def test_blocks_equal_the_sums_across_the_transposed_table(self, local_order, col_order):
+        # the same sums of the same terms, so the same bits
+        centers = reference_mics().unit_centers
+        for f in (200.0, 900.0, 1700.0):
+            ctx = WaveContext(f)
+            got = s_hat_blocks(local_order, col_order, centers, ctx)
+            want = s_hat_blocks_across(local_order, col_order, centers, ctx)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_batched_blocks_equal_per_centre_blocks(self):
         ctx = WaveContext(800.0)
