@@ -44,9 +44,9 @@ x < 1 (``SERIES_LIMIT``) j_n is its power series
 quietly for tiny x.  For x > N + 1 every order lies below the turning point
 n ~ x, where the upward recurrence j_{n+1} = (2n+1)/x j_n - j_{n-1}
 (DLMF 10.51.1) is stable (Gautschi, SIAM Review 9, 1967): N steps from
-j_0 = sin x / x and j_1 = (j_0 - cos x) / x, within 1.2e-16 absolute of
-40-digit values for N <= 40, x <= 300.  For 1 <= x <= N + 1, j_n comes
-from Miller's algorithm (DLMF 3.6(iii)) on the same recurrence run down:
+j_0 = sin x / x and j_1 = (j_0 - cos x) / x, within 1.1e-16 absolute of
+40-digit values for N <= 40, N + 1 < x <= 300.  For 1 <= x <= N + 1, j_n
+comes from Miller's algorithm (DLMF 3.6(iii)) on the same recurrence run down:
 from 1 at the start index M = max(N, x) + 8 max(N, x)^(1/3) + 2, zero
 above, down to n = 0, then normalized to whichever of j_0 and j_1 is
 larger.  Past the turning point the minimal solution j_n falls off within a
@@ -58,9 +58,9 @@ high orders share a call without overflow.  y_n runs upward from
 y_0 = -cos x / x and y_1, the stable direction for the dominant solution.
 
 A table of at most _SCALAR_LIMIT = 4 points, such as the two points of a
-one-pair query, runs the Legendre, Miller and upward recursions one point at
-a time on Python floats: there numpy's fixed cost per call, paid on each of
-the N Legendre steps and the M Miller steps (29 at N = 10), outweighs the
+one-pair query, runs the Legendre and Miller recursions one point at a time
+on Python floats: there numpy's fixed cost per call, paid on each of the
+N Legendre steps and the M Miller steps (29 at N = 10), outweighs the
 arithmetic.  Each entry takes the same operations in the same order as in
 the array loops, so both give the same bits.  Timed against the array loops
 (2-core x86 VM), the Python loops built the whole j_n S_nm table faster up
@@ -303,20 +303,11 @@ def _upward_rows(max_order: int, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
 
     From j_0 = sin x / x and j_1 = (j_0 - cos x) / x, each step is
     j_{n+1} = j_n ((2n+1)/x) - j_{n-1} (DLMF 10.51.1), the stable direction
-    below the turning point n ~ x.  Up to _SCALAR_LIMIT points the loop runs
-    on Python floats, with the same operations in the same order.
+    below the turning point n ~ x.  Every operation is elementwise, so a
+    column has the same bits alone as in any batch.
     """
-    j1 = (j0 - np.cos(x)) / x
     j = np.empty((max_order + 1, x.size))
-    if x.size <= _SCALAR_LIMIT:
-        for i, (xi, below, here) in enumerate(zip(x.tolist(), j0.tolist(), j1.tolist())):
-            col = [below, here]
-            for n in range(1, max_order):
-                below, here = here, here * ((2.0 * n + 1.0) / xi) - below
-                col.append(here)
-            j[:, i] = col
-        return j
-    j[0], j[1] = j0, j1
+    j[0], j[1] = j0, (j0 - np.cos(x)) / x
     for n in range(1, max_order):
         np.multiply(j[n], (2.0 * n + 1.0) / x, out=j[n + 1])
         j[n + 1] -= j[n - 1]

@@ -456,8 +456,8 @@ class TestBesselBranches:
 
     @pytest.mark.parametrize("N", [1, 3, 10, 40])
     def test_each_point_alone_has_its_bits_in_a_mixed_batch(self, N):
-        # the batch runs the array loops of all three branches, each point
-        # alone the float loop of its own
+        # the batch runs the array loops of all three branches, each Miller
+        # point alone the float loop
         x = np.concatenate([[0.0, 0.3, np.nextafter(1.0, 0.0)], self.split_grid(N)])
         batch = specfun.bessel_j_rows(N, x)
         assert x.size > specfun._SCALAR_LIMIT
