@@ -160,9 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True, help="coefficient file")
     p.add_argument("--frequency", "-f", type=float, required=True)
     p.add_argument("--receiver", required=True,
-                   help="receiver point 'x,y,z' about the receiver-region center")
+                   help="receiver point 'x,y,z' about the receiver-region center; "
+                        "write a negative first coordinate as --receiver=-0.1,0,0")
     p.add_argument("--source", required=True,
-                   help="source point 'x,y,z' about the source-region center")
+                   help="source point 'x,y,z' about the source-region center; "
+                        "write a negative first coordinate as --source=-0.1,0,0.1")
     p.add_argument("--with-oracle", action="store_true",
                    help="also print the image-source oracle value (needs --config)")
     p.set_defaults(func=cmd_reconstruct)

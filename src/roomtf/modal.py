@@ -45,3 +45,15 @@ def grid_index(grid: np.ndarray, frequency: float, grid_name: str) -> int:
     if hits.size == 0:
         raise ConfigurationError(f"frequency {frequency} Hz is not on {grid_name}")
     return int(hits[0])
+
+
+def check_distinct_bins(grid: np.ndarray, grid_name: str) -> None:
+    """Reject two bins of ``grid`` within GRID_TOLERANCE: ``grid_index`` would alias them."""
+    ordered = np.sort(grid)
+    close = np.flatnonzero(ordered[1:] <= ordered[:-1] + GRID_TOLERANCE)
+    if close.size:
+        low, high = (float(v) for v in ordered[close[0]:close[0] + 2])
+        raise ConfigurationError(
+            f"{grid_name} holds {low!r} and {high!r} Hz, within {GRID_TOLERANCE} Hz "
+            "of each other, so a lookup of either would answer with one bin"
+        )

@@ -11,8 +11,9 @@ Per-frequency solver policy (the knobs that make the extraction robust):
 * Loudspeaker weights are solved against a translation matrix built to the
   design source order, so modes just above the matched order are actively
   cancelled rather than aliased.
-* Local recordings keep orders up to min(A, ceil truncation at the mic radius);
-  rows above that are dropped from the translation solve.
+* Each bin has one local order, min(A, ceil truncation at the mic radius),
+  decided when the measurement is simulated and stored with it; the
+  translation solve uses the local modes up to that order.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import yaml
 from . import fileio, recording, rtf, specfun, synthesis, translation
 from .errors import ConfigurationError, DigestMismatchError
 from .geometry import RegionPair, export_positions_csv, shell_array, sphere_array
-from .modal import GRID_TOLERANCE, WaveContext, truncation_order
+from .modal import GRID_TOLERANCE, WaveContext, check_distinct_bins, truncation_order
 from .recording import HoMicSpec, MeasurementTensor, make_mic_array, mic_radius
 from .room import RoomModel, rtf_oracle_grid
 from .rtf import RtfCoefficientSet, probe_pairs, relative_error
@@ -273,6 +274,7 @@ def validate_config(cfg: ExperimentConfig) -> Experiment:
         raise ConfigurationError(
             f"signal.frequencies must be finite and > 0 Hz, got {bad[0]}"
         )
+    check_distinct_bins(np.asarray(cfg.signal.frequencies), "signal.frequencies")
     if not 0.0 < cfg.signal.sound_speed < math.inf:
         raise ConfigurationError(
             f"signal.sound_speed must be finite and > 0, got {cfg.signal.sound_speed}"
@@ -354,10 +356,10 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
     if cfg.solver.direct_removal == "coefficient":
         direct = recording.direct_coefficients_per_speaker(exp.direct_table, ctx)
     gamma = recording.compose_all_modes(mt, fi, W, direct)
-    keep = specfun.harmonic_orders(exp.mics.spec.order) <= int(mt.mask_orders[fi])
-    Tp = translation.build_T_prime(exp.mics, n_r, ctx, keep)
+    local_order = int(mt.mask_orders[fi])
+    Tp = translation.build_T_prime(exp.mics, local_order, n_r, ctx)
     x, _residual = translation.solve_alpha_all(
-        Tp, gamma, keep, cutoff=cfg.solver.svd_cutoff
+        Tp, gamma[:, :specfun.mode_count(local_order)], cutoff=cfg.solver.svd_cutoff
     )
     return -1j * x.T, n_s, n_r
 

@@ -20,11 +20,15 @@ The encoder is factored (Rafaely, IEEE Trans. Speech Audio Process. 13,
 2005).  It relies on every omni of a unit sitting on one sphere of radius r,
 which ``MicArray`` enforces to 1e-12 relative: the model j_n(kr) S is then
 S^T D with D = diag j_n(kr), and its pseudoinverse is D^-1 pinv(S^T).  So
-``angular_encoder`` takes one pseudoinverse of the angular table per
-measurement, and each bin divides its kept rows by j_n(kr) from one Bessel
-call, which also checks them for zeros.  The direct field's distances and
-angular table (``direct_table``) do not depend on frequency either; a run
-builds them once, and each bin multiplies them by i k h_n(k|R|).
+``bin_encoders`` takes one pseudoinverse of the angular table per
+measurement and one Bessel call over the grid, which also checks the kept
+orders for zeros; each bin divides its kept rows by j_n(kr).  Each bin has
+one local order, min(A, ceil(k e r / 2)), the regions' truncation rule at
+the local radius: its rows up to that order are kept, the rows above it are
+exact zeros, and the measurement tensor records it as ``mask_orders``.
+The direct field's distances and angular table (``direct_table``) do not
+depend on frequency either; a run builds them once, and each bin multiplies
+them by i k h_n(k|R|).
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import numpy as np
 from . import specfun
 from .errors import BesselZeroError, ConfigurationError
 from .geometry import sphere_array
-from .modal import WaveContext, grid_index, truncation_order
+from .modal import WaveContext, check_distinct_bins, grid_index, truncation_order
 from .room import RoomModel, rtf_oracle_blocks
 
 BESSEL_ZERO_THRESHOLD = 1e-8
@@ -141,6 +145,7 @@ class MeasurementTensor:
         gt = np.ascontiguousarray(self.gamma_tilde, dtype=complex)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "gamma_tilde", gt)
+        check_distinct_bins(freqs, "the measurement grid")
         expected_modes = specfun.mode_count(self.mic_order)
         if gt.ndim != 4 or gt.shape[0] != freqs.shape[0] or gt.shape[3] != expected_modes:
             raise ConfigurationError(
@@ -170,56 +175,35 @@ class MeasurementTensor:
         return grid_index(self.frequencies, frequency, "the measurement grid")
 
 
-def default_mask_order(spec: HoMicSpec, ctx: WaveContext) -> int:
-    """Highest local order retained at this frequency.
+def bin_encoders(spec: HoMicSpec, offsets: np.ndarray, ctxs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin encoders (F, (A+1)^2, Q') from omni pressures to local coefficients in
+    the real basis S, and each bin's local order (F,), for omnis at ``offsets`` (Q', 3).
 
-    Uses the ceiling truncation rule at the local radius, capped at the design
-    order; orders above it are dominated by unexcited (near-Bessel-zero) modes.
+    The factored encoder of the module docstring: pinv(S^T), with S the real
+    harmonics to ``fit_order`` at the offsets, truncated to order A, with
+    each bin's rows up to its local order divided by j_n(kr) and the rest
+    zero.  Orders above the local order are dominated by unexcited
+    (near-Bessel-zero) modes.  A kept order on a Bessel zero raises
+    BesselZeroError, naming the first such bin.
     """
-    return min(spec.order, truncation_order(ctx.k, spec.local_radius))
-
-
-def _check_bessel_zeros(bessel: np.ndarray, ctx: WaveContext) -> None:
-    """Raise BesselZeroError if a kept order's j_a(kr), rows of ``bessel``, is near zero."""
-    zeros = np.flatnonzero(np.abs(bessel) < BESSEL_ZERO_THRESHOLD)
-    if zeros.size:
+    A, radius = spec.order, spec.local_radius
+    ks = np.array([ctx.k for ctx in ctxs])
+    orders = np.array([min(A, truncation_order(k, radius)) for k in ks], dtype=int)
+    bessel = specfun.bessel_j_rows(A, ks * radius)  # (A+1, F)
+    zeros = (np.abs(bessel) < BESSEL_ZERO_THRESHOLD) & (np.arange(A + 1)[:, None] <= orders)
+    if zeros.any():
+        f, a = np.argwhere(zeros.T)[0]
         raise BesselZeroError(
-            f"local mode a = {zeros[0]} sits on a Bessel zero at f = "
-            f"{ctx.frequency} Hz (|j_a(kr)| < {BESSEL_ZERO_THRESHOLD}); "
-            "mask it or move the frequency"
+            f"local mode a = {a} sits on a Bessel zero at f = {ctxs[f].frequency} Hz "
+            f"(|j_a(kr)| < {BESSEL_ZERO_THRESHOLD}); move the frequency"
         )
-
-
-def angular_encoder(spec: HoMicSpec, offsets: np.ndarray) -> np.ndarray:
-    """((A+1)^2, Q') frequency-independent part of the encoder for omnis at ``offsets`` (Q', 3).
-
-    pinv(S^T), with S the real harmonics to ``fit_order`` at the offsets,
-    truncated to order A.  Every omni of a unit sits on one sphere of radius
-    r (``MicArray`` holds them there to 1e-12), so the order-``fit_order``
-    model is S^T D with D = diag j_n(kr), and for a fit of full column rank
-    pinv(S^T D) = D^-1 pinv(S^T): the encoder at a bin is this table with
-    row n divided by j_n(kr).
-    """
     r = np.linalg.norm(offsets, axis=1)
-    harmonics = specfun.real_harmonics(spec.effective_fit_order, offsets, r)
-    return np.linalg.pinv(harmonics.T)[: specfun.mode_count(spec.order)]
-
-
-def local_encoding_matrix(spec: HoMicSpec, angular: np.ndarray, ctx: WaveContext,
-                          mask_order: int) -> np.ndarray:
-    """((A+1)^2, Q') map from omni pressures to local coefficients in the real basis S.
-
-    ``angular`` is the ``angular_encoder`` of the unit's omnis; its rows up
-    to ``mask_order`` are divided by j_n(k r) at the spec's local radius, and
-    rows above it are zero, so their coefficients come out exactly zero.  A
-    kept order on a Bessel zero raises BesselZeroError.
-    """
-    bessel = specfun.bessel_j_rows(mask_order, [ctx.k * spec.local_radius])[:, 0]
-    _check_bessel_zeros(bessel, ctx)
-    kept = specfun.mode_count(mask_order)
-    enc = np.zeros_like(angular)
-    np.divide(angular[:kept], bessel[specfun.harmonic_orders(mask_order), None], out=enc[:kept])
-    return enc
+    angular = np.linalg.pinv(specfun.real_harmonics(spec.effective_fit_order, offsets, r).T)
+    degrees = specfun.harmonic_orders(A)
+    encoders = np.zeros((ks.size, degrees.size, offsets.shape[0]))
+    np.divide(angular[:degrees.size], bessel[degrees].T[:, :, None], out=encoders,
+              where=(degrees <= orders[:, None])[:, :, None])
+    return encoders, orders
 
 
 def simulate_raw_measurements(
@@ -236,8 +220,8 @@ def simulate_raw_measurements(
     coordinates.  The whole frequency grid is simulated in one image-source
     pass: ``rtf_oracle_blocks`` sets up the image lattice once and yields
     one mic unit's (F, Q', L) omni pressures at a time, which the per-bin
-    encoders, scaled from one angular encoder, turn into its slice of
-    gamma-tilde; no (F, Q, Q', L) pressure tensor is held.  With
+    encoders of ``bin_encoders`` turn into its slice of gamma-tilde; no
+    (F, Q, Q', L) pressure tensor is held.  With
     ``subtract_direct_pressure`` the free-space direct field (the
     true-source term of the image sum) is left out of the raw omni
     pressures, so the tensor holds reverberant-only coefficients; this is
@@ -250,11 +234,8 @@ def simulate_raw_measurements(
     omnis = mics.omni_positions()
     Q, L = omnis.shape[0], speakers.shape[0]
     room.check_inside(omnis.reshape(-1, 3), "microphone sensor")
-    masks = np.array([default_mask_order(mics.spec, ctx) for ctx in ctxs], dtype=int)
-    angular = angular_encoder(mics.spec, mics.local_offsets)
-    encoders = np.stack([  # (F, (A+1)^2, Q'), Bessel zeros checked before any oracle work
-        local_encoding_matrix(mics.spec, angular, ctx, mask) for ctx, mask in zip(ctxs, masks)
-    ])
+    # Bessel zeros are checked here, before any image-sum work
+    encoders, orders = bin_encoders(mics.spec, mics.local_offsets, ctxs)
     ks = np.array([ctx.k for ctx in ctxs])
     gamma_tilde = np.empty((frequencies.size, Q, L, encoders.shape[1]), dtype=complex)
     # one (F, Q', L) block per unit; the oracle rejects a loudspeaker on a sensor
@@ -266,7 +247,7 @@ def simulate_raw_measurements(
         frequencies=frequencies,
         gamma_tilde=gamma_tilde,
         mic_order=mics.spec.order,
-        mask_orders=masks,
+        mask_orders=orders,
     )
 
 

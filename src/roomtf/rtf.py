@@ -12,7 +12,7 @@ import numpy as np
 from . import specfun
 from .errors import ConfigurationError
 from .geometry import RegionPair
-from .modal import COINCIDENT_DISTANCE, WaveContext, grid_index
+from .modal import COINCIDENT_DISTANCE, WaveContext, check_distinct_bins, grid_index
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class RtfCoefficientSet:
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
         object.__setattr__(self, "frequencies", freqs)
+        check_distinct_bins(freqs, "the coefficient grid")
         object.__setattr__(self, "alpha", tuple(np.asarray(a, dtype=complex) for a in self.alpha))
         object.__setattr__(self, "source_orders", np.asarray(self.source_orders, dtype=int))
         object.__setattr__(self, "receiver_orders", np.asarray(self.receiver_orders, dtype=int))

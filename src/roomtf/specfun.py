@@ -353,11 +353,6 @@ def bessel_j_rows(max_order: int, x) -> np.ndarray:
     return j[:max_order + 1]
 
 
-def bessel_j_matrix(max_order: int, x) -> np.ndarray:
-    """j_n at each point, repeated per degree: shape ((N+1)^2, P)."""
-    return bessel_j_rows(max_order, x)[harmonic_orders(max_order)]
-
-
 _SQRT2 = math.sqrt(2.0)
 # Up to this many entries, the real tables apply their azimuthal and Bessel
 # factors by gathers, the fewest numpy calls; above it, by one in-place

@@ -84,12 +84,12 @@ def s_hat_blocks(local_order: int, col_order: int, displacements: np.ndarray,
     return blocks.reshape(r.size, *shape)
 
 
-def build_T_prime(mics: MicArray, col_order: int, ctx: WaveContext,
-                  keep: np.ndarray) -> np.ndarray:
+def build_T_prime(mics: MicArray, local_order: int, col_order: int,
+                  ctx: WaveContext) -> np.ndarray:
     """Stacked real S-hat blocks, rows grouped by mic unit then flat (a, b): real.
 
-    ``keep`` is a boolean mask over the (A+1)^2 local modes; rows it leaves
-    out are dropped from every unit's block.
+    Each unit keeps the first (local_order+1)^2 rows of its order-A block,
+    the local modes a <= local_order.
     """
     A = mics.spec.order
     total_rows = mics.num_units * specfun.mode_count(A)
@@ -99,27 +99,26 @@ def build_T_prime(mics: MicArray, col_order: int, ctx: WaveContext,
             f"aliasing bound violated: Q (A+1)^2 = {total_rows} rows cannot "
             f"resolve (N_r+1)^2 = {n_cols} receiver modes; increase Q or lower N_r"
         )
-    return s_hat_blocks(A, col_order, mics.unit_centers, ctx)[:, keep].reshape(-1, n_cols)
+    blocks = s_hat_blocks(A, col_order, mics.unit_centers, ctx)
+    return blocks[:, :specfun.mode_count(local_order)].reshape(-1, n_cols)
 
 
-def solve_alpha_all(Tp: np.ndarray, gamma_all: np.ndarray, keep: np.ndarray,
-                    cutoff: float):
+def solve_alpha_all(Tp: np.ndarray, gamma_all: np.ndarray, cutoff: float):
     """Joint least-squares solve over all composed modes; (alpha, residual).
 
-    ``gamma_all`` holds the recordings (Q, (A+1)^2, ...) and ``keep`` the
-    local-mode mask T' was built with; alpha has shape ((V+1)^2, ...).  The
+    ``gamma_all`` holds the recordings (Q, rows per unit, ...), cut to the
+    local modes T' was built with; alpha has shape ((V+1)^2, ...).  The
     real pseudoinverse of T' is applied to the float view of the complex
     recordings.  Singular values of T' below ``cutoff`` times the largest are
     dropped.
     """
     g = np.asarray(gamma_all, dtype=complex)
-    rows = g.shape[0] * int(np.count_nonzero(keep))
-    if g.ndim < 2 or g.shape[1] != keep.size or rows != Tp.shape[0]:
+    if g.ndim < 2 or g.shape[0] * g.shape[1] != Tp.shape[0]:
         raise ConfigurationError(
             f"recordings shape {g.shape} does not match the T-prime layout "
-            f"({Tp.shape[0]} rows from {keep.size} local modes per unit)"
+            f"({Tp.shape[0]} rows)"
         )
-    rhs = np.ascontiguousarray(g[:, keep]).reshape(rows, -1).view(float)
+    rhs = np.ascontiguousarray(g).reshape(Tp.shape[0], -1).view(float)
     alpha = np.linalg.pinv(Tp, rcond=cutoff) @ rhs
     residual = float(np.linalg.norm(Tp @ alpha - rhs))
     return alpha.view(complex).reshape(Tp.shape[1], *g.shape[2:]), residual

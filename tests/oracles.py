@@ -28,7 +28,7 @@ Each function is the plain per-point or per-bin formula, so a batched path in
 * The field evaluators work on plain coefficient arrays in flat (n, m)
   order, of length (N+1)^2; N is read back from the length.  Points are
   Cartesian; the harmonics come from scipy, the Bessel rows from the
-  library's tables.
+  library's tables, repeated per degree by ``bessel_j_matrix``.
 """
 import math
 from functools import lru_cache
@@ -207,6 +207,11 @@ def direct_field(x, y, ctx: WaveContext) -> complex:
     return complex(np.exp(1j * ctx.k * d) / (4.0 * math.pi * d))
 
 
+def bessel_j_matrix(max_order: int, x) -> np.ndarray:
+    """j_n at each point, repeated per degree: shape ((N+1)^2, P)."""
+    return specfun.bessel_j_rows(max_order, x)[specfun.harmonic_orders(max_order)]
+
+
 def max_order_of(coeffs: np.ndarray) -> int:
     """N of a flat coefficient array of length (N+1)^2."""
     n = math.isqrt(coeffs.size) - 1
@@ -219,7 +224,7 @@ def point_source_outgoing_coeffs(y_s, ctx: WaveContext, max_order: int) -> np.nd
     """Outgoing coefficients i k j_n(k y) conj(Y_nm(y-hat)) of a unit source at y_s (3,)."""
     r, theta, phi = cartesian_to_spherical_arrays(y_s)
     k = ctx.k
-    j = specfun.bessel_j_matrix(max_order, [k * r])[:, 0]
+    j = bessel_j_matrix(max_order, [k * r])[:, 0]
     y = harmonics(max_order, theta, phi)[:, 0]
     return 1j * k * j * np.conj(y)
 
@@ -229,7 +234,7 @@ def eval_interior_field(coeffs, x, ctx: WaveContext) -> complex:
     r, theta, phi = cartesian_to_spherical_arrays(x)
     coeffs = np.asarray(coeffs, dtype=complex)
     N = max_order_of(coeffs)
-    j = specfun.bessel_j_matrix(N, [ctx.k * r])[:, 0]
+    j = bessel_j_matrix(N, [ctx.k * r])[:, 0]
     y = harmonics(N, theta, phi)[:, 0]
     return complex(np.sum(coeffs * j * y))
 
@@ -249,7 +254,7 @@ def eval_exterior_field(coeffs, z, ctx: WaveContext) -> complex:
 def interior_basis(max_order: int, points, ctx: WaveContext) -> np.ndarray:
     """Matrix of j_n(kr) Y_nm at each Cartesian point: shape ((N+1)^2, P)."""
     r, theta, phi = cartesian_to_spherical_arrays(points)
-    return specfun.bessel_j_matrix(max_order, ctx.k * r) * harmonics(max_order, theta, phi)
+    return bessel_j_matrix(max_order, ctx.k * r) * harmonics(max_order, theta, phi)
 
 
 def pinv_encoding_matrix(spec, offsets, ctx: WaveContext, mask_order: int) -> np.ndarray:

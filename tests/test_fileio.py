@@ -156,6 +156,11 @@ MALFORMED_HEADERS = {
                           "the header lacks the field 'digests'"),
     "digests-missing-m": ("m", lambda h: h.pop("digests"),
                           "the header lacks the field 'digests'"),
+    # two bins within GRID_TOLERANCE: a lookup of either would find the first
+    "frequencies-close-c": ("c", set_field("frequencies", [500.0, 500.0000000005]),
+                            r"coefficient grid holds 500\.0 and 500\.0000000005 Hz"),
+    "frequencies-close-m": ("m", set_field("frequencies", [500.0, 500.0000000005]),
+                            r"measurement grid holds 500\.0 and 500\.0000000005 Hz"),
     # (-3) x (-5) = 3 x 5, so only the signs are wrong
     "counts-negative": ("m", lambda h: h.update(num_units=-3, num_speakers=-5),
                         r"truncated or corrupt file: .* shape \(2, -3, -5, 16\)"),

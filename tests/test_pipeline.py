@@ -205,6 +205,23 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError, match="probes.radii"):
             validate_config(replace(cfg, probes=pipeline.ProbesConfig(radii=(0.1, 0.35))))
 
+    def test_bins_within_the_grid_tolerance_rejected(self, tmp_path, capsys):
+        # a lookup of either bin would find the first, so one bin would be
+        # solved from the other's recordings
+        close, message = (900.0, 900.0000000005, 600.0), r"holds 900\.0 and 900\.0000000005 Hz"
+        cfg = replace(fast_config(), signal=SignalConfig(f_max=500.0, frequencies=close))
+        with pytest.raises(ConfigurationError, match="signal.frequencies " + message):
+            validate_config(cfg)
+        with pytest.raises(ConfigurationError, match="measurement grid " + message):
+            run_measure(fast_config(), frequencies=close)
+        text = FAST_YAML.replace("frequencies: [400]", f"frequencies: {list(close)}")
+        assert text != FAST_YAML
+        out = tmp_path / "m.rtfm"
+        assert cli.main(["measure", "--config", write_yaml(tmp_path, text),
+                         "--out", str(out)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestEffectiveOrders:
     def test_design_frequency_caps(self):

@@ -1,5 +1,6 @@
 """HO microphone tests: encoding fidelity, composition, direct-field removal."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,16 +8,14 @@ from scipy import special as sp
 
 from roomtf import recording, specfun
 from roomtf.errors import BesselZeroError, ConfigurationError
-from roomtf.modal import WaveContext
+from roomtf.modal import WaveContext, truncation_order
 from roomtf.recording import (
     HoMicSpec,
     MicArray,
-    angular_encoder,
+    bin_encoders,
     compose_all_modes,
-    default_mask_order,
     direct_coefficients_per_speaker,
     direct_table,
-    local_encoding_matrix,
     make_mic_array,
     mic_radius,
     simulate_raw_measurements,
@@ -40,13 +39,10 @@ def reference_mic_spec(omnis=49, fit=5):
     return HoMicSpec(3, mic_radius(3, 1000.0), omnis, fit)
 
 
-def encode(mics, pressures, ctx, mask_order=None):
+def encode(mics, pressures, ctx):
     """Omni pressures (Q, Q', ...) -> local coefficients (Q, ..., (A+1)^2)."""
-    if mask_order is None:
-        mask_order = default_mask_order(mics.spec, ctx)
-    enc = local_encoding_matrix(mics.spec, angular_encoder(mics.spec, mics.local_offsets), ctx,
-                                mask_order)
-    return np.tensordot(pressures, enc, axes=([1], [1]))  # sensor-mode last
+    encoders, _ = bin_encoders(mics.spec, mics.local_offsets, [ctx])
+    return np.tensordot(pressures, encoders[0], axes=([1], [1]))  # sensor-mode last
 
 
 class TestMicRadius:
@@ -139,8 +135,9 @@ class TestLocalEncoding:
         spec = reference_mic_spec()
         mics = make_mic_array(2, 0.25, spec)
         ctx = WaveContext(300.0)
+        assert bin_encoders(spec, mics.local_offsets, [ctx])[1].tolist() == [1]
         pressures = np.ones((2, spec.omni_count))
-        gamma = encode(mics, pressures, ctx, mask_order=1)
+        gamma = encode(mics, pressures, ctx)
         assert np.all(gamma[:, specfun.harmonic_orders(3) > 1] == 0.0)
         assert not np.any(np.isnan(gamma))
 
@@ -149,28 +146,33 @@ class TestLocalEncoding:
         mics = make_mic_array(1, 0.2, spec)
         f = 343.0 / (2 * spec.local_radius)  # k r = pi, a Bessel zero of j_0
         with pytest.raises(BesselZeroError, match="a = 0"):
-            local_encoding_matrix(spec, angular_encoder(spec, mics.local_offsets),
-                                  WaveContext(f), 0)
+            bin_encoders(spec, mics.local_offsets, [WaveContext(f)])
 
     def test_higher_order_bessel_zero_named(self):
         spec = reference_mic_spec()
         mics = make_mic_array(1, 0.2, spec)
         f = 4.493409457909064 * 343.0 / (2 * math.pi * spec.local_radius)  # first zero of j_1
         with pytest.raises(BesselZeroError, match="a = 1 sits on a Bessel zero"):
-            local_encoding_matrix(spec, angular_encoder(spec, mics.local_offsets),
-                                  WaveContext(f), 2)
+            bin_encoders(spec, mics.local_offsets, [WaveContext(f)])
 
 
 class TestFactoredEncoder:
-    """One angular encoder per array, scaled per bin, against one pinv per bin."""
+    """The per-run encoder, bin by bin, against one pinv per bin."""
+
+    # rule orders 1, 1, 2, 3, 3 at the reference radius: every order 1 to A
+    FREQUENCIES = (150.0, 300.0, 650.0, 900.0, 1600.0)
 
     @pytest.mark.parametrize("omnis,fit", [(49, 5), (16, 3), (36, 4)])
-    @pytest.mark.parametrize("f", [150.0, 300.0, 650.0, 900.0, 1600.0])
+    @pytest.mark.parametrize("f", FREQUENCIES)
     def test_matches_the_per_bin_pseudoinverse(self, omnis, fit, f):
         spec = reference_mic_spec(omnis, fit)
         mics = make_mic_array(2, 0.25, spec)
+        encoders, orders = bin_encoders(spec, mics.local_offsets,
+                                        [WaveContext(g) for g in self.FREQUENCIES])
+        i = self.FREQUENCIES.index(f)
         ctx = WaveContext(f)
-        angular = angular_encoder(spec, mics.local_offsets)
+        got, order = encoders[i], int(orders[i])
+        assert order == min(3, truncation_order(ctx.k, spec.local_radius))
         r = np.linalg.norm(mics.local_offsets, axis=1)
         model = specfun.real_regular_basis(fit, ctx.k, mics.local_offsets, r).T  # (Q', C_fit)
         # 1e-12 wherever the per-bin fit is well conditioned.  At 150 Hz its
@@ -179,23 +181,21 @@ class TestFactoredEncoder:
         # 1.2e-12 and 5.1e-12 there, at most 4e-15 sqrt(kappa) in every case
         # below; the bound 1e-14 sqrt(kappa) keeps a factor 2.5 over that
         tol = max(1e-12, 1e-14 * math.sqrt(np.linalg.cond(model)))
-        for mask in range(default_mask_order(spec, ctx) + 1):  # masked bins included
-            got = local_encoding_matrix(spec, angular, ctx, mask)
-            want = pinv_encoding_matrix(spec, mics.local_offsets, ctx, mask)
-            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
-            masked = specfun.harmonic_orders(3) > mask
-            assert np.all(got[masked] == 0.0) and np.all(want[masked] == 0.0)
-            # either way, the kept rows invert the band-limited model
-            kept = specfun.mode_count(mask)
-            identity = np.eye(model.shape[1])[:kept]
-            assert np.max(np.abs(got[:kept] @ model - identity)) < 1e-13
+        want = pinv_encoding_matrix(spec, mics.local_offsets, ctx, order)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+        masked = specfun.harmonic_orders(3) > order
+        assert np.all(got[masked] == 0.0) and np.all(want[masked] == 0.0)
+        # either way, the kept rows invert the band-limited model
+        kept = specfun.mode_count(order)
+        identity = np.eye(model.shape[1])[:kept]
+        assert np.max(np.abs(got[:kept] @ model - identity)) < 1e-13
 
     def test_bessel_zero_raises_on_both(self):
         spec = reference_mic_spec()
         offsets = make_mic_array(1, 0.2, spec).local_offsets
         ctx = WaveContext(343.0 / (2 * spec.local_radius))  # k r = pi, a zero of j_0
         with pytest.raises(BesselZeroError, match="a = 0"):
-            local_encoding_matrix(spec, angular_encoder(spec, offsets), ctx, 0)
+            bin_encoders(spec, offsets, [ctx])
         with pytest.raises(BesselZeroError):
             pinv_encoding_matrix(spec, offsets, ctx, 0)
 
@@ -314,13 +314,18 @@ class TestGridSimulation:
 
     def test_bessel_zero_raised_before_oracle_work(self, monkeypatch):
         room, mics = self.geometry()
-        calls = []
-        monkeypatch.setattr(recording, "rtf_oracle_blocks",
-                            lambda *args, **kwargs: calls.append(args))
-        f_zero = 343.0 / (2 * mics.spec.local_radius)  # k r = pi, a zero of j_0
-        with pytest.raises(BesselZeroError, match="a = 0"):
-            simulate_raw_measurements(room, self.SPEAKERS, mics, [400.0, f_zero])
-        assert calls == []
+
+        def no_image_sums(*args, **kwargs):
+            raise AssertionError("the image sums started before the Bessel check")
+
+        monkeypatch.setattr(recording, "rtf_oracle_blocks", no_image_sums)
+        for a, kr in ((0, math.pi), (1, 4.493409457909064)):  # first zeros of j_0 and j_1
+            f_zero = kr * 343.0 / (2 * math.pi * mics.spec.local_radius)
+            # the third bin and its lowest kept order on a zero: j_0 is not zero at kr_1
+            with pytest.raises(BesselZeroError,
+                               match=re.escape(f"a = {a} sits on a Bessel zero at f = {f_zero} Hz")):
+                simulate_raw_measurements(room, self.SPEAKERS, mics,
+                                          [300.0, 600.0, f_zero, 1200.0])
 
 
 def complex_direct_coefficients(speakers, mics, ctx):

@@ -27,7 +27,7 @@ from oracles import (
     wigner_3j,
 )
 
-ALL_ROWS = np.ones(16, dtype=bool)  # every local mode of an order-3 mic
+MIC_ORDER = 3  # keeps every local mode of an order-3 mic
 SVD_CUTOFF = 1e-10
 
 
@@ -222,26 +222,34 @@ class TestAdditionTheorem:
 
 class TestBuildTPrime:
     def test_reference_shape(self):
-        Tp = build_T_prime(reference_mics(), 10, WaveContext(1000.0), ALL_ROWS)
+        Tp = build_T_prime(reference_mics(), MIC_ORDER, 10, WaveContext(1000.0))
         assert Tp.shape == (144, 121)
         assert Tp.dtype == np.float64
 
     def test_single_origin_mic_is_identity(self):
         spec = HoMicSpec(3, mic_radius(3, 1000.0), 49, 5)
         mics = MicArray(np.zeros((1, 3)), spec, make_mic_array(1, 0.1, spec).local_offsets)
-        Tp = build_T_prime(mics, 3, WaveContext(700.0), ALL_ROWS)
+        Tp = build_T_prime(mics, MIC_ORDER, 3, WaveContext(700.0))
         assert np.max(np.abs(Tp - np.eye(16))) < 1e-12
 
     def test_aliasing_bound(self):
         with pytest.raises(ConfigurationError, match="aliasing"):
-            build_T_prime(reference_mics(units=2), 10, WaveContext(1000.0), ALL_ROWS)
+            build_T_prime(reference_mics(units=2), MIC_ORDER, 10, WaveContext(1000.0))
 
     def test_row_order_drops_rows(self):
-        keep = specfun.harmonic_orders(3) <= 2
-        Tp = build_T_prime(reference_mics(), 8, WaveContext(600.0), keep)
-        assert Tp.shape == (9 * 9, 81)
-        full = build_T_prime(reference_mics(), 8, WaveContext(600.0), ALL_ROWS)
-        assert np.array_equal(Tp, full.reshape(9, 16, 81)[:, keep].reshape(81, 81))
+        # the first (m+1)^2 rows of each unit's order-A block, the same bits
+        # as a boolean selection of the local modes a <= m
+        mics, ctx = reference_mics(), WaveContext(600.0)
+        blocks = s_hat_blocks(3, 8, mics.unit_centers, ctx)
+        full = build_T_prime(mics, MIC_ORDER, 8, ctx)
+        assert full.tobytes() == blocks.reshape(-1, 81).tobytes()
+        for m in range(4):
+            Tp = build_T_prime(mics, m, 8, ctx)
+            rows = (m + 1) ** 2
+            assert Tp.shape == (9 * rows, 81)
+            assert Tp.tobytes() == blocks[:, :rows].reshape(-1, 81).tobytes()
+            keep = specfun.harmonic_orders(3) <= m
+            assert np.array_equal(Tp, full.reshape(9, 16, 81)[:, keep].reshape(-1, 81))
 
 
 class TestSolveAlpha:
@@ -249,19 +257,19 @@ class TestSolveAlpha:
         ctx = WaveContext(700.0)
         mics = reference_mics()
         n_r = 7
-        Tp = build_T_prime(mics, n_r, ctx, ALL_ROWS)
+        Tp = build_T_prime(mics, MIC_ORDER, n_r, ctx)
         rng = np.random.default_rng(31)
         n_cols = (n_r + 1) ** 2
         alpha_true = rng.standard_normal(n_cols) + 1j * rng.standard_normal(n_cols)
         gamma = (Tp @ alpha_true).reshape(mics.num_units, 16)
-        alpha, residual = solve_alpha_all(Tp, gamma, ALL_ROWS, SVD_CUTOFF)
+        alpha, residual = solve_alpha_all(Tp, gamma, SVD_CUTOFF)
         rel = np.linalg.norm(alpha - alpha_true) / np.linalg.norm(alpha_true)
         assert rel < 1e-8
         assert residual < 1e-8 * np.linalg.norm(gamma)
 
     def test_zero_recordings_give_zero_alpha(self):
-        Tp = build_T_prime(reference_mics(), 5, WaveContext(700.0), ALL_ROWS)
-        alpha, residual = solve_alpha_all(Tp, np.zeros((9, 16, 2)), ALL_ROWS, SVD_CUTOFF)
+        Tp = build_T_prime(reference_mics(), MIC_ORDER, 5, WaveContext(700.0))
+        alpha, residual = solve_alpha_all(Tp, np.zeros((9, 16, 2)), SVD_CUTOFF)
         assert alpha.shape == (36, 2)
         assert np.all(alpha == 0)
         assert residual == 0.0
@@ -269,22 +277,26 @@ class TestSolveAlpha:
     def test_joint_solve_matches_mode_by_mode(self):
         ctx = WaveContext(800.0)
         mics = reference_mics()
-        keep = specfun.harmonic_orders(3) <= 2
-        Tp = build_T_prime(mics, 6, ctx, keep)
+        Tp = build_T_prime(mics, 2, 6, ctx)
         rng = np.random.default_rng(41)
         gamma_all = rng.standard_normal((9, 16, 3)) + 1j * rng.standard_normal((9, 16, 3))
-        joint, residual = solve_alpha_all(Tp, gamma_all, keep, SVD_CUTOFF)
-        rhs = gamma_all[:, keep].reshape(81, 3)
+        joint, residual = solve_alpha_all(Tp, gamma_all[:, :9], SVD_CUTOFF)
+        rhs = gamma_all[:, :9].reshape(81, 3)
         single = np.column_stack([min_norm_alpha(Tp, rhs[:, m]) for m in range(3)])
         assert np.max(np.abs(joint - single)) < 1e-12 * np.max(np.abs(single))
         assert residual == pytest.approx(np.linalg.norm(Tp @ single - rhs), rel=1e-9)
 
     def test_recording_shape_mismatch(self):
-        Tp = build_T_prime(reference_mics(), 5, WaveContext(700.0), ALL_ROWS)
+        Tp = build_T_prime(reference_mics(), MIC_ORDER, 5, WaveContext(700.0))
         with pytest.raises(ConfigurationError, match="T-prime layout"):
-            solve_alpha_all(Tp, np.zeros((4, 16)), ALL_ROWS, SVD_CUTOFF)
+            solve_alpha_all(Tp, np.zeros((4, 16)), SVD_CUTOFF)
         with pytest.raises(ConfigurationError, match="T-prime layout"):
-            solve_alpha_all(Tp, np.zeros((9, 9)), ALL_ROWS, SVD_CUTOFF)
+            solve_alpha_all(Tp, np.zeros((9, 9)), SVD_CUTOFF)
+        # T' that kept the local modes a <= 2 has 9 rows a unit: all 16 do not fit
+        Tp = build_T_prime(reference_mics(), 2, 5, WaveContext(700.0))
+        with pytest.raises(ConfigurationError, match=r"\(9, 16, 2\) .* \(81 rows\)"):
+            solve_alpha_all(Tp, np.zeros((9, 16, 2)), SVD_CUTOFF)
+        assert solve_alpha_all(Tp, np.zeros((9, 9, 2)), SVD_CUTOFF)[0].shape == (36, 2)
 
 
 def racah_exact(j1, j2, j3, m1, m2, m3) -> float:
