@@ -14,6 +14,13 @@ Per-frequency solver policy (the knobs that make the extraction robust):
 * Each bin has one local order, min(A, ceil truncation at the mic radius),
   decided when the measurement is simulated and stored with it; the
   translation solve uses the local modes up to that order.
+
+Each config object is validated once: ``validate_config`` keeps the checked
+``Experiment`` on the (frozen) config, so ``load_config`` and every later
+``run_*`` call on that object share one geometry and its angular and direct
+tables, and ``dataclasses.replace`` makes a new object that is checked anew.
+The arrays the ``Experiment`` hands out are read-only, as every later call
+on the config reads them.
 """
 from __future__ import annotations
 
@@ -95,6 +102,14 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     probes: ProbesConfig = field(default_factory=ProbesConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
+
+    @cached_property
+    def _experiment(self) -> Experiment:
+        """The checked geometry of ``validate_config``, built on first use.
+
+        A config that fails a check caches nothing, so it fails on every use.
+        """
+        return _checked_experiment(self)
 
 
 def _check_mapping(block, allowed, where: str, noun: str = "key") -> None:
@@ -209,6 +224,8 @@ class Experiment:
         k_max = WaveContext(cfg.signal.f_max, cfg.signal.sound_speed).k
         self.design_source_order = truncation_order(k_max, cfg.regions.source_radius)
         self.design_receiver_order = truncation_order(k_max, cfg.regions.receiver_radius)
+        # the highest order within the loudspeakers' aliasing bound (N+1)^2 <= L
+        self.table_order = math.isqrt(cfg.arrays.speakers) - 1
         # every input that shapes gamma-tilde: array layouts, sound speed, room, encoder fit
         self.geometry_digest = fileio.content_digest(
             self.speakers_room,
@@ -227,11 +244,31 @@ class Experiment:
         # per artifact kind, the digests it carries under this config
         self.digests = {kind: {key: values[key] for key in keys}
                         for kind, keys in ARTIFACT_DIGESTS.items()}
+        _read_only(self.speakers_local, self.speakers_room,
+                   self.mics.unit_centers, self.mics.local_offsets)
 
     @cached_property
     def speaker_table(self) -> synthesis.SpeakerTable:
-        """The loudspeakers' angular table to the design source order, built on first use."""
-        return synthesis.speaker_table(self.speakers_local, self.design_source_order)
+        """The loudspeakers' angular table to ``table_order``, built on first use.
+
+        Extraction reads its first (N_s+1)^2 rows, the condition sweep every
+        order up to the bound; either reads the bits of a table of its own order.
+        """
+        table = synthesis.speaker_table(self.speakers_local, self.table_order)
+        _read_only(table.harmonics, table.radii)
+        return table
+
+    @cached_property
+    def sphere_table(self) -> synthesis.SpeakerTable:
+        """The angular table of the matched single-radius sphere, built on first use.
+
+        The L loudspeakers on equal-area directions at the source radius, to
+        ``table_order``: the array ``run_cond`` compares the shell with.
+        """
+        sphere = sphere_array(self.cfg.arrays.speakers, self.cfg.regions.source_radius)
+        table = synthesis.speaker_table(sphere, self.table_order)
+        _read_only(table.harmonics, table.radii)
+        return table
 
     @cached_property
     def direct_table(self) -> recording.DirectTable:
@@ -239,7 +276,9 @@ class Experiment:
 
         Only the coefficient-domain direct removal reads it.
         """
-        return recording.direct_table(self.speakers_room, self.mics)
+        table = recording.direct_table(self.speakers_room, self.mics)
+        _read_only(table.distances, table.harmonics)
+        return table
 
     def context(self, frequency: float) -> WaveContext:
         return WaveContext(frequency, self.cfg.signal.sound_speed)
@@ -256,8 +295,24 @@ class Experiment:
         return n_s, n_r
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Make arrays that outlive a call read-only, so an in-place write raises."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def validate_config(cfg: ExperimentConfig) -> Experiment:
-    """Check every module-level bound up front; returns the built geometry."""
+    """Check every module-level bound up front; returns the built geometry.
+
+    The checks and the build run once per config object, on its first call
+    (``load_config`` makes it); later calls return the same ``Experiment``.
+    A config that fails raises on every call.
+    """
+    return cfg._experiment
+
+
+def _checked_experiment(cfg: ExperimentConfig) -> Experiment:
+    """The checks of ``validate_config``, then the ``Experiment`` they admit."""
     if cfg.solver.direct_removal not in ("coefficient", "measurement"):
         raise ConfigurationError(
             "solver.direct_removal must be 'coefficient' or 'measurement', got "
@@ -403,8 +458,7 @@ def run_cond(cfg: ExperimentConfig, frequencies=None):
         frequencies = cfg.signal.frequencies
     ctxs = [exp.context(f) for f in frequencies]
     orders = [truncation_order(ctx.k, cfg.regions.source_radius) for ctx in ctxs]
-    sphere = sphere_array(cfg.arrays.speakers, cfg.regions.source_radius)
-    kappa = synthesis.condition_numbers((exp.speakers_local, sphere), orders, ctxs)
+    kappa = synthesis.condition_numbers((exp.speaker_table, exp.sphere_table), orders, ctxs)
     return np.asarray(frequencies, dtype=float), kappa[:, 0], kappa[:, 1]
 
 

@@ -230,6 +230,8 @@ def simulate_raw_measurements(
     """
     speakers = np.asarray(speakers, dtype=float)
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    # two bins within the grid tolerance fail here, before any image-sum work
+    check_distinct_bins(frequencies, "the measurement grid")
     ctxs = [WaveContext(f, sound_speed) for f in frequencies]
     omnis = mics.omni_positions()
     Q, L = omnis.shape[0], speakers.shape[0]

@@ -55,7 +55,8 @@ relative to j_N / y_N; as x <= N + 1 there, M stays below
 N + 1 + 8 (N + 1)^(1/3) + 2 whatever the largest x of the call, and a
 column that grows past 2^600 is scaled by an exact 2^-600, so small x and
 high orders share a call without overflow.  y_n runs upward from
-y_0 = -cos x / x and y_1, the stable direction for the dominant solution.
+y_0 = -cos x / x and y_1, the stable direction for the dominant solution;
+the Hankel table takes sin x and cos x once for j_n and y_n alike.
 
 A table of at most _SCALAR_LIMIT = 4 points, such as the two points of a
 one-pair query, runs the Legendre and Miller recursions one point at a time
@@ -234,7 +235,7 @@ def _series_rows(max_order: int, x: np.ndarray) -> np.ndarray:
     return lead * s
 
 
-def _miller_rows(max_order: int, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
+def _miller_rows(max_order: int, x: np.ndarray, j0: np.ndarray, cos_x: np.ndarray) -> np.ndarray:
     """j_0 ... j_N (N >= 1) at 1 <= x <= N + 1 by Miller's downward recurrence.
 
     Each column starts from f = 1 at its own start index (zeros above) and
@@ -250,7 +251,7 @@ def _miller_rows(max_order: int, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
     every = max(1, int(_HEADROOM / math.log((2 * int(starts.max()) + 1) / x.min() + 1.0)))
     loop = _miller_floats if x.size <= _SCALAR_LIMIT else _miller_arrays
     f = loop(max_order, x, starts, every)
-    j1 = (j0 - np.cos(x)) / x
+    j1 = (j0 - cos_x) / x
     use_j0 = np.abs(j0) >= np.abs(j1)
     f *= np.where(use_j0, j0, j1) / np.where(use_j0, f[0], f[1])
     return f
@@ -298,7 +299,7 @@ def _miller_floats(max_order: int, x: np.ndarray, starts: np.ndarray, every: int
     return f
 
 
-def _upward_rows(max_order: int, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
+def _upward_rows(max_order: int, x: np.ndarray, j0: np.ndarray, cos_x: np.ndarray) -> np.ndarray:
     """j_0 ... j_N (N >= 1) at x > N + 1 by the upward recurrence.
 
     From j_0 = sin x / x and j_1 = (j_0 - cos x) / x, each step is
@@ -307,7 +308,7 @@ def _upward_rows(max_order: int, x: np.ndarray, j0: np.ndarray) -> np.ndarray:
     column has the same bits alone as in any batch.
     """
     j = np.empty((max_order + 1, x.size))
-    j[0], j[1] = j0, (j0 - np.cos(x)) / x
+    j[0], j[1] = j0, (j0 - cos_x) / x
     for n in range(1, max_order):
         np.multiply(j[n], (2.0 * n + 1.0) / x, out=j[n + 1])
         j[n + 1] -= j[n - 1]
@@ -328,15 +329,29 @@ def bessel_j_rows(max_order: int, x) -> np.ndarray:
     lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
     if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("spherical Bessel tables require finite x >= 0")
+    return _bessel_rows(max_order, x, lo, hi, np.sin(x), None)
+
+
+def _bessel_rows(max_order: int, x: np.ndarray, lo: float, hi: float,
+                 sin_x: np.ndarray, cos_x: np.ndarray | None) -> np.ndarray:
+    """``bessel_j_rows`` at checked points with x.min() = lo and x.max() = hi.
+
+    Takes sin x, and cos x if the caller has it (``hankel_h1_matrix``);
+    otherwise cos x is taken at the recurrence branches' points only.
+    """
     N = max(max_order, 1)  # the normalization and the upward start read rows 0 and 1
-    j0 = np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0.0)
+    j0 = np.divide(sin_x, x, out=np.ones_like(x), where=x > 0.0)
+
+    def cos(points):
+        return np.cos(x[points]) if cos_x is None else cos_x[points]
+
     with np.errstate(under="ignore"):
         if hi < SERIES_LIMIT:
             j = _series_rows(N, x)
         elif lo > N + 1:
-            j = _upward_rows(N, x, j0)
+            j = _upward_rows(N, x, j0, cos(slice(None)))
         elif lo >= SERIES_LIMIT and hi <= N + 1:
-            j = _miller_rows(N, x, j0)
+            j = _miller_rows(N, x, j0, cos(slice(None)))
         else:  # two or three branches; a mask only for the branches x.min()/x.max() reach
             j = np.empty((N + 1, x.size))
             middle = x >= SERIES_LIMIT
@@ -345,10 +360,10 @@ def bessel_j_rows(max_order: int, x) -> np.ndarray:
                 j[:, small] = _series_rows(N, x[small])
             if hi > N + 1:
                 large = x > N + 1
-                j[:, large] = _upward_rows(N, x[large], j0[large])
+                j[:, large] = _upward_rows(N, x[large], j0[large], cos(large))
                 middle &= ~large
             if middle.any():
-                j[:, middle] = _miller_rows(N, x[middle], j0[middle])
+                j[:, middle] = _miller_rows(N, x[middle], j0[middle], cos(middle))
     j[0] = j0
     return j[:max_order + 1]
 
@@ -419,15 +434,17 @@ def hankel_h1_matrix(max_order: int, x) -> np.ndarray:
     y_{n+1} = (2n+1)/x y_n - y_{n-1}, the stable direction for y.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not (x.size == 0 or (x.min() > 0.0 and x.max() < math.inf)):
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    if x.size and not (lo > 0.0 and hi < math.inf):
         raise ValueError("hankel_h1_matrix requires finite x > 0")
+    sin_x, cos_x = np.sin(x), np.cos(x)  # shared by j_n and y_n
     h = np.empty((max_order + 1, x.size), dtype=complex)
-    h.real = bessel_j_rows(max_order, x)
+    h.real = _bessel_rows(max_order, x, lo, hi, sin_x, cos_x)
     y = h.imag
     inv_x = 1.0 / x
-    y[0] = -np.cos(x) * inv_x
+    y[0] = -cos_x * inv_x
     if max_order:
-        y[1] = (y[0] - np.sin(x)) * inv_x
+        y[1] = (y[0] - sin_x) * inv_x
     for n in range(1, max_order):
         np.multiply(y[n], inv_x, out=y[n + 1])
         y[n + 1] *= 2 * n + 1

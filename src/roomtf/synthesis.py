@@ -113,21 +113,18 @@ def condition_number(T: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def condition_numbers(arrays, orders, ctxs) -> np.ndarray:
+def condition_numbers(tables, orders, ctxs) -> np.ndarray:
     """kappa of T per bin and array: shape (bins, arrays).
 
-    Entry (b, a) is ``condition_number(build_T(speaker_table(arrays[a],
-    orders[b]), orders[b], ctxs[b]))`` bit for bit.  Each (L, 3) array gets
-    one angular table, to the highest order within its aliasing bound
-    (N+1)^2 <= L, and the bins of one order get their Bessel rows for every
-    array from one ``bessel_j_rows`` call per batch.  Past the bound kappa
-    is inf, and no T is built.
+    ``tables`` holds one ``SpeakerTable`` per array, to at least the highest
+    order in ``orders`` within that array's aliasing bound (N+1)^2 <= L.
+    Entry (b, a) is ``condition_number(build_T(tables[a], orders[b],
+    ctxs[b]))`` bit for bit, and so that of a table of order ``orders[b]``
+    of its own.  The bins of one order get their Bessel rows for every array
+    from one ``bessel_j_rows`` call per batch.  Past the bound kappa is inf,
+    and no T is built.
     """
-    kappa = np.full((len(orders), len(arrays)), np.inf)
-    tables = [
-        speaker_table(a, max((n for n in orders if specfun.mode_count(n) <= len(a)), default=0))
-        for a in arrays
-    ]
+    kappa = np.full((len(orders), len(tables)), np.inf)
     bins_by_order = {}
     for b, n in enumerate(orders):
         bins_by_order.setdefault(n, []).append(b)

@@ -223,6 +223,54 @@ class TestValidateConfig:
         assert not out.exists()
 
 
+class TestExperimentCache:
+    def test_one_experiment_per_config_object(self):
+        cfg = fast_config()
+        exp = validate_config(cfg)
+        assert validate_config(cfg) is exp
+        # an equal config is another object, and a replaced one another geometry
+        assert validate_config(replace(cfg)) is not exp
+        reseeded = replace(cfg, arrays=replace(cfg.arrays, seed=7))
+        assert validate_config(reseeded).geometry_digest != exp.geometry_digest
+
+    def test_invalid_config_raises_on_every_call(self):
+        cfg = replace(fast_config(), arrays=replace(fast_config().arrays, speakers=30))
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="loudspeaker aliasing bound"):
+                validate_config(cfg)
+
+    def test_a_session_builds_one_experiment(self, tmp_path, monkeypatch):
+        built, spheres = [], []
+        monkeypatch.setattr(pipeline, "Experiment",
+                            lambda cfg: built.append(cfg) or Experiment(cfg))
+        monkeypatch.setattr(pipeline, "sphere_array",
+                            lambda *args: spheres.append(args) or sphere_array(*args))
+        cfg = load_config(write_yaml(tmp_path, FAST_YAML))
+        mt = run_measure(cfg)
+        cset = pipeline.run_extract(cfg, mt)
+        pipeline.sweep_errors(cfg, cset, radii=(0.2,))
+        pipeline.run_cond(cfg)
+        pipeline.run_cond(cfg, [300.0])
+        assert len(built) == 1 and built[0] is cfg
+        assert len(spheres) == 1
+
+    def test_shared_arrays_are_read_only(self):
+        exp = validate_config(fast_config())
+        for a in (exp.speakers_local, exp.speakers_room, exp.mics.unit_centers,
+                  exp.mics.local_offsets, exp.speaker_table.harmonics, exp.speaker_table.radii,
+                  exp.sphere_table.harmonics, exp.sphere_table.radii,
+                  exp.direct_table.distances, exp.direct_table.harmonics):
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+        assert validate_config(fast_config()).geometry_digest == exp.geometry_digest
+
+    def test_one_table_per_array_to_the_aliasing_bound(self):
+        # 40 loudspeakers: order 5, (5+1)^2 = 36 <= 40 < 49
+        exp = validate_config(fast_config())
+        for table in (exp.speaker_table, exp.sphere_table):
+            assert table.harmonics.shape == (36, 40)
+
+
 class TestEffectiveOrders:
     def test_design_frequency_caps(self):
         exp = Experiment(ExperimentConfig())
@@ -701,6 +749,7 @@ class TestSolverSettings:
 class TestPerRunTables:
     @pytest.mark.parametrize("removal,builds", [("coefficient", 1), ("measurement", 0)])
     def test_direct_table_built_once_per_extraction(self, monkeypatch, removal, builds):
+        # the table lives on the config's one Experiment, so both runs share it
         calls = []
         build = recording.direct_table
         monkeypatch.setattr(recording, "direct_table",
@@ -710,7 +759,7 @@ class TestPerRunTables:
         mt = run_measure(cfg)
         pipeline.run_extract(cfg, mt)
         pipeline.run_extract(cfg, mt)
-        assert len(calls) == 2 * builds
+        assert len(calls) == builds
 
 
 class TestRunCond:

@@ -327,6 +327,20 @@ class TestGridSimulation:
                 simulate_raw_measurements(room, self.SPEAKERS, mics,
                                           [300.0, 600.0, f_zero, 1200.0])
 
+    def test_close_bins_rejected_before_any_work(self, monkeypatch):
+        # a lookup of either bin would answer with the other, so the grid is
+        # checked before the encoders and the image sums
+        room, mics = self.geometry()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the grid check")
+
+        monkeypatch.setattr(recording, "bin_encoders", no_work)
+        monkeypatch.setattr(recording, "rtf_oracle_blocks", no_work)
+        with pytest.raises(ConfigurationError,
+                           match=r"the measurement grid holds 900\.0 and 900\.0000000005 Hz"):
+            simulate_raw_measurements(room, self.SPEAKERS, mics, [900.0, 600.0, 900.0000000005])
+
 
 def complex_direct_coefficients(speakers, mics, ctx):
     """i k h_a(k R_ql) conj(Y_ab(R_ql-hat)) from scipy, in the complex basis: (Q, L, C)."""

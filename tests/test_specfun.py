@@ -133,6 +133,34 @@ class TestHankel:
             specfun.hankel_h1_matrix(1, [1.0, -2.0])
 
 
+    @pytest.mark.parametrize("N", [0, 1, 5, 10])
+    @pytest.mark.parametrize("x", [
+        [0.05, 0.7, 1.0, 3.5, 11.0, 11.5, 40.0, 300.0],  # series, Miller and upward points
+        [0.7, 2.0, 300.0],  # the Python-float loops
+    ], ids=["arrays", "floats"])
+    def test_rows_keep_the_bits_of_separate_sin_and_cos(self, N, x):
+        # j_n and y_n share one sin x and one cos x
+        x = np.array(x)
+        h = specfun.hankel_h1_matrix(N, x)
+        rows = specfun.harmonic_orders(N)
+        assert same_bits(h.real, specfun.bessel_j_rows(N, x)[rows])
+        assert same_bits(h.imag, upward_y_rows(N, x)[rows])
+
+
+def upward_y_rows(N, x):
+    """y_0 ... y_N by the upward recurrence from its own np.sin and np.cos calls."""
+    y = np.empty((N + 1, x.size))
+    inv_x = 1.0 / x
+    y[0] = -np.cos(x) * inv_x
+    if N:
+        y[1] = (y[0] - np.sin(x)) * inv_x
+    for n in range(1, N):
+        np.multiply(y[n], inv_x, out=y[n + 1])
+        y[n + 1] *= 2 * n + 1
+        y[n + 1] -= y[n - 1]
+    return y
+
+
 class TestSphericalHarmonic:
     def test_constant_mode(self):
         for theta, phi in [(0.3, 1.0), (2.0, 4.0)]:
@@ -475,7 +503,7 @@ class TestBesselBranches:
         seen = []
         miller = specfun._miller_rows
         monkeypatch.setattr(specfun, "_miller_rows",
-                            lambda N, x, j0: seen.append(x.tolist()) or miller(N, x, j0))
+                            lambda N, x, *rest: seen.append(x.tolist()) or miller(N, x, *rest))
         specfun.bessel_j_rows(5, np.array([0.5, 3.0, 6.0, 6.5, 300.0]))
         specfun.bessel_j_rows(5, np.array([6.5, 300.0]))
         specfun.bessel_j_rows(5, np.array([0.5, 0.9]))
