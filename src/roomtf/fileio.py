@@ -169,7 +169,7 @@ def load_coefficient_set(path) -> RtfCoefficientSet:
         alpha=tuple(blocks),
         source_orders=np.array(source_orders),
         receiver_orders=np.array(receiver_orders),
-        regions=RegionPair(*radii, tuple(offset)),
+        regions=RegionPair(*radii, offset),
         sound_speed=sound_speed,
         digests=digests,
     )

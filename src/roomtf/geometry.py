@@ -30,6 +30,8 @@ class RegionPair:
     offset: tuple[float, float, float]
 
     def __post_init__(self):
+        # a caller's list would stay shared, and could move a validated region
+        object.__setattr__(self, "offset", tuple(self.offset))
         # a NaN passes r > 0, and an infinite radius has no truncation order
         for name in ("receiver_radius", "source_radius"):
             radius = getattr(self, name)

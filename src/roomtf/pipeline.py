@@ -68,6 +68,10 @@ class SignalConfig:
     f_max: float = 1000.0
     frequencies: tuple[float, ...] = tuple(np.arange(200.0, 1700.0 + 1e-9, 25.0))
 
+    def __post_init__(self):
+        # a caller's list would stay shared, and could change a validated config
+        object.__setattr__(self, "frequencies", tuple(self.frequencies))
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -80,6 +84,9 @@ class SolverConfig:
 class ProbesConfig:
     preset: str = "paper-fig5"
     radii: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
+
+    def __post_init__(self):
+        object.__setattr__(self, "radii", tuple(self.radii))  # as SignalConfig.frequencies
 
 
 @dataclass(frozen=True)
@@ -244,41 +251,36 @@ class Experiment:
         # per artifact kind, the digests it carries under this config
         self.digests = {kind: {key: values[key] for key in keys}
                         for kind, keys in ARTIFACT_DIGESTS.items()}
-        _read_only(self.speakers_local, self.speakers_room,
-                   self.mics.unit_centers, self.mics.local_offsets)
+        for a in (self.speakers_local, self.speakers_room,
+                  self.mics.unit_centers, self.mics.local_offsets):
+            a.flags.writeable = False  # every later call on the config reads them
 
     @cached_property
-    def speaker_table(self) -> synthesis.SpeakerTable:
+    def speaker_table(self) -> specfun.AngularTable:
         """The loudspeakers' angular table to ``table_order``, built on first use.
 
         Extraction reads its first (N_s+1)^2 rows, the condition sweep every
         order up to the bound; either reads the bits of a table of its own order.
         """
-        table = synthesis.speaker_table(self.speakers_local, self.table_order)
-        _read_only(table.harmonics, table.radii)
-        return table
+        return specfun.angular_table(self.table_order, self.speakers_local)
 
     @cached_property
-    def sphere_table(self) -> synthesis.SpeakerTable:
+    def sphere_table(self) -> specfun.AngularTable:
         """The angular table of the matched single-radius sphere, built on first use.
 
         The L loudspeakers on equal-area directions at the source radius, to
         ``table_order``: the array ``run_cond`` compares the shell with.
         """
         sphere = sphere_array(self.cfg.arrays.speakers, self.cfg.regions.source_radius)
-        table = synthesis.speaker_table(sphere, self.table_order)
-        _read_only(table.harmonics, table.radii)
-        return table
+        return specfun.angular_table(self.table_order, sphere)
 
     @cached_property
-    def direct_table(self) -> recording.DirectTable:
-        """Unit-to-loudspeaker distances and angles of the direct field, built on first use.
+    def direct_table(self) -> specfun.AngularTable:
+        """The angular table of the unit-to-loudspeaker vectors, built on first use.
 
         Only the coefficient-domain direct removal reads it.
         """
-        table = recording.direct_table(self.speakers_room, self.mics)
-        _read_only(table.distances, table.harmonics)
-        return table
+        return recording.direct_table(self.speakers_room, self.mics)
 
     def context(self, frequency: float) -> WaveContext:
         return WaveContext(frequency, self.cfg.signal.sound_speed)
@@ -293,12 +295,6 @@ class Experiment:
         n_r = min(truncation_order(k, cfg.regions.receiver_radius) + margin,
                   self.design_receiver_order)
         return n_s, n_r
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    """Make arrays that outlive a call read-only, so an in-place write raises."""
-    for a in arrays:
-        a.flags.writeable = False
 
 
 def validate_config(cfg: ExperimentConfig) -> Experiment:
@@ -409,7 +405,7 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
     )
     direct = None
     if cfg.solver.direct_removal == "coefficient":
-        direct = recording.direct_coefficients_per_speaker(exp.direct_table, ctx)
+        direct = recording.direct_coefficients_per_speaker(exp.direct_table, exp.mics, ctx)
     gamma = recording.compose_all_modes(mt, fi, W, direct)
     local_order = int(mt.mask_orders[fi])
     Tp = translation.build_T_prime(exp.mics, local_order, n_r, ctx)

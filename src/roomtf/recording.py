@@ -26,9 +26,10 @@ orders for zeros; each bin divides its kept rows by j_n(kr).  Each bin has
 one local order, min(A, ceil(k e r / 2)), the regions' truncation rule at
 the local radius: its rows up to that order are kept, the rows above it are
 exact zeros, and the measurement tensor records it as ``mask_orders``.
-The direct field's distances and angular table (``direct_table``) do not
-depend on frequency either; a run builds them once, and each bin multiplies
-them by i k h_n(k|R|).
+The direct field's angular table (``direct_table``, the
+``specfun.AngularTable`` of the unit-to-loudspeaker vectors R) does not
+depend on frequency either; a run builds it once, and each bin multiplies
+it by i k h_n(k|R|).
 """
 from __future__ import annotations
 
@@ -137,7 +138,7 @@ class MeasurementTensor:
     frequencies: np.ndarray
     gamma_tilde: np.ndarray = field(repr=False)  # (F, Q, L, (A+1)^2)
     mic_order: int
-    mask_orders: np.ndarray = None  # per-frequency highest retained local order
+    mask_orders: np.ndarray  # per-frequency highest retained local order
     digests: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -152,10 +153,7 @@ class MeasurementTensor:
                 f"gamma_tilde shape {gt.shape} inconsistent with "
                 f"{freqs.shape[0]} frequencies and (A+1)^2 = {expected_modes}"
             )
-        mask = self.mask_orders
-        if mask is None:
-            mask = np.full(freqs.shape[0], self.mic_order, dtype=int)
-        mask = np.asarray(mask, dtype=int)
+        mask = np.asarray(self.mask_orders, dtype=int)
         if self.mic_order < 0 or mask.shape != freqs.shape or np.any(mask < 0) \
                 or np.any(mask > self.mic_order):
             raise ConfigurationError(f"mask_orders {mask.tolist()} must hold one order in "
@@ -197,8 +195,7 @@ def bin_encoders(spec: HoMicSpec, offsets: np.ndarray, ctxs) -> tuple[np.ndarray
             f"local mode a = {a} sits on a Bessel zero at f = {ctxs[f].frequency} Hz "
             f"(|j_a(kr)| < {BESSEL_ZERO_THRESHOLD}); move the frequency"
         )
-    r = np.linalg.norm(offsets, axis=1)
-    angular = np.linalg.pinv(specfun.real_harmonics(spec.effective_fit_order, offsets, r).T)
+    angular = np.linalg.pinv(specfun.angular_table(spec.effective_fit_order, offsets).harmonics.T)
     degrees = specfun.harmonic_orders(A)
     encoders = np.zeros((ks.size, degrees.size, offsets.shape[0]))
     np.divide(angular[:degrees.size], bessel[degrees].T[:, :, None], out=encoders,
@@ -271,40 +268,29 @@ def compose_all_modes(mt: MeasurementTensor, f_index: int, weight_matrix: np.nda
     return composed.transpose(0, 2, 1)
 
 
-@dataclass(frozen=True)
-class DirectTable:
-    """The frequency-independent part of the direct-field coefficients.
-
-    One column per (unit q, loudspeaker l) pair, q-major: the distance
-    |R_ql| and the real harmonics S_ab(R_ql-hat) to the mic order.
-    """
-
-    distances: np.ndarray  # (Q L,)
-    harmonics: np.ndarray  # ((A+1)^2, Q L)
-    num_units: int
-
-
-def direct_table(speakers: np.ndarray, mics: MicArray) -> DirectTable:
-    """The ``DirectTable`` of loudspeakers (L, 3) seen from each unit center of ``mics``.
+def direct_table(speakers: np.ndarray, mics: MicArray) -> specfun.AngularTable:
+    """The angular table to the mic order of the vectors R_ql from each unit center
+    q of ``mics`` to each loudspeaker l of ``speakers`` (L, 3), q-major.
 
     Requires every speaker strictly outside each microphone's local region
     for the expansion to converge at the sensors.
     """
-    speakers = np.asarray(speakers, dtype=float)
-    rel = (speakers[None, :, :] - mics.unit_centers[:, None, :]).reshape(-1, 3)
-    r = np.linalg.norm(rel, axis=1)
-    if np.any(r < 1e-12):
+    rel = np.asarray(speakers, dtype=float)[None, :, :] - mics.unit_centers[:, None, :]
+    table = specfun.angular_table(mics.spec.order, rel.reshape(-1, 3))
+    if np.any(table.radii < 1e-12):
         raise ValueError("loudspeaker coincides with a microphone unit center")
-    return DirectTable(r, specfun.real_harmonics(mics.spec.order, rel, r), mics.num_units)
+    return table
 
 
-def direct_coefficients_per_speaker(table: DirectTable, ctx: WaveContext) -> np.ndarray:
+def direct_coefficients_per_speaker(table: specfun.AngularTable, mics: MicArray,
+                                    ctx: WaveContext) -> np.ndarray:
     """Analytic incident coefficients of each speaker's direct field: (Q, L, C).
 
     gamma_ab = i k h_a(k R_ql) S_ab(R_ql-hat) in the real local basis, for
-    the vector R_ql from mic center q to speaker l; in the complex basis it is
-    i k h_a conj(Y_ab).  Only the Hankel rows depend on the bin.
+    the vector R_ql from mic center q to speaker l of ``direct_table(speakers,
+    mics)``; in the complex basis it is i k h_a conj(Y_ab).  Only the Hankel
+    rows depend on the bin.
     """
-    A = math.isqrt(table.harmonics.shape[0]) - 1
-    coeffs = 1j * ctx.k * specfun.hankel_h1_matrix(A, ctx.k * table.distances) * table.harmonics
-    return coeffs.T.reshape(table.num_units, -1, coeffs.shape[0])
+    h = specfun.hankel_h1_matrix(mics.spec.order, ctx.k * table.radii)
+    coeffs = 1j * ctx.k * h * table.harmonics
+    return coeffs.T.reshape(mics.num_units, -1, coeffs.shape[0])

@@ -25,6 +25,9 @@ class RoomModel:
     max_image_order: int = 2
 
     def __post_init__(self):
+        # a caller's list would stay shared, and could change a validated room
+        object.__setattr__(self, "dimensions", tuple(self.dimensions))
+        object.__setattr__(self, "reflections", tuple(self.reflections))
         # a NaN passes d > 0, and an infinite length puts every image at infinity
         if len(self.dimensions) != 3 or not all(0 < d < math.inf for d in self.dimensions):
             raise ConfigurationError(

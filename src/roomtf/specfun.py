@@ -11,9 +11,11 @@ Condon-Shortley phase (``scipy.special.sph_harm_y``),
 so Y = U S with U unitary, pairing rows (n, m) and (n, -m).
 
 ``real_harmonics`` is the table S at Cartesian points, ``real_regular_basis``
-j_n(k|x|) S_nm(x-hat), the one table of T', the encoder and the queries;
-``synthesis`` builds T from S and ``bessel_j_rows`` itself, so that one
-angular table serves every frequency.  Every stored coefficient is in this
+j_n(k|x|) S_nm(x-hat), the one table of T' and the queries.  An
+``AngularTable`` (``angular_table``) holds S and |x| at fixed points, the
+part that does not depend on frequency: ``synthesis`` builds T from it and
+``bessel_j_rows``, ``recording`` the encoder and the direct field from it,
+so that one table serves every bin.  Every stored coefficient is in this
 basis.  ``translation`` integrates triple products of S exactly on a
 Gauss-Legendre grid (its real Gaunt integrals; the exactness condition is
 stated there).  The tables read
@@ -55,8 +57,7 @@ relative to j_N / y_N; as x <= N + 1 there, M stays below
 N + 1 + 8 (N + 1)^(1/3) + 2 whatever the largest x of the call, and a
 column that grows past 2^600 is scaled by an exact 2^-600, so small x and
 high orders share a call without overflow.  y_n runs upward from
-y_0 = -cos x / x and y_1, the stable direction for the dominant solution;
-the Hankel table takes sin x and cos x once for j_n and y_n alike.
+y_0 = -cos x / x and y_1, the stable direction for the dominant solution.
 
 A table of at most _SCALAR_LIMIT = 4 points, such as the two points of a
 one-pair query, runs the Legendre and Miller recursions one point at a time
@@ -81,6 +82,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 
 def mode_count(max_order: int) -> int:
@@ -329,29 +332,15 @@ def bessel_j_rows(max_order: int, x) -> np.ndarray:
     lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
     if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("spherical Bessel tables require finite x >= 0")
-    return _bessel_rows(max_order, x, lo, hi, np.sin(x), None)
-
-
-def _bessel_rows(max_order: int, x: np.ndarray, lo: float, hi: float,
-                 sin_x: np.ndarray, cos_x: np.ndarray | None) -> np.ndarray:
-    """``bessel_j_rows`` at checked points with x.min() = lo and x.max() = hi.
-
-    Takes sin x, and cos x if the caller has it (``hankel_h1_matrix``);
-    otherwise cos x is taken at the recurrence branches' points only.
-    """
     N = max(max_order, 1)  # the normalization and the upward start read rows 0 and 1
-    j0 = np.divide(sin_x, x, out=np.ones_like(x), where=x > 0.0)
-
-    def cos(points):
-        return np.cos(x[points]) if cos_x is None else cos_x[points]
-
+    j0 = np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0.0)
     with np.errstate(under="ignore"):
         if hi < SERIES_LIMIT:
             j = _series_rows(N, x)
         elif lo > N + 1:
-            j = _upward_rows(N, x, j0, cos(slice(None)))
+            j = _upward_rows(N, x, j0, np.cos(x))
         elif lo >= SERIES_LIMIT and hi <= N + 1:
-            j = _miller_rows(N, x, j0, cos(slice(None)))
+            j = _miller_rows(N, x, j0, np.cos(x))
         else:  # two or three branches; a mask only for the branches x.min()/x.max() reach
             j = np.empty((N + 1, x.size))
             middle = x >= SERIES_LIMIT
@@ -360,10 +349,10 @@ def _bessel_rows(max_order: int, x: np.ndarray, lo: float, hi: float,
                 j[:, small] = _series_rows(N, x[small])
             if hi > N + 1:
                 large = x > N + 1
-                j[:, large] = _upward_rows(N, x[large], j0[large], cos(large))
+                j[:, large] = _upward_rows(N, x[large], j0[large], np.cos(x[large]))
                 middle &= ~large
             if middle.any():
-                j[:, middle] = _miller_rows(N, x[middle], j0[middle], cos(middle))
+                j[:, middle] = _miller_rows(N, x[middle], j0[middle], np.cos(x[middle]))
     j[0] = j0
     return j[:max_order + 1]
 
@@ -410,6 +399,30 @@ def real_harmonics(max_order: int, points, r) -> np.ndarray:
     return basis
 
 
+@dataclass(frozen=True)
+class AngularTable:
+    """S_nm(x-hat) and |x| at fixed points, the frequency-independent part of
+    j_n(k|x|) S_nm(x-hat); ``angular_table`` builds it, both arrays read-only.
+
+    Rows [:(n+1)^2] of ``harmonics`` are the order-n table bit for bit, so
+    one table, built to the highest order in use, serves every lower order.
+    """
+
+    harmonics: np.ndarray  # ((N+1)^2, P)
+    radii: np.ndarray  # (P,)
+
+
+def angular_table(max_order: int, points) -> AngularTable:
+    """The ``AngularTable`` to order N at the rows of ``points`` (P, 3)."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 1:
+        raise ConfigurationError(f"points must be a (P >= 1, 3) array, got shape {points.shape}")
+    r = np.linalg.norm(points, axis=1)
+    table = AngularTable(real_harmonics(max_order, points, r), r)
+    table.harmonics.flags.writeable = table.radii.flags.writeable = False
+    return table
+
+
 def real_regular_basis(max_order: int, k: float, points, r) -> np.ndarray:
     """j_n(k|x|) S_nm(x-hat) at Cartesian points (P, 3): shape ((N+1)^2, P), real.
 
@@ -430,24 +443,22 @@ def real_regular_basis(max_order: int, k: float, points, r) -> np.ndarray:
 def hankel_h1_matrix(max_order: int, x) -> np.ndarray:
     """h_n = j_n + i y_n at each point, repeated per degree: shape ((N+1)^2, P).
 
-    y_n runs up from y_0 = -cos x / x and y_1 = (y_0 - sin x) / x by
-    y_{n+1} = (2n+1)/x y_n - y_{n-1}, the stable direction for y.
+    j_n is ``bessel_j_rows``; y_n runs up from y_0 = -cos x / x and
+    y_1 = (y_0 - sin x) / x by y_{n+1} = (2n+1)/x y_n - y_{n-1}, the stable
+    direction for y.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
-    if x.size and not (lo > 0.0 and hi < math.inf):
+    if x.size and not (x.min() > 0.0 and x.max() < math.inf):
         raise ValueError("hankel_h1_matrix requires finite x > 0")
-    sin_x, cos_x = np.sin(x), np.cos(x)  # shared by j_n and y_n
     h = np.empty((max_order + 1, x.size), dtype=complex)
-    h.real = _bessel_rows(max_order, x, lo, hi, sin_x, cos_x)
+    h.real = bessel_j_rows(max_order, x)
     y = h.imag
     inv_x = 1.0 / x
-    y[0] = -cos_x * inv_x
+    y[0] = -np.cos(x) * inv_x
     if max_order:
-        y[1] = (y[0] - sin_x) * inv_x
+        y[1] = (y[0] - np.sin(x)) * inv_x
     for n in range(1, max_order):
         np.multiply(y[n], inv_x, out=y[n + 1])
         y[n + 1] *= 2 * n + 1
         y[n + 1] -= y[n - 1]
     return h[harmonic_orders(max_order)]
-

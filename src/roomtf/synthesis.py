@@ -1,8 +1,8 @@
 """Loudspeaker-array mode matching: translation matrix T, weights, conditioning.
 
 T is the real ((N+1)^2, L) array with entry (n,m; l) =
-k j_n(k y_l) S_nm(y_l-hat): the angular table S_nm(y_l-hat) of the array
-(``speaker_table``, independent of frequency) times the Bessel rows, times k.
+k j_n(k y_l) S_nm(y_l-hat): the array's ``specfun.AngularTable``, which does
+not depend on frequency, times the Bessel rows, times k.
 The complex translation matrix T_c, with entry
 i k j_n(k y_l) conj(Y_nm(y_l-hat)), is i conj(U) T, since Y = U S with U
 unitary.  So T and T_c have the same singular values: the condition number
@@ -15,7 +15,6 @@ loudspeakers; N is read back from the row count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,30 +28,7 @@ from .modal import WaveContext
 _BATCH_POINTS = 2048
 
 
-@dataclass(frozen=True)
-class SpeakerTable:
-    """The frequency-independent part of T for one array: S_nm(y_l-hat) and |y_l|.
-
-    Rows [:(n+1)^2] of ``harmonics`` are the order-n table bit for bit, so
-    one table, built to the highest order in use, serves every lower order.
-    """
-
-    harmonics: np.ndarray  # ((N+1)^2, L)
-    radii: np.ndarray  # (L,)
-
-
-def speaker_table(speakers: np.ndarray, max_order: int) -> SpeakerTable:
-    """The angular table of the loudspeakers at the rows of ``speakers`` (L, 3), region-centered."""
-    speakers = np.asarray(speakers, dtype=float)
-    if speakers.ndim != 2 or speakers.shape[1] != 3 or speakers.shape[0] < 1:
-        raise ConfigurationError(
-            f"loudspeakers must be an (L >= 1, 3) array, got shape {speakers.shape}"
-        )
-    r = np.linalg.norm(speakers, axis=1)
-    return SpeakerTable(specfun.real_harmonics(max_order, speakers, r), r)
-
-
-def build_T(table: SpeakerTable, max_order: int, ctx: WaveContext,
+def build_T(table: specfun.AngularTable, max_order: int, ctx: WaveContext,
             bessel: np.ndarray | None = None) -> np.ndarray:
     """Real T at order N = ``max_order``, at most the order of ``table``.
 
@@ -116,8 +92,8 @@ def condition_number(T: np.ndarray) -> float:
 def condition_numbers(tables, orders, ctxs) -> np.ndarray:
     """kappa of T per bin and array: shape (bins, arrays).
 
-    ``tables`` holds one ``SpeakerTable`` per array, to at least the highest
-    order in ``orders`` within that array's aliasing bound (N+1)^2 <= L.
+    ``tables`` holds one ``specfun.AngularTable`` per array, to at least the
+    highest order in ``orders`` within that array's aliasing bound (N+1)^2 <= L.
     Entry (b, a) is ``condition_number(build_T(tables[a], orders[b],
     ctxs[b]))`` bit for bit, and so that of a table of order ``orders[b]``
     of its own.  The bins of one order get their Bessel rows for every array

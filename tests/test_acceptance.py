@@ -102,7 +102,7 @@ def test_criterion_2_array_conditioning():
         ctx = WaveContext(f)
         order = truncation_order(ctx.k, 0.4)
         for array, kappas in ((shell, kappa_shell), (sphere, kappa_sphere)):
-            T = synthesis.build_T(synthesis.speaker_table(array, order), order, ctx)
+            T = synthesis.build_T(specfun.angular_table(order, array), order, ctx)
             kappas.append(synthesis.condition_number(T))
     kappa_shell = np.array(kappa_shell)
     kappa_sphere = np.array(kappa_sphere)
@@ -254,7 +254,7 @@ def test_criterion_10_mode_matching_fidelity():
     ctx = WaveContext(500.0)
     n_s = truncation_order(ctx.k, 0.4)
     speakers = shell_array(121, 0.4, 0.3, 12345)
-    T = synthesis.build_T(synthesis.speaker_table(speakers, 10), 10, ctx)
+    T = synthesis.build_T(specfun.angular_table(10, speakers), 10, ctx)
     directions = np.random.default_rng(3).standard_normal((20, 3))
     _, theta, phi = cartesian_to_spherical_arrays(directions)
     probes = 1.5 * directions / np.linalg.norm(directions, axis=1)[:, None]

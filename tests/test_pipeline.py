@@ -254,12 +254,32 @@ class TestExperimentCache:
         assert len(built) == 1 and built[0] is cfg
         assert len(spheres) == 1
 
+    def test_a_caller_list_cannot_change_a_validated_config(self):
+        # each sequence field is copied to a tuple, so the config, its
+        # Experiment and a fresh check of the config keep one geometry
+        dims, refl, off, freqs, radii = [6.0, 5.0, 2.5], [0.9] * 6, [1.0, 1.0, 0.5], [400.0], [0.2]
+        cfg = replace(fast_config(), room=RoomModel(dims, refl, 1),
+                      regions=RegionPair(0.4, 0.4, 0.3, off),
+                      signal=SignalConfig(f_max=500.0, frequencies=freqs),
+                      probes=pipeline.ProbesConfig(radii=radii))
+        exp = validate_config(cfg)
+        speakers = exp.speakers_room.copy()
+        off[0], dims[0], refl[0], freqs[0], radii[0] = 2.0, 3.0, 0.1, 300.0, 0.3
+        assert validate_config(cfg) is exp
+        assert exp.room is cfg.room and exp.room.dimensions == (6.0, 5.0, 2.5)
+        assert cfg.room.reflections == (0.9,) * 6 and cfg.regions.offset == (1.0, 1.0, 0.5)
+        assert cfg.signal.frequencies == (400.0,) and cfg.probes.radii == (0.2,)
+        fresh = validate_config(replace(cfg))
+        assert fresh is not exp and fresh.geometry_digest == exp.geometry_digest
+        assert np.array_equal(exp.speakers_room, speakers)
+        assert np.array_equal(fresh.speakers_room, speakers)
+
     def test_shared_arrays_are_read_only(self):
         exp = validate_config(fast_config())
         for a in (exp.speakers_local, exp.speakers_room, exp.mics.unit_centers,
                   exp.mics.local_offsets, exp.speaker_table.harmonics, exp.speaker_table.radii,
                   exp.sphere_table.harmonics, exp.sphere_table.radii,
-                  exp.direct_table.distances, exp.direct_table.harmonics):
+                  exp.direct_table.radii, exp.direct_table.harmonics):
             with pytest.raises(ValueError, match="read-only"):
                 a *= 2.0
         assert validate_config(fast_config()).geometry_digest == exp.geometry_digest
@@ -786,7 +806,7 @@ class TestRunCond:
             order = truncation_order(ctx.k, cfg.regions.source_radius)
             for array in (exp.speakers_local, sphere_array(121, 0.4)):
                 T = per_bin_T(array, order, ctx)
-                fresh = synthesis.build_T(synthesis.speaker_table(array, order), order, ctx)
+                fresh = synthesis.build_T(specfun.angular_table(order, array), order, ctx)
                 assert np.array_equal(fresh, T)
                 want.append(synthesis.condition_number(T))
         assert np.array_equal(freqs, grid)

@@ -360,7 +360,7 @@ class TestComposition:
         rng = np.random.default_rng(12)
         gt = rng.standard_normal((1, 3, 5, 16)) + 1j * rng.standard_normal((1, 3, 5, 16))
         return recording.MeasurementTensor(
-            frequencies=np.array([700.0]), gamma_tilde=gt, mic_order=3
+            frequencies=np.array([700.0]), gamma_tilde=gt, mic_order=3, mask_orders=[3]
         )
 
     def test_zero_weights(self):
@@ -417,7 +417,8 @@ class TestDirectComponent:
         spec = reference_mic_spec()
         mics = MicArray(np.zeros((1, 3)), spec, make_mic_array(1, 0.2, spec).local_offsets)
         speakers = np.array([[0.0, 0.0, 1.5]])  # on the +z axis of the unit
-        out = direct_coefficients_per_speaker(direct_table(speakers, mics), WaveContext(700.0))
+        out = direct_coefficients_per_speaker(direct_table(speakers, mics), mics,
+                                              WaveContext(700.0))
         assert out.shape == (1, 1, 16)
         orders = specfun.harmonic_orders(3)
         degrees = np.arange(orders.size) - orders * orders - orders
@@ -429,8 +430,8 @@ class TestDirectComponent:
         mics = make_mic_array(2, 0.25, spec)
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4]])
         ctx = WaveContext(600.0)
-        mt = recording.MeasurementTensor(np.array([600.0]), np.zeros((1, 2, 2, 16)), 3)
-        direct = direct_coefficients_per_speaker(direct_table(speakers, mics), ctx)
+        mt = recording.MeasurementTensor(np.array([600.0]), np.zeros((1, 2, 2, 16)), 3, [3])
+        direct = direct_coefficients_per_speaker(direct_table(speakers, mics), mics, ctx)
         w = np.array([[1.0], [0.5]])
         base = compose_all_modes(mt, 0, w, direct)
         scaled = compose_all_modes(mt, 0, 3.0 * w, direct)
@@ -444,12 +445,12 @@ class TestDirectComponent:
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4], [-0.9, 0.3, 0.7]])
         ctx = WaveContext(650.0)
         U = unitary_U(3)
-        direct = direct_coefficients_per_speaker(direct_table(speakers, mics), ctx)
+        direct = direct_coefficients_per_speaker(direct_table(speakers, mics), mics, ctx)
         want_direct = complex_direct_coefficients(speakers, mics, ctx) @ U
         np.testing.assert_allclose(direct, want_direct, rtol=1e-12, atol=0)
         rng = np.random.default_rng(4)
         gt = rng.standard_normal((1, 3, 3, 16)) + 1j * rng.standard_normal((1, 3, 3, 16))
-        mt = recording.MeasurementTensor(np.array([650.0]), gt, 3)
+        mt = recording.MeasurementTensor(np.array([650.0]), gt, 3, [3])
         W = rng.standard_normal((3, 2))
         want = np.einsum("Qlc,lm->Qcm", gt[0] - want_direct, W)
         np.testing.assert_allclose(compose_all_modes(mt, 0, W, direct), want,
@@ -461,7 +462,7 @@ class TestDirectComponent:
         table = direct_table(speakers, mics)
         for f in (200.0, 650.0, 1600.0, 5000.0):  # up to k R past the upward split
             ctx = WaveContext(f)
-            got = direct_coefficients_per_speaker(table, ctx)
+            got = direct_coefficients_per_speaker(table, mics, ctx)
             want = per_bin_direct_coefficients(speakers, mics, ctx)
             assert got.shape == want.shape == (3, 3, 16)
             assert got.tobytes() == want.tobytes()

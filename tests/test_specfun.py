@@ -139,7 +139,7 @@ class TestHankel:
         [0.7, 2.0, 300.0],  # the Python-float loops
     ], ids=["arrays", "floats"])
     def test_rows_keep_the_bits_of_separate_sin_and_cos(self, N, x):
-        # j_n and y_n share one sin x and one cos x
+        # j_n from bessel_j_rows, y_n from its own sin x and cos x
         x = np.array(x)
         h = specfun.hankel_h1_matrix(N, x)
         rows = specfun.harmonic_orders(N)
@@ -549,3 +549,12 @@ class TestFloatLoops:
     @example(N=40, t=[1.0, -1.0])
     def test_legendre_rows(self, N, t):
         assert same_bits(*self.both_ways(specfun._legendre_q, N, np.array(t)))
+
+
+class TestAngularTable:
+    def test_arrays_are_read_only(self):
+        # built outside any Experiment, the table is read-only by itself
+        table = specfun.angular_table(3, real_oracle_points())
+        for a in (table.harmonics, table.radii):
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
