@@ -7,7 +7,7 @@ from .errors import (
 )
 from .geometry import RegionPair
 from .modal import WaveContext, truncation_order
-from .recording import HoMicSpec, MeasurementTensor, MicArray, mic_radius
+from .recording import MeasurementTensor, MicArray, mic_radius
 from .room import ImageLattice, RoomModel, image_lattice
 from .rtf import RtfCoefficientSet, relative_error
 
@@ -18,7 +18,6 @@ __all__ = [
     "RegionPair",
     "WaveContext",
     "truncation_order",
-    "HoMicSpec",
     "MeasurementTensor",
     "MicArray",
     "mic_radius",

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,7 @@ GRID_TOLERANCE = 1e-9
 class WaveContext:
     frequency: float
     sound_speed: float = DEFAULT_SOUND_SPEED
+    k: float = field(init=False, repr=False, compare=False)  # 2 pi f / c
 
     def __post_init__(self):
         if not (0 < self.frequency < math.inf and 0 < self.sound_speed < math.inf):
@@ -26,10 +27,14 @@ class WaveContext:
                 f"frequency and sound speed must be finite and > 0, got f={self.frequency}, "
                 f"c={self.sound_speed}"
             )
-
-    @property
-    def k(self) -> float:
-        return 2.0 * math.pi * self.frequency / self.sound_speed
+        # on Python floats: an overflow gives inf, not a numpy RuntimeWarning
+        k = 2.0 * math.pi * float(self.frequency) / float(self.sound_speed)
+        if not 0 < k < math.inf:
+            raise ConfigurationError(
+                f"the wavenumber 2 pi f / c = {k} of f={self.frequency} Hz and "
+                f"c={self.sound_speed} m/s must be finite and > 0"
+            )
+        object.__setattr__(self, "k", k)
 
 
 def truncation_order(k: float, radius: float) -> int:

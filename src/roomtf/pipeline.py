@@ -39,7 +39,7 @@ from . import fileio, recording, rtf, specfun, synthesis, translation
 from .errors import ConfigurationError, DigestMismatchError
 from .geometry import RegionPair, export_positions_csv, shell_array, sphere_array
 from .modal import GRID_TOLERANCE, WaveContext, check_distinct_bins, truncation_order
-from .recording import HoMicSpec, MeasurementTensor, make_mic_array, mic_radius
+from .recording import MeasurementTensor, MicArray, mic_radius
 from .room import RoomModel, rtf_oracle_grid
 from .rtf import RtfCoefficientSet, probe_pairs, relative_error
 
@@ -163,6 +163,9 @@ def _frequency_range(block, where: str) -> list[float]:
             raise ConfigurationError(f"{where} range lacks {key!r}")
     start, stop, step = (_coerce(block[key], float, f"{where}.{key}")
                          for key in ("start", "stop", "step"))
+    for key, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{where}.{key} must be finite, got {value}")
     if step <= 0:
         raise ConfigurationError(f"{where}.step must be > 0, got {step}")
     return np.arange(start, stop + step * 1e-9, step).tolist()
@@ -182,11 +185,13 @@ def _section(default, block, where: str):
 
 def load_config(path) -> ExperimentConfig:
     """An ExperimentConfig from YAML: one mapping per section, over its defaults."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh) or {}
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"{path} is not valid YAML: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from None
     cfg = ExperimentConfig()
     sections = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     _check_mapping(raw, sections, "the config file", noun="section")
@@ -218,15 +223,12 @@ class Experiment:
             cfg.arrays.seed,
         )
         self.speakers_room = self.speakers_local + np.asarray(cfg.regions.offset)
-        self.mics = make_mic_array(
-            cfg.arrays.mic_units,
-            cfg.regions.receiver_radius - self.mic_local_radius,
-            HoMicSpec(
-                cfg.arrays.mic_order,
-                self.mic_local_radius,
-                cfg.arrays.omnis_per_mic,
-                cfg.arrays.mic_fit_order,
-            ),
+        self.mics = MicArray(
+            sphere_array(cfg.arrays.mic_units, cfg.regions.receiver_radius - self.mic_local_radius),
+            cfg.arrays.mic_order,
+            self.mic_local_radius,
+            cfg.arrays.omnis_per_mic,
+            cfg.arrays.mic_fit_order,
         )
         k_max = WaveContext(cfg.signal.f_max, cfg.signal.sound_speed).k
         self.design_source_order = truncation_order(k_max, cfg.regions.source_radius)
@@ -241,7 +243,7 @@ class Experiment:
             [cfg.signal.sound_speed],
             self.room.dimensions,
             self.room.reflections,
-            [self.room.max_image_order, self.mics.spec.effective_fit_order],
+            [self.room.max_image_order, self.mics.fit_order],
         )
         values = {
             "geometry": self.geometry_digest,
@@ -251,8 +253,7 @@ class Experiment:
         # per artifact kind, the digests it carries under this config
         self.digests = {kind: {key: values[key] for key in keys}
                         for kind, keys in ARTIFACT_DIGESTS.items()}
-        for a in (self.speakers_local, self.speakers_room,
-                  self.mics.unit_centers, self.mics.local_offsets):
+        for a in (self.speakers_local, self.speakers_room, self.mics.unit_centers):
             a.flags.writeable = False  # every later call on the config reads them
 
     @cached_property
@@ -389,14 +390,14 @@ def run_measure(cfg: ExperimentConfig, frequencies=None) -> MeasurementTensor:
     return replace(mt, digests=exp.digests[MeasurementTensor])
 
 
-def extract_frequency(exp: Experiment, mt: MeasurementTensor, frequency: float):
-    """One frequency's alpha' block: returns (alpha' (N_s+1)^2 x (N_r+1)^2, n_s, n_r).
+def extract_frequency(exp: Experiment, mt: MeasurementTensor, fi: int):
+    """Bin ``fi``'s alpha' block: returns (alpha' (N_s+1)^2 x (N_r+1)^2, n_s, n_r).
 
     All in the real bases (Y = U S): x = pinv(T') Gamma with real weights
     and T', and alpha' = U_s^H alpha U_r = -i x^T is the block stored.
     """
     cfg = exp.cfg
-    fi = mt.frequency_index(frequency)
+    frequency = mt.frequencies[fi]
     ctx = exp.context(frequency)
     n_s, n_r = exp.effective_orders(frequency)
     T = synthesis.build_T(exp.speaker_table, exp.design_source_order, ctx)
@@ -432,7 +433,7 @@ def run_extract(cfg: ExperimentConfig, mt: MeasurementTensor) -> RtfCoefficientS
     """Extract the alpha tensor for every frequency in the measurement tensor."""
     exp = validate_config(cfg)
     fileio.check_digests(exp.digests[MeasurementTensor], mt.digests)
-    results = [extract_frequency(exp, mt, f) for f in mt.frequencies]
+    results = [extract_frequency(exp, mt, fi) for fi in range(mt.frequencies.size)]
     return RtfCoefficientSet(
         frequencies=mt.frequencies,
         alpha=tuple(r[0] for r in results),

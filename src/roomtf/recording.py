@@ -1,10 +1,14 @@
 """Higher-order microphone model.
 
 Each HO microphone is an open sphere of Q' omnis on a virtual surface of radius
-r about its center R_q.  Raw per-loudspeaker responses are encoded into local
-incident coefficients gamma-tilde up to order A in the real local basis S
-(Y = U S, see ``specfun``), which is also the basis the ``.rtfm`` stores;
-unit-mode responses are then composed by linearity with the real loudspeaker
+r about its center R_q.  One ``MicArray`` holds the unit centers and the one
+order-A design they share (Q', r and the fit order), and builds the omni
+layout from that design: equal-area directions at radius r, so a perturbed
+or one-unit array is a ``dataclasses.replace`` of its ``unit_centers``.
+Raw per-loudspeaker responses are encoded into local incident coefficients
+gamma-tilde up to order A in the real local basis S (Y = U S, see
+``specfun``), which is also the basis the ``.rtfm`` stores; unit-mode
+responses are then composed by linearity with the real loudspeaker
 weights, and the known direct field is removed either analytically in the
 coefficient domain, before the composition, or by subtracting exact direct
 pressures from the raw measurements.
@@ -18,7 +22,7 @@ use to suppress leakage from orders just above A.
 
 The encoder is factored (Rafaely, IEEE Trans. Speech Audio Process. 13,
 2005).  It relies on every omni of a unit sitting on one sphere of radius r,
-which ``MicArray`` enforces to 1e-12 relative: the model j_n(kr) S is then
+which holds by construction of the layout: the model j_n(kr) S is then
 S^T D with D = diag j_n(kr), and its pseudoinverse is D^-1 pinv(S^T).  So
 ``bin_encoders`` takes one pseudoinverse of the angular table per
 measurement and one Bessel call over the grid, which also checks the kept
@@ -57,63 +61,45 @@ def mic_radius(order: int, f_max: float, sound_speed: float = 343.0) -> float:
 
 
 @dataclass(frozen=True)
-class HoMicSpec:
+class MicArray:
+    """Q identical order-A units: Q' omnis on a sphere of radius r about each center,
+    fit to order F (``fit_order=None`` means F = A)."""
+
+    unit_centers: np.ndarray = field(repr=False)  # (Q, 3) Cartesian about O
     order: int
     local_radius: float
     omni_count: int
     fit_order: int | None = None
+    local_offsets: np.ndarray = field(init=False, repr=False)  # (Q', 3) about each center
 
     def __post_init__(self):
-        if self.local_radius <= 0:
+        centers = np.asarray(self.unit_centers, dtype=float)
+        if centers.ndim != 2 or centers.shape[1] != 3 or centers.shape[0] < 1:
             raise ConfigurationError(
-                f"local_radius must be > 0, got {self.local_radius}"
+                f"unit_centers must be an (n >= 1, 3) array, got {centers.shape}"
+            )
+        if not 0.0 < self.local_radius < math.inf:
+            raise ConfigurationError(
+                f"local_radius must be finite and > 0, got {self.local_radius}"
             )
         if self.omni_count < specfun.mode_count(self.order):
             raise ConfigurationError(
                 f"omni_count = {self.omni_count} violates Q' >= (A+1)^2 = "
                 f"{specfun.mode_count(self.order)} for order A = {self.order}"
             )
-        fit = self.effective_fit_order
+        fit = self.order if self.fit_order is None else self.fit_order
         if fit < self.order:
-            raise ConfigurationError(
-                f"fit_order {fit} must be >= microphone order {self.order}"
-            )
+            raise ConfigurationError(f"fit_order {fit} must be >= microphone order {self.order}")
         if self.omni_count < specfun.mode_count(fit):
             raise ConfigurationError(
                 f"omni_count = {self.omni_count} cannot support fit order {fit} "
                 f"(needs >= {specfun.mode_count(fit)})"
             )
-
-    @property
-    def effective_fit_order(self) -> int:
-        return self.order if self.fit_order is None else self.fit_order
-
-
-@dataclass(frozen=True)
-class MicArray:
-    unit_centers: np.ndarray = field(repr=False)  # (Q, 3) Cartesian about O
-    spec: HoMicSpec
-    local_offsets: np.ndarray = field(repr=False)  # (Q', 3) about each unit center
-
-    def __post_init__(self):
-        centers = np.asarray(self.unit_centers, dtype=float)
-        offsets = np.asarray(self.local_offsets, dtype=float)
+        offsets = sphere_array(self.omni_count, self.local_radius)
+        offsets.flags.writeable = False
         object.__setattr__(self, "unit_centers", centers)
+        object.__setattr__(self, "fit_order", fit)
         object.__setattr__(self, "local_offsets", offsets)
-        for name, pts in (("unit_centers", centers), ("local_offsets", offsets)):
-            if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-                raise ConfigurationError(f"{name} must be an (n >= 1, 3) array, got {pts.shape}")
-        if offsets.shape[0] != self.spec.omni_count:
-            raise ConfigurationError(
-                f"local_offsets has {offsets.shape[0]} rows, but the spec has "
-                f"omni_count = {self.spec.omni_count}"
-            )
-        radius = self.spec.local_radius
-        norms = np.linalg.norm(offsets, axis=1)
-        if not np.all(np.abs(norms - radius) <= 1e-12 * np.maximum(norms, radius)):
-            raise ConfigurationError(
-                "all local offsets must sit at the spec's local_radius"
-            )
 
     @property
     def num_units(self) -> int:
@@ -122,12 +108,6 @@ class MicArray:
     def omni_positions(self) -> np.ndarray:
         """(Q, Q', 3) global Cartesian positions of every omni sensor."""
         return self.unit_centers[:, None, :] + self.local_offsets[None, :, :]
-
-
-def make_mic_array(num_units: int, center_radius: float, spec: HoMicSpec) -> MicArray:
-    """Units on an equal-area sphere of ``center_radius``, shared omni layout."""
-    return MicArray(sphere_array(num_units, center_radius), spec,
-                    sphere_array(spec.omni_count, spec.local_radius))
 
 
 @dataclass(frozen=True)
@@ -173,9 +153,9 @@ class MeasurementTensor:
         return grid_index(self.frequencies, frequency, "the measurement grid")
 
 
-def bin_encoders(spec: HoMicSpec, offsets: np.ndarray, ctxs) -> tuple[np.ndarray, np.ndarray]:
+def bin_encoders(mics: MicArray, ctxs) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin encoders (F, (A+1)^2, Q') from omni pressures to local coefficients in
-    the real basis S, and each bin's local order (F,), for omnis at ``offsets`` (Q', 3).
+    the real basis S, and each bin's local order (F,), for the units of ``mics``.
 
     The factored encoder of the module docstring: pinv(S^T), with S the real
     harmonics to ``fit_order`` at the offsets, truncated to order A, with
@@ -184,7 +164,7 @@ def bin_encoders(spec: HoMicSpec, offsets: np.ndarray, ctxs) -> tuple[np.ndarray
     (near-Bessel-zero) modes.  A kept order on a Bessel zero raises
     BesselZeroError, naming the first such bin.
     """
-    A, radius = spec.order, spec.local_radius
+    A, radius, offsets = mics.order, mics.local_radius, mics.local_offsets
     ks = np.array([ctx.k for ctx in ctxs])
     orders = np.array([min(A, truncation_order(k, radius)) for k in ks], dtype=int)
     bessel = specfun.bessel_j_rows(A, ks * radius)  # (A+1, F)
@@ -195,7 +175,7 @@ def bin_encoders(spec: HoMicSpec, offsets: np.ndarray, ctxs) -> tuple[np.ndarray
             f"local mode a = {a} sits on a Bessel zero at f = {ctxs[f].frequency} Hz "
             f"(|j_a(kr)| < {BESSEL_ZERO_THRESHOLD}); move the frequency"
         )
-    angular = np.linalg.pinv(specfun.angular_table(spec.effective_fit_order, offsets).harmonics.T)
+    angular = np.linalg.pinv(specfun.angular_table(mics.fit_order, offsets).harmonics.T)
     degrees = specfun.harmonic_orders(A)
     encoders = np.zeros((ks.size, degrees.size, offsets.shape[0]))
     np.divide(angular[:degrees.size], bessel[degrees].T[:, :, None], out=encoders,
@@ -234,7 +214,7 @@ def simulate_raw_measurements(
     Q, L = omnis.shape[0], speakers.shape[0]
     room.check_inside(omnis.reshape(-1, 3), "microphone sensor")
     # Bessel zeros are checked here, before any image-sum work
-    encoders, orders = bin_encoders(mics.spec, mics.local_offsets, ctxs)
+    encoders, orders = bin_encoders(mics, ctxs)
     ks = np.array([ctx.k for ctx in ctxs])
     gamma_tilde = np.empty((frequencies.size, Q, L, encoders.shape[1]), dtype=complex)
     # one (F, Q', L) block per unit; the oracle rejects a loudspeaker on a sensor
@@ -245,7 +225,7 @@ def simulate_raw_measurements(
     return MeasurementTensor(
         frequencies=frequencies,
         gamma_tilde=gamma_tilde,
-        mic_order=mics.spec.order,
+        mic_order=mics.order,
         mask_orders=orders,
     )
 
@@ -276,7 +256,7 @@ def direct_table(speakers: np.ndarray, mics: MicArray) -> specfun.AngularTable:
     for the expansion to converge at the sensors.
     """
     rel = np.asarray(speakers, dtype=float)[None, :, :] - mics.unit_centers[:, None, :]
-    table = specfun.angular_table(mics.spec.order, rel.reshape(-1, 3))
+    table = specfun.angular_table(mics.order, rel.reshape(-1, 3))
     if np.any(table.radii < 1e-12):
         raise ValueError("loudspeaker coincides with a microphone unit center")
     return table
@@ -291,6 +271,6 @@ def direct_coefficients_per_speaker(table: specfun.AngularTable, mics: MicArray,
     mics)``; in the complex basis it is i k h_a conj(Y_ab).  Only the Hankel
     rows depend on the bin.
     """
-    h = specfun.hankel_h1_matrix(mics.spec.order, ctx.k * table.radii)
+    h = specfun.hankel_h1_matrix(mics.order, ctx.k * table.radii)
     coeffs = 1j * ctx.k * h * table.harmonics
     return coeffs.T.reshape(mics.num_units, -1, coeffs.shape[0])

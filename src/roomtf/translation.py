@@ -91,7 +91,7 @@ def build_T_prime(mics: MicArray, local_order: int, col_order: int,
     Each unit keeps the first (local_order+1)^2 rows of its order-A block,
     the local modes a <= local_order.
     """
-    A = mics.spec.order
+    A = mics.order
     total_rows = mics.num_units * specfun.mode_count(A)
     n_cols = specfun.mode_count(col_order)
     if total_rows < n_cols:

@@ -257,19 +257,20 @@ def interior_basis(max_order: int, points, ctx: WaveContext) -> np.ndarray:
     return bessel_j_matrix(max_order, ctx.k * r) * harmonics(max_order, theta, phi)
 
 
-def pinv_encoding_matrix(spec, offsets, ctx: WaveContext, mask_order: int) -> np.ndarray:
+def pinv_encoding_matrix(mics, ctx: WaveContext, mask_order: int) -> np.ndarray:
     """((A+1)^2, Q') encoder: the pseudoinverse of the order-``fit_order`` j_n S fit, per bin.
 
     Rows above ``mask_order`` are zero; a kept order on a Bessel zero raises
     BesselZeroError.
     """
-    j = specfun.bessel_j_rows(mask_order, [ctx.k * spec.local_radius])[:, 0]
+    j = specfun.bessel_j_rows(mask_order, [ctx.k * mics.local_radius])[:, 0]
     if np.any(np.abs(j) < 1e-8):
         raise BesselZeroError(f"a kept order sits on a Bessel zero at {ctx.frequency} Hz")
+    offsets = mics.local_offsets
     r = np.linalg.norm(offsets, axis=1)
-    model = specfun.real_regular_basis(spec.effective_fit_order, ctx.k, offsets, r)
-    enc = np.linalg.pinv(model.T)[: specfun.mode_count(spec.order)]
-    enc[specfun.harmonic_orders(spec.order) > mask_order] = 0.0
+    model = specfun.real_regular_basis(mics.fit_order, ctx.k, offsets, r)
+    enc = np.linalg.pinv(model.T)[: specfun.mode_count(mics.order)]
+    enc[specfun.harmonic_orders(mics.order) > mask_order] = 0.0
     return enc
 
 
@@ -278,7 +279,7 @@ def per_bin_direct_coefficients(speakers, mics, ctx: WaveContext) -> np.ndarray:
     speakers = np.asarray(speakers, dtype=float)
     rel = (speakers[None, :, :] - mics.unit_centers[:, None, :]).reshape(-1, 3)
     r = np.linalg.norm(rel, axis=1)
-    A = mics.spec.order
+    A = mics.order
     coeffs = 1j * ctx.k * specfun.hankel_h1_matrix(A, ctx.k * r) * specfun.real_harmonics(A, rel, r)
     return coeffs.T.reshape(mics.num_units, speakers.shape[0], -1)
 

@@ -16,7 +16,7 @@ from roomtf import pipeline, specfun, synthesis, translation
 from roomtf.geometry import shell_array, sphere_array
 from roomtf.modal import WaveContext, truncation_order
 from roomtf.pipeline import load_config, run_extract, run_measure, sweep_errors
-from roomtf.recording import HoMicSpec, make_mic_array, mic_radius
+from roomtf.recording import MicArray, mic_radius
 from roomtf.rtf import reconstruct_rtf_many, relative_error
 
 from oracles import (
@@ -236,8 +236,8 @@ def test_criterion_8_wigner_oracle():
 
 def test_criterion_9_forward_backward_consistency():
     ctx = WaveContext(700.0)
-    spec = HoMicSpec(3, mic_radius(3, 1000.0), 49, 5)
-    mics = make_mic_array(9, 0.4 - spec.local_radius, spec)
+    r = mic_radius(3, 1000.0)
+    mics = MicArray(sphere_array(9, 0.4 - r), 3, r, 49, 5)
     n_r = truncation_order(ctx.k, 0.4)
     Tp = translation.build_T_prime(mics, 3, n_r, ctx)
     rng = np.random.default_rng(97)

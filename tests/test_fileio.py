@@ -261,6 +261,17 @@ class TestMalformedArtifacts:
         assert "offset must be three finite coordinates" in captured.err
         assert "reconstructed" not in captured.out
 
+    def test_cli_rejects_a_sound_speed_that_overflows_k_with_exit_2(self, tmp_path, capsys):
+        # c is finite and > 0, but k = 2 pi f / c is inf: this file once
+        # reached the Bessel tables and raised ValueError (exit 1)
+        path = tmp_path / "c.rtfc"
+        fileio.save_coefficient_set(path, sample_cset())
+        edit_header(path, set_field("sound_speed", 1e-320))
+        argv = ["reconstruct", "--coeffs", str(path), "-f", "500",
+                "--receiver", "0.1,0,0", "--source", "0,0.1,0"]
+        assert cli.main(argv) == 2
+        assert "wavenumber 2 pi f / c = inf" in capsys.readouterr().err
+
     def test_cli_reports_truncation_with_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.rtfc"
         write_truncated(path, sample_cset(), 24)

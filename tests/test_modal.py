@@ -1,6 +1,7 @@
 """Modal machinery tests: truncation rules, and the expansions and field
 evaluators of the test oracles checked against closed forms."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,16 @@ class TestWaveContext:
             WaveContext(math.inf)
         with pytest.raises(ConfigurationError, match="finite and > 0"):
             WaveContext(100.0, math.nan)
+
+    @pytest.mark.parametrize("f, c", [(1.7e308, 343.0), (900.0, 1e-320), (5e-324, 343.0)],
+                             ids=["huge-frequency", "tiny-sound-speed", "k-underflows"])
+    def test_rejects_a_wavenumber_that_is_not_finite_and_positive(self, f, c):
+        # f and c are finite and > 0, but 2 pi f / c is inf or 0; numpy scalars
+        # must not warn on the overflow first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"wavenumber 2 pi f / c = (inf|0\.0)"):
+                WaveContext(np.float64(f), np.float64(c))
 
 
 class TestGridIndex:

@@ -107,6 +107,13 @@ class TestLoadConfig:
         ("room: [6, 5, 2.5]\n", "config section 'room' must be a mapping"),
         ("signal: {frequencies: {start: 200, stop: 400, step: 0}}\n",
          "signal.frequencies.step must be > 0"),
+        # np.arange once raised "cannot compute length" on these (exit 1)
+        ("signal: {frequencies: {start: 200, stop: 400, step: .nan}}\n",
+         "signal.frequencies.step must be finite, got nan"),
+        ("signal: {frequencies: {start: 200, stop: .inf, step: 100}}\n",
+         "signal.frequencies.stop must be finite, got inf"),
+        ("signal: {frequencies: {start: -.inf, stop: 400, step: 100}}\n",
+         "signal.frequencies.start must be finite, got -inf"),
         # int() would truncate these, and int() and float() would take a bool
         ("arrays: {speakers: 121.7}\n", "arrays.speakers must be of type int, got 121.7"),
         ("room: {max_image_order: 1.5}\n", "room.max_image_order must be of type int, got 1.5"),
@@ -119,7 +126,8 @@ class TestLoadConfig:
         ("output: {directory: true}\n", "output.directory must be of type str, got True"),
         ("solver: {direct_removal: 3}\n", "solver.direct_removal must be of type str, got 3"),
         ("probes: {preset: 1.5}\n", "probes.preset must be of type str, got 1.5"),
-    ], ids=["int", "length", "list", "mapping", "step", "fraction-speakers",
+    ], ids=["int", "length", "list", "mapping", "step", "nan-step", "inf-stop", "inf-start",
+            "fraction-speakers",
             "fraction-image-order", "fraction-margin", "bool-int", "bool-float", "bool-in-tuple",
             "bool-directory", "int-removal", "float-preset"])
     def test_bad_value_named(self, tmp_path, text, message):
@@ -135,6 +143,12 @@ class TestLoadConfig:
         path = write_yaml(tmp_path, f"signal: {{frequencies: {grid}}}\n")
         assert cli.main(["cond", "--config", path, "--out", str(tmp_path / "c.csv")]) == 2
         assert f"signal.frequencies range lacks {key!r}" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"\xff\xfe signal: {f_max: 500}\n")
+        assert cli.main(["measure", "--config", str(path), "--out", str(tmp_path / "m.rtfm")]) == 2
+        assert f"config error: {path} is not UTF-8 text" in capsys.readouterr().err
 
     def test_non_string_directory_exits_2(self, tmp_path, capsys):
         path = write_yaml(tmp_path, "output: {directory: 2024}\n")
@@ -252,7 +266,9 @@ class TestExperimentCache:
         pipeline.run_cond(cfg)
         pipeline.run_cond(cfg, [300.0])
         assert len(built) == 1 and built[0] is cfg
-        assert len(spheres) == 1
+        # the unit centers are a sphere too; the matched one is built once
+        matched = (cfg.arrays.speakers, cfg.regions.source_radius)
+        assert spheres.count(matched) == 1
 
     def test_a_caller_list_cannot_change_a_validated_config(self):
         # each sequence field is copied to a tuple, so the config, its
@@ -389,6 +405,15 @@ class TestCli:
         }[case]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(message)
+
+    def test_overflowing_wavenumber_exits_2(self, tmp_path, capsys):
+        # every bin is finite, but 2 pi f overflows; the encoder's truncation
+        # order once raised OverflowError (exit 1)
+        path = write_yaml(tmp_path, FAST_YAML.replace(
+            "frequencies: [400]", "frequencies: {start: 1.0e308, stop: 1.7e308, step: 1.0e307}"))
+        assert cli.main(["measure", "--config", path, "--out", str(tmp_path / "m.rtfm")]) == 2
+        assert "wavenumber 2 pi f / c = inf" in capsys.readouterr().err
+        assert not (tmp_path / "m.rtfm").exists()
 
     def test_bessel_zero_exits_3(self, tmp_path, capsys):
         from roomtf.recording import mic_radius
@@ -821,8 +846,8 @@ class TestRunCond:
         cfg = replace(fast_config(), signal=SignalConfig(f_max=500.0, frequencies=(300.0, 400.0)))
         exp = validate_config(cfg)
         mt = run_measure(cfg)
-        for f in cfg.signal.frequencies:
-            pipeline.extract_frequency(exp, mt, f)
+        for fi, f in enumerate(cfg.signal.frequencies):
+            pipeline.extract_frequency(exp, mt, fi)
             want = per_bin_T(exp.speakers_local, exp.design_source_order, exp.context(f))
             assert np.array_equal(seen.pop(), want)
 

@@ -1,6 +1,7 @@
 """HO microphone tests: encoding fidelity, composition, direct-field removal."""
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,14 @@ from scipy import special as sp
 
 from roomtf import recording, specfun
 from roomtf.errors import BesselZeroError, ConfigurationError
+from roomtf.geometry import sphere_array
 from roomtf.modal import WaveContext, truncation_order
 from roomtf.recording import (
-    HoMicSpec,
     MicArray,
     bin_encoders,
     compose_all_modes,
     direct_coefficients_per_speaker,
     direct_table,
-    make_mic_array,
     mic_radius,
     simulate_raw_measurements,
 )
@@ -35,13 +35,14 @@ from oracles import (
 REFERENCE_DIMS = (6.0, 5.0, 2.5)
 
 
-def reference_mic_spec(omnis=49, fit=5):
-    return HoMicSpec(3, mic_radius(3, 1000.0), omnis, fit)
+def reference_mics(units, center_radius, omnis=49, fit=5):
+    """``units`` order-3 units of the 1 kHz design radius, centered on a sphere."""
+    return MicArray(sphere_array(units, center_radius), 3, mic_radius(3, 1000.0), omnis, fit)
 
 
 def encode(mics, pressures, ctx):
     """Omni pressures (Q, Q', ...) -> local coefficients (Q, ..., (A+1)^2)."""
-    encoders, _ = bin_encoders(mics.spec, mics.local_offsets, [ctx])
+    encoders, _ = bin_encoders(mics, [ctx])
     return np.tensordot(pressures, encoders[0], axes=([1], [1]))  # sensor-mode last
 
 
@@ -63,63 +64,64 @@ class TestMicRadius:
 
 
 class TestSpecsAndArrays:
+    CENTERS = np.zeros((2, 3))
+
     def test_omni_count_bound(self):
         with pytest.raises(ConfigurationError, match=r"\(A\+1\)\^2"):
-            HoMicSpec(3, 0.12, 15)
+            MicArray(self.CENTERS, 3, 0.12, 15)
 
     def test_fit_order_bounds(self):
-        with pytest.raises(ConfigurationError):
-            HoMicSpec(3, 0.12, 49, fit_order=2)
-        with pytest.raises(ConfigurationError):
-            HoMicSpec(3, 0.12, 20, fit_order=5)  # 20 < 36 sensors
+        with pytest.raises(ConfigurationError, match="fit_order 2 must be >= microphone order 3"):
+            MicArray(self.CENTERS, 3, 0.12, 49, fit_order=2)
+        with pytest.raises(ConfigurationError, match="cannot support fit order 5"):
+            MicArray(self.CENTERS, 3, 0.12, 20, fit_order=5)  # 20 < 36 sensors
+
+    @pytest.mark.parametrize("radius", [0.0, -0.12, math.nan, math.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_local_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ConfigurationError, match="local_radius must be finite and > 0"):
+            MicArray(self.CENTERS, 3, radius, 49, 5)
+
+    @pytest.mark.parametrize("centers", [np.zeros((2, 2)), np.zeros((0, 3)), np.zeros(3)],
+                             ids=["columns", "empty", "flat"])
+    def test_centers_must_be_points(self, centers):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"unit_centers must be an (n >= 1, 3) array, "
+                                           f"got {centers.shape}")):
+            MicArray(centers, 3, 0.12, 49, 5)
 
     def test_array_construction(self):
-        mics = make_mic_array(9, 0.28, reference_mic_spec())
+        mics = reference_mics(9, 0.28)
         assert mics.num_units == 9
         assert mics.omni_positions().shape == (9, 49, 3)
         assert np.allclose(np.linalg.norm(mics.unit_centers, axis=1), 0.28)
+        assert np.array_equal(mics.local_offsets, sphere_array(49, mics.local_radius))
+        with pytest.raises(ValueError, match="read-only"):
+            mics.local_offsets[0, 0] = 1.0
 
-    def test_offsets_must_be_points(self):
-        spec = reference_mic_spec()
-        offsets = make_mic_array(1, 0.2, spec).local_offsets
-        with pytest.raises(ConfigurationError, match=r"local_offsets must be .* got \(49, 2\)"):
-            MicArray(np.zeros((2, 3)), spec, offsets[:, :2])
-
-    def test_offsets_must_match_spec_count(self):
-        # 16 offsets cannot carry an order-5 fit of a 49-omni spec
-        from roomtf.geometry import sphere_array
-
-        spec = reference_mic_spec()
-        with pytest.raises(ConfigurationError, match="16 rows, but the spec has omni_count = 49"):
-            MicArray(np.zeros((2, 3)), spec, sphere_array(16, spec.local_radius))
-
-    def test_offsets_must_match_spec_radius(self):
-        from roomtf.geometry import sphere_array
-
-        spec = reference_mic_spec()
-        with pytest.raises(ConfigurationError):
-            MicArray(np.zeros((2, 3)), spec, sphere_array(49, 0.5))
+    def test_fit_order_none_means_the_mic_order(self):
+        mics = MicArray(self.CENTERS, 3, 0.12, 16)
+        assert mics.fit_order == 3
+        assert replace(mics, unit_centers=np.ones((1, 3))).fit_order == 3
 
 
 class TestLocalEncoding:
     def test_band_limited_field_recovered_exactly(self):
         # end-to-end local fidelity: synthesize a known interior field at the
         # omni positions and require the encoder to return its coefficients
-        spec = reference_mic_spec()
-        mics = make_mic_array(4, 0.27, spec)
+        mics = reference_mics(4, 0.27)
         ctx = WaveContext(900.0)
         rng = np.random.default_rng(5)
         gamma_true = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         basis = interior_basis(3, mics.local_offsets, ctx)  # (16, Q')
-        pressures = np.broadcast_to(gamma_true @ basis, (4, spec.omni_count)).copy()
+        pressures = np.broadcast_to(gamma_true @ basis, (4, mics.omni_count)).copy()
         gamma = encode(mics, pressures, ctx)  # in the real basis: gamma_true U
         want = gamma_true @ unitary_U(3)
         rel = np.linalg.norm(gamma - want[None, :]) / np.linalg.norm(want)
         assert rel < 1e-6
 
     def test_minimum_sensor_count_still_recovers(self):
-        spec = HoMicSpec(3, mic_radius(3, 1000.0), 16)  # Q' = (A+1)^2, fit = A
-        mics = make_mic_array(2, 0.25, spec)
+        mics = reference_mics(2, 0.25, omnis=16, fit=None)  # Q' = (A+1)^2, fit = A
         ctx = WaveContext(800.0)
         rng = np.random.default_rng(9)
         gamma_true = rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -132,28 +134,25 @@ class TestLocalEncoding:
         assert rel < 1e-6
 
     def test_masked_modes_exactly_zero(self):
-        spec = reference_mic_spec()
-        mics = make_mic_array(2, 0.25, spec)
+        mics = reference_mics(2, 0.25)
         ctx = WaveContext(300.0)
-        assert bin_encoders(spec, mics.local_offsets, [ctx])[1].tolist() == [1]
-        pressures = np.ones((2, spec.omni_count))
+        assert bin_encoders(mics, [ctx])[1].tolist() == [1]
+        pressures = np.ones((2, mics.omni_count))
         gamma = encode(mics, pressures, ctx)
         assert np.all(gamma[:, specfun.harmonic_orders(3) > 1] == 0.0)
         assert not np.any(np.isnan(gamma))
 
     def test_bessel_zero_raises(self):
-        spec = reference_mic_spec()
-        mics = make_mic_array(1, 0.2, spec)
-        f = 343.0 / (2 * spec.local_radius)  # k r = pi, a Bessel zero of j_0
+        mics = reference_mics(1, 0.2)
+        f = 343.0 / (2 * mics.local_radius)  # k r = pi, a Bessel zero of j_0
         with pytest.raises(BesselZeroError, match="a = 0"):
-            bin_encoders(spec, mics.local_offsets, [WaveContext(f)])
+            bin_encoders(mics, [WaveContext(f)])
 
     def test_higher_order_bessel_zero_named(self):
-        spec = reference_mic_spec()
-        mics = make_mic_array(1, 0.2, spec)
-        f = 4.493409457909064 * 343.0 / (2 * math.pi * spec.local_radius)  # first zero of j_1
+        mics = reference_mics(1, 0.2)
+        f = 4.493409457909064 * 343.0 / (2 * math.pi * mics.local_radius)  # first zero of j_1
         with pytest.raises(BesselZeroError, match="a = 1 sits on a Bessel zero"):
-            bin_encoders(spec, mics.local_offsets, [WaveContext(f)])
+            bin_encoders(mics, [WaveContext(f)])
 
 
 class TestFactoredEncoder:
@@ -165,14 +164,12 @@ class TestFactoredEncoder:
     @pytest.mark.parametrize("omnis,fit", [(49, 5), (16, 3), (36, 4)])
     @pytest.mark.parametrize("f", FREQUENCIES)
     def test_matches_the_per_bin_pseudoinverse(self, omnis, fit, f):
-        spec = reference_mic_spec(omnis, fit)
-        mics = make_mic_array(2, 0.25, spec)
-        encoders, orders = bin_encoders(spec, mics.local_offsets,
-                                        [WaveContext(g) for g in self.FREQUENCIES])
+        mics = reference_mics(2, 0.25, omnis, fit)
+        encoders, orders = bin_encoders(mics, [WaveContext(g) for g in self.FREQUENCIES])
         i = self.FREQUENCIES.index(f)
         ctx = WaveContext(f)
         got, order = encoders[i], int(orders[i])
-        assert order == min(3, truncation_order(ctx.k, spec.local_radius))
+        assert order == min(3, truncation_order(ctx.k, mics.local_radius))
         r = np.linalg.norm(mics.local_offsets, axis=1)
         model = specfun.real_regular_basis(fit, ctx.k, mics.local_offsets, r).T  # (Q', C_fit)
         # 1e-12 wherever the per-bin fit is well conditioned.  At 150 Hz its
@@ -181,7 +178,7 @@ class TestFactoredEncoder:
         # 1.2e-12 and 5.1e-12 there, at most 4e-15 sqrt(kappa) in every case
         # below; the bound 1e-14 sqrt(kappa) keeps a factor 2.5 over that
         tol = max(1e-12, 1e-14 * math.sqrt(np.linalg.cond(model)))
-        want = pinv_encoding_matrix(spec, mics.local_offsets, ctx, order)
+        want = pinv_encoding_matrix(mics, ctx, order)
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
         masked = specfun.harmonic_orders(3) > order
         assert np.all(got[masked] == 0.0) and np.all(want[masked] == 0.0)
@@ -191,20 +188,18 @@ class TestFactoredEncoder:
         assert np.max(np.abs(got[:kept] @ model - identity)) < 1e-13
 
     def test_bessel_zero_raises_on_both(self):
-        spec = reference_mic_spec()
-        offsets = make_mic_array(1, 0.2, spec).local_offsets
-        ctx = WaveContext(343.0 / (2 * spec.local_radius))  # k r = pi, a zero of j_0
+        mics = reference_mics(1, 0.2)
+        ctx = WaveContext(343.0 / (2 * mics.local_radius))  # k r = pi, a zero of j_0
         with pytest.raises(BesselZeroError, match="a = 0"):
-            bin_encoders(spec, offsets, [ctx])
+            bin_encoders(mics, [ctx])
         with pytest.raises(BesselZeroError):
-            pinv_encoding_matrix(spec, offsets, ctx, 0)
+            pinv_encoding_matrix(mics, ctx, 0)
 
 
 class TestSimulatedMeasurements:
     def test_free_field_matches_analytic_incident_coeffs(self):
         room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 2)
-        spec = reference_mic_spec()
-        mics = make_mic_array(3, 0.26, spec)
+        mics = reference_mics(3, 0.26)
         speakers = np.array([[1.0, 1.0, 0.5], [0.9, 1.3, 0.2]])
         ctx = WaveContext(900.0)
         mt = simulate_raw_measurements(room, speakers, mics, [900.0])
@@ -220,7 +215,7 @@ class TestSimulatedMeasurements:
         # shape contract only; the full reference-sized simulation runs in
         # the acceptance suite
         room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 0)
-        mics = make_mic_array(9, 0.27, reference_mic_spec(omnis=16, fit=3))
+        mics = reference_mics(9, 0.27, omnis=16, fit=3)
         rng = np.random.default_rng(0)
         speakers = rng.uniform(-0.1, 0.1, (121, 3)) + np.array([1.0, 1.0, 0.5])
         mt = simulate_raw_measurements(room, speakers, mics, [700.0])
@@ -229,13 +224,13 @@ class TestSimulatedMeasurements:
 
     def test_speaker_outside_room_rejected(self):
         room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 0)
-        mics = make_mic_array(1, 0.2, reference_mic_spec(omnis=16, fit=3))
+        mics = reference_mics(1, 0.2, omnis=16, fit=3)
         with pytest.raises(ConfigurationError, match="outside the room"):
             simulate_raw_measurements(room, np.array([[7.0, 0.0, 0.0]]), mics, [500.0])
 
     def test_frequency_grid_lookup(self):
         room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 0)
-        mics = make_mic_array(1, 0.2, reference_mic_spec(omnis=16, fit=3))
+        mics = reference_mics(1, 0.2, omnis=16, fit=3)
         mt = simulate_raw_measurements(
             room, np.array([[1.0, 1.0, 0.5]]), mics, [500.0, 600.0]
         )
@@ -266,7 +261,7 @@ class TestGridSimulation:
 
     def geometry(self):
         room = RoomModel(REFERENCE_DIMS, (0.9, 0.9, 0.9, 0.9, 0.7, 0.7), 2)
-        return room, make_mic_array(2, 0.26, reference_mic_spec(omnis=16, fit=3))
+        return room, reference_mics(2, 0.26, omnis=16, fit=3)
 
     def check(self, frequencies, subtract_direct):
         room, mics = self.geometry()
@@ -299,7 +294,7 @@ class TestGridSimulation:
         mt = simulate_raw_measurements(room, self.SPEAKERS, mics, frequencies,
                                        subtract_direct_pressure=subtract_direct)
         for q in range(mics.num_units):
-            unit = MicArray(mics.unit_centers[q:q + 1], mics.spec, mics.local_offsets)
+            unit = replace(mics, unit_centers=mics.unit_centers[q:q + 1])
             one = simulate_raw_measurements(room, self.SPEAKERS, unit, frequencies,
                                             subtract_direct_pressure=subtract_direct)
             assert np.array_equal(mt.gamma_tilde[:, q], one.gamma_tilde[:, 0])
@@ -320,7 +315,7 @@ class TestGridSimulation:
 
         monkeypatch.setattr(recording, "rtf_oracle_blocks", no_image_sums)
         for a, kr in ((0, math.pi), (1, 4.493409457909064)):  # first zeros of j_0 and j_1
-            f_zero = kr * 343.0 / (2 * math.pi * mics.spec.local_radius)
+            f_zero = kr * 343.0 / (2 * math.pi * mics.local_radius)
             # the third bin and its lowest kept order on a zero: j_0 is not zero at kr_1
             with pytest.raises(BesselZeroError,
                                match=re.escape(f"a = {a} sits on a Bessel zero at f = {f_zero} Hz")):
@@ -346,7 +341,7 @@ def complex_direct_coefficients(speakers, mics, ctx):
     """i k h_a(k R_ql) conj(Y_ab(R_ql-hat)) from scipy, in the complex basis: (Q, L, C)."""
     rel = speakers[None, :, :] - mics.unit_centers[:, None, :]
     r, theta, phi = cartesian_to_spherical_arrays(rel.reshape(-1, 3))
-    A = mics.spec.order
+    A = mics.order
     n = specfun.harmonic_orders(A)[:, None]
     h = sp.spherical_jn(n, ctx.k * r) + 1j * sp.spherical_yn(n, ctx.k * r)
     gamma = 1j * ctx.k * h * np.conj(harmonics(A, theta, phi))
@@ -414,8 +409,7 @@ class TestComposition:
 
 class TestDirectComponent:
     def test_axial_speaker_excites_only_zonal_modes(self):
-        spec = reference_mic_spec()
-        mics = MicArray(np.zeros((1, 3)), spec, make_mic_array(1, 0.2, spec).local_offsets)
+        mics = replace(reference_mics(1, 0.2), unit_centers=np.zeros((1, 3)))
         speakers = np.array([[0.0, 0.0, 1.5]])  # on the +z axis of the unit
         out = direct_coefficients_per_speaker(direct_table(speakers, mics), mics,
                                               WaveContext(700.0))
@@ -426,8 +420,7 @@ class TestDirectComponent:
 
     def test_weight_scaling(self):
         # with no recording, the composition is minus the composed direct field
-        spec = reference_mic_spec()
-        mics = make_mic_array(2, 0.25, spec)
+        mics = reference_mics(2, 0.25)
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4]])
         ctx = WaveContext(600.0)
         mt = recording.MeasurementTensor(np.array([600.0]), np.zeros((1, 2, 2, 16)), 3, [3])
@@ -441,7 +434,7 @@ class TestDirectComponent:
     def test_matches_einsum_oracle(self):
         # the direct coefficients are U_A^T of the complex ones from scipy, and
         # the composition subtracts them from the stored gamma-tilde before one product
-        mics = make_mic_array(3, 0.25, reference_mic_spec())
+        mics = reference_mics(3, 0.25)
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4], [-0.9, 0.3, 0.7]])
         ctx = WaveContext(650.0)
         U = unitary_U(3)
@@ -457,7 +450,7 @@ class TestDirectComponent:
                                    rtol=1e-12, atol=0)
 
     def test_one_table_gives_the_per_bin_coefficients_bit_for_bit(self):
-        mics = make_mic_array(3, 0.25, reference_mic_spec())
+        mics = reference_mics(3, 0.25)
         speakers = np.array([[1.0, 1.0, 0.5], [0.8, 1.2, 0.4], [-0.9, 0.3, 0.7]])
         table = direct_table(speakers, mics)
         for f in (200.0, 650.0, 1600.0, 5000.0):  # up to k R past the upward split
@@ -468,9 +461,7 @@ class TestDirectComponent:
             assert got.tobytes() == want.tobytes()
 
     def test_coincident_speaker_and_center_rejected(self):
-        spec = reference_mic_spec()
-        mics = MicArray(np.array([[0.5, 0.5, 0.1]]), spec,
-                        make_mic_array(1, 0.2, spec).local_offsets)
+        mics = replace(reference_mics(1, 0.2), unit_centers=np.array([[0.5, 0.5, 0.1]]))
         with pytest.raises(ValueError):
             direct_table(np.array([[0.5, 0.5, 0.1]]), mics)
 
@@ -480,7 +471,7 @@ class TestRemoveDirect:
         # in a free field the raw pressures are the direct field alone, so
         # the measurement-domain removal leaves nothing to encode
         room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 2)
-        mics = make_mic_array(3, 0.26, reference_mic_spec())
+        mics = reference_mics(3, 0.26)
         speakers = np.array([[1.0, 1.0, 0.5], [0.9, 1.3, 0.2]])
         total = simulate_raw_measurements(room, speakers, mics, [900.0])
         removed = simulate_raw_measurements(room, speakers, mics, [900.0],

@@ -13,9 +13,9 @@ from scipy import special as sp
 
 from roomtf import specfun, translation
 from roomtf.errors import ConfigurationError
-from roomtf.geometry import spherical_to_cartesian_arrays as cartesian
+from roomtf.geometry import sphere_array, spherical_to_cartesian_arrays as cartesian
 from roomtf.modal import WaveContext
-from roomtf.recording import HoMicSpec, MicArray, make_mic_array, mic_radius
+from roomtf.recording import MicArray, mic_radius
 from roomtf.translation import build_T_prime, s_hat_blocks, solve_alpha_all
 
 from oracles import (
@@ -32,8 +32,7 @@ SVD_CUTOFF = 1e-10
 
 
 def reference_mics(units=9, radius=0.2795):
-    spec = HoMicSpec(3, mic_radius(3, 1000.0), 49, 5)
-    return make_mic_array(units, radius, spec)
+    return MicArray(sphere_array(units, radius), 3, mic_radius(3, 1000.0), 49, 5)
 
 
 def s_hat(v, mu, a, b, displacement, ctx):
@@ -227,8 +226,7 @@ class TestBuildTPrime:
         assert Tp.dtype == np.float64
 
     def test_single_origin_mic_is_identity(self):
-        spec = HoMicSpec(3, mic_radius(3, 1000.0), 49, 5)
-        mics = MicArray(np.zeros((1, 3)), spec, make_mic_array(1, 0.1, spec).local_offsets)
+        mics = MicArray(np.zeros((1, 3)), 3, mic_radius(3, 1000.0), 49, 5)
         Tp = build_T_prime(mics, MIC_ORDER, 3, WaveContext(700.0))
         assert np.max(np.abs(Tp - np.eye(16))) < 1e-12
 
