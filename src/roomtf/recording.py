@@ -45,8 +45,8 @@ import numpy as np
 from . import specfun
 from .errors import BesselZeroError, ConfigurationError
 from .geometry import sphere_array
-from .modal import WaveContext, check_distinct_bins, grid_index, truncation_order
-from .room import RoomModel, rtf_oracle_blocks
+from .modal import WaveContext, check_distinct_bins, truncation_order
+from .room import RoomModel, rtf_oracle_grid
 
 BESSEL_ZERO_THRESHOLD = 1e-8
 
@@ -149,9 +149,6 @@ class MeasurementTensor:
     def num_speakers(self) -> int:
         return self.gamma_tilde.shape[2]
 
-    def frequency_index(self, frequency: float) -> int:
-        return grid_index(self.frequencies, frequency, "the measurement grid")
-
 
 def bin_encoders(mics: MicArray, ctxs) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin encoders (F, (A+1)^2, Q') from omni pressures to local coefficients in
@@ -162,18 +159,22 @@ def bin_encoders(mics: MicArray, ctxs) -> tuple[np.ndarray, np.ndarray]:
     each bin's rows up to its local order divided by j_n(kr) and the rest
     zero.  Orders above the local order are dominated by unexcited
     (near-Bessel-zero) modes.  A kept order on a Bessel zero raises
-    BesselZeroError, naming the first such bin.
+    BesselZeroError, naming the first such bin.  Near a zero means
+    |j_a(kr)| max(1, kr) below BESSEL_ZERO_THRESHOLD: above kr = 1,
+    |j_a(kr)| <= 1 / kr, so the product measures |j_a| against that envelope
+    and a bin far above the band is not taken for a zero.
     """
     A, radius, offsets = mics.order, mics.local_radius, mics.local_offsets
     ks = np.array([ctx.k for ctx in ctxs])
     orders = np.array([min(A, truncation_order(k, radius)) for k in ks], dtype=int)
     bessel = specfun.bessel_j_rows(A, ks * radius)  # (A+1, F)
-    zeros = (np.abs(bessel) < BESSEL_ZERO_THRESHOLD) & (np.arange(A + 1)[:, None] <= orders)
+    envelope = np.abs(bessel) * np.maximum(1.0, ks * radius)
+    zeros = (envelope < BESSEL_ZERO_THRESHOLD) & (np.arange(A + 1)[:, None] <= orders)
     if zeros.any():
         f, a = np.argwhere(zeros.T)[0]
         raise BesselZeroError(
             f"local mode a = {a} sits on a Bessel zero at f = {ctxs[f].frequency} Hz "
-            f"(|j_a(kr)| < {BESSEL_ZERO_THRESHOLD}); move the frequency"
+            f"(|j_a(kr)| max(1, kr) < {BESSEL_ZERO_THRESHOLD}); move the frequency"
         )
     angular = np.linalg.pinv(specfun.angular_table(mics.fit_order, offsets).harmonics.T)
     degrees = specfun.harmonic_orders(A)
@@ -193,12 +194,13 @@ def simulate_raw_measurements(
 ) -> MeasurementTensor:
     """Record the room response from every loudspeaker at every mic unit.
 
-    ``speakers`` is an (L, 3) Cartesian array in room (analysis-frame)
-    coordinates.  The whole frequency grid is simulated in one image-source
-    pass: ``rtf_oracle_blocks`` sets up the image lattice once and yields
-    one mic unit's (F, Q', L) omni pressures at a time, which the per-bin
-    encoders of ``bin_encoders`` turn into its slice of gamma-tilde; no
-    (F, Q, Q', L) pressure tensor is held.  With
+    ``speakers`` is an (L >= 1, 3) Cartesian array in room (analysis-frame)
+    coordinates.  One ``rtf_oracle_grid`` call per mic unit sums the whole
+    frequency grid into that unit's (F, Q', L) omni pressures, which the
+    per-bin encoders of ``bin_encoders`` turn into its slice of
+    gamma-tilde; no (F, Q, Q', L) pressure tensor is held.  The image
+    lattice is cached per room, and ``rtf_oracle_grid`` rejects a sensor
+    outside the room or a loudspeaker on a sensor.  With
     ``subtract_direct_pressure`` the free-space direct field (the
     true-source term of the image sum) is left out of the raw omni
     pressures, so the tensor holds reverberant-only coefficients; this is
@@ -206,22 +208,24 @@ def simulate_raw_measurements(
     surface.
     """
     speakers = np.asarray(speakers, dtype=float)
+    if speakers.ndim != 2 or speakers.shape[1] != 3 or speakers.shape[0] < 1:
+        raise ConfigurationError(
+            f"speakers must be an (L >= 1, 3) array, got shape {speakers.shape}"
+        )
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
     # two bins within the grid tolerance fail here, before any image-sum work
     check_distinct_bins(frequencies, "the measurement grid")
     ctxs = [WaveContext(f, sound_speed) for f in frequencies]
     omnis = mics.omni_positions()
     Q, L = omnis.shape[0], speakers.shape[0]
-    room.check_inside(omnis.reshape(-1, 3), "microphone sensor")
     # Bessel zeros are checked here, before any image-sum work
     encoders, orders = bin_encoders(mics, ctxs)
     ks = np.array([ctx.k for ctx in ctxs])
     gamma_tilde = np.empty((frequencies.size, Q, L, encoders.shape[1]), dtype=complex)
-    # one (F, Q', L) block per unit; the oracle rejects a loudspeaker on a sensor
-    units = rtf_oracle_blocks(room, omnis[:, :, None], speakers[None, None], ks,
-                              skip_direct=subtract_direct_pressure)
     for q in range(Q):  # no name keeps a unit's block alive while the next is summed
-        gamma_tilde[:, q] = np.matmul(encoders, next(units)).transpose(0, 2, 1)
+        gamma_tilde[:, q] = np.matmul(encoders, rtf_oracle_grid(
+            room, omnis[q, :, None], speakers, ks, skip_direct=subtract_direct_pressure,
+        )).transpose(0, 2, 1)
     return MeasurementTensor(
         frequencies=frequencies,
         gamma_tilde=gamma_tilde,

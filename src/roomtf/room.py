@@ -3,12 +3,17 @@
 All positions are expressed in the analysis frame whose origin O is the room
 center.  Wall reflection coefficients are real, frequency independent,
 ordered (x-, x+, y-, y+, z-, z+).
+
+``rtf_oracle_grid`` is the one image-sum function: it simulates each mic
+unit's omni pressures and gives the truth that every E is scored against.
+Its sources and receivers must lie inside the room, where no image comes
+nearer to a receiver than its source does.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,19 +79,10 @@ class ImageLattice(NamedTuple):
     order: np.ndarray      # (M,) number of reflections
     shift: np.ndarray      # (3,) analysis frame -> corner frame
 
-    def positions(self, y) -> np.ndarray:
-        """Image positions (M, ..., 3) of the sources y (..., 3)."""
-        yc = np.asarray(y, dtype=float) + self.shift
-        rows = (slice(None),) + (None,) * (yc.ndim - 1)
-        axes = np.arange(3)
-        return (self.sign[axes, self.pick][rows] * yc + self.offset[axes, self.pick][rows]
-                - self.shift)
-
     def axis_positions(self, y) -> np.ndarray:
         """Per-axis image coordinates (3, C, ...) of the sources y (..., 3).
 
-        Entry [a, pick[m, a]] is axis a of image m, the same value to the bit
-        as ``positions(y)[m, ..., a]``.
+        Entry [a, pick[m, a]] is axis a of image m.
         """
         yc = np.moveaxis(np.asarray(y, dtype=float) + self.shift, -1, 0)[:, None]
         rows = (slice(None), slice(None)) + (None,) * (yc.ndim - 2)
@@ -94,6 +90,7 @@ class ImageLattice(NamedTuple):
                 - self.shift.reshape((3,) + (1,) * (yc.ndim - 1)))
 
 
+@functools.lru_cache(maxsize=8)
 def image_lattice(room: RoomModel) -> ImageLattice:
     """True source plus all images up to ``room.max_image_order`` reflections.
 
@@ -101,6 +98,7 @@ def image_lattice(room: RoomModel) -> ImageLattice:
     (1 - 2q) y + 2 n L with q in {0, 1}; the per-axis reflection counts are
     |n - q| off the minus wall and |n| off the plus wall.  Each distinct
     reflection history appears exactly once; the true source comes first.
+    Equal rooms share one cached lattice, so its arrays are read-only.
     """
     max_order = room.max_image_order
     nmax = max_order // 2 + 1
@@ -116,7 +114,7 @@ def image_lattice(room: RoomModel) -> ImageLattice:
     rows = np.argsort(order, kind="stable")[: np.count_nonzero(order <= max_order)]
     pick = pick[rows]
     beta = np.asarray(room.reflections, dtype=float).reshape(3, 2)
-    return ImageLattice(
+    lattice = ImageLattice(
         pick=pick,
         sign=np.tile((1 - 2 * q).astype(float), (3, 1)),
         offset=2 * n * np.asarray(room.dimensions, dtype=float)[:, None],
@@ -124,9 +122,12 @@ def image_lattice(room: RoomModel) -> ImageLattice:
         order=order[rows],
         shift=room.to_corner_frame(np.zeros(3)),
     )
+    for array in lattice:
+        array.flags.writeable = False
+    return lattice
 
 
-# bins between exact anchors of the phase recurrence in rtf_oracle_blocks
+# bins between exact anchors of the phase recurrence in rtf_oracle_grid
 REANCHOR_INTERVAL = 16
 # entries N of the phase table _PHASES, e^{2 pi i j / N} for j = 0 ... N - 1
 _PHASE_ENTRIES = 512
@@ -162,7 +163,7 @@ def _expi(k: float, d) -> np.ndarray:
     the Taylor series of cos r through r^6 and sin r through r^5 truncate
     below 1e-19.  Beyond the rounding of k d that exp(1j k d) also has, the
     product adds about 2 ulp.  q is exact while k d < 2^46 rad, which
-    rtf_oracle_blocks checks.
+    rtf_oracle_grid checks.
     """
     r = d * (k * (_PHASE_ENTRIES / math.tau))
     q = np.rint(r)
@@ -215,108 +216,67 @@ def _check_phase_bound(k: float, d_max: float) -> None:
         )
 
 
-def rtf_oracle_blocks(room: RoomModel, X, Y, ks,
-                      skip_direct: bool = False) -> Iterator[np.ndarray]:
-    """Responses (F, ...) at receivers X to unit sources at Y, one block at a time.
+def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.ndarray:
+    """Responses (F, ...) at receivers X (..., 3) to unit sources at Y (..., 3).
 
-    X (B, ..., 3) and Y (B, ..., 3) broadcast, and block b is the image sum of
-    X[b] against Y[b]; an axis of length 1 or a missing axis repeats.  So
-    ``omnis[:, :, None]`` against ``speakers[None, None]`` yields each mic
-    unit's (F, Q', L) pressures.  Row j of a block is the sum at wavenumber
-    ks[j]; one bin is a one-element ks.  The sources, the image lattice and
-    the phase bound are checked and set up once per call.
+    X and Y broadcast: an (n, 3) X against one (3,) source gives n responses
+    per bin; X[:, None] against Y[None] gives every receiver-source pair.
+    Row j is the image sum at wavenumber ks[j].  Sources and receivers must
+    lie inside the room, where no image is nearer to a receiver than its
+    source (an image distance is the length of an unfolded reflection path);
+    so only the source's own distances are tested against
+    COINCIDENT_DISTANCE, also when ``skip_direct`` leaves out its term.
 
-    Within a block, the square (X_a - c)^2 is computed once for each of the
-    2P + 1 image coordinates c along each axis a, P the maximum image order;
-    an image's distance is then sqrt(sq_x + sq_y + sq_z).  The distance d,
-    the weight amp / 4 pi d and, on a uniform grid, the step e^{i dk d} are
-    computed once per image; the phase then runs
+    The square (X_a - c)^2 is computed once for each of the 2P + 1 image
+    coordinates c along axis a, P the maximum order, and an image's distance
+    is sqrt(sq_x + sq_y + sq_z).  Per image, d, the weight amp / 4 pi d and,
+    on a uniform grid, the step e^{i dk d} are computed once; the phase runs
     e^{i k_{j+1} d} = e^{i k_j d} e^{i dk d} across the grid, re-anchored at
-    every REANCHOR_INTERVAL-th bin by an exact e^{i k_j d}.  On a lattice grid
-    (k_0 = n0 dk, n0 <= REANCHOR_INTERVAL) the first anchor is step^n0, with
-    the recurrence's own error.  A grid that is not uniform anchors every bin.
-    Steps and anchors come from _expi: an entry of the one wavenumber-free
-    table _PHASES times a short Taylor series, as accurate as exp(1j k d).
-    Its phases k d must stay below 2^46 rad for every k of the grid and every
-    distance up to |max |X| per axis| + max |image|.  ``skip_direct`` leaves
-    out the true-source row, which is the reverberant part alone; the
-    coincidence check still covers it.  That check tests each image's
-    distances only in a block where the per-axis squares' lower bound
-    sum_a min_c (X_a - c)^2 comes within COINCIDENT_DISTANCE.  Besides the
-    block's (F, ...) result, the temporaries are the 3 (2P + 1) per-axis
-    squares of one block and one image's worth of distances and phases.
+    every REANCHOR_INTERVAL-th bin by an exact e^{i k_j d} from _expi.  On a
+    lattice grid (k_0 = n0 dk, n0 <= REANCHOR_INTERVAL) the first anchor is
+    step^n0; a grid that is not uniform anchors every bin.  Every phase k d
+    must stay below 2^46 rad up to sqrt(sum_a max_c (X_a - c)^2), which
+    bounds each rounded distance from above, as rounded addition and sqrt are
+    monotone.  Besides the result, it holds the 3 (2P + 1) per-axis squares,
+    each of the broadcast shape, and one image's distances and phases.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     room.check_inside(Y.reshape(-1, 3), "source")
-    if not np.isfinite(X).all():
-        raise ConfigurationError("receiver coordinates must be finite")
+    room.check_inside(X.reshape(-1, 3), "receiver")
     shape = np.broadcast_shapes(X.shape, Y.shape)
-    X, Y = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (X, Y))
     lattice = image_lattice(room)
-    # |x - image| <= |x| + |image| bounds every distance the kernel takes
-    d_max = float(np.linalg.norm(np.abs(X.reshape(-1, 3)).max(axis=0, initial=0.0))
-                  + np.sqrt((lattice.positions(Y) ** 2).sum(axis=-1)).max())
-    X = np.broadcast_to(X, shape[:1] + X.shape[1:])
-    coords = lattice.axis_positions(Y)  # (3, 2P + 1, B or 1, ...)
-    coords = np.broadcast_to(coords, coords.shape[:2] + shape[:1] + coords.shape[3:])
+    coords = lattice.axis_positions(Y.reshape((1,) * (len(shape) - Y.ndim) + Y.shape))
+    squares = [(X[..., a] - coords[a]) ** 2 for a in range(3)]  # (2P + 1, ...) each
+    d_max = math.sqrt(sum(sq.max(initial=0.0) for sq in squares))
     # every k is checked before _uniform_step, which must not do arithmetic on a NaN or inf
     _check_phase_bound(np.abs(ks).max(initial=0.0), d_max)
     dk, n0 = _uniform_step(ks)
     _check_phase_bound(abs(dk or 0.0), d_max)
     anchor_every = 1 if dk is None else REANCHOR_INTERVAL
 
-    def image_sum(b):
-        """Block b's (F, ...) sum; its temporaries go when it returns."""
-        squares = [(X[b, ..., a] - coords[a, :, b]) ** 2 for a in range(3)]
-        # sum_a min_c (X_a - c)^2 bounds every image's rounded d^2 from below, as
-        # rounded addition and sqrt are monotone: past the distance, no image can be
-        # coincident, and the per-image test would give the same verdict
-        nearest = squares[0].min(axis=0) + squares[1].min(axis=0)
-        nearest += squares[2].min(axis=0)
-        check_each = not np.sqrt(nearest.min(initial=math.inf)) >= COINCIDENT_DISTANCE
-        d = np.empty(shape[1:-1])
-        total = np.zeros((ks.size,) + shape[1:-1], dtype=complex)
-        for (ix, iy, iz), amp, order in zip(lattice.pick, lattice.amplitude, lattice.order):
-            np.add(squares[0][ix], squares[1][iy], out=d)
-            d += squares[2][iz]
-            np.sqrt(d, out=d)
-            # the corner-frame round trip moves an image by rounding, so a
-            # receiver on the source can sit a few ulps away from its order-0 image
-            if check_each and np.any(d < COINCIDENT_DISTANCE):
-                raise ConfigurationError(
-                    "receiver coincides with the source or one of its images"
-                )
-            if skip_direct and order == 0:
+    d = np.empty(shape[:-1])
+    total = np.zeros((ks.size,) + shape[:-1], dtype=complex)
+    for (ix, iy, iz), amp, order in zip(lattice.pick, lattice.amplitude, lattice.order):
+        np.add(squares[0][ix], squares[1][iy], out=d)
+        d += squares[2][iz]
+        np.sqrt(d, out=d)
+        if order == 0:
+            if np.any(d < COINCIDENT_DISTANCE):
+                raise ConfigurationError("receiver coincides with the source")
+            if skip_direct:
                 continue
-            weight = amp / (4.0 * math.pi * d)
-            if dk is not None:
-                step = _expi(dk, d)
-            for j, k in enumerate(ks):
-                if j == 0 and n0:  # step ** 1 would take numpy's slow general power
-                    phase = weight * (step if n0 == 1 else step ** n0)
-                elif j % anchor_every == 0:
-                    phase = _expi(k, d)
-                    phase *= weight
-                else:
-                    phase *= step
-                total[j] += phase
-        return total
-
-    for b in range(shape[0]):
-        yield image_sum(b)
-
-
-def rtf_oracle_grid(room: RoomModel, X, Y, ks, skip_direct: bool = False) -> np.ndarray:
-    """Responses (F, ...) at receivers X (..., 3) to unit sources at Y (..., 3).
-
-    X and Y broadcast: an (n, 3) X against one (3,) source gives n responses
-    per bin; X[:, None] against Y[None] gives every receiver-source pair.
-    The one-block case of ``rtf_oracle_blocks``, with the same kernel and
-    checks.  Besides the (F, ...) result it holds the 3 (2P + 1) per-axis
-    squares, each of the broadcast shape, and one image's worth of distances
-    and phases.
-    """
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    return next(rtf_oracle_blocks(room, X[None], Y[None], ks, skip_direct))
+        weight = amp / (4.0 * math.pi * d)
+        if dk is not None:
+            step = _expi(dk, d)
+        for j, k in enumerate(ks):
+            if j == 0 and n0:  # step ** 1 would take numpy's slow general power
+                phase = weight * (step if n0 == 1 else step ** n0)
+            elif j % anchor_every == 0:
+                phase = _expi(k, d)
+                phase *= weight
+            else:
+                phase *= step
+            total[j] += phase
+    return total

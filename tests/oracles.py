@@ -5,6 +5,8 @@ Each function is the plain per-point or per-bin formula, so a batched path in
 
 * ``rtf_oracle_many`` is the image-source sum at one frequency, one exact
   ``exp`` per image; ``room.rtf_oracle_grid`` is checked against it bin by bin.
+* ``positions`` is each image's position (M, ..., 3) from the lattice rows,
+  the reference for ``ImageLattice.axis_positions``.
 * ``contains`` is the pointwise room test that ``RoomModel.check_inside``
   is checked against.
 * ``complex_T`` is the complex loudspeaker translation matrix from scipy;
@@ -39,7 +41,7 @@ from scipy import special as sp
 from roomtf import specfun, translation
 from roomtf.errors import BesselZeroError, ConfigurationError
 from roomtf.modal import COINCIDENT_DISTANCE, WaveContext
-from roomtf.room import RoomModel, image_lattice
+from roomtf.room import ImageLattice, RoomModel, image_lattice
 
 
 def cartesian_to_spherical_arrays(points: np.ndarray):
@@ -164,6 +166,16 @@ def complex_term_table(local_order: int, col_order: int):
     return np.array(entries, dtype=int), np.array(basis, dtype=int), np.array(coeffs, dtype=complex)
 
 
+def positions(lattice: ImageLattice, y) -> np.ndarray:
+    """Image positions (M, ..., 3) of the sources y (..., 3), row m the image m of
+    the lattice; axis a of row m is entry [a, pick[m, a]] of ``axis_positions``."""
+    yc = np.asarray(y, dtype=float) + lattice.shift
+    rows = (slice(None),) + (None,) * (yc.ndim - 1)
+    axes = np.arange(3)
+    return (lattice.sign[axes, lattice.pick][rows] * yc
+            + lattice.offset[axes, lattice.pick][rows] - lattice.shift)
+
+
 def rtf_oracle_many(room: RoomModel, X, Y, ctx: WaveContext) -> np.ndarray:
     """Responses at receivers X (..., 3) to unit sources at Y (..., 3), broadcast.
 
@@ -175,7 +187,7 @@ def rtf_oracle_many(room: RoomModel, X, Y, ctx: WaveContext) -> np.ndarray:
     room.check_inside(Y.reshape(-1, 3), "source")
     lattice = image_lattice(room)
     total = np.zeros(np.broadcast_shapes(X.shape, Y.shape)[:-1], dtype=complex)
-    for image, amp in zip(lattice.positions(Y), lattice.amplitude):
+    for image, amp in zip(positions(lattice, Y), lattice.amplitude):
         d = np.linalg.norm(X - image, axis=-1)
         if np.any(d < COINCIDENT_DISTANCE):
             raise ConfigurationError(

@@ -359,6 +359,15 @@ class TestCli:
         assert "room dimensions must be three finite positive lengths" in err
         assert "outside the room" not in err
 
+    def test_bin_far_above_the_band_exits_2(self, tmp_path, capsys):
+        # such a bin was once taken for a Bessel zero (exit 3); its image-sum
+        # phases are what is out of range
+        path = write_yaml(tmp_path, FAST_YAML.replace("frequencies: [400]",
+                                                      "frequencies: [1.0e+300]"))
+        assert cli.main(["measure", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "beyond double precision" in err and "Bessel zero" not in err
+
     @pytest.mark.parametrize("command, signal, message", [
         ("cond", "frequencies: [0.0, 300.0]", "signal.frequencies must be finite and > 0 Hz, got 0.0"),
         ("measure", "frequencies: [-100.0]", "signal.frequencies must be finite and > 0 Hz, got -100.0"),

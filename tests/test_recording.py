@@ -154,6 +154,20 @@ class TestLocalEncoding:
         with pytest.raises(BesselZeroError, match="a = 1 sits on a Bessel zero"):
             bin_encoders(mics, [WaveContext(f)])
 
+    def test_bin_far_above_the_band_is_not_a_bessel_zero(self):
+        # at k r ~ 1.3e297, |j_a(kr)| is near its 1 / (kr) envelope, far below
+        # 1e-8 but no zero; the image sums then reject the bin's phases
+        room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 0)
+        mics = reference_mics(1, 0.2, omnis=16, fit=3)
+        ctx = WaveContext(1.0e300)
+        encoders, orders = bin_encoders(mics, [ctx])
+        kr = ctx.k * mics.local_radius
+        assert orders.tolist() == [3]
+        assert np.all(np.abs(specfun.bessel_j_rows(3, [kr])) < 1e-8)
+        assert np.all(np.isfinite(encoders))
+        with pytest.raises(ConfigurationError, match="beyond double precision"):
+            simulate_raw_measurements(room, np.array([[1.0, 1.0, 0.5]]), mics, [1.0e300])
+
 
 class TestFactoredEncoder:
     """The per-run encoder, bin by bin, against one pinv per bin."""
@@ -228,15 +242,24 @@ class TestSimulatedMeasurements:
         with pytest.raises(ConfigurationError, match="outside the room"):
             simulate_raw_measurements(room, np.array([[7.0, 0.0, 0.0]]), mics, [500.0])
 
+    @pytest.mark.parametrize("speakers", [np.array([1.0, 1.0, 0.5]), np.zeros((0, 3)),
+                                          np.ones((2, 3, 3)), np.ones((2, 2))],
+                             ids=["one-point", "none", "three-axes", "two-coordinates"])
+    def test_speakers_must_be_an_L_by_3_array(self, speakers):
+        # a (3,) point once broadcast into three identical loudspeaker columns
+        room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 0)
+        mics = reference_mics(1, 0.2, omnis=16, fit=3)
+        message = re.escape(f"speakers must be an (L >= 1, 3) array, got shape {speakers.shape}")
+        with pytest.raises(ConfigurationError, match=message):
+            simulate_raw_measurements(room, speakers, mics, [900.0])
+
     def test_frequency_grid_lookup(self):
         room = RoomModel(REFERENCE_DIMS, (0.0,) * 6, 0)
         mics = reference_mics(1, 0.2, omnis=16, fit=3)
         mt = simulate_raw_measurements(
             room, np.array([[1.0, 1.0, 0.5]]), mics, [500.0, 600.0]
         )
-        assert mt.frequency_index(600.0) == 1
-        with pytest.raises(ConfigurationError):
-            mt.frequency_index(555.0)
+        assert mt.frequencies.tolist() == [500.0, 600.0]
 
 
 def per_bin_measurements(room, speakers, mics, frequencies, subtract_direct):
@@ -313,7 +336,7 @@ class TestGridSimulation:
         def no_image_sums(*args, **kwargs):
             raise AssertionError("the image sums started before the Bessel check")
 
-        monkeypatch.setattr(recording, "rtf_oracle_blocks", no_image_sums)
+        monkeypatch.setattr(recording, "rtf_oracle_grid", no_image_sums)
         for a, kr in ((0, math.pi), (1, 4.493409457909064)):  # first zeros of j_0 and j_1
             f_zero = kr * 343.0 / (2 * math.pi * mics.local_radius)
             # the third bin and its lowest kept order on a zero: j_0 is not zero at kr_1
@@ -331,7 +354,7 @@ class TestGridSimulation:
             raise AssertionError("work started before the grid check")
 
         monkeypatch.setattr(recording, "bin_encoders", no_work)
-        monkeypatch.setattr(recording, "rtf_oracle_blocks", no_work)
+        monkeypatch.setattr(recording, "rtf_oracle_grid", no_work)
         with pytest.raises(ConfigurationError,
                            match=r"the measurement grid holds 900\.0 and 900\.0000000005 Hz"):
             simulate_raw_measurements(room, self.SPEAKERS, mics, [900.0, 600.0, 900.0000000005])

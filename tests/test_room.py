@@ -1,6 +1,7 @@
 """Image-source oracle tests, including a brute-force mirror oracle."""
 
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -16,11 +17,10 @@ from roomtf.room import (
     _expi,
     _uniform_step,
     image_lattice,
-    rtf_oracle_blocks,
     rtf_oracle_grid,
 )
 
-from oracles import contains, direct_field, rtf_oracle_many
+from oracles import contains, direct_field, positions, rtf_oracle_many
 
 REFERENCE_DIMS = (6.0, 5.0, 2.5)
 PAPER_REFL = (0.9, 0.9, 0.9, 0.9, 0.7, 0.7)
@@ -128,7 +128,7 @@ class TestRoomModel:
 def lattice_images(room, y):
     """(position, amplitude, order) of each image of a source at y."""
     lattice = image_lattice(room)
-    return list(zip(lattice.positions(y), lattice.amplitude, lattice.order))
+    return list(zip(positions(lattice, y), lattice.amplitude, lattice.order))
 
 
 class TestEnumerateImages:
@@ -172,10 +172,10 @@ class TestEnumerateImages:
         # 2P + 1 coordinates per axis; each image's coordinates to the bit
         lattice = image_lattice(reference_room(max_order))
         Y = np.random.default_rng(40).uniform(-1.0, 1.0, (4, 1, 3))
-        coords, positions = lattice.axis_positions(Y), lattice.positions(Y)
+        coords, images = lattice.axis_positions(Y), positions(lattice, Y)
         assert coords.shape == (3, 2 * max_order + 1, 4, 1)
         for a in range(3):
-            assert np.array_equal(coords[a][lattice.pick[:, a]], positions[..., a])
+            assert np.array_equal(coords[a][lattice.pick[:, a]], images[..., a])
 
     def test_deterministic_ordering(self):
         # the true source first, then by order; the same rows on every call
@@ -184,6 +184,15 @@ class TestEnumerateImages:
         assert first.order[0] == 0 and np.all(np.diff(first.order) >= 0)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+    def test_equal_rooms_share_one_read_only_lattice(self):
+        lattice = image_lattice(reference_room())
+        assert image_lattice(RoomModel(list(REFERENCE_DIMS), list(PAPER_REFL), 2)) is lattice
+        assert image_lattice(reference_room(3)) is not lattice
+        for array in lattice:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
     def test_source_outside_rejected(self):
         with pytest.raises(ConfigurationError, match="source at .* outside the room"):
@@ -242,7 +251,7 @@ class TestOracle:
         ctx = WaveContext(900.0)
         x, y = np.array([0.1, 0.0, 0.0]), np.array([1.0, 1.0, 0.5])
         lattice = image_lattice(room)
-        d_min = np.linalg.norm(x - lattice.positions(y), axis=-1).min()
+        d_min = np.linalg.norm(x - positions(lattice, y), axis=-1).min()
         bound = lattice.amplitude.sum() / (4 * np.pi * d_min)
         assert abs(oracle_at(room, x, y, ctx)) <= bound
 
@@ -253,8 +262,34 @@ class TestOracle:
     def test_receiver_on_an_image_rejected(self):
         # (-6.4, 0.7, -0.1) is the x- image of (0.4, 0.7, -0.1); one pair of many
         X = np.array([[0.0, 0.0, 0.0], [-6.4, 0.7, -0.1]])
-        with pytest.raises(ConfigurationError, match="coincides"):
+        with pytest.raises(ConfigurationError, match=r"receiver at .*-6\.4.* outside the room"):
             one_bin(reference_room(), X, np.array([0.4, 0.7, -0.1]), WaveContext(500.0))
+
+    @pytest.mark.parametrize("x", [(0.0, 2.6, 0.0), (3.0, 0.0, 0.0), (0.0, 0.0, -1.25)],
+                             ids=["beyond", "on-x-wall", "on-floor"])
+    def test_receiver_outside_the_room_rejected(self, x):
+        # strictly inside, as for sources: a point on a wall is outside
+        X = np.array([[0.1, 0.2, 0.3], x])
+        name = re.escape(str(tuple(x)))
+        with pytest.raises(ConfigurationError, match=f"receiver at {name} lies outside the room"):
+            one_bin(reference_room(), X, np.array([1.0, 1.0, 0.5]), WaveContext(500.0))
+
+    @pytest.mark.parametrize("skip_direct", [False, True])
+    def test_receiver_and_source_near_one_wall_match_mirror_oracle(self, skip_direct):
+        # within 1e-6 m of the x+ wall, each x+ image is barely farther than
+        # its unmirrored twin; the sum over the mirror oracle's images agrees
+        room = reference_room()
+        ctx = WaveContext(700.0)
+        X = np.array([[3.0 - 1e-6, 0.2, 0.1], [3.0 - 3e-7, -0.4, 0.6]])
+        y = np.array([3.0 - 5e-7, 0.5, -0.3])
+        images = mirror_images(room, y, room.max_image_order).values()
+        want = np.array([
+            sum(amp * np.exp(1j * ctx.k * np.linalg.norm(x - pos))
+                / (4 * np.pi * np.linalg.norm(x - pos))
+                for amp, order, pos in images if order or not skip_direct)
+            for x in X])
+        got = rtf_oracle_grid(room, X, y, [ctx.k], skip_direct=skip_direct)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_broadcast_matches_direct_image_sum(self):
         # 4 receivers x 3 sources against a sum over the mirror oracle's images
@@ -386,19 +421,6 @@ class TestOracleGrid:
             assert got.shape == (freqs.size, 7)
             assert_bins_close(got, per_bin(room, X, y, freqs), 1e-12)
 
-    def test_blocks_equal_one_block_calls(self):
-        # every block against its own one-block call: the shared tables differ
-        # only in length, so the bits are the same
-        room = reference_room()
-        rng = np.random.default_rng(41)
-        ks = wavenumbers(GRIDS["uniform"])
-        X = rng.uniform(-1.0, 1.0, (3, 4, 1, 3))
-        for Y in (rng.uniform(-1.0, 1.0, (1, 1, 5, 3)), rng.uniform(-1.0, 1.0, (3, 1, 5, 3))):
-            blocks = list(rtf_oracle_blocks(room, X, Y, ks))
-            assert len(blocks) == 3
-            for b, got in enumerate(blocks):
-                assert np.array_equal(got, rtf_oracle_grid(room, X[b], Y[b % len(Y)], ks))
-
     def test_source_outside_rejected(self):
         with pytest.raises(ConfigurationError, match=r"source at .*2\.6.* outside"):
             rtf_oracle_grid(reference_room(), np.zeros(3), np.array([0.0, 2.6, 0.0]),
@@ -406,36 +428,42 @@ class TestOracleGrid:
 
     @pytest.mark.parametrize("skip_direct", [False, True])
     def test_receiver_on_source_or_image_rejected(self, skip_direct):
+        # the source, then its x- image, which lies outside the room
         y = np.array([0.4, 0.7, -0.1])
-        for x in (y, np.array([-6.4, 0.7, -0.1])):  # the source, then its x- image
-            with pytest.raises(ConfigurationError, match="coincides"):
+        for x, message in ((y, "coincides"), (np.array([-6.4, 0.7, -0.1]), "outside the room")):
+            with pytest.raises(ConfigurationError, match=message):
                 rtf_oracle_grid(reference_room(), np.array([[0.0, 0.0, 0.0], x]), y,
                                 wavenumbers([300.0, 400.0]), skip_direct=skip_direct)
 
     @pytest.mark.parametrize("step", [0.5e-9, 0.999e-9, 1.001e-9, 1.5e-9])
     def test_receiver_just_within_or_beyond_coincidence(self, step):
-        # 1e-9 m decides beside the source and beside its x- image, as image by image
+        # 1e-9 m decides beside the source; beside its x- image, which lies
+        # outside the room, every step is rejected as outside
         room = reference_room()
         y = np.array([0.4, 0.7, -0.1])
-        for x in (y, np.array([-6.4, 0.7, -0.1])):
-            X = np.array([[0.0, 0.0, 0.0], x + [0.0, step, 0.0]])
-            if step < 1e-9:
-                with pytest.raises(ConfigurationError, match="coincides"):
-                    one_bin(room, X, y, WaveContext(500.0))
-                with pytest.raises(ConfigurationError, match="coincides"):
-                    rtf_oracle_many(room, X, y, WaveContext(500.0))
-            else:
-                assert np.all(np.isfinite(one_bin(room, X, y, WaveContext(500.0))))
+        X = np.array([[0.0, 0.0, 0.0], y + [0.0, step, 0.0]])
+        if step < 1e-9:
+            with pytest.raises(ConfigurationError, match="coincides"):
+                one_bin(room, X, y, WaveContext(500.0))
+            with pytest.raises(ConfigurationError, match="coincides"):
+                rtf_oracle_many(room, X, y, WaveContext(500.0))
+        else:
+            assert np.all(np.isfinite(one_bin(room, X, y, WaveContext(500.0))))
+        X = np.array([[0.0, 0.0, 0.0], [-6.4, 0.7 + step, -0.1]])
+        with pytest.raises(ConfigurationError, match="outside the room"):
+            one_bin(room, X, y, WaveContext(500.0))
+        if step < 1e-9:
+            with pytest.raises(ConfigurationError, match="coincides"):
+                rtf_oracle_many(room, X, y, WaveContext(500.0))
 
     def test_receiver_on_an_image_coordinate_along_every_axis(self):
-        # x of the order-2 x image, y of the order-2 y image and z of the source:
-        # the per-axis lower bound on the distances is 0, so every image is
-        # tested, but the order-4 image at that point is not in the lattice
+        # x of the order-2 x image, y of the order-2 y image and z of the
+        # source: a point outside the room, rejected before any image sum
         room = reference_room()
         y = np.array([0.4, 0.7, -0.1])
         X = np.array([[12.4, 10.7, -0.1], [0.0, 0.0, 0.0]])
-        want = rtf_oracle_many(room, X, y, WaveContext(500.0))
-        assert one_bin(room, X, y, WaveContext(500.0)) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(ConfigurationError, match=r"receiver at .*12\.4.* outside the room"):
+            one_bin(room, X, y, WaveContext(500.0))
 
 
 def exact_expi(k, d):
@@ -494,11 +522,12 @@ class TestPhaseTable:
             rtf_oracle_grid(reference_room(), np.zeros(3), np.array([1.0, 1.0, 0.5]), ks)
 
     def test_order_six_at_8khz_with_the_farthest_pair_at_the_bound(self):
-        # one receiver opposite the source's farthest image: its distance is the
-        # phase bound |x| + max |image|, the largest q the kernel takes
+        # one receiver opposite the source's farthest image, at |x| + max |image|
+        # from it: no receiver at |x| from the centre is farther from an image,
+        # and its phase is the largest q the kernel takes
         room = reference_room(6)
         y = np.array([0.8, -1.1, 0.3])
-        images = image_lattice(room).positions(y)
+        images = positions(image_lattice(room), y)
         far = images[np.argmax(np.linalg.norm(images, axis=-1))]
         x = -0.5 * far / np.linalg.norm(far)
         ctx = WaveContext(8000.0)
@@ -521,7 +550,7 @@ class TestPhaseTable:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_non_finite_receiver_rejected(self):
-        with pytest.raises(ConfigurationError, match="finite"):
+        with pytest.raises(ConfigurationError, match=r"receiver at .*nan.* outside the room"):
             rtf_oracle_grid(reference_room(), np.array([[0.0, np.nan, 0.0]]),
                             np.array([1.0, 1.0, 0.5]), wavenumbers([300.0]))
 
