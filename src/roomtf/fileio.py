@@ -104,7 +104,10 @@ def _payload(raw: bytes, shape: tuple) -> np.ndarray:
             f"truncated or corrupt file: payload holds {len(raw)} bytes, "
             f"the header implies shape {shape} ({16 * count} bytes)"
         )
-    return np.frombuffer(raw, dtype=np.complex128).reshape(shape)
+    values = np.frombuffer(raw, dtype=np.float64)
+    if not np.isfinite(values).all():  # no writer makes one; it would reach every answer
+        raise ConfigurationError("corrupt file: the payload holds a non-finite value (NaN or inf)")
+    return values.view(np.complex128).reshape(shape)
 
 
 def save_measurement_tensor(path, mt: MeasurementTensor) -> None:

@@ -14,6 +14,9 @@ Per-frequency solver policy (the knobs that make the extraction robust):
 * Each bin has one local order, min(A, ceil truncation at the mic radius),
   decided when the measurement is simulated and stored with it; the
   translation solve uses the local modes up to that order.
+* Both solves, the weights against T and the region coefficients against
+  T', are one truncated-SVD fit, ``least_squares``: singular values at or
+  below ``solver.svd_cutoff`` times the largest are dropped.
 
 Each config object is validated once: ``validate_config`` keeps the checked
 ``Experiment`` on the (frozen) config, so ``load_config`` and every later
@@ -38,7 +41,9 @@ import yaml
 from . import fileio, recording, rtf, specfun, synthesis, translation
 from .errors import ConfigurationError, DigestMismatchError
 from .geometry import RegionPair, export_positions_csv, shell_array, sphere_array
-from .modal import GRID_TOLERANCE, WaveContext, check_distinct_bins, truncation_order
+from .modal import (
+    DEFAULT_SOUND_SPEED, GRID_TOLERANCE, WaveContext, check_distinct_bins, truncation_order,
+)
 from .recording import MeasurementTensor, MicArray, mic_radius
 from .room import RoomModel, rtf_oracle_grid
 from .rtf import RtfCoefficientSet, probe_pairs, relative_error
@@ -64,7 +69,7 @@ class ArraysConfig:
 
 @dataclass(frozen=True)
 class SignalConfig:
-    sound_speed: float = 343.0
+    sound_speed: float = DEFAULT_SOUND_SPEED
     f_max: float = 1000.0
     frequencies: tuple[float, ...] = tuple(np.arange(200.0, 1700.0 + 1e-9, 25.0))
 
@@ -216,6 +221,23 @@ class Experiment:
                 f"microphone radius r = A c / (pi e f_max) = {self.mic_local_radius:.6g} m: "
                 "the mic units sit at R_r - r, so every sensor is inside the receiver region"
             )
+        k_max = WaveContext(cfg.signal.f_max, cfg.signal.sound_speed).k
+        self.design_source_order = truncation_order(k_max, cfg.regions.source_radius)
+        self.design_receiver_order = truncation_order(k_max, cfg.regions.receiver_radius)
+        # the aliasing bounds need only the design orders: checked before any array is built
+        modes_needed = (self.design_source_order + 1) ** 2
+        if cfg.arrays.speakers < modes_needed:
+            raise ConfigurationError(
+                f"loudspeaker aliasing bound violated: arrays.speakers L = {cfg.arrays.speakers}"
+                f" < (N_s+1)^2 = {modes_needed} at f_max = {cfg.signal.f_max} Hz"
+            )
+        rows = cfg.arrays.mic_units * (cfg.arrays.mic_order + 1) ** 2
+        cols = (self.design_receiver_order + 1) ** 2
+        if rows < cols:
+            raise ConfigurationError(
+                f"microphone aliasing bound violated: arrays.mic_units Q = {cfg.arrays.mic_units}"
+                f", Q (A+1)^2 = {rows} < (N_r+1)^2 = {cols} at f_max = {cfg.signal.f_max} Hz"
+            )
         self.speakers_local = shell_array(  # (L, 3) about O_s
             cfg.arrays.speakers,
             cfg.regions.source_radius,
@@ -230,9 +252,6 @@ class Experiment:
             cfg.arrays.omnis_per_mic,
             cfg.arrays.mic_fit_order,
         )
-        k_max = WaveContext(cfg.signal.f_max, cfg.signal.sound_speed).k
-        self.design_source_order = truncation_order(k_max, cfg.regions.source_radius)
-        self.design_receiver_order = truncation_order(k_max, cfg.regions.receiver_radius)
         # the highest order within the loudspeakers' aliasing bound (N+1)^2 <= L
         self.table_order = math.isqrt(cfg.arrays.speakers) - 1
         # every input that shapes gamma-tilde: array layouts, sound speed, room, encoder fit
@@ -345,20 +364,7 @@ def _checked_experiment(cfg: ExperimentConfig) -> Experiment:
     if not cfg.probes.radii or not all(0.0 < R <= limit + 1e-12 for R in cfg.probes.radii):
         raise ConfigurationError(f"probes.radii must be a non-empty list of radii in (0, "
                                  f"{limit}] m, within both regions, got {list(cfg.probes.radii)}")
-    exp = Experiment(cfg)  # geometry constructors enforce their own bounds
-    modes_needed = (exp.design_source_order + 1) ** 2
-    if cfg.arrays.speakers < modes_needed:
-        raise ConfigurationError(
-            f"loudspeaker aliasing bound violated: L = {cfg.arrays.speakers} < "
-            f"(N_s+1)^2 = {modes_needed} at f_max = {cfg.signal.f_max} Hz"
-        )
-    rows = cfg.arrays.mic_units * (cfg.arrays.mic_order + 1) ** 2
-    cols = (exp.design_receiver_order + 1) ** 2
-    if rows < cols:
-        raise ConfigurationError(
-            f"microphone aliasing bound violated: Q (A+1)^2 = {rows} < "
-            f"(N_r+1)^2 = {cols} at f_max = {cfg.signal.f_max} Hz"
-        )
+    exp = Experiment(cfg)  # aliasing bounds first, then each geometry constructor's own
     exp.room.check_inside(exp.speakers_room, "loudspeaker")
     exp.room.check_inside(exp.mics.omni_positions().reshape(-1, 3), "microphone sensor")
     if cfg.solver.direct_removal == "coefficient":
@@ -390,6 +396,17 @@ def run_measure(cfg: ExperimentConfig, frequencies=None) -> MeasurementTensor:
     return replace(mt, digests=exp.digests[MeasurementTensor])
 
 
+def least_squares(A: np.ndarray, B: np.ndarray, cutoff: float):
+    """Minimum-norm X with A X ~ B, and the column norms of A X - B: (X, residuals).
+
+    X = pinv(A) B for real A and B, where the pseudoinverse drops singular
+    values of A at or below ``cutoff`` times the largest (a truncated SVD).
+    Both solves of the extraction go through it.
+    """
+    X = np.linalg.pinv(A, rcond=cutoff) @ B
+    return X, np.linalg.norm(A @ X - B, axis=0)
+
+
 def extract_frequency(exp: Experiment, mt: MeasurementTensor, fi: int):
     """Bin ``fi``'s alpha' block: returns (alpha' (N_s+1)^2 x (N_r+1)^2, n_s, n_r).
 
@@ -401,19 +418,17 @@ def extract_frequency(exp: Experiment, mt: MeasurementTensor, fi: int):
     ctx = exp.context(frequency)
     n_s, n_r = exp.effective_orders(frequency)
     T = synthesis.build_T(exp.speaker_table, exp.design_source_order, ctx)
-    W, _ = synthesis.solve_all_weights(
-        T, num_modes=(n_s + 1) ** 2, cutoff=cfg.solver.svd_cutoff
-    )
+    W, _ = least_squares(T, np.eye(T.shape[0], (n_s + 1) ** 2), cfg.solver.svd_cutoff)
     direct = None
     if cfg.solver.direct_removal == "coefficient":
         direct = recording.direct_coefficients_per_speaker(exp.direct_table, exp.mics, ctx)
     gamma = recording.compose_all_modes(mt, fi, W, direct)
     local_order = int(mt.mask_orders[fi])
     Tp = translation.build_T_prime(exp.mics, local_order, n_r, ctx)
-    x, _residual = translation.solve_alpha_all(
-        Tp, gamma[:, :specfun.mode_count(local_order)], cutoff=cfg.solver.svd_cutoff
-    )
-    return -1j * x.T, n_s, n_r
+    # the recordings (Q, local modes, M), as (rows of T', 2M) floats
+    rhs = np.ascontiguousarray(gamma[:, :specfun.mode_count(local_order)])
+    x, _ = least_squares(Tp, rhs.reshape(Tp.shape[0], -1).view(float), cfg.solver.svd_cutoff)
+    return -1j * x.view(complex).T, n_s, n_r
 
 
 def check_artifact(exp: Experiment, artifact, path) -> None:

@@ -45,13 +45,13 @@ import numpy as np
 from . import specfun
 from .errors import BesselZeroError, ConfigurationError
 from .geometry import sphere_array
-from .modal import WaveContext, check_distinct_bins, truncation_order
+from .modal import DEFAULT_SOUND_SPEED, WaveContext, check_distinct_bins, truncation_order
 from .room import RoomModel, rtf_oracle_grid
 
 BESSEL_ZERO_THRESHOLD = 1e-8
 
 
-def mic_radius(order: int, f_max: float, sound_speed: float = 343.0) -> float:
+def mic_radius(order: int, f_max: float, sound_speed: float = DEFAULT_SOUND_SPEED) -> float:
     """Design radius r = A c / (pi e f_max) of an order-A microphone."""
     if order < 1:
         raise ConfigurationError(f"microphone order must be >= 1, got {order}")
@@ -126,6 +126,8 @@ class MeasurementTensor:
         gt = np.ascontiguousarray(self.gamma_tilde, dtype=complex)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "gamma_tilde", gt)
+        if freqs.size == 0:
+            raise ConfigurationError("a measurement tensor needs at least one frequency bin")
         check_distinct_bins(freqs, "the measurement grid")
         expected_modes = specfun.mode_count(self.mic_order)
         if gt.ndim != 4 or gt.shape[0] != freqs.shape[0] or gt.shape[3] != expected_modes:
@@ -189,7 +191,7 @@ def simulate_raw_measurements(
     speakers: np.ndarray,
     mics: MicArray,
     frequencies,
-    sound_speed: float = 343.0,
+    sound_speed: float = DEFAULT_SOUND_SPEED,
     subtract_direct_pressure: bool = False,
 ) -> MeasurementTensor:
     """Record the room response from every loudspeaker at every mic unit.

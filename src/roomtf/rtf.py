@@ -12,7 +12,9 @@ import numpy as np
 from . import specfun
 from .errors import ConfigurationError
 from .geometry import RegionPair
-from .modal import COINCIDENT_DISTANCE, WaveContext, check_distinct_bins, grid_index
+from .modal import (
+    COINCIDENT_DISTANCE, DEFAULT_SOUND_SPEED, WaveContext, check_distinct_bins, grid_index,
+)
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class RtfCoefficientSet:
     source_orders: np.ndarray
     receiver_orders: np.ndarray
     regions: RegionPair
-    sound_speed: float = 343.0
+    sound_speed: float = DEFAULT_SOUND_SPEED
     digests: dict = field(default_factory=dict)
     # block index -> the real and imaginary halves of alpha'^T that the queries
     # multiply by, made on the block's first query; never saved or compared
@@ -39,6 +41,8 @@ class RtfCoefficientSet:
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
         object.__setattr__(self, "frequencies", freqs)
+        if freqs.size == 0:
+            raise ConfigurationError("a coefficient set needs at least one frequency bin")
         check_distinct_bins(freqs, "the coefficient grid")
         object.__setattr__(self, "alpha", tuple(np.asarray(a, dtype=complex) for a in self.alpha))
         object.__setattr__(self, "source_orders", np.asarray(self.source_orders, dtype=int))

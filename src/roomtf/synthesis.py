@@ -11,15 +11,16 @@ with T_c w = beta drives the array to emit the outgoing field
 sum beta_nm h_n Y_nm; a real weight vector with T w = e_s emits i h_n S_s,
 the real mode s.  Rows run over the flat (n, m) index up to N, columns over
 loudspeakers; N is read back from the row count.
+
+The weights of the first M modes, pinv(T) I[:, :M], come from
+``pipeline.least_squares``; a column's residual |T w - e_s| equals the
+complex misfit |T_c w - i conj(U) e_s|, as conj(U) is unitary.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import specfun
-from .errors import ConfigurationError
 from .modal import WaveContext
 
 # The bins of one order share a ``bessel_j_rows`` call over at most about
@@ -46,32 +47,6 @@ def build_T(table: specfun.AngularTable, max_order: int, ctx: WaveContext,
     T = table.harmonics[:modes] * bessel[specfun.harmonic_orders(max_order)]
     T *= ctx.k
     return T
-
-
-def solve_all_weights(T: np.ndarray, num_modes: int | None = None, *, cutoff: float):
-    """Minimum-norm real weights for the first ``num_modes`` real modes; (L, M) + residuals.
-
-    ``T`` is the real matrix of ``build_T``.  Column s of the result is a
-    column of pinv(T), the weight vector w with T w = e_s, and its residual
-    is |T w - e_s|, which equals the complex misfit |T_c w - i conj(U) e_s|.
-    Singular values of T below ``cutoff`` times the largest are dropped.
-    """
-    modes, speakers = T.shape
-    max_order = math.isqrt(modes) - 1
-    if speakers < modes:
-        raise ConfigurationError(
-            f"aliasing bound violated: L = {speakers} loudspeakers cannot "
-            f"synthesize (N+1)^2 = {modes} modes (N = {max_order}); increase L"
-        )
-    if num_modes is None:
-        num_modes = modes
-    if num_modes > modes:
-        raise ConfigurationError(
-            f"cannot request {num_modes} modes from an order-{max_order} matrix"
-        )
-    W = np.linalg.pinv(T, rcond=cutoff)[:, :num_modes]
-    residuals = np.linalg.norm(T @ W - np.eye(modes, num_modes), axis=0)
-    return W, residuals
 
 
 def condition_number(T: np.ndarray) -> float:

@@ -15,8 +15,9 @@ The integrand is a polynomial of degree at most 2(A + V) in cos(theta) and a
 trigonometric polynomial of degree at most 2(A + V) in phi, so A + V + 1
 Gauss-Legendre nodes in cos(theta) times 2(A + V) + 1 equispaced azimuths
 integrate it exactly.  Stacking the blocks over all mic units gives the real
-system matrix T-prime, whose least-squares inverse recovers the region
-coefficients from the units' reverberant recordings.
+system matrix T-prime.  ``pipeline.least_squares`` of T-prime against the
+units' reverberant recordings recovers the region coefficients, the
+minimum-norm ones where T-prime has fewer rows than columns.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .errors import ConfigurationError
 from .modal import WaveContext
 from .recording import MicArray
 
@@ -91,34 +91,5 @@ def build_T_prime(mics: MicArray, local_order: int, col_order: int,
     Each unit keeps the first (local_order+1)^2 rows of its order-A block,
     the local modes a <= local_order.
     """
-    A = mics.order
-    total_rows = mics.num_units * specfun.mode_count(A)
-    n_cols = specfun.mode_count(col_order)
-    if total_rows < n_cols:
-        raise ConfigurationError(
-            f"aliasing bound violated: Q (A+1)^2 = {total_rows} rows cannot "
-            f"resolve (N_r+1)^2 = {n_cols} receiver modes; increase Q or lower N_r"
-        )
-    blocks = s_hat_blocks(A, col_order, mics.unit_centers, ctx)
-    return blocks[:, :specfun.mode_count(local_order)].reshape(-1, n_cols)
-
-
-def solve_alpha_all(Tp: np.ndarray, gamma_all: np.ndarray, cutoff: float):
-    """Joint least-squares solve over all composed modes; (alpha, residual).
-
-    ``gamma_all`` holds the recordings (Q, rows per unit, ...), cut to the
-    local modes T' was built with; alpha has shape ((V+1)^2, ...).  The
-    real pseudoinverse of T' is applied to the float view of the complex
-    recordings.  Singular values of T' below ``cutoff`` times the largest are
-    dropped.
-    """
-    g = np.asarray(gamma_all, dtype=complex)
-    if g.ndim < 2 or g.shape[0] * g.shape[1] != Tp.shape[0]:
-        raise ConfigurationError(
-            f"recordings shape {g.shape} does not match the T-prime layout "
-            f"({Tp.shape[0]} rows)"
-        )
-    rhs = np.ascontiguousarray(g).reshape(Tp.shape[0], -1).view(float)
-    alpha = np.linalg.pinv(Tp, rcond=cutoff) @ rhs
-    residual = float(np.linalg.norm(Tp @ alpha - rhs))
-    return alpha.view(complex).reshape(Tp.shape[1], *g.shape[2:]), residual
+    blocks = s_hat_blocks(mics.order, col_order, mics.unit_centers, ctx)
+    return blocks[:, :specfun.mode_count(local_order)].reshape(-1, blocks.shape[2])

@@ -244,7 +244,8 @@ def test_criterion_9_forward_backward_consistency():
     n_cols = (n_r + 1) ** 2
     alpha_true = rng.standard_normal(n_cols) + 1j * rng.standard_normal(n_cols)
     gamma = (Tp @ alpha_true).reshape(9, 16)
-    alpha, _ = translation.solve_alpha_all(Tp, gamma, 1e-10)
+    x, _ = pipeline.least_squares(Tp, gamma.reshape(-1, 1).view(float), 1e-10)
+    alpha = x.view(complex)[:, 0]
     rel = np.linalg.norm(alpha - alpha_true) / np.linalg.norm(alpha_true)
     report(9, rel < 1e-8,
            f"forward-backward recovery at 700 Hz: rel error = {rel:.2e} (want < 1e-8)")
@@ -258,7 +259,7 @@ def test_criterion_10_mode_matching_fidelity():
     directions = np.random.default_rng(3).standard_normal((20, 3))
     _, theta, phi = cartesian_to_spherical_arrays(directions)
     probes = 1.5 * directions / np.linalg.norm(directions, axis=1)[:, None]
-    W, _ = synthesis.solve_all_weights(T, num_modes=specfun.mode_count(n_s), cutoff=1e-10)
+    W, _ = pipeline.least_squares(T, np.eye(T.shape[0], specfun.mode_count(n_s)), 1e-10)
     h = sp.spherical_jn(np.arange(n_s + 1), ctx.k * 1.5) + 1j * sp.spherical_yn(
         np.arange(n_s + 1), ctx.k * 1.5
     )

@@ -281,6 +281,63 @@ class TestMalformedArtifacts:
         assert "truncated or corrupt" in capsys.readouterr().err
 
 
+def set_last_double(path, value) -> None:
+    """Overwrite the last payload double (the imaginary part of the last entry)."""
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[:-8] + struct.pack("<d", value))
+
+
+class TestNonFiniteAndEmptyArtifacts:
+    """Artifacts that once loaded into a NaN answer, or into a traceback."""
+
+    def test_cli_rejects_a_nan_coefficient_with_exit_2(self, tmp_path, fast_artifacts, capsys):
+        # this file once printed "reconstructed H = nan +nanj" with exit 0
+        path = tmp_path / "c.rtfc"
+        shutil.copy(fast_artifacts[1], path)
+        set_last_double(path, float("nan"))
+        capsys.readouterr()
+        argv = ["reconstruct", "--coeffs", str(path), "-f", "400",
+                "--receiver", "0.1,0,0", "--source", "0,0.1,0"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "payload holds a non-finite value (NaN or inf)" in captured.err
+        assert "reconstructed" not in captured.out
+
+    def test_cli_rejects_an_inf_measurement_with_exit_2(self, tmp_path, fast_artifacts, capsys):
+        # this file once made extract write an all-NaN .rtfc with exit 0
+        config, cfile = fast_artifacts
+        path, out = tmp_path / "m.rtfm", tmp_path / "c.rtfc"
+        shutil.copy(Path(cfile).with_name("m.rtfm"), path)
+        set_last_double(path, float("inf"))
+        capsys.readouterr()
+        argv = ["extract", "--config", config, "--measurements", str(path), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "payload holds a non-finite value (NaN or inf)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_rejects_a_zero_bin_measurement_with_exit_2(self, tmp_path, fast_artifacts,
+                                                           capsys):
+        # digests intact and an empty payload, as the header implies: extract
+        # once raised ValueError (exit 1) while saving the empty coefficient set
+        config, cfile = fast_artifacts
+        path, out = tmp_path / "m.rtfm", tmp_path / "c.rtfc"
+        magic, header, _ = read_artifact(Path(cfile).with_name("m.rtfm"))
+        header.update(frequencies=[], mask_orders=[])
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(magic + struct.pack("<Q", len(raw)) + raw)
+        capsys.readouterr()
+        argv = ["extract", "--config", config, "--measurements", str(path), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "needs at least one frequency bin" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_coefficient_set_needs_a_bin(self):
+        cset = sample_cset()
+        with pytest.raises(ConfigurationError, match="needs at least one frequency bin"):
+            RtfCoefficientSet(np.array([]), (), np.array([], dtype=int), np.array([], dtype=int),
+                              cset.regions)
+
+
 class TestDigests:
     def test_mismatch_raises(self):
         with pytest.raises(DigestMismatchError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from roomtf import cli, fileio, pipeline, recording, rtf, specfun, synthesis, translation
+from roomtf import cli, fileio, pipeline, recording, rtf, specfun, synthesis
 from roomtf.errors import BesselZeroError, ConfigurationError, DigestMismatchError
 from roomtf.geometry import RegionPair, sphere_array
 from roomtf.modal import truncation_order
@@ -179,6 +179,20 @@ class TestValidateConfig:
         cfg = replace(fast_config(), arrays=replace(fast_config().arrays, mic_units=2))
         with pytest.raises(ConfigurationError, match=r"Q \(A\+1\)\^2 = 32"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("key,count", [("speakers", 0), ("speakers", -1),
+                                           ("mic_units", 0), ("mic_units", -1)])
+    def test_empty_array_named_by_its_key(self, tmp_path, capsys, key, count):
+        # both keys once exited 2 with "direction count must be >= 1", naming neither
+        raw = yaml.safe_load(FAST_YAML)
+        raw["arrays"][key] = count
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "m.rtfm"
+        assert cli.main(["measure", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "aliasing bound violated" in err and f"arrays.{key}" in err
+        assert not out.exists()
 
     def test_sensors_beyond_receiver_region(self):
         # the units sit at R_r - r, so only R_r <= r (0.241 m at 500 Hz) puts
@@ -789,15 +803,14 @@ class TestArtifactDigests:
 
 class TestSolverSettings:
     def test_svd_cutoff_reaches_both_solves(self, monkeypatch):
-        seen = {}
-        for module, name in ((synthesis, "solve_all_weights"), (translation, "solve_alpha_all")):
-            def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
-                seen[_name] = kwargs.get("cutoff")
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(module, name, spy)
+        # per bin, the weight solve against T, then the T' solve
+        seen = []
+        solve = pipeline.least_squares
+        monkeypatch.setattr(pipeline, "least_squares",
+                            lambda A, B, cutoff: seen.append(cutoff) or solve(A, B, cutoff))
         cfg = fast_config(svd_cutoff=1e-6)
         pipeline.run_extract(cfg, run_measure(cfg))
-        assert seen == {"solve_all_weights": 1e-6, "solve_alpha_all": 1e-6}
+        assert seen == [1e-6, 1e-6] * len(cfg.signal.frequencies)
 
 
 class TestPerRunTables:
@@ -848,17 +861,18 @@ class TestRunCond:
         assert shell[2] == sphere[2] == math.inf and sphere[0] > 1e10
 
     def test_extraction_uses_a_fresh_design_order_T(self, monkeypatch):
-        seen = []
-        solve = synthesis.solve_all_weights
-        monkeypatch.setattr(synthesis, "solve_all_weights",
-                            lambda T, *args, **kwargs: seen.append(T) or solve(T, *args, **kwargs))
+        seen = []  # the A of each call: the weight solve's T, then T'
+        solve = pipeline.least_squares
+        monkeypatch.setattr(pipeline, "least_squares",
+                            lambda A, *args: seen.append(A) or solve(A, *args))
         cfg = replace(fast_config(), signal=SignalConfig(f_max=500.0, frequencies=(300.0, 400.0)))
         exp = validate_config(cfg)
         mt = run_measure(cfg)
         for fi, f in enumerate(cfg.signal.frequencies):
             pipeline.extract_frequency(exp, mt, fi)
             want = per_bin_T(exp.speakers_local, exp.design_source_order, exp.context(f))
-            assert np.array_equal(seen.pop(), want)
+            assert len(seen) == 2 and np.array_equal(seen[0], want)
+            seen.clear()
 
 
 def per_bin_T(speakers, order, ctx):

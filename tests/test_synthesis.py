@@ -8,6 +8,7 @@ from roomtf import specfun, synthesis
 from roomtf.errors import ConfigurationError
 from roomtf.geometry import shell_array
 from roomtf.modal import WaveContext
+from roomtf.pipeline import least_squares
 from roomtf.specfun import mode_count
 
 from oracles import complex_T, unitary_U
@@ -18,6 +19,12 @@ SVD_CUTOFF = 1e-10
 def shell_at(f, count=121, order=10, seed=12345):
     speakers = shell_array(count, 0.4, 0.3, seed)
     return synthesis.build_T(specfun.angular_table(order, speakers), order, WaveContext(f))
+
+
+def solve_weights(T, num_modes=None, cutoff=SVD_CUTOFF):
+    """The extraction's weight solve: T W = I[:, :num_modes] in least squares."""
+    return least_squares(T, np.eye(T.shape[0], T.shape[0] if num_modes is None else num_modes),
+                         cutoff)
 
 
 def oracle_shell_at(f, count=121, order=10, seed=12345):
@@ -89,22 +96,21 @@ def min_norm_weights(T_c, num_modes, rcond=SVD_CUTOFF):
 class TestSolveWeights:
     def test_residual_small_when_well_conditioned(self):
         T = shell_at(500.0, order=5)
-        _, residuals = synthesis.solve_all_weights(T, num_modes=1, cutoff=SVD_CUTOFF)
+        _, residuals = solve_weights(T, num_modes=1)
         assert residuals[0] < 1e-8
 
-    def test_target_order_above_matrix_rejected(self):
-        T = shell_at(500.0, order=3)
-        with pytest.raises(ConfigurationError):
-            synthesis.solve_all_weights(T, num_modes=mode_count(4), cutoff=SVD_CUTOFF)
-
-    def test_aliasing_bound_enforced(self):
-        T = shell_at(500.0, count=50, order=10)
-        with pytest.raises(ConfigurationError, match="aliasing"):
-            synthesis.solve_all_weights(T, cutoff=SVD_CUTOFF)
+    @pytest.mark.parametrize("f,order,num_modes", [
+        (200.0, 10, mode_count(4)), (200.0, 10, mode_count(10)), (600.0, 5, mode_count(5)),
+    ])
+    def test_identity_columns_are_the_pinv_columns_bit_for_bit(self, f, order, num_modes):
+        # the extraction's weights at n_s = 4 < N = 10, and at n_s = N
+        T = shell_at(f, order=order)
+        W, _ = least_squares(T, np.eye(T.shape[0], num_modes), SVD_CUTOFF)
+        assert W.tobytes() == np.linalg.pinv(T, rcond=SVD_CUTOFF)[:, :num_modes].tobytes()
 
     def test_minimum_norm_property(self):
         T = shell_at(600.0, order=5)
-        W, residuals = synthesis.solve_all_weights(T, cutoff=SVD_CUTOFF)
+        W, residuals = solve_weights(T)
         col = 5  # flat row n^2 + n + m of (2, -1)
         w = W[:, col]
         assert residuals[col] < 1e-8
@@ -120,7 +126,7 @@ class TestSolveWeights:
 
     def test_batch_matches_single_solves(self):
         T = shell_at(800.0, order=6)
-        W, residuals = synthesis.solve_all_weights(T, cutoff=SVD_CUTOFF)
+        W, residuals = solve_weights(T)
         assert W.shape == (121, 49)
         T_c = oracle_shell_at(800.0, order=6)
         expected = min_norm_weights(T_c, 49)
@@ -133,7 +139,7 @@ class TestSolveWeights:
     def test_partial_modes_match_oracle(self, num_modes):
         # counts that stop inside an order: real modes need no pairing
         T = shell_at(450.0, order=5)
-        W, residuals = synthesis.solve_all_weights(T, num_modes=num_modes, cutoff=SVD_CUTOFF)
+        W, residuals = solve_weights(T, num_modes=num_modes)
         assert W.shape == (121, num_modes) and residuals.shape == (num_modes,)
         T_c = oracle_shell_at(450.0, order=5)
         expected = min_norm_weights(T_c, num_modes)
@@ -143,9 +149,9 @@ class TestSolveWeights:
 
     def test_partial_batch(self):
         T = shell_at(800.0, order=6)
-        W, _ = synthesis.solve_all_weights(T, num_modes=mode_count(3), cutoff=SVD_CUTOFF)
+        W, _ = solve_weights(T, num_modes=mode_count(3))
         assert W.shape == (121, 16)
-        full, _ = synthesis.solve_all_weights(T, cutoff=SVD_CUTOFF)
+        full, _ = solve_weights(T)
         assert np.array_equal(W, full[:, :16])
 
 
@@ -155,14 +161,14 @@ class TestSolveWeights:
         T_c = oracle_shell_at(300.0, order=5)
         s = np.linalg.svd(T_c, compute_uv=False)
         cutoff = 10 * s[-1] / s[0]
-        W, residuals = synthesis.solve_all_weights(T, cutoff=cutoff)
+        W, residuals = solve_weights(T, cutoff=cutoff)
         want = min_norm_weights(T_c, T_c.shape[0], rcond=cutoff)
         np.testing.assert_allclose(W, want, rtol=0, atol=1e-12 * np.abs(want).max())
         # the dropped value leaves misfits, the same in either basis
         exact = np.linalg.norm(T_c @ want - real_mode_targets(T_c, T_c.shape[0]), axis=0)
         assert exact.max() > 0.1
         np.testing.assert_allclose(residuals, exact, rtol=0, atol=1e-12)
-        W_small, _ = synthesis.solve_all_weights(T, cutoff=SVD_CUTOFF)
+        W_small, _ = solve_weights(T)
         assert np.abs(W - W_small).max() > 0.1 * np.abs(W_small).max()
 
 
